@@ -24,12 +24,12 @@ from .classify import (
     OUTCOD_CATEGORY,
     Chain,
     PartitionKey,
-    classify_point,
+    classify_points,
     partition_dataset,
 )
 from .dsl import Diagnostic, tokenize
 from .errors import EmptyInput, UnvalidatedRuleBase
-from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Polygon2D
+from .model import DEFAULT_TOL, DataPoint, OddNode
 
 # cells partition_dataset can actually produce
 REACHABLE_CELLS: dict[str, frozenset[str]] = {
@@ -105,10 +105,6 @@ class RuleBase:
             return self._index[key]
         except KeyError:
             raise KeyError(f"no rule for partition {key}") from None
-
-
-def lookup_erla(key: PartitionKey, rules: RuleBase) -> ErlaRule | NotApplicable:
-    return rules.lookup(key)
 
 
 _RULE_KEYS = {"kinds", "categories", "E", "R", "L", "A"}
@@ -329,71 +325,48 @@ def coverage_report(
         raise ValueError("coverage metrics require a 2-parameter node")
 
     counts: dict[str, int] = {}
-    normalized_points = []
-    for p in points:
-        label = classify_point(p, node, None, tol, declared_transform=())
+    for label in classify_points(points, node, None, tol, declared_transform=()):
         counts[label.category.label] = counts.get(label.category.label, 0) + 1
-        normalized_points.append(geometry.normalize(geometry.coords(p, node), node))
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    X = geometry.coords_array(points, node)
+    X_hat = (X - lo) / span
 
     vertices = geometry.region_vertices(node)
     matched = 0
     for v in vertices:
-        v_hat = geometry.normalize(geometry.coords(v, node), node)
-        if any(
-            max(abs(a - b) for a, b in zip(v_hat, x)) <= vertex_tol
-            for x in normalized_points
-        ):
+        v_hat = (np.array(geometry.coords(v, node)) - lo) / span
+        if (np.abs(X_hat - v_hat).max(axis=1) <= vertex_tol).any():
             matched += 1
     vertex_coverage = matched / len(vertices) if vertices else 0.0
 
+    near_region = geometry.region_containment(X, node, max(tol, vertex_tol)) != geometry.OUTSIDE
     feasible_slices = 0
     covered_slices = 0
     for idx, param in enumerate(node.parameters):
         other = node.parameters[1 - idx]
         for bound in (param.lo, param.hi):
-            probe = np.linspace(other.lo, other.hi, _SLICE_PROBE_POINTS)
-            feasible = any(
-                geometry.point_in_region(
-                    DataPoint({param.name: bound, other.name: float(g)}), node, tol
-                )
-                != Containment.OUTSIDE
-                for g in probe
-            )
-            if not feasible:
+            probe = np.empty((_SLICE_PROBE_POINTS, 2))
+            probe[:, idx] = bound
+            probe[:, 1 - idx] = np.linspace(other.lo, other.hi, _SLICE_PROBE_POINTS)
+            if (geometry.region_containment(probe, node, tol) == geometry.OUTSIDE).all():
                 continue
             feasible_slices += 1
             bound_hat = (bound - param.lo) / param.span
-            if any(
-                abs(x[idx] - bound_hat) <= vertex_tol
-                for x, p in zip(normalized_points, points)
-                if geometry.point_in_region(p, node, max(tol, vertex_tol)) != Containment.OUTSIDE
-            ):
+            if (near_region & (np.abs(X_hat[:, idx] - bound_hat) <= vertex_tol)).any():
                 covered_slices += 1
     edge_coverage = covered_slices / feasible_slices if feasible_slices else 0.0
 
     nx, ny = grid
-    interior_cells = 0
-    occupied = 0
-    occupied_cells = {
-        (min(int(x[0] * nx), nx - 1), min(int(x[1] * ny), ny - 1))
-        for x in normalized_points
-        if 0.0 <= x[0] <= 1.0 and 0.0 <= x[1] <= 1.0
-    }
-    for i in range(nx):
-        for j in range(ny):
-            cx = (i + 0.5) / nx
-            cy = (j + 0.5) / ny
-            center = DataPoint(
-                {
-                    node.parameters[0].name: node.parameters[0].lo + cx * node.parameters[0].span,
-                    node.parameters[1].name: node.parameters[1].lo + cy * node.parameters[1].span,
-                }
-            )
-            if geometry.point_in_region(center, node, tol) == Containment.OUTSIDE:
-                continue
-            interior_cells += 1
-            if (i, j) in occupied_cells:
-                occupied += 1
+    in_box = ((X_hat >= 0.0) & (X_hat <= 1.0)).all(axis=1)
+    occupied_cells = np.zeros((nx, ny), dtype=bool)
+    cell = np.minimum((X_hat[in_box] * (nx, ny)).astype(int), (nx - 1, ny - 1))
+    occupied_cells[cell[:, 0], cell[:, 1]] = True
+    ci, cj = np.meshgrid((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny, indexing="ij")
+    centers = lo + np.column_stack([ci.ravel(), cj.ravel()]) * span
+    interior = (geometry.region_containment(centers, node, tol) != geometry.OUTSIDE).reshape(nx, ny)
+    interior_cells = int(interior.sum())
+    occupied = int((interior & occupied_cells).sum())
     interior_grid_coverage = occupied / interior_cells if interior_cells else 0.0
 
     empty_required = [c for c in _REQUIRED_PARTITIONS if counts.get(c, 0) == 0]

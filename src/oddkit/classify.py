@@ -7,10 +7,12 @@ import io
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from . import geometry
 from .anomaly import Transform, apply_transforms
 from .errors import MissingParameter, MissingTransform
-from .model import DEFAULT_TOL, Containment, DataPoint, Level, OddNode, Variant
+from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Variant
 
 
 class Kind(str, Enum):
@@ -60,6 +62,9 @@ class Category:
     @property
     def anomaly(self) -> bool:
         return self.label in ANOMALY_LABELS
+
+
+_CATEGORIES = {label: Category(label) for label in CATEGORY_LABELS}
 
 
 @dataclass
@@ -179,6 +184,108 @@ def _raw_mismatch(
     return sorted(mismatched)
 
 
+def _geometric_category(inside: bool, k: int) -> str:
+    """Category of a point with ``k`` parameters at a range extreme."""
+    if inside:
+        return "Nominal" if k == 0 else ("EdgeCase" if k == 1 else "FeasibleCornerCase")
+    return "InfeasibleCornerCase" if k >= 2 else "Outlier"
+
+
+def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> list[bool]:
+    """Per point: do its declared and hidden values fall outside ``ext``?
+
+    A point whose values do not cover the extension's parameters is not
+    outside it.
+    """
+    merged = [p.combined_values() for p in points]
+    covered = [i for i, v in enumerate(merged) if all(n in v for n in ext.parameter_names)]
+    X = geometry.coords_array([DataPoint(merged[i]) for i in covered], ext)
+    outside = [False] * len(points)
+    for i, code in zip(covered, geometry.region_containment(X, ext, tol).tolist()):
+        outside[i] = code == geometry.OUTSIDE
+    return outside
+
+
+def _categorize(
+    points: list[DataPoint],
+    node: OddNode,
+    X: np.ndarray,
+    codes: np.ndarray,
+    chain_ctx: Chain | None,
+    tol: float,
+    transforms: tuple[Transform, ...],
+) -> list[tuple[str, bool, dict[str, str]]]:
+    """(category, on_boundary, annotations) of points whose coordinates and
+    containment codes in ``node`` are known.
+
+    Provenance mismatch (Inlier) first, hidden-parameter exclusion (Novelty)
+    second, then the geometric cases.
+    """
+    inside = (codes != geometry.OUTSIDE).tolist()
+    on_boundary = (codes == geometry.ON_BOUNDARY).tolist()
+    decided: dict[int, tuple[str, dict[str, str]]] = {}
+    for i, p in enumerate(points):
+        if p.provenance_raw and inside[i]:
+            mismatched = _raw_mismatch(p, node, transforms, tol)
+            if mismatched:
+                decided[i] = ("Inlier", {"raw_mismatch": "|".join(mismatched)})
+
+    ext = chain_ctx.extended if chain_ctx is not None else None
+    if ext is not None and ext.extends == node.name:
+        hidden = [
+            i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in decided
+        ]
+        novel = _outside_extension([points[i] for i in hidden], ext, tol)
+        for i, outside in zip(hidden, novel):
+            if outside:
+                decided[i] = ("Novelty", {"hidden": "|".join(sorted(points[i].hidden_values))})
+
+    extremes = geometry.extreme_mask(X, node, tol).sum(axis=1).tolist()
+    labels = []
+    for i in range(len(points)):
+        label, annotations = decided.get(i) or (_geometric_category(inside[i], extremes[i]), {})
+        labels.append((label, on_boundary[i], annotations))
+    return labels
+
+
+def classify_points(
+    points: list[DataPoint],
+    node: OddNode,
+    chain_ctx: Chain | None = None,
+    tol: float = DEFAULT_TOL,
+    declared_transform: tuple[Transform, ...] | None = None,
+) -> list[PointLabel]:
+    """Assign each point its single category relative to ``node``.
+
+    Decision order per point: provenance mismatch (Inlier) first,
+    hidden-parameter exclusion (Novelty) second, then the geometric cases.
+    Boundary points are inside; the on_boundary flag is reported but never
+    changes the category. Containment and range extremes are decided once for
+    the whole batch; the extension node only for inside points with hidden
+    values.
+    """
+    transforms = declared_transform
+    if transforms is None and chain_ctx is not None:
+        transforms = chain_ctx.declared_transform
+    if transforms is None:
+        first_raw = next((i for i, p in enumerate(points) if p.provenance_raw), None)
+        if first_raw is not None:
+            # a point up to that one that lacks a parameter fails first
+            geometry.coords_array(points[: first_raw + 1], node)
+            raise MissingTransform(
+                "point carries raw provenance but no preprocessing transform is declared"
+            )
+        transforms = ()
+    X = geometry.coords_array(points, node)
+    codes = geometry.region_containment(X, node, tol)
+    return [
+        PointLabel(_CATEGORIES[label], on_boundary, annotations)
+        for label, on_boundary, annotations in _categorize(
+            points, node, X, codes, chain_ctx, tol, transforms
+        )
+    ]
+
+
 def classify_point(
     p: DataPoint,
     node: OddNode,
@@ -186,65 +293,8 @@ def classify_point(
     tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
 ) -> PointLabel:
-    """Assign the point its single category relative to ``node``.
-
-    Decision order: provenance mismatch (Inlier) first, hidden-parameter
-    exclusion (Novelty) second, then the geometric cases. Boundary points are
-    inside; the on_boundary flag is reported but never changes the category.
-    """
-    containment = geometry.point_in_region(p, node, tol)
-    inside = containment != Containment.OUTSIDE
-    on_boundary = containment == Containment.ON_BOUNDARY
-    annotations: dict[str, str] = {}
-
-    if p.provenance_raw:
-        transforms = declared_transform
-        if transforms is None and chain_ctx is not None:
-            transforms = chain_ctx.declared_transform
-        if transforms is None:
-            raise MissingTransform(
-                "point carries raw provenance but no preprocessing transform is declared"
-            )
-        mismatched = _raw_mismatch(p, node, transforms, tol)
-        if mismatched and inside:
-            annotations["raw_mismatch"] = "|".join(mismatched)
-            return PointLabel(Category("Inlier"), on_boundary, annotations)
-
-    if (
-        chain_ctx is not None
-        and chain_ctx.extended is not None
-        and chain_ctx.extended.extends == node.name
-        and p.hidden_values
-        and inside
-    ):
-        combined = DataPoint(p.combined_values())
-        try:
-            outside_extended = (
-                geometry.point_in_region(combined, chain_ctx.extended, tol)
-                == Containment.OUTSIDE
-            )
-        except MissingParameter:
-            outside_extended = False  # hidden values do not cover the extension
-        if outside_extended:
-            annotations["hidden"] = "|".join(sorted(p.hidden_values))
-            return PointLabel(Category("Novelty"), on_boundary, annotations)
-
-    k = len(geometry.params_at_extreme(p, node, tol))
-    if inside:
-        label = "Nominal" if k == 0 else ("EdgeCase" if k == 1 else "FeasibleCornerCase")
-    else:
-        label = "InfeasibleCornerCase" if k >= 2 else "Outlier"
-    return PointLabel(Category(label), on_boundary, annotations)
-
-
-def classify_category(
-    p: DataPoint,
-    node: OddNode,
-    chain_ctx: Chain | None = None,
-    tol: float = DEFAULT_TOL,
-    declared_transform: tuple[Transform, ...] | None = None,
-) -> Category:
-    return classify_point(p, node, chain_ctx, tol, declared_transform).category
+    """One point's category relative to ``node``; see :func:`classify_points`."""
+    return classify_points([p], node, chain_ctx, tol, declared_transform)[0]
 
 
 def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool:
@@ -260,19 +310,50 @@ def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool
     return False
 
 
+def _in_sample(p: DataPoint, chain: Chain, tol: float) -> bool:
+    """Flagged in_sample, or matched in the sample registry (when there is one)."""
+    return bool(p.in_sample) or (bool(chain.sample_registry) and registry_match(p, chain, tol))
+
+
+@dataclass(frozen=True)
+class _NodeRows:
+    """The rows one node decided, with their coordinates and containment codes."""
+
+    rows: list[int]
+    X: np.ndarray
+    codes: np.ndarray
+
+
+def _kind_step(
+    points: list[DataPoint], chain: Chain, tol: float
+) -> tuple[list[Kind], _NodeRows, _NodeRows]:
+    """Each point's kind, plus the rows the MLM and the MLC decided.
+
+    The MLM decides every point and the MLC only points outside the MLM; the
+    registry is searched only for MLM points not flagged in_sample.
+    """
+    X = geometry.coords_array(points, chain.mlm)
+    codes = geometry.region_containment(X, chain.mlm, tol)
+    outside = codes == geometry.OUTSIDE
+    kinds: list[Kind] = [Kind.OUT_OF_MLCODD] * len(points)
+    in_mlm = np.flatnonzero(~outside).tolist()
+    for i in in_mlm:
+        kinds[i] = Kind.IN_SAMPLE if _in_sample(points[i], chain, tol) else Kind.OUT_OF_SAMPLE
+    out_mlm = np.flatnonzero(outside).tolist()
+    Y = geometry.coords_array([points[i] for i in out_mlm], chain.mlc)
+    mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
+    for i, code in zip(out_mlm, mlc_codes.tolist()):
+        if code != geometry.OUTSIDE:
+            kinds[i] = Kind.OUT_OF_MLMODD
+    return (
+        kinds,
+        _NodeRows(in_mlm, X[~outside], codes[~outside]),
+        _NodeRows(out_mlm, Y, mlc_codes),
+    )
+
+
 def classify_kind(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> Kind:
-    inside_mlm = (
-        geometry.point_in_region(geometry.project(p, chain.mlm), chain.mlm, tol)
-        != Containment.OUTSIDE
-    )
-    if inside_mlm:
-        in_sample = bool(p.in_sample) or registry_match(p, chain, tol)
-        return Kind.IN_SAMPLE if in_sample else Kind.OUT_OF_SAMPLE
-    inside_mlc = (
-        geometry.point_in_region(geometry.project(p, chain.mlc), chain.mlc, tol)
-        != Containment.OUTSIDE
-    )
-    return Kind.OUT_OF_MLMODD if inside_mlc else Kind.OUT_OF_MLCODD
+    return _kind_step([p], chain, tol)[0][0]
 
 
 def category_node(kind: Kind, chain: Chain) -> OddNode:
@@ -293,24 +374,38 @@ class LabelRow:
 
 
 def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> list[LabelRow]:
-    """Classify each point against the chain; rows keep dataset order."""
+    """Classify each point against the chain; rows keep dataset order.
+
+    The category reuses the containment the kind step decided: MLM points
+    are categorized against the MLM, the others against the MLC.
+    """
+    kinds, mlm_rows, mlc_rows = _kind_step(points, chain, tol)
+    labels: list[tuple[str, bool, dict[str, str]] | None] = [None] * len(points)
+    for node, decided in ((chain.mlm, mlm_rows), (chain.mlc, mlc_rows)):
+        batch = [points[i] for i in decided.rows]
+        node_labels = _categorize(
+            batch, node, decided.X, decided.codes, chain, tol, chain.declared_transform
+        )
+        for i, label in zip(decided.rows, node_labels):
+            labels[i] = label
+
+    sod_categories: dict[int, str] = {}
+    if chain.system_od is not None:
+        out_cod = [i for i, kind in enumerate(kinds) if kind == Kind.OUT_OF_MLCODD]
+        projected = [geometry.project(points[i], chain.system_od) for i in out_cod]
+        sod_labels = classify_points(projected, chain.system_od, chain, tol)
+        sod_categories = {i: label.category.label for i, label in zip(out_cod, sod_labels)}
+
+    node_names = {kind: category_node(kind, chain).name for kind in Kind}
     rows = []
-    for i, p in enumerate(points):
-        kind = classify_kind(p, chain, tol)
-        node = category_node(kind, chain)
-        label = classify_point(p, node, chain, tol)
-        annotations = dict(label.annotations)
-        category = label.category.label
+    for i, (kind, (category, on_boundary, annotations)) in enumerate(zip(kinds, labels)):
         if kind == Kind.OUT_OF_MLCODD:
             # indistinct at the MLC level; keep the per-node views as notes
             annotations["mlc_category"] = category
-            if chain.system_od is not None:
-                sod_label = classify_point(
-                    geometry.project(p, chain.system_od), chain.system_od, chain, tol
-                )
-                annotations["sod_category"] = sod_label.category.label
+            if i in sod_categories:
+                annotations["sod_category"] = sod_categories[i]
             category = OUTCOD_CATEGORY
-        rows.append(LabelRow(i, kind, category, node.name, label.on_boundary, annotations))
+        rows.append(LabelRow(i, kind, category, node_names[kind], on_boundary, annotations))
     return rows
 
 
@@ -337,6 +432,12 @@ def partition_dataset(
     return partitions
 
 
+def _contained(points: list[DataPoint], node: OddNode, tol: float) -> np.ndarray:
+    """Per point: inside ``node`` or on its boundary."""
+    codes = geometry.region_containment(geometry.coords_array(points, node), node, tol)
+    return codes != geometry.OUTSIDE
+
+
 @dataclass
 class SetAlgebraReport:
     holds: bool
@@ -356,21 +457,20 @@ def verify_set_algebra(
     regressions in the classifier itself.
     """
     if labels is None:
-        labels = [classify_kind(p, chain, tol) for p in points]
+        labels = _kind_step(points, chain, tol)[0]
+    known = tuple(Kind)
+    pairs = list(zip(points, labels))
+    audited = [p for p, label in pairs if label in known]
+    verdicts = zip(
+        _contained(audited, chain.mlm, tol).tolist(), _contained(audited, chain.mlc, tol).tolist()
+    )
     violations: list[tuple[int, str]] = []
-    for i, (p, label) in enumerate(zip(points, labels)):
-        if label not in tuple(Kind):
+    for i, (p, label) in enumerate(pairs):
+        if label not in known:
             violations.append((i, "totality: unlabeled point"))
             continue
-        in_mlm = (
-            geometry.point_in_region(geometry.project(p, chain.mlm), chain.mlm, tol)
-            != Containment.OUTSIDE
-        )
-        in_mlc = (
-            geometry.point_in_region(geometry.project(p, chain.mlc), chain.mlc, tol)
-            != Containment.OUTSIDE
-        )
-        in_sample = bool(p.in_sample) or registry_match(p, chain, tol)
+        in_mlm, in_mlc = next(verdicts)
+        in_sample = _in_sample(p, chain, tol)
         in_mod = label in (Kind.IN_SAMPLE, Kind.OUT_OF_SAMPLE)
         in_cod = in_mod or label == Kind.OUT_OF_MLMODD
         if in_mod != in_mlm:

@@ -126,8 +126,8 @@ def classify_cmd(spec, data, node_name, chain_spec, transform_specs, out_path, f
             raise click.ClickException(f"unknown node {node_name!r}")
         ds = _load_dataset(data, node)
         lines = ["row,category,on_boundary,annotations"]
-        for i, p in enumerate(ds.points):
-            label = classify.classify_point(p, node, None, declared_transform=transforms)
+        labels = classify.classify_points(ds.points, node, None, declared_transform=transforms)
+        for i, label in enumerate(labels):
             notes = ";".join(f"{k}={v}" for k, v in sorted(label.annotations.items()))
             lines.append(f"{i},{label.category.label},{int(label.on_boundary)},{notes}")
         _write_output(out_path, "\n".join(lines) + "\n", force)

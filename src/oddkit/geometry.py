@@ -8,6 +8,7 @@ rescaling a parameter together with its range and region coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,6 +217,135 @@ def params_at_extreme(
         if min(abs(v - param.lo), abs(v - param.hi)) <= band:
             out.add(param.name)
     return out
+
+
+# -- array engine ------------------------------------------------------------
+#
+# Batch forms of point_in_region and params_at_extreme over an (n, d) array of
+# raw coordinates in node-parameter order, deciding every row as the scalar
+# functions do (for finite coordinates). One call costs several scalar calls,
+# so callers that handle one point at a time keep the scalar functions.
+
+# Codes returned by region_containment; CONTAINMENT[code] is the enum value.
+INSIDE, ON_BOUNDARY, OUTSIDE = 0, 1, 2
+CONTAINMENT = (Containment.INSIDE, Containment.ON_BOUNDARY, Containment.OUTSIDE)
+
+# Rows per block: bounds the (rows x edges) and (rows x faces) temporaries.
+_CHUNK_ROWS = 4096
+
+
+def coords_array(points: list[DataPoint], node: OddNode) -> np.ndarray:
+    """The node's parameter values of each point, as an (n, d) float array.
+
+    Raises MissingParameter for the first point lacking a parameter, naming
+    the parameter as :func:`coords` does.
+    """
+    names = node.parameter_names
+    values_of = operator.itemgetter(*names)
+    try:
+        rows = [values_of(p.values) for p in points]
+    except KeyError as exc:
+        raise MissingParameter(exc.args[0]) from None
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    for start in range(0, len(X), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        out[start:stop] = decide(X[start:stop])
+    return out
+
+
+@lru_cache(maxsize=256)
+def _polygon_edges(node: OddNode) -> tuple[np.ndarray, ...]:
+    """Per edge of the normalized polygon: start (ax, ay), end ordinate by,
+    direction (dx, dy), and dx*dx + dy*dy and dy with zeros replaced by 1."""
+    verts = _normalized_polygon(node)
+    (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
+    dx, dy = bx - ax, by - ay
+    sq = dx * dx + dy * dy
+    edges = (ax, ay, by, dx, dy, np.where(sq == 0.0, 1.0, sq), np.where(dy == 0.0, 1.0, dy))
+    for a in edges:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return edges
+
+
+def _polygon_codes(xhat: np.ndarray, edges: tuple[np.ndarray, ...], tol: float) -> np.ndarray:
+    """Segment distance and even-odd crossing, broadcast over rows x edges.
+
+    With the zero divisors replaced by 1, a degenerate edge gets t = 0 as in
+    the scalar path, and a horizontal edge, which no row straddles, gets an
+    unused crossing.
+    """
+    ax, ay, by, dx, dy, sq, rise = edges
+    px, py = xhat[:, :1], xhat[:, 1:]
+    ry = py - ay
+    t = np.minimum(np.maximum(((px - ax) * dx + ry * dy) / sq, 0.0), 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    dist = np.hypot(ex, ey)
+    # np.hypot and math.hypot can differ in the last bit: near tol, use the scalar's
+    for r, e in zip(*np.nonzero(np.abs(dist - tol) <= 4 * math.ulp(tol))):
+        dist[r, e] = math.hypot(ex[r, e], ey[r, e])
+    on_boundary = (dist <= tol).any(axis=1)
+    straddles = (ay > py) != (by > py)
+    inside = (straddles & (px < ax + ry * dx / rise)).sum(axis=1) % 2 == 1
+    return np.where(on_boundary, ON_BOUNDARY, np.where(inside, INSIDE, OUTSIDE))
+
+
+def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
+    """Per member, slack summed column by column in _member_margin's order."""
+    inside = np.zeros(len(xhat), dtype=bool)
+    near = np.zeros(len(xhat), dtype=bool)
+    for A, b in members:
+        s = xhat[:, :1] * A[:, 0]
+        for j in range(1, A.shape[1]):
+            s = s + xhat[:, j : j + 1] * A[:, j]
+        margin = (b - s).min(axis=1)
+        inside |= margin > tol
+        near |= margin >= -tol
+    return np.where(inside, INSIDE, np.where(near, ON_BOUNDARY, OUTSIDE))
+
+
+def region_containment(
+    X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Containment code (INSIDE, ON_BOUNDARY, OUTSIDE) of each row of ``X``.
+
+    ``X`` holds raw coordinates in node-parameter order, as from
+    :func:`coords_array`; row i's code is :func:`point_in_region`'s verdict.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    if isinstance(node.region, Polygon2D):
+        edges = _polygon_edges(node)
+
+        def decide(x):
+            return _polygon_codes((x - lo) / span, edges, tol)
+
+    else:
+        members = [
+            (np.array([a for a, _ in rows]), np.array([b for _, b in rows]))
+            for rows in _normalized_halfspaces(node)
+        ]
+
+        def decide(x):
+            return _union_codes((x - lo) / span, members, tol)
+
+    return _by_chunk(decide, X, np.empty(len(X), dtype=np.int8))
+
+
+def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(n, d) flags: the parameters :func:`params_at_extreme` reports per row."""
+    lo = np.array([p.lo for p in node.parameters])
+    hi = np.array([p.hi for p in node.parameters])
+    band = np.array([tol * p.span for p in node.parameters])
+
+    def decide(x):
+        return np.minimum(np.abs(x - lo), np.abs(x - hi)) <= band
+
+    return _by_chunk(decide, X, np.empty(X.shape, dtype=bool))
 
 
 def region_vertices(node: OddNode, tol: float = DEFAULT_TOL) -> list[DataPoint]:

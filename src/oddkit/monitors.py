@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import geometry
-from .classify import Chain, classify_point
+from .classify import Chain, classify_points
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
 from .model import DEFAULT_TOL, Containment, DataPoint, OddNode
@@ -248,7 +248,7 @@ def run_monitor_chain(
     """
     if oracle_categories is None:
         oracle_categories = [
-            classify_point(p, chain.mlm, chain, tol).category.label for p in points
+            label.category.label for label in classify_points(points, chain.mlm, chain, tol)
         ]
 
     verdicts: list[MonitorVerdict] = []

@@ -30,22 +30,6 @@ _NODE_COLORS = ("#1864ab", "#2b8a3e", "#e67700", "#9c36b5", "#0b7285", "#a61e4d"
 _MARGIN = 40.0
 
 
-def _node_outline(node: OddNode) -> list[tuple[float, float]]:
-    """Drawable boundary loop of a 2-parameter node's region."""
-    region = node.region
-    if isinstance(region, Polygon2D):
-        return [tuple(v) for v in region.vertices]
-    # convex polytope union: draw each member's vertex hull ordered by angle
-    verts: list[tuple[float, float]] = []
-    for member in region.members:
-        pts = [tuple(v) for v in member.vertices]
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-        pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-        verts.extend(pts)
-    return verts
-
-
 def _member_loops(node: OddNode) -> list[list[tuple[float, float]]]:
     region = node.region
     if isinstance(region, Polygon2D):
@@ -79,9 +63,10 @@ def render_svg(
     xs: list[float] = []
     ys: list[float] = []
     for n in nodes:
-        for x, y in _node_outline(n):
-            xs.append(x)
-            ys.append(y)
+        for loop in _member_loops(n):
+            for x, y in loop:
+                xs.append(x)
+                ys.append(y)
     for p, _cat in labeled_points:
         if names[0] in p.values and names[1] in p.values:
             xs.append(p.values[names[0]])
@@ -130,7 +115,7 @@ def render_svg(
                 "stroke-width": "1.5",
             },
         )
-        lx, ly = to_px(*_node_outline(node)[0])
+        lx, ly = to_px(*_member_loops(node)[0][0])
         label = ET.SubElement(
             regions,
             "text",

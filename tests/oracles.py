@@ -3,7 +3,8 @@
 Deliberately implemented with different algorithms than the package: polygon
 membership uses the winding number (the package uses even-odd crossing), and
 polytope membership evaluates halfspaces directly in raw coordinates (the
-package normalizes and unit-scales the rows).
+package normalizes and unit-scales the rows), and range extremes are two
+interval tests (the package takes the distance to the nearer bound).
 """
 
 from __future__ import annotations
@@ -39,3 +40,8 @@ def polytope_contains(x: tuple[float, ...], halfspaces) -> bool:
 
 def union_contains(x: tuple[float, ...], members) -> bool:
     return any(polytope_contains(x, m.halfspaces) for m in members)
+
+
+def at_range_bound(v: float, lo: float, hi: float, band: float) -> bool:
+    """Within ``band`` of either end of [lo, hi], tested as two closed intervals."""
+    return lo - band <= v <= lo + band or hi - band <= v <= hi + band

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import oddkit
 from oddkit.cli import cli
 
 
@@ -48,6 +51,12 @@ def test_classify_matches_golden(runner, spec_path, points_path, golden_labels_t
     result = runner.invoke(cli, ["classify", spec_path, points_path])
     assert result.exit_code == 0
     assert result.output == golden_labels_text
+
+
+def test_classify_single_node_matches_golden(runner, spec_path, points_path, data_dir):
+    result = runner.invoke(cli, ["classify", spec_path, points_path, "--node", "MLMODD"])
+    assert result.exit_code == 0
+    assert result.output == (data_dir / "golden_node_labels.csv").read_text(encoding="utf-8")
 
 
 def test_classify_single_node(runner, spec_path, points_path):
@@ -136,9 +145,13 @@ def test_render_command(runner, spec_path, points_path, tmp_path):
 
 
 def test_console_entry_point(spec_path):
+    # the child imports the package this process imported, installed or not
+    search_path = [str(Path(oddkit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
     proc = subprocess.run(
         [sys.executable, "-m", "oddkit.cli", "validate", spec_path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
