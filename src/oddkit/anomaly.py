@@ -8,7 +8,7 @@ seeded and reproducible (counter-based Philox generator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,28 +125,76 @@ def make_novelty(
 MODES = ("nominal_interior", "edge", "feasible_corner", "outlier_ring")
 
 _OUTLIER_INFLATION = 0.2  # fraction of each parameter span added outside the box
+_NOVELTY_INFLATION = 0.5  # extension-only parameters must be able to leave the extension
 _EDGE_SLICE_POINTS = 64
 _MAX_REJECTION_FACTOR = 10_000
+_BLOCK_ROWS = 256  # candidates drawn and decided at a time
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _draw(rng: np.random.Generator, param: Parameter) -> float:
+def _widened(param: Parameter, fraction: float) -> Parameter:
+    """The parameter drawn uniformly over its range widened by ``fraction`` of its span."""
+    pad = fraction * param.span
+    return replace(param, lo=param.lo - pad, hi=param.hi + pad, distribution=None)
+
+
+def _draw_column(rng: np.random.Generator, param: Parameter, k: int) -> np.ndarray:
     dist = param.distribution
     if dist is None or dist.kind == "uniform":
-        return float(rng.uniform(param.lo, param.hi))
+        return rng.uniform(param.lo, param.hi, k)
     if dist.kind == "triangular":
         a, m, b = dist.args
-        return float(rng.triangular(a, m, b))
+        return rng.triangular(a, m, b, k)
     if dist.kind == "histogram":
-        k = (len(dist.args) - 1) // 2
-        edges = dist.args[: k + 1]
-        weights = np.asarray(dist.args[k + 1 :], dtype=float)
-        i = int(rng.choice(k, p=weights / weights.sum()))
-        return float(rng.uniform(edges[i], edges[i + 1]))
+        bins = (len(dist.args) - 1) // 2
+        edges = np.asarray(dist.args[: bins + 1], dtype=float)
+        weights = np.asarray(dist.args[bins + 1 :], dtype=float)
+        i = rng.choice(bins, size=k, p=weights / weights.sum())
+        return rng.uniform(edges[i], edges[i + 1])
     raise ValueError(f"unknown distribution {dist.kind!r}")
+
+
+def _points(X: np.ndarray, node: OddNode) -> list[DataPoint]:
+    names = node.parameter_names
+    return [DataPoint(dict(zip(names, row))) for row in X.tolist()]
+
+
+def _in_stratum(X: np.ndarray, node: OddNode, mode: str, tol: float) -> np.ndarray:
+    """Which rows of ``X`` lie in the sampling stratum ``mode`` (see sample_region)."""
+    codes = geometry.region_containment(X, node, tol)
+    extremes = geometry.extreme_mask(X, node, tol).sum(axis=1)
+    if mode == "nominal_interior":
+        return (codes == geometry.INSIDE) & (extremes == 0)
+    if mode == "outlier_ring":
+        return (codes == geometry.OUTSIDE) & (extremes < 2)
+    inside = codes != geometry.OUTSIDE
+    return inside & (extremes == 1) if mode == "edge" else inside & (extremes >= 2)
+
+
+def _draw_and_accept(n: int, seed: int, params, accept, what: str) -> list[DataPoint]:
+    """The first ``n`` points ``accept`` keeps of seeded candidate blocks.
+
+    Each block is a (k, d) array drawn column by column from ``params``'
+    distributions; ``accept(X)`` gives the points it keeps of it, in row
+    order. Raises EmptyStratum once ``_MAX_REJECTION_FACTOR * n`` candidates
+    yield fewer than ``n`` points.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rng = _rng(seed)
+    out: list[DataPoint] = []
+    drawn = 0
+    limit = _MAX_REJECTION_FACTOR * n
+    while len(out) < n and drawn < limit:
+        k = min(_BLOCK_ROWS, limit - drawn)
+        out += accept(np.column_stack([_draw_column(rng, p, k) for p in params]))
+        drawn += k
+    if len(out) < n:
+        raise EmptyStratum(f"could not draw {n} {what} after {drawn} candidates")
+    return out[:n]
 
 
 def sample_region(
@@ -171,12 +219,9 @@ def sample_region(
     if n == 0:
         return []
     if mode == "feasible_corner":
-        corners = [
-            v
-            for v in geometry.region_vertices(node, tol)
-            if len(geometry.params_at_extreme(v, node, tol)) >= 2
-            and geometry.point_in_region(v, node, tol) != Containment.OUTSIDE
-        ]
+        vertices = geometry.region_vertices(node, tol)
+        keep = _in_stratum(geometry.coords_array(vertices, node), node, mode, tol)
+        corners = [v for v, k in zip(vertices, keep) if k]
         if not corners:
             raise EmptyStratum(
                 f"node {node.name!r} has no vertices with >= 2 parameters at extremes"
@@ -184,82 +229,80 @@ def sample_region(
         return [corners[i % len(corners)] for i in range(n)]
     if mode == "edge":
         return _sample_edges(node, n, seed, tol)
-    if mode == "nominal_interior":
-        return _rejection_sample(
-            node,
-            n,
-            seed,
-            lambda p: geometry.point_in_region(p, node, tol) == Containment.INSIDE
-            and not geometry.params_at_extreme(p, node, tol),
-            box=node.box,
-            honor_distributions=True,
-        )
-    # outlier_ring
-    inflated = tuple(
-        (p.lo - _OUTLIER_INFLATION * p.span, p.hi + _OUTLIER_INFLATION * p.span)
-        for p in node.parameters
-    )
-    return _rejection_sample(
-        node,
-        n,
-        seed,
-        lambda p: geometry.point_in_region(p, node, tol) == Containment.OUTSIDE
-        and len(geometry.params_at_extreme(p, node, tol)) < 2,
-        box=inflated,
-        honor_distributions=False,
-    )
+    params = node.parameters
+    if mode == "outlier_ring":
+        params = [_widened(p, _OUTLIER_INFLATION) for p in params]
+
+    def accept(X):
+        return _points(X[_in_stratum(X, node, mode, tol)], node)
+
+    return _draw_and_accept(n, seed, params, accept, f"{mode} points for node {node.name!r}")
 
 
-def _rejection_sample(node, n, seed, accept, box, honor_distributions) -> list[DataPoint]:
-    rng = _rng(seed)
-    names = node.parameter_names
-    out: list[DataPoint] = []
-    attempts = 0
-    limit = _MAX_REJECTION_FACTOR * n
-    while len(out) < n and attempts < limit:
-        attempts += 1
-        if honor_distributions:
-            vals = {name: _draw(rng, p) for name, p in zip(names, node.parameters)}
-        else:
-            vals = {
-                name: float(rng.uniform(lo, hi)) for name, (lo, hi) in zip(names, box)
-            }
-        candidate = DataPoint(vals)
-        if accept(candidate):
-            out.append(candidate)
-    if len(out) < n:
-        raise EmptyStratum(
-            f"could not draw {n} admissible points for node {node.name!r} "
-            f"after {attempts} attempts"
-        )
-    return out
+def sample_inliers(
+    node: OddNode, n: int, transforms: tuple[Transform, ...], seed: int, tol: float = DEFAULT_TOL
+) -> list[DataPoint]:
+    """Draw ``n`` inliers of ``node``, deterministic given ``seed``.
+
+    Nominal-interior candidates are corrupted through each transform in turn
+    by :func:`inject_inlier`; a candidate is kept when every step accepts it,
+    with its uncorrupted values as provenance.
+    """
+    if not transforms:
+        raise ValueError("an inlier needs at least one transform")
+
+    def accept(X):
+        out = []
+        for p in _points(X[_in_stratum(X, node, "nominal_interior", tol)], node):
+            result: DataPoint | Rejected = p
+            for t in transforms:
+                result = inject_inlier(result, t, node, tol)
+                if isinstance(result, Rejected):
+                    break
+            else:
+                out.append(DataPoint(result.values, provenance_raw=dict(p.values)))
+        return out
+
+    return _draw_and_accept(n, seed, node.parameters, accept, f"inliers for node {node.name!r}")
+
+
+def sample_novelty(
+    chain: "Chain", n: int, seed: int, tol: float = DEFAULT_TOL
+) -> list[DataPoint]:
+    """Draw ``n`` novelty points of the chain's extension, deterministic given ``seed``.
+
+    Candidates are uniform over the extension's box, with the parameters the
+    base node lacks widened by half their span on each side; each is kept
+    when :func:`make_novelty` accepts it.
+    """
+    ext = chain.extended
+    if ext is None:
+        raise MissingExtension("chain has no extension node")
+    base = set(chain.mlm.parameter_names)
+    box = [_widened(p, 0.0 if p.name in base else _NOVELTY_INFLATION) for p in ext.parameters]
+
+    def accept(X):
+        made = (make_novelty(p, chain, tol) for p in _points(X, ext))
+        return [p for p in made if not isinstance(p, Rejected)]
+
+    return _draw_and_accept(n, seed, box, accept, f"novelty points for extension {ext.name!r}")
 
 
 def _sample_edges(node: OddNode, n: int, seed: int, tol: float) -> list[DataPoint]:
     rng = _rng(seed)
-    names = node.parameter_names
+    d = len(node.parameters)
     slices: list[list[DataPoint]] = []
     for idx, param in enumerate(node.parameters):
+        others = [p for i, p in enumerate(node.parameters) if i != idx]
         for bound in (param.lo, param.hi):
-            admissible: list[DataPoint] = []
-            others = [p for i, p in enumerate(node.parameters) if i != idx]
+            X = np.empty((_EDGE_SLICE_POINTS, d))
             if len(others) == 1:
-                other = others[0]
-                grid = np.linspace(other.lo, other.hi, _EDGE_SLICE_POINTS)
-                candidates = [{param.name: bound, other.name: float(g)} for g in grid]
+                X[:, 1 - idx] = np.linspace(others[0].lo, others[0].hi, _EDGE_SLICE_POINTS)
             else:
-                candidates = []
-                for _ in range(_EDGE_SLICE_POINTS):
-                    vals = {p.name: float(rng.uniform(p.lo, p.hi)) for p in others}
-                    vals[param.name] = bound
-                    candidates.append(vals)
-            for vals in candidates:
-                p = DataPoint(vals)
-                if (
-                    geometry.point_in_region(p, node, tol) != Containment.OUTSIDE
-                    and geometry.params_at_extreme(p, node, tol) == {param.name}
-                ):
-                    admissible.append(p)
+                bounds = np.array([(p.lo, p.hi) for p in others]).T
+                X[:, np.arange(d) != idx] = rng.uniform(*bounds, (_EDGE_SLICE_POINTS, d - 1))
+            X[:, idx] = bound  # at its extreme, so the stratum allows no other
+            admissible = _points(X[_in_stratum(X, node, "edge", tol)], node)
             if admissible:
                 slices.append(admissible)
     if not slices:

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import analysis, anomaly, classify, datasets, dsl, monitors, render
 from .errors import OddkitError
@@ -221,7 +220,7 @@ def coverage(spec, data, node_name, grid, out_path, force) -> None:
 @click.option("--node", "node_name", required=True)
 @click.option("--mode", required=True,
               type=click.Choice([*anomaly.MODES, "inlier", "novelty"]))
-@click.option("-n", "count", default=10, show_default=True)
+@click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--transform", "transform_specs", multiple=True,
               help="Corruption for --mode inlier (KIND:PARAM:VALUE).")
@@ -239,50 +238,9 @@ def generate(spec, node_name, mode, count, seed, transform_specs, out_path, forc
             if not transform_specs:
                 raise click.UsageError("--mode inlier needs at least one --transform")
             transforms = tuple(_parse_transform(t) for t in transform_specs)
-            points = []
-            attempt_seed = seed
-            while len(points) < count:
-                for p in anomaly.sample_region(node, count, "nominal_interior", attempt_seed):
-                    result: DataPoint | anomaly.Rejected = p
-                    for t in transforms:
-                        if isinstance(result, anomaly.Rejected):
-                            break
-                        result = anomaly.inject_inlier(result, t, node)
-                    if not isinstance(result, anomaly.Rejected):
-                        # keep the original (uncorrupted) values as provenance
-                        result = DataPoint(result.values, provenance_raw=dict(p.values))
-                        points.append(result)
-                        if len(points) == count:
-                            break
-                attempt_seed += 1
-                if attempt_seed - seed > 100:
-                    raise click.ClickException("could not generate enough inlier points")
+            points = anomaly.sample_inliers(node, count, transforms, seed)
         elif mode == "novelty":
-            chain = _build_chain(doc, None)
-            if chain.extended is None:
-                raise click.ClickException("specification has no extension node for novelty")
-            ext = chain.extended
-            rng = np.random.Generator(np.random.Philox(seed))
-            points = []
-            attempts = 0
-            base_names = set(chain.mlm.parameter_names)
-            while len(points) < count and attempts < 10000 * count:
-                attempts += 1
-                vals = {}
-                for p in ext.parameters:
-                    if p.name in base_names:
-                        vals[p.name] = float(rng.uniform(p.lo, p.hi))
-                    else:
-                        # extension-only parameters must be able to leave the
-                        # extension region, so draw from an inflated range
-                        vals[p.name] = float(
-                            rng.uniform(p.lo - 0.5 * p.span, p.hi + 0.5 * p.span)
-                        )
-                result = anomaly.make_novelty(DataPoint(vals), chain)
-                if not isinstance(result, anomaly.Rejected):
-                    points.append(result)
-            if len(points) < count:
-                raise click.ClickException("could not generate enough novelty points")
+            points = anomaly.sample_novelty(_build_chain(doc, None), count, seed)
         else:
             points = anomaly.sample_region(node, count, mode, seed)
     except OddkitError as exc:

@@ -769,7 +769,7 @@ def _validate_document(doc: SpecDocument) -> None:
                 )
             )
             continue
-        result = geometry.contains_node(node, base, samples=128)
+        result = geometry.contains_node(node, base)
         if not result.contained:
             witness = result.witness.values if result.witness else None
             doc.diagnostics.append(

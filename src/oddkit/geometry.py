@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import IncompatibleParameters, MissingParameter
 from .model import (
@@ -142,33 +140,52 @@ def _member_margin(xhat, rows) -> float:
     return min(b - sum(ai * xi for ai, xi in zip(a, xhat)) for a, b in rows)
 
 
+# Major plus minor cycles of _distance_to_hull; a hull of a few dozen
+# vertices in a handful of dimensions takes well under 100.
+_WOLFE_MAX_STEPS = 1000
+_WOLFE_EPS = 1e-12
+
+
 def _distance_to_hull(xhat, verts_hat) -> float:
     """Euclidean distance from a point to the convex hull of vertices.
 
-    Solved as a small QP over barycentric weights; adequate at desk scale.
+    Wolfe's nearest-point algorithm ("Finding the nearest point in a
+    polytope", Math. Prog. 1976) on the vertices shifted by ``-xhat``: a
+    corral of affinely independent vertices grows by the vertex that most
+    decreases the distance (major cycle) and drops the vertices whose weight
+    would turn negative (minor cycles).
     """
-    v = np.asarray(verts_hat, dtype=float)
-    x = np.asarray(xhat, dtype=float)
-    n = len(v)
-    if n == 1:
-        return float(np.linalg.norm(v[0] - x))
-
-    def fun(w):
-        d = v.T @ w - x
-        return float(d @ d)
-
-    def jac(w):
-        return 2.0 * (v @ (v.T @ w - x))
-
-    res = minimize(
-        fun,
-        np.full(n, 1.0 / n),
-        jac=jac,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * n,
-        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0}],
+    P = np.asarray(verts_hat, dtype=float) - np.asarray(xhat, dtype=float)
+    sq = (P * P).sum(axis=1)
+    corral, w = [int(np.argmin(sq))], np.ones(1)
+    major = True
+    for _ in range(_WOLFE_MAX_STEPS):
+        if major:
+            x = w @ P[corral]
+            j = int(np.argmin(P @ x))
+            if x @ x - P[j] @ x <= _WOLFE_EPS * sq.max() or j in corral:
+                return math.sqrt(float(x @ x))
+            corral.append(j)
+            w = np.append(w, 0.0)
+        # weights of the least-norm point of the corral's affine hull: G v = c 1
+        # with G = Q Q^T under sum(v) = 1, and adding 1 1^T to G keeps it regular
+        Q = P[corral]
+        v = np.linalg.solve(Q @ Q.T + 1.0, np.ones(len(corral)))
+        v /= v.sum()
+        major = bool((v > 0).all())
+        if major:
+            w = v
+            continue
+        # move from w towards v until the first weight reaches zero, then drop it
+        falling = v < w
+        theta = min(1.0, (w[falling] / (w[falling] - v[falling])).min(initial=1.0))
+        w = (1 - theta) * w + theta * v
+        keep = w > _WOLFE_EPS
+        corral = [c for c, k in zip(corral, keep) if k]
+        w = w[keep] / w[keep].sum()
+    raise ArithmeticError(
+        f"nearest point of a {len(P)}-vertex hull not found in {_WOLFE_MAX_STEPS} steps"
     )
-    return math.sqrt(max(res.fun, 0.0))
 
 
 # -- public operations -------------------------------------------------------
@@ -403,56 +420,61 @@ def project(p: DataPoint, node: OddNode) -> DataPoint:
     try:
         vals = {name: p.values[name] for name in node.parameter_names}
     except KeyError as exc:
-        raise MissingParameter(str(exc)) from exc
+        raise MissingParameter(exc.args[0]) from None
     return DataPoint(vals, p.provenance_raw, p.hidden_values, p.in_sample)
 
 
-def contains_node(
-    inner: OddNode,
-    outer: OddNode,
-    samples: int = 256,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> ContainsResult:
+# Interior probes of contains_node: Halton indices are drawn in blocks until
+# this many land inside the inner region or _PROBE_LIMIT indices are spent.
+_PROBES = 128
+_PROBE_BLOCK = 256
+_PROBE_LIMIT = 200 * _PROBES
+
+
+def _halton(start: int, count: int, dim: int) -> np.ndarray:
+    """Unscrambled Halton points ``start .. start+count-1`` in [0, 1)^dim:
+    column j is the radical inverse of the index in the j-th prime."""
+    # the first dim primes; the k-th prime is below 4k^2
+    primes = [b for b in range(2, 4 * dim * dim) if all(b % q for q in range(2, int(b**0.5) + 1))]
+    primes = primes[:dim]
+    out = np.zeros((count, dim))
+    for j, base in enumerate(primes):
+        i = np.arange(start, start + count)
+        f = 1.0 / base
+        while i.any():
+            out[:, j] += (i % base) * f
+            i //= base
+            f /= base
+    return out
+
+
+def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> ContainsResult:
     """Sampling check that ``inner``'s region lies within ``outer``'s.
 
-    Checks all inner vertices plus ``samples`` quasi-random interior points of
-    ``inner``. This is a sampling check, not a decision procedure: a
-    ``contained`` verdict can be wrong for adversarial geometry, a
-    ``not_contained`` witness never is.
+    Checks all inner vertices, then Halton probes of ``inner``'s box (from
+    index 1, unscrambled) until 128 of them lie inside ``inner``'s region.
+    This is a sampling check, not a decision procedure: a ``contained``
+    verdict can be wrong for adversarial geometry, a ``not_contained``
+    witness never is. The witness is the first failing vertex, else the
+    first failing probe in sequence order.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     missing = set(outer.parameter_names) - set(inner.parameter_names)
     if missing:
         raise IncompatibleParameters(
             f"outer node {outer.name!r} has parameters absent from inner "
             f"{inner.name!r}: {sorted(missing)}"
         )
-
-    for vertex in region_vertices(inner):
-        if point_in_region(project(vertex, outer), outer, tol) == Containment.OUTSIDE:
-            return ContainsResult(False, vertex)
-
-    dim = len(inner.parameters)
-    halton = qmc.Halton(d=dim, seed=seed)
-    kept = 0
-    attempts = 0
-    names = inner.parameter_names
-    while kept < samples and attempts < 200 * samples:
-        batch = halton.random(min(samples * 4, 1024))
-        attempts += len(batch)
-        for row in batch:
-            vals = {
-                name: p.lo + float(u) * (p.hi - p.lo)
-                for name, p, u in zip(names, inner.parameters, row)
-            }
-            candidate = DataPoint(vals)
-            if point_in_region(candidate, inner, tol) == Containment.OUTSIDE:
-                continue
-            kept += 1
-            if point_in_region(project(candidate, outer), outer, tol) == Containment.OUTSIDE:
-                return ContainsResult(False, candidate)
-            if kept >= samples:
-                break
+    lo, hi = np.array(inner.box).T
+    X = coords_array(region_vertices(inner), inner)
+    wanted = len(X) + _PROBES
+    for start in range(1, _PROBE_LIMIT + 1, _PROBE_BLOCK):
+        if len(X) >= wanted:
+            break
+        probes = lo + _halton(start, _PROBE_BLOCK, len(lo)) * (hi - lo)
+        X = np.vstack([X, probes[region_containment(probes, inner, tol) != OUTSIDE]])
+    columns = [inner.parameter_names.index(name) for name in outer.parameter_names]
+    failing = np.flatnonzero(region_containment(X[:wanted, columns], outer, tol) == OUTSIDE)
+    if len(failing):
+        witness = dict(zip(inner.parameter_names, X[failing[0]].tolist()))
+        return ContainsResult(False, DataPoint(witness))
     return ContainsResult(True, None)

@@ -104,6 +104,27 @@ def test_empty_stratum_raises():
         anomaly.sample_region(node, 5, "edge", seed=0)
 
 
+def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):
+    identity = anomaly.Transform("scale", "Alt", factor=1.0)
+    with pytest.raises(oddkit.EmptyStratum):
+        anomaly.sample_inliers(mlm, 1, (identity,), seed=0)
+
+
+def test_histogram_zero_weight_bin_is_never_drawn():
+    doc = oddkit.parse_spec(
+        """
+odd "H" level mlm_odd {
+  param x: u range [0, 1] dist histogram(0, 0.5, 1, 0, 1)
+  param y: u range [0, 1]
+  region polygon { (0,0) (1,0) (1,1) (0,1) }
+}
+"""
+    )
+    points = anomaly.sample_region(doc.node("H"), 300, "nominal_interior", seed=2)
+    assert len(points) == 300
+    assert min(p.values["x"] for p in points) >= 0.5
+
+
 def test_sampling_rejects_bad_arguments(mlm):
     with pytest.raises(ValueError):
         anomaly.sample_region(mlm, -1, "edge", seed=0)

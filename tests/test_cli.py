@@ -113,6 +113,33 @@ def test_generate_is_reproducible(runner, spec_path):
     assert a.output.startswith("# seed=3\n")
 
 
+@pytest.mark.parametrize(
+    "mode, extra, category",
+    [("inlier", ["--transform", "scale:Alt:0.5"], "Inlier"), ("novelty", [], "Novelty")],
+)
+def test_generate_inlier_and_novelty(runner, spec_path, chain, mode, extra, category):
+    def generate(seed):
+        args = ["generate", spec_path, "--node", "MLMODD", "--mode", mode, "-n", "25", *extra]
+        result = runner.invoke(cli, [*args, "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    out = generate(4)
+    assert generate(4) == out
+    assert generate(5) != out
+    ds = oddkit.parse_dataset(out, chain.mlm)
+    assert ds.ok and len(ds.points) == 25
+    labels = oddkit.classify_points(ds.points, chain.mlm, chain)
+    assert {label.category.label for label in labels} == {category}
+
+
+def test_generate_novelty_needs_an_extension(runner, data_dir):
+    spec = str(data_dir / "flight_envelope.odd")
+    result = runner.invoke(cli, ["generate", spec, "--node", "MLMODD", "--mode", "novelty"])
+    assert result.exit_code == 1
+    assert "extension" in result.output
+
+
 def test_generate_inlier_requires_transform(runner, spec_path):
     result = runner.invoke(
         cli, ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "-n", "2"]
@@ -155,3 +182,12 @@ def test_console_entry_point(spec_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    search_path = [str(Path(oddkit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    code = "import sys, oddkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -102,6 +102,9 @@ def test_project_and_missing_parameter(extended_doc):
     assert geometry.project(p, node).values == {"Mach": 0.1, "Alt": 100.0}
     with pytest.raises(oddkit.MissingParameter):
         geometry.coords(DataPoint({"Mach": 0.1}), node)
+    with pytest.raises(oddkit.MissingParameter) as exc:
+        geometry.project(DataPoint({"Mach": 0.1}), node)
+    assert exc.value.parameter == "Alt"
 
 
 def test_distance_to_boundary_signs(extended_doc):
@@ -110,6 +113,55 @@ def test_distance_to_boundary_signs(extended_doc):
     vertex = DataPoint({"Mach": 0.0, "Alt": 0.0})
     assert geometry.distance_to_boundary(interior, node) > 0.01
     assert geometry.distance_to_boundary(vertex, node) == pytest.approx(0.0, abs=1e-12)
+
+
+def _prism_probes(ext, mlm, rng):
+    """Points over the 30%-inflated box of MLMODD_ext, plus points on its
+    vertices, edges and faces, some pushed off them by small random steps."""
+    lo = np.array([p.lo for p in ext.parameters])
+    hi = np.array([p.hi for p in ext.parameters])
+    span = hi - lo
+    uniform = rng.uniform(lo - 0.3 * span, hi + 0.3 * span, size=(2000, 3))
+    poly = np.array(mlm.region.vertices)
+    caps = np.array([ext.parameters[2].lo, ext.parameters[2].hi])
+    k = 400
+    edge = rng.integers(len(poly), size=k)
+    s = rng.uniform(0.0, 1.0, size=(k, 1))
+    on_walls = poly[edge] + s * (np.roll(poly, -1, axis=0)[edge] - poly[edge])
+    vertices = np.array([(*v, t) for v in poly for t in caps])
+    vertical_edges = np.column_stack([poly[edge], rng.uniform(caps[0], caps[1], k)])
+    cap_edges = np.column_stack([on_walls, rng.choice(caps, k)])
+    walls = np.column_stack([on_walls, rng.uniform(caps[0], caps[1], k)])
+    inner = uniform[:, :2][(uniform[:, :2] >= lo[:2]).all(axis=1) & (uniform[:, :2] <= hi[:2]).all(axis=1)]
+    cap_faces = np.column_stack([inner, rng.choice(caps, len(inner))])
+    snapped = np.vstack([vertices, vertical_edges, cap_edges, walls, cap_faces])
+    step = rng.normal(size=snapped.shape) * span * rng.choice([0.0, 1e-9, 1e-6, 1e-3], (len(snapped), 1))
+    return np.vstack([uniform, snapped, snapped + step])
+
+
+def test_distance_to_boundary_is_exact_on_the_prism(extended_doc):
+    # MLMODD_ext is MLMODD's (convex) polygon times the Temp interval
+    ext = extended_doc.node("MLMODD_ext")
+    mlm = extended_doc.node("MLMODD")
+    ranges = [(p.lo, p.hi) for p in ext.parameters]
+    temp = (ext.parameters[2].lo, ext.parameters[2].hi)
+    X = _prism_probes(ext, mlm, np.random.default_rng(11))
+    outside = 0
+    for x in X.tolist():
+        p = DataPoint(dict(zip(ext.parameter_names, x)))
+        want = oracles.prism_boundary_distance(x, mlm.region.vertices, temp, ranges)
+        assert geometry.distance_to_boundary(p, ext) == pytest.approx(want, rel=1e-9, abs=1e-12), x
+        outside += not oracles.union_contains(x, ext.region.members)
+    assert outside >= 1000
+
+
+def test_distance_to_boundary_raises_when_the_step_bound_is_hit(extended_doc, monkeypatch):
+    ext = extended_doc.node("MLMODD_ext")
+    far = DataPoint({"Mach": 0.15, "Alt": 7000.0, "Temp": 40.0})  # nearest the cap's interior
+    assert geometry.distance_to_boundary(far, ext) > 0.1
+    monkeypatch.setattr(geometry, "_WOLFE_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        geometry.distance_to_boundary(far, ext)
 
 
 def test_contains_node(extended_doc):
@@ -122,6 +174,43 @@ def test_contains_node(extended_doc):
     assert result.witness is not None
     with pytest.raises(oddkit.IncompatibleParameters):
         geometry.contains_node(mlm, ext)
+
+
+def test_contains_node_probes_find_a_gap_between_vertices():
+    # a U-shaped base with a 0.2-wide gap; every vertex of the extension's box
+    # projects into the arms, so only an interior probe can show the gap
+    text = """
+odd "U" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon { (0,0) (1,0) (1,1) (0.6,1) (0.6,0.3) (0.4,0.3) (0.4,1) (0,1) }
+}
+odd "BOX" level mlm_odd extends "U" {
+  param x: u range [0.1, 0.9]
+  param y: u range [0.5, 0.9]
+  param z: u range [0, 1]
+  region polytope {
+    halfspace 1 0 0 <= 0.9
+    halfspace -1 0 0 <= -0.1
+    halfspace 0 1 0 <= 0.9
+    halfspace 0 -1 0 <= -0.5
+    halfspace 0 0 1 <= 1
+    halfspace 0 0 -1 <= 0
+    vertex (0.1,0.5,0) vertex (0.9,0.5,0) vertex (0.9,0.9,0) vertex (0.1,0.9,0)
+    vertex (0.1,0.5,1) vertex (0.9,0.5,1) vertex (0.9,0.9,1) vertex (0.1,0.9,1)
+  }
+}
+"""
+    doc = oddkit.parse_spec(text)
+    base, box = doc.node("U"), doc.node("BOX")
+    for v in geometry.region_vertices(box):
+        assert geometry.point_in_region(geometry.project(v, base), base) != Containment.OUTSIDE
+    assert [d.code for d in doc.errors] == ["E007"]
+    result = geometry.contains_node(box, base)
+    assert not result.contained
+    assert geometry.point_in_region(result.witness, box) != Containment.OUTSIDE
+    assert geometry.point_in_region(geometry.project(result.witness, base), base) == Containment.OUTSIDE
+    assert "witness {'x'" in doc.errors[0].message
 
 
 def test_region_vertices_deduplicates(extended_doc):
