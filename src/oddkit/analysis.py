@@ -8,8 +8,6 @@ package (``data/erla_rules.txt``); cells without a specific record carry the
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -19,36 +17,16 @@ import numpy as np
 from . import geometry
 from .classify import (
     CATEGORY_LABELS,
-    KIND_SET,
-    KIND_SET_LABELS,
-    OUTCOD_CATEGORY,
     Chain,
     PartitionKey,
     classify_points,
+    full_key_space,
     partition_dataset,
 )
+from .datasets import write_csv
 from .dsl import Diagnostic, tokenize
 from .errors import EmptyInput, UnvalidatedRuleBase
 from .model import DEFAULT_TOL, DataPoint, OddNode
-
-# cells partition_dataset can actually produce
-REACHABLE_CELLS: dict[str, frozenset[str]] = {
-    "InMOD&InS": frozenset({"Nominal", "EdgeCase", "FeasibleCornerCase", "Inlier", "Novelty"}),
-    "InMOD&OutS": frozenset({"Nominal", "EdgeCase", "FeasibleCornerCase", "Inlier", "Novelty"}),
-    "InCOD&OutMOD": frozenset({"Nominal", "EdgeCase", "FeasibleCornerCase", "Inlier"}),
-    "OutCOD": frozenset({OUTCOD_CATEGORY}),
-}
-
-
-def full_key_space() -> list[PartitionKey]:
-    keys: list[PartitionKey] = []
-    for kind_set in KIND_SET_LABELS:
-        if kind_set == "OutCOD":
-            keys.append((kind_set, OUTCOD_CATEGORY))
-        else:
-            keys.extend((kind_set, cat) for cat in CATEGORY_LABELS)
-    return keys
-
 
 @dataclass(frozen=True)
 class ErlaRule:
@@ -237,13 +215,7 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["kind_set", "category", "count", "rows", "effects", "requirements",
-             "learning_assurance", "architecture", "not_applicable_reason"]
-        )
-        for s in self.sections:
+        def row(s: PartitionSection) -> list:
             if isinstance(s.erla, NotApplicable):
                 erla_cols = ["", "", "", "", s.erla.reason]
             else:
@@ -254,10 +226,13 @@ class AnalysisReport:
                     "|".join(s.erla.architecture),
                     "",
                 ]
-            writer.writerow(
-                [s.key[0], s.key[1], s.count, "|".join(str(r) for r in s.rows), *erla_cols]
-            )
-        return out.getvalue()
+            return [*s.key, s.count, "|".join(map(str, s.rows)), *erla_cols]
+
+        return write_csv(
+            ["kind_set", "category", "count", "rows", "effects", "requirements",
+             "learning_assurance", "architecture", "not_applicable_reason"],
+            map(row, self.sections),
+        )
 
 
 def analyze_partitions(
@@ -266,21 +241,19 @@ def analyze_partitions(
     rules: RuleBase,
     tol: float = DEFAULT_TOL,
 ) -> AnalysisReport:
-    partitions = partition_dataset(points, chain, tol)
-    order = {k: i for i, k in enumerate(full_key_space())}
-    report = AnalysisReport()
-    for key in sorted(partitions, key=lambda k: order.get(k, len(order))):
-        rows = tuple(partitions[key])
-        report.sections.append(
-            PartitionSection(key=key, count=len(rows), rows=rows, erla=rules.lookup(key))
-        )
-    return report
+    """One section per populated partition, in :func:`full_key_space` order."""
+    return AnalysisReport(
+        [
+            PartitionSection(key=key, count=len(rows), rows=tuple(rows), erla=rules.lookup(key))
+            for key, rows in partition_dataset(points, chain, tol).items()
+        ]
+    )
 
 
 # -- coverage -------------------------------------------------------------------
 
 DEFAULT_GRID = (20, 20)
-DEFAULT_VERTEX_TOL = 1e-3
+_VERTEX_TOL = 1e-3  # normalized distance within which a point covers a vertex or range bound
 _SLICE_PROBE_POINTS = 65
 
 
@@ -312,7 +285,6 @@ def coverage_report(
     node: OddNode,
     grid: tuple[int, int] = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
-    vertex_tol: float = DEFAULT_VERTEX_TOL,
 ) -> CoverageReport:
     """Desk-scale coverage metrics for a dataset against one node.
 
@@ -336,11 +308,11 @@ def coverage_report(
     matched = 0
     for v in vertices:
         v_hat = (np.array(geometry.coords(v, node)) - lo) / span
-        if (np.abs(X_hat - v_hat).max(axis=1) <= vertex_tol).any():
+        if (np.abs(X_hat - v_hat).max(axis=1) <= _VERTEX_TOL).any():
             matched += 1
     vertex_coverage = matched / len(vertices) if vertices else 0.0
 
-    near_region = geometry.region_containment(X, node, max(tol, vertex_tol)) != geometry.OUTSIDE
+    near_region = geometry.region_containment(X, node, max(tol, _VERTEX_TOL)) != geometry.OUTSIDE
     feasible_slices = 0
     covered_slices = 0
     for idx, param in enumerate(node.parameters):
@@ -353,7 +325,7 @@ def coverage_report(
                 continue
             feasible_slices += 1
             bound_hat = (bound - param.lo) / param.span
-            if (near_region & (np.abs(X_hat[:, idx] - bound_hat) <= vertex_tol)).any():
+            if (near_region & (np.abs(X_hat[:, idx] - bound_hat) <= _VERTEX_TOL)).any():
                 covered_slices += 1
     edge_coverage = covered_slices / feasible_slices if feasible_slices else 0.0
 

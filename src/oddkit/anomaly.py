@@ -126,7 +126,6 @@ MODES = ("nominal_interior", "edge", "feasible_corner", "outlier_ring")
 
 _OUTLIER_INFLATION = 0.2  # fraction of each parameter span added outside the box
 _NOVELTY_INFLATION = 0.5  # extension-only parameters must be able to leave the extension
-_EDGE_SLICE_POINTS = 64
 _MAX_REJECTION_FACTOR = 10_000
 _BLOCK_ROWS = 256  # candidates drawn and decided at a time
 
@@ -208,7 +207,8 @@ def sample_region(
 
     Deterministic given ``seed``. Every returned point classifies into exactly
     the requested stratum: strictly interior non-extreme (nominal_interior),
-    exactly one parameter at an extreme and inside (edge), region vertices
+    exactly one parameter at an extreme and inside (edge; each candidate has
+    one parameter pinned to one of its bounds), region vertices
     with two or more extremes (feasible_corner), or outside the region but
     within the 20%-inflated parameter box (outlier_ring).
     """
@@ -227,13 +227,15 @@ def sample_region(
                 f"node {node.name!r} has no vertices with >= 2 parameters at extremes"
             )
         return [corners[i % len(corners)] for i in range(n)]
-    if mode == "edge":
-        return _sample_edges(node, n, seed, tol)
     params = node.parameters
     if mode == "outlier_ring":
         params = [_widened(p, _OUTLIER_INFLATION) for p in params]
+    bounds = np.array([(p.lo, p.hi) for p in params]).ravel()  # p0 lo, p0 hi, p1 lo, ...
 
     def accept(X):
+        if mode == "edge":  # row i of a block pins its parameter to bounds[i mod 2d]
+            pair = np.arange(len(X)) % bounds.size
+            X[np.arange(len(X)), pair // 2] = bounds[pair]
         return _points(X[_in_stratum(X, node, mode, tol)], node)
 
     return _draw_and_accept(n, seed, params, accept, f"{mode} points for node {node.name!r}")
@@ -286,31 +288,3 @@ def sample_novelty(
         return [p for p in made if not isinstance(p, Rejected)]
 
     return _draw_and_accept(n, seed, box, accept, f"novelty points for extension {ext.name!r}")
-
-
-def _sample_edges(node: OddNode, n: int, seed: int, tol: float) -> list[DataPoint]:
-    rng = _rng(seed)
-    d = len(node.parameters)
-    slices: list[list[DataPoint]] = []
-    for idx, param in enumerate(node.parameters):
-        others = [p for i, p in enumerate(node.parameters) if i != idx]
-        for bound in (param.lo, param.hi):
-            X = np.empty((_EDGE_SLICE_POINTS, d))
-            if len(others) == 1:
-                X[:, 1 - idx] = np.linspace(others[0].lo, others[0].hi, _EDGE_SLICE_POINTS)
-            else:
-                bounds = np.array([(p.lo, p.hi) for p in others]).T
-                X[:, np.arange(d) != idx] = rng.uniform(*bounds, (_EDGE_SLICE_POINTS, d - 1))
-            X[:, idx] = bound  # at its extreme, so the stratum allows no other
-            admissible = _points(X[_in_stratum(X, node, "edge", tol)], node)
-            if admissible:
-                slices.append(admissible)
-    if not slices:
-        raise EmptyStratum(f"node {node.name!r} has no admissible edge-slice points")
-    out: list[DataPoint] = []
-    i = 0
-    while len(out) < n:
-        pool = slices[i % len(slices)]
-        out.append(pool[(i // len(slices)) % len(pool)])
-        i += 1
-    return out

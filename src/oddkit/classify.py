@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -11,6 +9,7 @@ import numpy as np
 
 from . import geometry
 from .anomaly import Transform, apply_transforms
+from .datasets import write_csv
 from .errors import MissingParameter, MissingTransform
 from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Variant
 
@@ -49,6 +48,17 @@ ANOMALY_LABELS = frozenset({"Inlier", "Outlier", "InfeasibleCornerCase", "Novelt
 OUTCOD_CATEGORY = "Any"
 
 PartitionKey = tuple[str, str]  # (kind-set label, category label)
+
+
+def full_key_space() -> list[PartitionKey]:
+    """Every (kind-set, category) cell, in the order partition tables list them."""
+    keys: list[PartitionKey] = []
+    for kind_set in KIND_SET_LABELS:
+        if kind_set == "OutCOD":
+            keys.append((kind_set, OUTCOD_CATEGORY))
+        else:
+            keys.extend((kind_set, cat) for cat in CATEGORY_LABELS)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -409,27 +419,50 @@ def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) 
     return rows
 
 
+def _annotations_cell(annotations: dict[str, str]) -> str:
+    return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
+
+
 def serialize_labels(rows: list[LabelRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["row", "kind", "category", "node", "on_boundary", "annotations"])
-    for r in rows:
-        notes = ";".join(f"{k}={v}" for k, v in sorted(r.annotations.items()))
-        writer.writerow(
-            [r.row, r.kind.value, r.category, r.node, "1" if r.on_boundary else "0", notes]
-        )
-    return out.getvalue()
+    return write_csv(
+        ["row", "kind", "category", "node", "on_boundary", "annotations"],
+        (
+            [r.row, r.kind.value, r.category, r.node, int(r.on_boundary), _annotations_cell(r.annotations)]
+            for r in rows
+        ),
+    )
+
+
+def serialize_point_labels(labels: list[PointLabel]) -> str:
+    """One CSV row per :func:`classify_points` label, numbered in point order."""
+    return write_csv(
+        ["row", "category", "on_boundary", "annotations"],
+        (
+            [i, label.category.label, int(label.on_boundary), _annotations_cell(label.annotations)]
+            for i, label in enumerate(labels)
+        ),
+    )
 
 
 def partition_dataset(
     points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL
 ) -> dict[PartitionKey, list[int]]:
-    """Group row indices by (kind-set, category); every row lands in one cell."""
-    partitions: dict[PartitionKey, list[int]] = {}
+    """Group row indices by (kind-set, category); every row lands in one cell.
+
+    The populated cells come in :func:`full_key_space` order.
+    """
+    partitions: dict[PartitionKey, list[int]] = {key: [] for key in full_key_space()}
     for row in label_rows(points, chain, tol):
-        key = (KIND_SET[row.kind], row.category)
-        partitions.setdefault(key, []).append(row.row)
-    return partitions
+        partitions[(KIND_SET[row.kind], row.category)].append(row.row)
+    return {key: rows for key, rows in partitions.items() if rows}
+
+
+def serialize_partitions(parts: dict[PartitionKey, list[int]]) -> str:
+    """One CSV row per cell of :func:`partition_dataset`, its rows joined by ``|``."""
+    return write_csv(
+        ["kind_set", "category", "count", "rows"],
+        ([*key, len(rows), "|".join(map(str, rows))] for key, rows in parts.items()),
+    )
 
 
 def _contained(points: list[DataPoint], node: OddNode, tol: float) -> np.ndarray:

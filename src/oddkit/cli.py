@@ -29,16 +29,30 @@ def _echo_diagnostics(diags) -> None:
         click.echo(str(d), err=True)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load_spec(path: str) -> dsl.SpecDocument:
-    doc = dsl.parse_spec(Path(path).read_text(encoding="utf-8"))
+    doc = dsl.parse_spec(_read_text(path))
     _echo_diagnostics(doc.diagnostics)
     if not doc.ok:
-        raise click.ClickException(f"{path}: specification has errors")
+        raise click.ClickException(f"{path}: {len(doc.errors)} error(s)")
     return doc
 
 
+def _node(doc: dsl.SpecDocument, name: str):
+    try:
+        return doc.node(name)
+    except KeyError:
+        raise click.ClickException(f"unknown node {name!r}") from None
+
+
 def _load_dataset(path: str, node) -> datasets.Dataset:
-    ds = datasets.parse_dataset(Path(path).read_text(encoding="utf-8"), node)
+    ds = datasets.parse_dataset(_read_text(path), node)
     _echo_diagnostics(ds.diagnostics)
     if not ds.ok:
         raise click.ClickException(f"{path}: dataset has errors")
@@ -99,10 +113,7 @@ def cli() -> None:
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 def validate(spec: str) -> None:
     """Parse and validate a specification; report all diagnostics."""
-    doc = dsl.parse_spec(Path(spec).read_text(encoding="utf-8"))
-    _echo_diagnostics(doc.diagnostics)
-    if not doc.ok:
-        raise click.ClickException(f"{spec}: {len(doc.errors)} error(s)")
+    doc = _load_spec(spec)
     click.echo(f"{spec}: ok ({len(doc.nodes)} node(s), {len(doc.monitor_chains)} monitorchain(s))")
 
 
@@ -119,17 +130,10 @@ def classify_cmd(spec, data, node_name, chain_spec, transform_specs, out_path, f
     doc = _load_spec(spec)
     transforms = tuple(_parse_transform(t) for t in transform_specs)
     if node_name:
-        try:
-            node = doc.node(node_name)
-        except KeyError:
-            raise click.ClickException(f"unknown node {node_name!r}")
+        node = _node(doc, node_name)
         ds = _load_dataset(data, node)
-        lines = ["row,category,on_boundary,annotations"]
         labels = classify.classify_points(ds.points, node, None, declared_transform=transforms)
-        for i, label in enumerate(labels):
-            notes = ";".join(f"{k}={v}" for k, v in sorted(label.annotations.items()))
-            lines.append(f"{i},{label.category.label},{int(label.on_boundary)},{notes}")
-        _write_output(out_path, "\n".join(lines) + "\n", force)
+        _write_output(out_path, classify.serialize_point_labels(labels), force)
         return
     chain = _build_chain(doc, chain_spec, transforms)
     ds = _load_dataset(data, chain.mlm)
@@ -149,12 +153,7 @@ def partition(spec, data, chain_spec, out_path, force) -> None:
     chain = _build_chain(doc, chain_spec)
     ds = _load_dataset(data, chain.mlm)
     parts = classify.partition_dataset(ds.points, chain)
-    order = {k: i for i, k in enumerate(analysis.full_key_space())}
-    lines = ["kind_set,category,count,rows"]
-    for key in sorted(parts, key=lambda k: order.get(k, len(order))):
-        rows = "|".join(str(r) for r in parts[key])
-        lines.append(f"{key[0]},{key[1]},{len(parts[key])},{rows}")
-    _write_output(out_path, "\n".join(lines) + "\n", force)
+    _write_output(out_path, classify.serialize_partitions(parts), force)
 
 
 @cli.command()
@@ -174,7 +173,7 @@ def analyze(spec, data, chain_spec, rules_path, fmt_name, out_path, force) -> No
     if rules_path is None:
         rules_path = os.environ.get("ODDKIT_RULES") or None
     if rules_path:
-        base, diags = analysis.parse_rules(Path(rules_path).read_text(encoding="utf-8"))
+        base, diags = analysis.parse_rules(_read_text(rules_path))
         _echo_diagnostics(diags)
         if any(d.severity == "error" for d in diags):
             raise click.ClickException(f"{rules_path}: rule base has errors")
@@ -199,10 +198,7 @@ def analyze(spec, data, chain_spec, rules_path, fmt_name, out_path, force) -> No
 def coverage(spec, data, node_name, grid, out_path, force) -> None:
     """Report vertex/edge/interior coverage of a dataset against one node."""
     doc = _load_spec(spec)
-    try:
-        node = doc.node(node_name)
-    except KeyError:
-        raise click.ClickException(f"unknown node {node_name!r}")
+    node = _node(doc, node_name)
     try:
         nx, ny = (int(part) for part in grid.lower().split("x"))
     except ValueError:
@@ -229,10 +225,7 @@ def coverage(spec, data, node_name, grid, out_path, force) -> None:
 def generate(spec, node_name, mode, count, seed, transform_specs, out_path, force) -> None:
     """Draw reproducible points from a stratum of a node's region."""
     doc = _load_spec(spec)
-    try:
-        node = doc.node(node_name)
-    except KeyError:
-        raise click.ClickException(f"unknown node {node_name!r}")
+    node = _node(doc, node_name)
     try:
         if mode == "inlier":
             if not transform_specs:
@@ -293,10 +286,7 @@ def render_cmd(spec, data, node_names, chain_spec, out_path, force) -> None:
     """Render 2-parameter regions (and classified points) as SVG."""
     doc = _load_spec(spec)
     if node_names:
-        try:
-            nodes = [doc.node(n) for n in node_names]
-        except KeyError as exc:
-            raise click.ClickException(f"unknown node {exc}")
+        nodes = [_node(doc, n) for n in node_names]
     else:
         nodes = [n for n in doc.nodes if len(n.parameters) == 2]
     labeled: list[tuple[DataPoint, str]] = []

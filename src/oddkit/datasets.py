@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .dsl import Diagnostic, fmt
@@ -50,7 +51,7 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     reported individually; header problems are fatal (no points returned).
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     ds = Dataset()
     lines = data.splitlines(keepends=True)
     skipped = 0
@@ -158,6 +159,18 @@ def _boolean(cell: str) -> bool:
     raise ValueError(f"unparseable in_sample flag {cell!r}")
 
 
+def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """RFC-4180 CSV text of a header row and the rows after it, ending lines in ``\\n``.
+
+    ``rows`` is consumed once, so a generator builds no list of all rows.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def serialize_dataset(
     points: list[DataPoint], node: OddNode, seed: int | None = None
 ) -> str:
@@ -172,20 +185,16 @@ def serialize_dataset(
     if has_in_sample:
         header.append("in_sample")
 
-    out = io.StringIO()
-    if seed is not None:
-        out.write(f"# seed={seed}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for p in points:
-        row = [fmt(p.values[name]) for name in node.parameter_names]
+    def row(p: DataPoint) -> list[str]:
+        cells = [fmt(p.values[name]) for name in node.parameter_names]
         for c in raw_cols:
             v = (p.provenance_raw or {}).get(c)
-            row.append("" if v is None else fmt(v))
+            cells.append("" if v is None else fmt(v))
         for c in hidden_cols:
             v = (p.hidden_values or {}).get(c)
-            row.append("" if v is None else fmt(v))
+            cells.append("" if v is None else fmt(v))
         if has_in_sample:
-            row.append("" if p.in_sample is None else ("1" if p.in_sample else "0"))
-        writer.writerow(row)
-    return out.getvalue()
+            cells.append("" if p.in_sample is None else ("1" if p.in_sample else "0"))
+        return cells
+
+    return ("" if seed is None else f"# seed={seed}\n") + write_csv(header, map(row, points))

@@ -8,13 +8,12 @@ ends. Actions are simulated as dispositions only.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 from . import geometry
 from .classify import Chain, classify_points
+from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
 from .model import DEFAULT_TOL, Containment, DataPoint, OddNode
@@ -210,22 +209,20 @@ class SimulationResult:
     metrics: dict[str, float]
 
     def render_verdicts_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row", "disposition", "action", "stub_output", "detections", "latched"])
-        for v in self.verdicts:
-            detections = "|".join(d.monitor for d in v.decisions if d.detected)
-            writer.writerow(
+        return write_csv(
+            ["row", "disposition", "action", "stub_output", "detections", "latched"],
+            (
                 [
                     v.row,
                     v.final_disposition,
                     v.action or "",
                     "" if v.stub_output is None else f"{v.stub_output:.9g}",
-                    detections,
-                    "1" if v.latched else "0",
+                    "|".join(d.monitor for d in v.decisions if d.detected),
+                    int(v.latched),
                 ]
-            )
-        return out.getvalue()
+                for v in self.verdicts
+            ),
+        )
 
     def render_metrics(self) -> str:
         return "\n".join(f"{k}={v:.6g}" for k, v in sorted(self.metrics.items())) + "\n"

@@ -27,6 +27,8 @@ CATEGORY_COLORS = {
 
 _NODE_COLORS = ("#1864ab", "#2b8a3e", "#e67700", "#9c36b5", "#0b7285", "#a61e4d")
 
+_WIDTH = 720
+_HEIGHT = 540
 _MARGIN = 40.0
 
 
@@ -47,8 +49,6 @@ def _member_loops(node: OddNode) -> list[list[tuple[float, float]]]:
 def render_svg(
     nodes: list[OddNode],
     labeled_points: list[tuple[DataPoint, str]] | None = None,
-    width: int = 720,
-    height: int = 540,
 ) -> str:
     """Render regions and labeled points; nodes must share two parameters."""
     nodes = [n for n in nodes if len(n.parameters) == 2]
@@ -73,19 +73,19 @@ def render_svg(
             ys.append(p.values[names[1]])
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    sx = (width - 2 * _MARGIN) / ((x1 - x0) or 1.0)
-    sy = (height - 2 * _MARGIN) / ((y1 - y0) or 1.0)
+    sx = (_WIDTH - 2 * _MARGIN) / ((x1 - x0) or 1.0)
+    sy = (_HEIGHT - 2 * _MARGIN) / ((y1 - y0) or 1.0)
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return (_MARGIN + (x - x0) * sx, height - _MARGIN - (y - y0) * sy)
+        return (_MARGIN + (x - x0) * sx, _HEIGHT - _MARGIN - (y - y0) * sy)
 
     svg = ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(_WIDTH),
+            "height": str(_HEIGHT),
+            "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
         },
     )
     title = ET.SubElement(svg, "title")
@@ -153,7 +153,7 @@ def render_svg(
             entry,
             "rect",
             {
-                "x": fmt(width - 190),
+                "x": fmt(_WIDTH - 190),
                 "y": fmt(y - 9),
                 "width": "10",
                 "height": "10",
@@ -161,7 +161,7 @@ def render_svg(
             },
         )
         text = ET.SubElement(
-            entry, "text", {"x": fmt(width - 175), "y": fmt(y), "font-size": "11"}
+            entry, "text", {"x": fmt(_WIDTH - 175), "y": fmt(y), "font-size": "11"}
         )
         text.text = cat
 

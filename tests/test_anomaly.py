@@ -82,6 +82,19 @@ def test_sampling_modes_land_in_their_stratum(mlm, mode):
                 assert param.lo - 0.2 * param.span <= v <= param.hi + 0.2 * param.span
 
 
+@pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])
+def test_edge_points_are_distinct_and_follow_the_seed(extended_doc, node_name):
+    node = extended_doc.node(node_name)
+    a = anomaly.sample_region(node, 300, "edge", seed=5)
+    b = anomaly.sample_region(node, 300, "edge", seed=6)
+    values = [tuple(p.values.items()) for p in a]
+    assert len(set(values)) == 300
+    assert set(values).isdisjoint(tuple(p.values.items()) for p in b)
+    labels = oddkit.classify_points(a, node)
+    assert {label.category.label for label in labels} == {"EdgeCase"}
+    assert all(len(geometry.params_at_extreme(p, node)) == 1 for p in a)
+
+
 def test_sampling_is_seed_deterministic(mlm):
     a = anomaly.sample_region(mlm, 20, "nominal_interior", seed=11)
     b = anomaly.sample_region(mlm, 20, "nominal_interior", seed=11)

@@ -97,6 +97,7 @@ def test_partition_dataset(golden_dataset, chain):
     assert parts[("InMOD&OutS", "Novelty")] == [9]
     assert parts[("InMOD&OutS", "Nominal")] == [10]
     assert sum(len(v) for v in parts.values()) == 12
+    assert list(parts) == [key for key in oddkit.full_key_space() if key in parts]
 
 
 def test_kind_set_row_labels():

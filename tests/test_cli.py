@@ -78,13 +78,13 @@ def test_output_overwrite_needs_force(runner, spec_path, points_path, tmp_path):
     assert runner.invoke(cli, [*args, "--force"]).exit_code == 0
 
 
-def test_partition_and_analyze(runner, spec_path, points_path):
+def test_partition_and_analyze(runner, spec_path, points_path, data_dir):
     result = runner.invoke(cli, ["partition", spec_path, points_path])
     assert result.exit_code == 0
-    assert "OutCOD,Any,3,6|7|11" in result.output
+    assert result.output == (data_dir / "golden_partitions.csv").read_text(encoding="utf-8")
     result = runner.invoke(cli, ["analyze", spec_path, points_path, "--format", "csv"])
     assert result.exit_code == 0
-    assert "mlc-shall-not-process" in result.output
+    assert result.output == (data_dir / "golden_analysis.csv").read_text(encoding="utf-8")
 
 
 def test_analyze_rules_env_var(runner, spec_path, points_path, tmp_path, monkeypatch):
@@ -147,7 +147,7 @@ def test_generate_inlier_requires_transform(runner, spec_path):
     assert result.exit_code == 2
 
 
-def test_simulate_writes_verdicts_and_metrics(runner, spec_path, points_path, tmp_path):
+def test_simulate_writes_verdicts_and_metrics(runner, spec_path, points_path, tmp_path, data_dir):
     verdicts = tmp_path / "verdicts.csv"
     metrics = tmp_path / "metrics.txt"
     result = runner.invoke(
@@ -156,10 +156,37 @@ def test_simulate_writes_verdicts_and_metrics(runner, spec_path, points_path, tm
          "--out", str(verdicts), "--metrics", str(metrics)],
     )
     assert result.exit_code == 0
-    assert verdicts.read_text().splitlines()[0].startswith("row,disposition")
-    assert "detection_rate_Outlier=1" in metrics.read_text()
+    assert verdicts.read_bytes() == (data_dir / "golden_verdicts.csv").read_bytes()
+    assert metrics.read_bytes() == (data_dir / "golden_metrics.txt").read_bytes()
     result = runner.invoke(cli, ["simulate", spec_path, points_path, "--scenario", "ghost"])
     assert result.exit_code == 1
+
+
+def test_inputs_with_a_byte_order_mark_are_read(runner, spec_path, points_path, tmp_path, golden_labels_text):
+    bom = b"\xef\xbb\xbf"
+    spec = tmp_path / "spec.odd"
+    spec.write_bytes(bom + Path(spec_path).read_bytes())
+    data = tmp_path / "points.csv"
+    data.write_bytes(bom + Path(points_path).read_bytes())
+    result = runner.invoke(cli, ["validate", str(spec)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(cli, ["classify", str(spec), str(data)])
+    assert result.exit_code == 0, result.output
+    assert result.output == golden_labels_text
+
+
+def test_non_utf8_input_is_an_input_error(runner, spec_path, points_path, tmp_path):
+    broken = tmp_path / "broken"
+    broken.write_bytes(b"Mach,Alt\n0.1,\xff\n")
+    for args in (
+        ["validate", str(broken)],
+        ["classify", str(broken), points_path],
+        ["classify", spec_path, str(broken)],
+        ["analyze", spec_path, points_path, "--rules", str(broken)],
+    ):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1, result.output
+        assert f"{broken}: not UTF-8 text" in result.output
 
 
 def test_render_command(runner, spec_path, points_path, tmp_path):

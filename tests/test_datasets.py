@@ -72,3 +72,9 @@ def test_serialize_round_trip(golden_dataset, node):
         assert (a.provenance_raw or {}) == (b.provenance_raw or {})
         assert (a.hidden_values or {}) == (b.hidden_values or {})
         assert a.in_sample == b.in_sample
+
+
+def test_bytes_with_a_byte_order_mark_parse(golden_text, golden_dataset, node):
+    ds = oddkit.parse_dataset(b"\xef\xbb\xbf" + golden_text.encode("utf-8"), node)
+    assert ds.ok and not ds.diagnostics
+    assert [p.values for p in ds.points] == [p.values for p in golden_dataset.points]
