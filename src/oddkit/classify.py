@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -10,7 +12,7 @@ import numpy as np
 from . import geometry
 from .anomaly import Transform, apply_transforms
 from .datasets import write_csv
-from .errors import MissingParameter, MissingTransform
+from .errors import MissingTransform
 from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Variant
 
 
@@ -307,22 +309,90 @@ def classify_point(
     return classify_points([p], node, chain_ctx, tol, declared_transform)[0]
 
 
+# Grid cells are 2·tol wide, so two points within tol of each other in every
+# normalised coordinate lie in the same or adjacent cells. Scaled coordinates
+# are clipped to ±_CELL_LIMIT, where float rounding moves them by at most 1/8
+# and the int64 cell index cannot overflow; the clip keeps neighbours adjacent.
+_CELL_LIMIT = 2.0**50
+
+
+def _normalized(X: np.ndarray, node: OddNode) -> np.ndarray:
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    return (X - lo) / span
+
+
+def _grid_cells(Xhat: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    """The L∞ grid cell of each row of normalised coordinates.
+
+    With ``tol`` <= 0 only equal points match, and any cell edge keeps those
+    together.
+    """
+    edge = 2.0 * tol if tol > 0 else 1.0
+    limit = _CELL_LIMIT * edge
+    cells = np.floor(np.clip(Xhat, -limit, limit) / edge).astype(np.int64)
+    return list(map(tuple, cells.tolist()))
+
+
+def _registry_index(
+    chain: Chain, tol: float
+) -> tuple[list[list[float]], dict[tuple[int, ...], list[int]]]:
+    """The registry's points in normalised MLM coordinates, and their
+    positions in that list by grid cell.
+
+    Entries lacking an MLM parameter or with a non-finite coordinate are left
+    out: they match nothing.
+    """
+    names = chain.mlm.parameter_names
+    entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
+    R = _normalized(geometry.coords_array(entries, chain.mlm), chain.mlm)
+    R = R[np.isfinite(R).all(axis=1)]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for j, cell in enumerate(_grid_cells(R, tol)):
+        cells.setdefault(cell, []).append(j)
+    return R.tolist(), cells
+
+
+def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per row of ``X``: does the sample registry hold a point within ``tol``
+    of it in every normalised coordinate?
+
+    ``X`` holds raw MLM coordinates, as from :func:`geometry.coords_array`. The
+    registry is hashed into a grid once per call and each row is tested only
+    against the entries of its 3^d neighbouring cells (fixed-radius near
+    neighbours, Bentley, Stanat & Williams 1977), so a call costs O(N + M)
+    for well-spread points. A row with a non-finite coordinate matches nothing.
+    """
+    matched = np.zeros(len(X), dtype=bool)
+    registry, cells = _registry_index(chain, tol)
+    if not cells:
+        return matched
+    Q = _normalized(X, chain.mlm)
+    rows = np.flatnonzero(np.isfinite(Q).all(axis=1))
+    offsets = list(itertools.product((-1, 0, 1), repeat=Q.shape[1]))
+    for i, q, cell in zip(rows.tolist(), Q[rows].tolist(), _grid_cells(Q[rows], tol)):
+        matched[i] = any(
+            max(abs(a - b) for a, b in zip(q, registry[j])) <= tol
+            for offset in offsets
+            for j in cells.get(tuple(map(operator.add, cell, offset)), ())
+        )
+    return matched
+
+
 def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool:
-    """True if the registry holds a point matching ``p`` within tolerance."""
-    x = geometry.normalize(geometry.coords(p, chain.mlm), chain.mlm)
-    for r in chain.sample_registry:
-        try:
-            y = geometry.normalize(geometry.coords(r, chain.mlm), chain.mlm)
-        except MissingParameter:
-            continue
-        if max(abs(a - b) for a, b in zip(x, y)) <= tol:
-            return True
-    return False
+    """True if the registry holds a point matching ``p``; see :func:`registry_matches`."""
+    return bool(registry_matches(geometry.coords_array([p], chain.mlm), chain, tol)[0])
 
 
-def _in_sample(p: DataPoint, chain: Chain, tol: float) -> bool:
-    """Flagged in_sample, or matched in the sample registry (when there is one)."""
-    return bool(p.in_sample) or (bool(chain.sample_registry) and registry_match(p, chain, tol))
+def _in_sample(points: list[DataPoint], X: np.ndarray, chain: Chain, tol: float) -> np.ndarray:
+    """Per point: flagged in_sample, or matched in the sample registry.
+
+    ``X`` holds the points' raw MLM coordinates; flagged points are not matched.
+    """
+    in_sample = np.array([bool(p.in_sample) for p in points], dtype=bool)
+    unflagged = np.flatnonzero(~in_sample)
+    in_sample[unflagged] = registry_matches(X[unflagged], chain, tol)
+    return in_sample
 
 
 @dataclass(frozen=True)
@@ -347,8 +417,9 @@ def _kind_step(
     outside = codes == geometry.OUTSIDE
     kinds: list[Kind] = [Kind.OUT_OF_MLCODD] * len(points)
     in_mlm = np.flatnonzero(~outside).tolist()
-    for i in in_mlm:
-        kinds[i] = Kind.IN_SAMPLE if _in_sample(points[i], chain, tol) else Kind.OUT_OF_SAMPLE
+    in_sample = _in_sample([points[i] for i in in_mlm], X[~outside], chain, tol)
+    for i, sampled in zip(in_mlm, in_sample.tolist()):
+        kinds[i] = Kind.IN_SAMPLE if sampled else Kind.OUT_OF_SAMPLE
     out_mlm = np.flatnonzero(outside).tolist()
     Y = geometry.coords_array([points[i] for i in out_mlm], chain.mlc)
     mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
@@ -465,12 +536,6 @@ def serialize_partitions(parts: dict[PartitionKey, list[int]]) -> str:
     )
 
 
-def _contained(points: list[DataPoint], node: OddNode, tol: float) -> np.ndarray:
-    """Per point: inside ``node`` or on its boundary."""
-    codes = geometry.region_containment(geometry.coords_array(points, node), node, tol)
-    return codes != geometry.OUTSIDE
-
-
 @dataclass
 class SetAlgebraReport:
     holds: bool
@@ -494,16 +559,21 @@ def verify_set_algebra(
     known = tuple(Kind)
     pairs = list(zip(points, labels))
     audited = [p for p, label in pairs if label in known]
+    X = geometry.coords_array(audited, chain.mlm)
+    mlm_codes = geometry.region_containment(X, chain.mlm, tol)
+    Y = geometry.coords_array(audited, chain.mlc)
+    mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
     verdicts = zip(
-        _contained(audited, chain.mlm, tol).tolist(), _contained(audited, chain.mlc, tol).tolist()
+        (mlm_codes != geometry.OUTSIDE).tolist(),
+        (mlc_codes != geometry.OUTSIDE).tolist(),
+        _in_sample(audited, X, chain, tol).tolist(),
     )
     violations: list[tuple[int, str]] = []
-    for i, (p, label) in enumerate(pairs):
+    for i, (_, label) in enumerate(pairs):
         if label not in known:
             violations.append((i, "totality: unlabeled point"))
             continue
-        in_mlm, in_mlc = next(verdicts)
-        in_sample = _in_sample(p, chain, tol)
+        in_mlm, in_mlc, in_sample = next(verdicts)
         in_mod = label in (Kind.IN_SAMPLE, Kind.OUT_OF_SAMPLE)
         in_cod = in_mod or label == Kind.OUT_OF_MLMODD
         if in_mod != in_mlm:

@@ -49,9 +49,11 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
 
     Row order is preserved. Rows with unparseable numerics are excluded and
     reported individually; header problems are fatal (no points returned).
+    A leading byte-order mark is skipped, in ``str`` and ``bytes`` alike.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
+        data = data.decode("utf-8")
+    data = data.removeprefix("\ufeff")
     ds = Dataset()
     lines = data.splitlines(keepends=True)
     skipped = 0

@@ -2,8 +2,9 @@
 
 ``ref_*`` below are the per-row implementations of classify_point,
 classify_kind, label_rows and coverage_report as they were before the batch
-engine; each batch result must equal them label for label. Containment and
-range extremes are further checked against the independent oracles.
+engine, and the linear registry scan the grid-hash matcher replaced; each
+batch result must equal them label for label. Containment and range extremes
+are further checked against the independent oracles.
 """
 
 from __future__ import annotations
@@ -83,13 +84,29 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
     return PointLabel(Category(label), on_boundary, annotations)
 
 
+def ref_registry_match(p, chain, tol=DEFAULT_TOL):
+    """Scan the whole registry; a non-finite coordinate, in ``p`` or in an
+    entry, matches nothing, and entries lacking a parameter are skipped."""
+    x = geometry.normalize(geometry.coords(p, chain.mlm), chain.mlm)
+    if not all(map(math.isfinite, x)):
+        return False
+    for r in chain.sample_registry:
+        try:
+            y = geometry.normalize(geometry.coords(r, chain.mlm), chain.mlm)
+        except oddkit.MissingParameter:
+            continue
+        if all(map(math.isfinite, y)) and max(abs(a - b) for a, b in zip(x, y)) <= tol:
+            return True
+    return False
+
+
 def ref_classify_kind(p, chain, tol=DEFAULT_TOL):
     inside_mlm = (
         geometry.point_in_region(geometry.project(p, chain.mlm), chain.mlm, tol)
         != Containment.OUTSIDE
     )
     if inside_mlm:
-        in_sample = bool(p.in_sample) or classify.registry_match(p, chain, tol)
+        in_sample = bool(p.in_sample) or ref_registry_match(p, chain, tol)
         return Kind.IN_SAMPLE if in_sample else Kind.OUT_OF_SAMPLE
     inside_mlc = (
         geometry.point_in_region(geometry.project(p, chain.mlc), chain.mlc, tol)
@@ -408,8 +425,127 @@ def test_label_rows_agree_with_a_sample_registry(mixed, extended_doc):
     )
     chain = oddkit.build_chain(extended_doc, sample_registry=registry)
     got = row_tuples(oddkit.label_rows(points, chain))
-    assert got == ref_label_rows(points, chain)
+    want = ref_label_rows(points, chain)
+    assert got == want
     assert sum(r[1] == Kind.IN_SAMPLE for r in got) > len(registry) // 2
+
+    # the audit decides training membership with the same matcher: swapping
+    # InS and OutS on every third MLM row breaks exactly those rows
+    kinds = [kind for _, kind, *_ in want]
+    assert oddkit.verify_set_algebra(points, chain).holds
+    assert oddkit.verify_set_algebra(points, chain, labels=kinds).holds
+    swap = {Kind.IN_SAMPLE: Kind.OUT_OF_SAMPLE, Kind.OUT_OF_SAMPLE: Kind.IN_SAMPLE}
+    swapped = [i for i, kind in enumerate(kinds) if kind in swap][::3]
+    for i in swapped:
+        kinds[i] = swap[kinds[i]]
+    report = oddkit.verify_set_algebra(points, chain, labels=kinds)
+    assert report.violations == [(i, "InS ∩ OutS = ∅") for i in swapped]
+    assert {kinds[i] for i in swapped} == set(swap)
+
+
+# -- the grid-hash registry matcher against the linear scan -----------------------
+
+TOL_STEPS = (0.0, 1.0, -1.0, 1 + 1e-6, -(1 + 1e-6), 1 - 1e-6, -(1 - 1e-6), 0.5, -2.0)
+
+
+def registry_case(node, seed: int, n: int = 200):
+    """A registry and queries around it, in raw coordinates.
+
+    Registry: the box's lower corner, n entries uniform over the box, n/4 with
+    normalised coordinates on multiples of the 2·tol grid-cell edge, n/10
+    duplicates, and n/10 entries lacking one parameter. Queries: the corner
+    moved by -tol, 0 or +tol of each span in every combination (on a unit box
+    these lie exactly tol away); every other complete entry moved by 0, ±tol,
+    ±tol·(1 ± 1e-6), ±tol/2 or -2·tol of each span, a step drawn per axis; the
+    entries lacking a parameter, completed; n uniform points.
+    """
+    rng = np.random.default_rng(seed)
+    names = node.parameter_names
+    d = len(names)
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    uniform = lo + rng.uniform(size=(n, d)) * span
+    cell = 2 * DEFAULT_TOL
+    on_edges = lo + rng.integers(0, int(1 / cell), size=(n // 4, d)) * cell * span
+    entries = np.vstack([lo, uniform, on_edges, uniform[: n // 10]])
+    lacking = lo + rng.uniform(size=(n // 10, d)) * span
+    registry = [DataPoint(dict(zip(names, row))) for row in entries.tolist()]
+    for row, drop in zip(lacking.tolist(), rng.integers(d, size=len(lacking)).tolist()):
+        registry.append(DataPoint({k: v for j, (k, v) in enumerate(zip(names, row)) if j != drop}))
+    corner = lo + np.array(list(itertools.product((-1, 0, 1), repeat=d))) * DEFAULT_TOL * span
+    steps = rng.choice(TOL_STEPS, size=(len(entries) - 1, d))
+    moved = entries[1:] + steps * DEFAULT_TOL * span
+    queries = np.vstack([corner, moved, lacking, lo + rng.uniform(size=(n, d)) * span])
+    rng.shuffle(registry)
+    return tuple(registry), [DataPoint(dict(zip(names, row))) for row in queries.tolist()]
+
+
+def _unit_box_chain(d: int, registry) -> classify.Chain:
+    unit = [Parameter(f"P{j}", "-", 0.0, 1.0) for j in range(d)]
+    wide = [Parameter(f"P{j}", "-", -1.0, 2.0) for j in range(d)]
+    return oddkit.Chain(
+        mlm=_box_node("MLM3", Level.MLM_ODD, unit),
+        mlc=_box_node("MLC3", Level.MLC_ODD, wide),
+        sample_registry=registry,
+    )
+
+
+@pytest.mark.parametrize("node_name", ["MLMODD", "unit box, 3 parameters"])
+def test_registry_matches_agree_with_the_scan(extended_doc, node_name):
+    if node_name == "MLMODD":
+        mlm = extended_doc.node("MLMODD")
+        registry, queries = registry_case(mlm, seed=31)
+        chain = oddkit.build_chain(extended_doc, sample_registry=registry)
+    else:
+        registry, queries = registry_case(_unit_box_chain(3, ()).mlm, seed=32)
+        chain = _unit_box_chain(3, registry)
+    X = geometry.coords_array(queries, chain.mlm)
+    got = classify.registry_matches(X, chain).tolist()
+    want = [ref_registry_match(p, chain) for p in queries]
+    disagreements = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not disagreements, disagreements[:10]
+    assert [classify.registry_match(p, chain) for p in queries[::5]] == want[::5]
+    assert len(want) // 20 < sum(want) < len(want) // 2
+
+    # the case reaches diagonal neighbour cells: some query lies within tol of
+    # an entry whose grid cell differs from its own on every axis
+    entries = geometry.coords_array(
+        [r for r in registry if len(r.values) == len(chain.mlm.parameters)], chain.mlm
+    )
+    Q, R = classify._normalized(X, chain.mlm), classify._normalized(entries, chain.mlm)
+    q_cells = np.array(classify._grid_cells(Q, DEFAULT_TOL))
+    r_cells = np.array(classify._grid_cells(R, DEFAULT_TOL))
+    near = np.abs(Q[:, None, :] - R[None, :, :]).max(axis=2) <= DEFAULT_TOL
+    diagonal = (q_cells[:, None, :] != r_cells[None, :, :]).all(axis=2)
+    assert (near & diagonal).any()
+    assert np.array_equal(near.any(axis=1), np.array(want))
+
+
+@pytest.mark.filterwarnings("error")
+def test_registry_matches_far_outside_the_box():
+    """Coordinates near the grid's clip limit and beyond float range of a
+    cell index match as the scan matches them, without overflow."""
+    limit = classify._CELL_LIMIT * 2 * DEFAULT_TOL
+    firsts = [limit, limit * (1 - 1e-15), limit * (1 + 1e-15), -limit, 1e7, 1e300, -1e300]
+    registry = tuple(DataPoint({"P0": x, "P1": 0.5, "P2": 0.5}) for x in firsts)
+    chain = _unit_box_chain(3, registry)
+    queries = [
+        DataPoint({"P0": x + step, "P1": 0.5, "P2": 0.5 + step})
+        for x in firsts
+        for step in (0.0, 5e-10, -5e-10, 2e-9, -2e-9)
+    ]
+    X = geometry.coords_array(queries, chain.mlm)
+    want = [ref_registry_match(p, chain) for p in queries]
+    assert classify.registry_matches(X, chain).tolist() == want
+    assert sum(want) > len(firsts) and not all(want)
+
+
+def test_registry_matches_with_an_empty_registry(chain):
+    queries = [DataPoint({"Mach": 0.225, "Alt": 14000}), DataPoint({"Mach": 0.9, "Alt": -50})]
+    X = geometry.coords_array(queries, chain.mlm)
+    assert classify.registry_matches(X, chain).tolist() == [False, False]
+    assert [classify.registry_match(p, chain) for p in queries] == [False, False]
+    assert classify.registry_matches(X[:0], chain).shape == (0,)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import oddkit
-from oddkit.classify import KIND_SET, Kind, category_node, classify_kind
+from oddkit import geometry
+from oddkit.classify import (
+    KIND_SET,
+    Kind,
+    category_node,
+    classify_kind,
+    registry_match,
+    registry_matches,
+)
 from oddkit.model import DataPoint
 
 
@@ -71,6 +81,25 @@ def test_sample_registry(extended_doc):
     chain = oddkit.build_chain(extended_doc, sample_registry=registry)
     assert classify_kind(DataPoint({"Mach": 0.225, "Alt": 14000}), chain) == Kind.IN_SAMPLE
     assert classify_kind(DataPoint({"Mach": 0.226, "Alt": 14000}), chain) == Kind.OUT_OF_SAMPLE
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_match_nothing(extended_doc, bad):
+    """Whichever coordinate holds it, in the query or in the entry, a
+    non-finite value matches nothing; none reaches the grid, where casting it
+    to a cell index would warn."""
+    good = {"Mach": 0.225, "Alt": 14000}
+    chain = oddkit.build_chain(extended_doc, sample_registry=(DataPoint(good),))
+    for name in good:
+        query = DataPoint({**good, name: bad})
+        assert not registry_match(query, chain)
+        poisoned = oddkit.build_chain(extended_doc, sample_registry=(query,))
+        assert not registry_match(DataPoint(good), poisoned)
+        assert not registry_match(query, poisoned)
+    queries = [DataPoint({**good, "Alt": bad}), DataPoint(good), DataPoint({**good, "Mach": bad})]
+    X = geometry.coords_array(queries, chain.mlm)
+    assert registry_matches(X, chain).tolist() == [False, True, False]
 
 
 def test_category_node(chain):

@@ -78,3 +78,9 @@ def test_bytes_with_a_byte_order_mark_parse(golden_text, golden_dataset, node):
     ds = oddkit.parse_dataset(b"\xef\xbb\xbf" + golden_text.encode("utf-8"), node)
     assert ds.ok and not ds.diagnostics
     assert [p.values for p in ds.points] == [p.values for p in golden_dataset.points]
+
+
+def test_str_with_a_byte_order_mark_parses(node):
+    ds = oddkit.parse_dataset("\ufeffMach,Alt\n0.1,5\n", node)
+    assert ds.ok and not ds.diagnostics
+    assert [p.values for p in ds.points] == [{"Mach": 0.1, "Alt": 5.0}]

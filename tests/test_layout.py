@@ -1,4 +1,5 @@
-"""Source-layout guards: one CSV writer, one random generator, no output formatting in the CLI."""
+"""Source-layout guards: one CSV writer, one random generator, one registry
+matcher, no output formatting in the CLI."""
 
 from __future__ import annotations
 
@@ -37,6 +38,20 @@ def test_csv_writer_is_built_only_by_write_csv():
 
 def test_anomaly_seeds_a_generator_only_in_the_draw_loop():
     assert _callers(SRC / "anomaly.py", "_rng") == ["_draw_and_accept"]
+
+
+def test_only_the_registry_index_reads_the_sample_registry():
+    """Every registry lookup goes through the grid index, so no second matcher
+    scans the registry."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Attribute) and node.attr == "sample_registry"
+                for node in ast.walk(fn)
+            ):
+                readers.append(f"{path.name}:{fn.name}")
+    assert readers == ["classify.py:_registry_index"]
 
 
 def test_cli_imports_neither_csv_nor_io():
