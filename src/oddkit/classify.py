@@ -316,12 +316,6 @@ def classify_point(
 _CELL_LIMIT = 2.0**50
 
 
-def _normalized(X: np.ndarray, node: OddNode) -> np.ndarray:
-    lo = np.array([p.lo for p in node.parameters])
-    span = np.array([p.span for p in node.parameters])
-    return (X - lo) / span
-
-
 def _grid_cells(Xhat: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     """The L∞ grid cell of each row of normalised coordinates.
 
@@ -334,49 +328,46 @@ def _grid_cells(Xhat: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     return list(map(tuple, cells.tolist()))
 
 
-def _registry_index(
-    chain: Chain, tol: float
-) -> tuple[list[list[float]], dict[tuple[int, ...], list[int]]]:
-    """The registry's points in normalised MLM coordinates, and their
-    positions in that list by grid cell.
+def near_matches(
+    X: np.ndarray, R: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Per row of ``X``: does ``R`` hold a row within ``tol`` of it in every
+    normalised coordinate?
 
-    Entries lacking an MLM parameter or with a non-finite coordinate are left
-    out: they match nothing.
-    """
-    names = chain.mlm.parameter_names
-    entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
-    R = _normalized(geometry.coords_array(entries, chain.mlm), chain.mlm)
-    R = R[np.isfinite(R).all(axis=1)]
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for j, cell in enumerate(_grid_cells(R, tol)):
-        cells.setdefault(cell, []).append(j)
-    return R.tolist(), cells
-
-
-def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per row of ``X``: does the sample registry hold a point within ``tol``
-    of it in every normalised coordinate?
-
-    ``X`` holds raw MLM coordinates, as from :func:`geometry.coords_array`. The
-    registry is hashed into a grid once per call and each row is tested only
-    against the entries of its 3^d neighbouring cells (fixed-radius near
-    neighbours, Bentley, Stanat & Williams 1977), so a call costs O(N + M)
-    for well-spread points. A row with a non-finite coordinate matches nothing.
+    ``X`` and ``R`` hold raw coordinates in ``node``'s parameter order, as from
+    :func:`geometry.coords_array`. ``R`` is hashed into a grid once per call
+    and each row of ``X`` is tested only against the rows of its 3^d
+    neighbouring cells (fixed-radius near neighbours, Bentley, Stanat &
+    Williams 1977), so a call costs O(N + M) for well-spread points. A row
+    with a non-finite coordinate, in ``X`` or in ``R``, matches nothing.
     """
     matched = np.zeros(len(X), dtype=bool)
-    registry, cells = _registry_index(chain, tol)
-    if not cells:
+    Rhat = geometry.normalize_array(R, node)
+    Rhat = Rhat[np.isfinite(Rhat).all(axis=1)]
+    if not len(Rhat):
         return matched
-    Q = _normalized(X, chain.mlm)
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for j, cell in enumerate(_grid_cells(Rhat, tol)):
+        cells.setdefault(cell, []).append(j)
+    targets = Rhat.tolist()
+    Q = geometry.normalize_array(X, node)
     rows = np.flatnonzero(np.isfinite(Q).all(axis=1))
     offsets = list(itertools.product((-1, 0, 1), repeat=Q.shape[1]))
     for i, q, cell in zip(rows.tolist(), Q[rows].tolist(), _grid_cells(Q[rows], tol)):
         matched[i] = any(
-            max(abs(a - b) for a, b in zip(q, registry[j])) <= tol
+            max(abs(a - b) for a, b in zip(q, targets[j])) <= tol
             for offset in offsets
             for j in cells.get(tuple(map(operator.add, cell, offset)), ())
         )
     return matched
+
+
+def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`near_matches` of raw MLM coordinates ``X`` against the sample
+    registry; registry entries lacking an MLM parameter are skipped."""
+    names = chain.mlm.parameter_names
+    entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
+    return near_matches(X, geometry.coords_array(entries, chain.mlm), chain.mlm, tol)
 
 
 def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool:

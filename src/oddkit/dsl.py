@@ -14,6 +14,7 @@ Diagnostic codes:
     E007 extends-containment violation
     E008 allocation cycle
     E009 more than one system_od node
+    E010 monitor input point whose arity differs from its node's parameter count
     W001 unknown attribute or construct (ignored)
 """
 
@@ -784,7 +785,9 @@ def _validate_document(doc: SpecDocument) -> None:
 
     for chain in doc.monitor_chains:
         for mon in chain.monitors:
-            if mon.node is not None and mon.node not in by_name:
+            if mon.node is None:
+                continue
+            if mon.node not in by_name:
                 doc.diagnostics.append(
                     Diagnostic(
                         "error",
@@ -794,6 +797,14 @@ def _validate_document(doc: SpecDocument) -> None:
                         1,
                     )
                 )
+                continue
+            arity = len(by_name[mon.node].parameters)
+            for pt in (pt for pt in mon.inputs if len(pt) != arity):
+                message = (
+                    f"monitorchain {chain.name!r}: {mon.kind} input {pt} has"
+                    f" {len(pt)} value(s), node {mon.node!r} has {arity} parameter(s)"
+                )
+                doc.diagnostics.append(Diagnostic("error", "E010", message, 1, 1))
 
 
 def parse_spec(text: str) -> SpecDocument:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -225,23 +225,19 @@ def params_at_extreme(
     """Parameters whose value sits at an admissible-range bound within tolerance.
 
     Values strictly outside [lo, hi] by more than the tolerance band are never
-    at an extreme.
+    at an extreme. The one-row case of :func:`extreme_mask`.
     """
-    x = coords(p, node)
-    out = set()
-    for v, param in zip(x, node.parameters):
-        band = tol * param.span
-        if min(abs(v - param.lo), abs(v - param.hi)) <= band:
-            out.add(param.name)
-    return out
+    flags = extreme_mask(coords_array([p], node), node, tol)[0].tolist()
+    return {name for name, at in zip(node.parameter_names, flags) if at}
 
 
 # -- array engine ------------------------------------------------------------
 #
 # Batch forms of point_in_region and params_at_extreme over an (n, d) array of
 # raw coordinates in node-parameter order, deciding every row as the scalar
-# functions do (for finite coordinates). One call costs several scalar calls,
-# so callers that handle one point at a time keep the scalar functions.
+# functions do (for finite coordinates). One region_containment call costs
+# several point_in_region calls, so callers that handle one point at a time
+# keep point_in_region.
 
 # Codes returned by region_containment; CONTAINMENT[code] is the enum value.
 INSIDE, ON_BOUNDARY, OUTSIDE = 0, 1, 2
@@ -266,10 +262,21 @@ def coords_array(points: list[DataPoint], node: OddNode) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
+def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:
+    """Rows of raw coordinates in node-parameter order, scaled as by :func:`normalize`."""
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    with np.errstate(over="ignore"):  # an overflow gives inf, decided as such
+        return (X - lo) / span
+
+
 def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    for start in range(0, len(X), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        out[start:stop] = decide(X[start:stop])
+    # non-finite or huge coordinates give NaN or inf intermediates (inf * 0,
+    # overflow); the comparisons decide those rows, so the warnings say nothing
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, len(X), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            out[start:stop] = decide(X[start:stop])
     return out
 
 
@@ -333,28 +340,20 @@ def region_containment(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo = np.array([p.lo for p in node.parameters])
-    span = np.array([p.span for p in node.parameters])
     if isinstance(node.region, Polygon2D):
-        edges = _polygon_edges(node)
-
-        def decide(x):
-            return _polygon_codes((x - lo) / span, edges, tol)
-
+        decide = partial(_polygon_codes, edges=_polygon_edges(node), tol=tol)
     else:
         members = [
             (np.array([a for a, _ in rows]), np.array([b for _, b in rows]))
             for rows in _normalized_halfspaces(node)
         ]
-
-        def decide(x):
-            return _union_codes((x - lo) / span, members, tol)
-
-    return _by_chunk(decide, X, np.empty(len(X), dtype=np.int8))
+        decide = partial(_union_codes, members=members, tol=tol)
+    return _by_chunk(decide, normalize_array(X, node), np.empty(len(X), dtype=np.int8))
 
 
 def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(n, d) flags: the parameters :func:`params_at_extreme` reports per row."""
+    """(n, d) flags: row i's parameter j lies within ``tol`` times its span
+    of its lo or hi bound."""
     lo = np.array([p.lo for p in node.parameters])
     hi = np.array([p.hi for p in node.parameters])
     band = np.array([tol * p.span for p in node.parameters])

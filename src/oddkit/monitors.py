@@ -1,22 +1,26 @@
 """Runtime-monitor chain simulation around a stub model.
 
-Monitors run in chain order; the first detection determines the disposition
-and later monitors are not consulted. A failover action latches: every
-subsequent stream point is mitigated without stub evaluation until the run
-ends. Actions are simulated as dispositions only.
+Each monitor decides the whole stream in one pass. Per point, the first
+monitor in chain order that fires determines the disposition, and later
+monitors are not consulted. A failover action latches: every subsequent
+stream point is mitigated without stub evaluation until the run ends.
+Actions are simulated as dispositions only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import geometry
-from .classify import Chain, classify_points
+from .classify import Chain, classify_points, near_matches
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
-from .model import DEFAULT_TOL, Containment, DataPoint, OddNode
+from .model import DEFAULT_TOL, DataPoint, OddNode
 
 MONITOR_KINDS = (
     "range_monitor",
@@ -36,21 +40,30 @@ class StubModel:
     coefficients: tuple[float, ...] = ()
     table: tuple[tuple[float, ...], ...] = ()
 
+    def outputs(self, X: np.ndarray) -> np.ndarray:
+        """The stub's output on each row of ``X``, raw coordinates in the
+        node's parameter order. A lookup table gives NaN where a normalised
+        coordinate is not finite."""
+        # non-finite outputs are reported by the caller, not as warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.kind == "bilinear":
+                c0, c1, c2, c12 = self.coefficients
+                x, y = X[:, 0], X[:, 1]
+                return c0 + c1 * x + c2 * y + c12 * x * y
+            table = np.array(self.table)
+            scaled = geometry.normalize_array(X, self.node) * table.shape
+        finite = np.isfinite(scaled).all(axis=1)
+        cells = np.clip(np.where(finite[:, None], scaled, 0.0), 0, np.array(table.shape) - 1)
+        i, j = cells.astype(int).T
+        return np.where(finite, table[i, j], np.nan)
+
     def evaluate(self, p: DataPoint) -> float:
-        x = geometry.coords(p, self.node)
-        if self.kind == "bilinear":
-            c0, c1, c2, c12 = self.coefficients
-            out = c0 + c1 * x[0] + c2 * x[1] + c12 * x[0] * x[1]
-        else:
-            xhat = geometry.normalize(x, self.node)
-            rows = len(self.table)
-            cols = len(self.table[0])
-            i = min(max(int(xhat[0] * rows), 0), rows - 1)
-            j = min(max(int(xhat[1] * cols), 0), cols - 1)
-            out = self.table[i][j]
+        """The stub's output at one point, the one-row case of :meth:`outputs`;
+        raises StubEvaluationError if it is not finite."""
+        out = float(self.outputs(geometry.coords_array([p], self.node))[0])
         if not math.isfinite(out):
             raise StubEvaluationError(f"stub produced non-finite output at {p.values}")
-        return float(out)
+        return out
 
 
 def make_stub_model(node: OddNode, spec: dict) -> StubModel:
@@ -108,43 +121,36 @@ class Monitor:
     def input_side(self) -> bool:
         return self.kind != "output_range_monitor"
 
-    def detect(self, p: DataPoint, chain: Chain, stub_output: float | None) -> bool:
-        if self.kind == "range_monitor":
-            return (
-                geometry.point_in_region(geometry.project(p, self.node), self.node)
-                == Containment.OUTSIDE
-            )
-        if self.kind == "extreme_value_monitor":
-            return bool(
-                geometry.params_at_extreme(geometry.project(p, self.node), self.node, self.tol)
-            )
-        if self.kind == "known_input_monitor":
-            node = self.node or chain.mlm
-            x = geometry.normalize(geometry.coords(p, node), node)
-            for known in self.known_inputs:
-                y = geometry.normalize(geometry.coords(known, node), node)
-                if max(abs(a - b) for a, b in zip(x, y)) <= self.tol:
-                    return True
-            return False
+    def detect(self, points: list[DataPoint], chain: Chain, outputs: np.ndarray) -> np.ndarray:
+        """Per point: does this monitor fire on it? ``outputs`` holds the
+        stub's output on each point."""
+        if self.kind == "output_range_monitor":
+            return ~((self.lo <= outputs) & (outputs <= self.hi))
+        node = self.node or chain.mlm
         if self.kind == "cross_check_monitor":
-            if not p.provenance_raw:
-                return False  # no second channel available for this point
-            node = self.node or chain.mlm
-            names = [self.param] if self.param else sorted(p.provenance_raw)
-            for name in names:
-                if name not in p.provenance_raw or name not in p.values:
-                    continue
-                try:
-                    span = node.parameter(name).span
-                except KeyError:
-                    span = 1.0
-                if abs(p.values[name] - p.provenance_raw[name]) / span > self.threshold:
-                    return True
-            return False
-        # output_range_monitor
-        if stub_output is None:
-            return False
-        return not (self.lo <= stub_output <= self.hi)
+            return np.array([self._cross_check(p, node) for p in points], dtype=bool)
+        X = geometry.coords_array(points, node)
+        if self.kind == "range_monitor":
+            return geometry.region_containment(X, node) == geometry.OUTSIDE
+        if self.kind == "extreme_value_monitor":
+            return geometry.extreme_mask(X, node, self.tol).any(axis=1)
+        # known_input_monitor
+        return near_matches(X, geometry.coords_array(self.known_inputs, node), node, self.tol)
+
+    def _cross_check(self, p: DataPoint, node: OddNode) -> bool:
+        if not p.provenance_raw:
+            return False  # no second channel available for this point
+        names = [self.param] if self.param else sorted(p.provenance_raw)
+        for name in names:
+            if name not in p.provenance_raw or name not in p.values:
+                continue
+            try:
+                span = node.parameter(name).span
+            except KeyError:
+                span = 1.0
+            if abs(p.values[name] - p.provenance_raw[name]) / span > self.threshold:
+                return True
+        return False
 
 
 def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Monitor]:
@@ -168,14 +174,9 @@ def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Mo
             action_value=d.action_value,
             known_inputs=known_inputs,
         )
-        if d.tol is not None:
-            kwargs["tol"] = d.tol
-        if d.threshold is not None:
-            kwargs["threshold"] = d.threshold
-        if d.lo is not None:
-            kwargs["lo"] = d.lo
-        if d.hi is not None:
-            kwargs["hi"] = d.hi
+        for key in ("tol", "threshold", "lo", "hi"):
+            if getattr(d, key) is not None:
+                kwargs[key] = getattr(d, key)
         monitors.append(Monitor(**kwargs))
     return monitors
 
@@ -248,50 +249,44 @@ def run_monitor_chain(
             label.category.label for label in classify_points(points, chain.mlm, chain, tol)
         ]
 
-    verdicts: list[MonitorVerdict] = []
-    failover_latched = False
-    for i, p in enumerate(points):
-        if failover_latched:
-            verdicts.append(
-                MonitorVerdict(i, [], "mitigated", "failover", None, latched=True)
-            )
-            continue
-        decisions: list[MonitorDecision] = []
-        disposition = "processed_by_mlm"
-        action = None
-        stub_output: float | None = None
-        for monitor in monitors:
-            if not monitor.input_side and stub_output is None:
-                stub_output = stub.evaluate(p)
-            detected = monitor.detect(p, chain, stub_output)
-            decisions.append(MonitorDecision(monitor.kind, detected, monitor.action if detected else None))
-            if detected:
-                disposition = "mitigated"
-                action = monitor.action
-                if monitor.action == "failover":
-                    failover_latched = True
-                break
-        if disposition == "processed_by_mlm" and stub_output is None:
-            stub_output = stub.evaluate(p)
-        verdicts.append(MonitorVerdict(i, decisions, disposition, action, stub_output))
-
-    metrics: dict[str, float] = {"points": float(len(points)), "seed": float(seed)}
-    per_cat_total: dict[str, int] = {}
-    per_cat_detected: dict[str, int] = {}
-    latched_count = 0
-    for v, cat in zip(verdicts, oracle_categories):
-        if v.latched:
-            latched_count += 1
-            continue
-        per_cat_total[cat] = per_cat_total.get(cat, 0) + 1
-        if any(d.detected for d in v.decisions):
-            per_cat_detected[cat] = per_cat_detected.get(cat, 0) + 1
-    for cat, total in sorted(per_cat_total.items()):
-        metrics[f"detection_rate_{cat}"] = per_cat_detected.get(cat, 0) / total
-    metrics["false_alarm_rate_nominal"] = (
-        per_cat_detected.get("Nominal", 0) / per_cat_total["Nominal"]
-        if per_cat_total.get("Nominal")
-        else 0.0
+    n, m = len(points), len(monitors)
+    outputs = stub.outputs(geometry.coords_array(points, stub.node))
+    # column m fires on every row: argmax is the first monitor that fired, or m
+    fired = np.column_stack(
+        [monitor.detect(points, chain, outputs) for monitor in monitors] + [np.ones(n, dtype=bool)]
     )
-    metrics["failover_latched_points"] = float(latched_count)
+    first = fired.argmax(axis=1)
+    actions = [monitor.action for monitor in monitors] + [None]
+    latching = np.flatnonzero(np.array([a == "failover" for a in actions])[first])
+    latched = np.arange(n) > (latching[0] if len(latching) else n)
+    # the stub runs before the first output-side monitor, or after the chain
+    first_output = next((j for j, monitor in enumerate(monitors) if not monitor.input_side), m)
+    evaluated = ~latched & (first >= first_output)
+    non_finite = np.flatnonzero(evaluated & ~np.isfinite(outputs))
+    if len(non_finite):
+        p = points[non_finite[0]]
+        raise StubEvaluationError(f"stub produced non-finite output at {p.values}")
+
+    misses = [MonitorDecision(monitor.kind, False) for monitor in monitors]
+    hits = [MonitorDecision(monitor.kind, True, monitor.action) for monitor in monitors]
+    verdicts: list[MonitorVerdict] = []
+    for i, (j, output, is_latched, is_evaluated) in enumerate(
+        zip(first.tolist(), outputs.tolist(), latched.tolist(), evaluated.tolist())
+    ):
+        if is_latched:
+            verdicts.append(MonitorVerdict(i, [], "mitigated", "failover", None, latched=True))
+            continue
+        disposition = "mitigated" if j < m else "processed_by_mlm"
+        output = output if is_evaluated else None
+        verdicts.append(MonitorVerdict(i, misses[:j] + hits[j : j + 1], disposition, actions[j], output))
+
+    rows = list(zip(oracle_categories, latched.tolist(), (first < m).tolist()))
+    total = Counter(cat for cat, is_latched, _ in rows if not is_latched)
+    detected = Counter(cat for cat, is_latched, hit in rows if hit and not is_latched)
+    metrics: dict[str, float] = {"points": float(n), "seed": float(seed)}
+    for cat, count in sorted(total.items()):
+        metrics[f"detection_rate_{cat}"] = detected[cat] / count
+    nominal = total["Nominal"]
+    metrics["false_alarm_rate_nominal"] = detected["Nominal"] / nominal if nominal else 0.0
+    metrics["failover_latched_points"] = float(sum(is_latched for _, is_latched, _ in rows))
     return SimulationResult(verdicts, metrics)

@@ -1,8 +1,9 @@
 """The batch containment engine against the per-point path it replaced.
 
-``ref_*`` below are the per-row implementations of classify_point,
-classify_kind, label_rows and coverage_report as they were before the batch
-engine, and the linear registry scan the grid-hash matcher replaced; each
+``ref_*`` below are the per-row implementations of params_at_extreme,
+classify_point, classify_kind, label_rows and coverage_report as they were
+before the batch engine, the linear registry scan the grid-hash matcher
+replaced, and the per-row monitor loop the detection matrix replaced; each
 batch result must equal them label for label. Containment and range extremes
 are further checked against the independent oracles.
 """
@@ -38,6 +39,16 @@ MIXED_ROWS = 20_000
 
 
 # -- reference: the per-row path ------------------------------------------------
+
+
+def ref_params_at_extreme(p, node, tol=DEFAULT_TOL):
+    x = geometry.coords(p, node)
+    out = set()
+    for v, param in zip(x, node.parameters):
+        band = tol * param.span
+        if min(abs(v - param.lo), abs(v - param.hi)) <= band:
+            out.add(param.name)
+    return out
 
 
 def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transform=None):
@@ -76,7 +87,7 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
             annotations["hidden"] = "|".join(sorted(p.hidden_values))
             return PointLabel(Category("Novelty"), on_boundary, annotations)
 
-    k = len(geometry.params_at_extreme(p, node, tol))
+    k = len(ref_params_at_extreme(p, node, tol))
     if inside:
         label = "Nominal" if k == 0 else ("EdgeCase" if k == 1 else "FeasibleCornerCase")
     else:
@@ -133,6 +144,124 @@ def ref_label_rows(points, chain, tol=DEFAULT_TOL):
             category = OUTCOD_CATEGORY
         rows.append((i, kind, category, node.name, label.on_boundary, annotations))
     return rows
+
+
+def ref_stub_evaluate(stub, p):
+    """StubModel.evaluate as it was, except that a lookup table gives NaN at a
+    non-finite normalised coordinate (int() raised ValueError or OverflowError
+    there)."""
+    x = geometry.coords(p, stub.node)
+    if stub.kind == "bilinear":
+        c0, c1, c2, c12 = stub.coefficients
+        out = c0 + c1 * x[0] + c2 * x[1] + c12 * x[0] * x[1]
+    else:
+        xhat = geometry.normalize(x, stub.node)
+        rows = len(stub.table)
+        cols = len(stub.table[0])
+        if math.isfinite(xhat[0] * rows) and math.isfinite(xhat[1] * cols):
+            i = min(max(int(xhat[0] * rows), 0), rows - 1)
+            j = min(max(int(xhat[1] * cols), 0), cols - 1)
+            out = stub.table[i][j]
+        else:
+            out = math.nan
+    if not math.isfinite(out):
+        raise oddkit.StubEvaluationError(f"stub produced non-finite output at {p.values}")
+    return float(out)
+
+
+def ref_detect(monitor, p, chain, stub_output):
+    """Monitor.detect for one point as it was, except that a known input or a
+    point with a non-finite coordinate matches nothing (the scan's max()
+    depended on which coordinate held a NaN)."""
+    if monitor.kind == "range_monitor":
+        return (
+            geometry.point_in_region(geometry.project(p, monitor.node), monitor.node)
+            == Containment.OUTSIDE
+        )
+    if monitor.kind == "extreme_value_monitor":
+        return bool(ref_params_at_extreme(geometry.project(p, monitor.node), monitor.node, monitor.tol))
+    if monitor.kind == "known_input_monitor":
+        node = monitor.node or chain.mlm
+        x = geometry.normalize(geometry.coords(p, node), node)
+        for known in monitor.known_inputs:
+            y = geometry.normalize(geometry.coords(known, node), node)
+            if not all(map(math.isfinite, x + y)):
+                continue
+            if max(abs(a - b) for a, b in zip(x, y)) <= monitor.tol:
+                return True
+        return False
+    if monitor.kind == "cross_check_monitor":
+        if not p.provenance_raw:
+            return False
+        node = monitor.node or chain.mlm
+        names = [monitor.param] if monitor.param else sorted(p.provenance_raw)
+        for name in names:
+            if name not in p.provenance_raw or name not in p.values:
+                continue
+            try:
+                span = node.parameter(name).span
+            except KeyError:
+                span = 1.0
+            if abs(p.values[name] - p.provenance_raw[name]) / span > monitor.threshold:
+                return True
+        return False
+    if stub_output is None:
+        return False
+    return not (monitor.lo <= stub_output <= monitor.hi)
+
+
+def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAULT_TOL):
+    """run_monitor_chain's per-row loop as it was."""
+    oracle_categories = [
+        label.category.label for label in oddkit.classify_points(points, chain.mlm, chain, tol)
+    ]
+    verdicts = []
+    failover_latched = False
+    for i, p in enumerate(points):
+        if failover_latched:
+            verdicts.append(monitors.MonitorVerdict(i, [], "mitigated", "failover", None, latched=True))
+            continue
+        decisions = []
+        disposition = "processed_by_mlm"
+        action = None
+        stub_output = None
+        for monitor in chain_monitors:
+            if not monitor.input_side and stub_output is None:
+                stub_output = ref_stub_evaluate(stub, p)
+            detected = ref_detect(monitor, p, chain, stub_output)
+            decisions.append(
+                monitors.MonitorDecision(monitor.kind, detected, monitor.action if detected else None)
+            )
+            if detected:
+                disposition = "mitigated"
+                action = monitor.action
+                if monitor.action == "failover":
+                    failover_latched = True
+                break
+        if disposition == "processed_by_mlm" and stub_output is None:
+            stub_output = ref_stub_evaluate(stub, p)
+        verdicts.append(monitors.MonitorVerdict(i, decisions, disposition, action, stub_output))
+
+    metrics = {"points": float(len(points)), "seed": float(seed)}
+    per_cat_total: dict[str, int] = {}
+    per_cat_detected: dict[str, int] = {}
+    latched_count = 0
+    for v, cat in zip(verdicts, oracle_categories):
+        if v.latched:
+            latched_count += 1
+            continue
+        per_cat_total[cat] = per_cat_total.get(cat, 0) + 1
+        if any(d.detected for d in v.decisions):
+            per_cat_detected[cat] = per_cat_detected.get(cat, 0) + 1
+    for cat, total in sorted(per_cat_total.items()):
+        metrics[f"detection_rate_{cat}"] = per_cat_detected.get(cat, 0) / total
+    metrics["false_alarm_rate_nominal"] = (
+        per_cat_detected.get("Nominal", 0) / per_cat_total["Nominal"]
+        if per_cat_total.get("Nominal")
+        else 0.0
+    )
+    metrics["failover_latched_points"] = float(latched_count)
+    return monitors.SimulationResult(verdicts, metrics)
 
 
 def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol=1e-3):
@@ -309,7 +438,7 @@ def test_region_containment_and_extremes_agree(base_doc, extended_doc, name):
         assert sum(map(bool, reported)) >= PROBES_PER_NODE // 10
 
         scalar = [geometry.point_in_region(p, node) for p in points]
-        scalar_extremes = [geometry.params_at_extreme(p, node) for p in points]
+        scalar_extremes = [ref_params_at_extreme(p, node) for p in points]
         bands = [(prm.lo, prm.hi, DEFAULT_TOL * prm.span) for prm in node.parameters]
         oracle_extremes = [
             {n for n, v, band in zip(names, row, bands) if oracles.at_range_bound(v, *band)}
@@ -334,6 +463,8 @@ def test_region_containment_and_extremes_agree(base_doc, extended_doc, name):
             if not agrees
         ]
         assert not disagreements, disagreements[:10]
+        one_row = [geometry.params_at_extreme(p, node) for p in points[::100]]
+        assert one_row == scalar_extremes[::100]
 
 
 def test_array_engine_chunks_and_empty_input(chain):
@@ -512,7 +643,7 @@ def test_registry_matches_agree_with_the_scan(extended_doc, node_name):
     entries = geometry.coords_array(
         [r for r in registry if len(r.values) == len(chain.mlm.parameters)], chain.mlm
     )
-    Q, R = classify._normalized(X, chain.mlm), classify._normalized(entries, chain.mlm)
+    Q, R = geometry.normalize_array(X, chain.mlm), geometry.normalize_array(entries, chain.mlm)
     q_cells = np.array(classify._grid_cells(Q, DEFAULT_TOL))
     r_cells = np.array(classify._grid_cells(R, DEFAULT_TOL))
     near = np.abs(Q[:, None, :] - R[None, :, :]).max(axis=2) <= DEFAULT_TOL
@@ -592,6 +723,147 @@ def test_monitor_oracle_categories_agree(mixed, extended_doc, chain):
     oracle = [ref_classify_point(p, chain.mlm, chain).category.label for p in points]
     want = oddkit.run_monitor_chain(points, chain, mons, stub, oracle_categories=oracle)
     assert got.metrics == want.metrics
+
+
+# -- the monitor chain's detection matrix against the per-row loop ---------------
+
+MONITOR_NODES = ("MLMODD", "MLCODD_spec", "SOD", "MLMODD_ext")
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def monitor_case(doc, chain, rng):
+    """A random monitor chain, stub and stream over (Mach, Alt, Temp).
+
+    Rows: uniform over the 20%-inflated SOD box, on MLMODD's vertices and
+    range bounds, on a known input moved by a multiple of 1e-6 of each MLM
+    span, or with one coordinate NaN or ±inf; a fifth carry a raw Alt or Mach
+    value. Stubs: bilinear, some overflowing on part of the box, or a lookup
+    table. Zero to four monitors of any kind and action, range and extreme
+    monitors on polygon and polytope nodes, output bounds sometimes equal to
+    a table value.
+    """
+    sod, mlm = doc.node("SOD"), chain.mlm
+    lo = np.array([p.lo for p in sod.parameters] + [-60.0])
+    span = np.array([p.span for p in sod.parameters] + [75.0])
+    vertices = [list(v) for v in mlm.region.vertices]
+    bounds = [[p.lo, p.hi] for p in mlm.parameters]
+    mlm_span = np.array([p.span for p in mlm.parameters])
+    known = [
+        (lo[:2] + rng.uniform(-0.1, 1.1, size=2) * span[:2]).tolist()
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    if rng.uniform() < 0.2:
+        known.append([math.nan, known[0][1]])
+
+    if rng.uniform() < 0.6:
+        c0 = float(rng.choice([0.0, 1.6e308, 1.75e308], p=[0.6, 0.2, 0.2]))
+        c1 = float(rng.choice([1.0, 1e308]))
+        coefficients = (c0, c1, 1e-4, float(rng.normal()))
+        stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": coefficients})
+    else:
+        shape = tuple(rng.integers(1, 5, size=2))
+        table = rng.uniform(-1.0, 3.0, size=shape).tolist()
+        stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": table})
+
+    def point():
+        x = (lo + rng.uniform(-0.2, 1.2, size=3) * span).tolist()
+        u = rng.uniform()
+        if u < 0.1:
+            x[:2] = vertices[rng.integers(len(vertices))]
+        elif u < 0.2:
+            j = int(rng.integers(2))
+            x[j] = bounds[j][rng.integers(2)] + rng.choice([0.0, 1e-7, -1e-7]) * mlm.parameters[j].span
+        elif u < 0.35:
+            steps = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 1 + 1e-6, 2.0], size=2)
+            x[:2] = (np.array(known[rng.integers(len(known))]) + steps * 1e-6 * mlm_span).tolist()
+        elif u < 0.45:
+            x[rng.integers(3)] = NON_FINITE[rng.integers(3)]
+        raw = None
+        if rng.uniform() < 0.2:
+            name, j = ("Alt", 1) if rng.uniform() < 0.7 else ("Mach", 0)
+            raw = {name: x[j] * float(rng.choice([1.0, 1.01, 1.5, -1.0]))}
+        return DataPoint(dict(zip(("Mach", "Alt", "Temp"), x)), provenance_raw=raw)
+
+    def monitor():
+        kind = monitors.MONITOR_KINDS[rng.integers(len(monitors.MONITOR_KINDS))]
+        action = monitors.ACTIONS[rng.integers(len(monitors.ACTIONS))]
+        node = doc.node(MONITOR_NODES[rng.integers(len(MONITOR_NODES))])
+        if kind == "known_input_monitor":
+            return monitors.Monitor(
+                kind,
+                node=None if rng.uniform() < 0.3 else mlm,
+                tol=float(rng.choice([1e-6, 1e-3])),
+                action=action,
+                known_inputs=tuple(DataPoint(dict(zip(mlm.parameter_names, k))) for k in known),
+            )
+        if kind == "output_range_monitor":
+            lo, hi = sorted(rng.uniform(-2, 4, size=2).tolist())
+            if stub.table and rng.uniform() < 0.5:  # a bound equal to a table value
+                lo, hi = sorted([lo, float(rng.choice(np.ravel(stub.table)))])
+            return monitors.Monitor(kind, lo=lo, hi=hi, action=action)
+        if kind == "cross_check_monitor":
+            return monitors.Monitor(
+                kind,
+                node=mlm if rng.uniform() < 0.5 else None,
+                param=[None, "Alt", "Mach"][rng.integers(3)],
+                threshold=float(rng.choice([0.001, 0.05, 0.5])),
+                action=action,
+            )
+        return monitors.Monitor(kind, node=node, tol=float(rng.choice([1e-6, 1e-3, 0.05])), action=action)
+
+    chain_monitors = [monitor() for _ in range(int(rng.integers(0, 5)))]
+    stream = [point() for _ in range(int(rng.integers(0, 30)))]
+    return stream, chain_monitors, stub
+
+
+def simulation_outcome(run, *args):
+    """The verdict CSV and metrics of a run, or the type and message of its error."""
+    try:
+        result = run(*args)
+    except oddkit.OddkitError as exc:
+        return type(exc), str(exc)
+    return result.render_verdicts_csv(), result.render_metrics()
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_monitor_chain_agrees_with_the_per_row_loop(extended_doc, chain, seed):
+    rng = np.random.default_rng(seed)
+    seen: dict[str, int] = {}
+
+    def count(what, happened=True):
+        seen[what] = seen.get(what, 0) + bool(happened)
+
+    for case in range(300):
+        stream, chain_monitors, stub = monitor_case(extended_doc, chain, rng)
+        got = simulation_outcome(oddkit.run_monitor_chain, stream, chain, chain_monitors, stub, seed)
+        want = simulation_outcome(ref_run_monitor_chain, stream, chain, chain_monitors, stub, seed)
+        assert got == want, (case, chain_monitors, stub, stream)
+
+        count("raised", want[0] is oddkit.StubEvaluationError)
+        count("empty stream", not stream)
+        count("empty chain", not chain_monitors)
+        count(stub.kind)
+        for monitor in chain_monitors:
+            count(monitor.kind)
+            count(monitor.action)
+        if want[0] is oddkit.StubEvaluationError:
+            continue
+        result = oddkit.run_monitor_chain(stream, chain, chain_monitors, stub)
+        bad = ~np.isfinite(stub.outputs(geometry.coords_array(stream, stub.node)))
+        count("latched", result.metrics["failover_latched_points"])
+        for v, non_finite in zip(result.verdicts, bad.tolist()):
+            if v.decisions and v.decisions[-1].detected:
+                count(f"{v.decisions[-1].monitor} fired")
+            count("non-finite output, latched row", non_finite and v.latched)
+            count("non-finite output, unreached row", non_finite and not v.latched and v.stub_output is None)
+        count("non-finite coordinate", any(not math.isfinite(v) for p in stream for v in p.values.values()))
+
+    wanted = [
+        "raised", "empty stream", "empty chain", "bilinear", "lookup_table", "latched",
+        "non-finite output, latched row", "non-finite output, unreached row", "non-finite coordinate",
+        *monitors.MONITOR_KINDS, *monitors.ACTIONS, *(f"{kind} fired" for kind in monitors.MONITOR_KINDS),
+    ]
+    assert all(seen.get(what, 0) >= 3 for what in wanted), seen
 
 
 # -- errors are raised as the per-row path raises them ----------------------------

@@ -245,6 +245,26 @@ monitorchain "m" {
     assert "E003" in _codes(doc)
 
 
+def test_monitor_input_arity_e010():
+    text = """
+odd "A" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon { (0,0) (1,0) (1,1) }
+}
+monitorchain "m" {
+  stub bilinear 0 1 1 0
+  monitor known_input_monitor node "A" input (0.2) input (0.1, 0.5) input (0.1, 0.7, 99)
+}
+"""
+    doc = oddkit.parse_spec(text)
+    assert _codes(doc) == ["E010", "E010"]
+    assert "input (0.2,) has 1 value(s)" in doc.diagnostics[0].message
+    assert "input (0.1, 0.7, 99.0) has 3 value(s)" in doc.diagnostics[1].message
+    well_formed = text.replace("input (0.2) ", "").replace(" input (0.1, 0.7, 99)", "")
+    assert oddkit.parse_spec(well_formed).ok
+
+
 def test_fmt_is_9_significant_digits():
     assert dsl.fmt(0.1) == "0.1"
     assert dsl.fmt(1 / 3) == "0.333333333"

@@ -1,5 +1,5 @@
-"""Source-layout guards: one CSV writer, one random generator, one registry
-matcher, no output formatting in the CLI."""
+"""Source-layout guards: one CSV writer, one random generator, one near-point
+matcher, monitors on the array engine, no output formatting in the CLI."""
 
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ def test_anomaly_seeds_a_generator_only_in_the_draw_loop():
 
 
 def test_only_the_registry_index_reads_the_sample_registry():
-    """Every registry lookup goes through the grid index, so no second matcher
-    scans the registry."""
+    """The registry is read in one place and matched through the one grid
+    index, which the known-input monitor shares, so no second matcher scans
+    the registry or the known inputs."""
     readers = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(_tree(path)):
@@ -51,7 +52,22 @@ def test_only_the_registry_index_reads_the_sample_registry():
                 for node in ast.walk(fn)
             ):
                 readers.append(f"{path.name}:{fn.name}")
-    assert readers == ["classify.py:_registry_index"]
+    assert readers == ["classify.py:registry_matches"]
+    grids = {path.name: set(_callers(path, "_grid_cells")) for path in SRC.glob("*.py")}
+    assert {name: fns for name, fns in grids.items() if fns} == {"classify.py": {"near_matches"}}
+    assert _callers(SRC / "classify.py", "near_matches") == ["registry_matches"]
+    assert _callers(SRC / "monitors.py", "near_matches") == ["detect"]
+
+
+def test_monitors_call_no_one_point_geometry():
+    """Every monitor decides the whole stream on the array engine."""
+    called = {
+        ast.unparse(node.func).rsplit(".", 1)[-1]
+        for node in ast.walk(_tree(SRC / "monitors.py"))
+        if isinstance(node, ast.Call)
+    }
+    assert "region_containment" in called and "extreme_mask" in called
+    assert not called & {"point_in_region", "params_at_extreme", "project", "coords", "normalize"}
 
 
 def test_cli_imports_neither_csv_nor_io():

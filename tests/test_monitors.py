@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import oddkit
@@ -147,3 +148,42 @@ def test_verdict_csv_and_metrics_render(chain, baseline, golden_dataset):
     metrics_text = result.render_metrics()
     assert "detection_rate_Outlier=1" in metrics_text
     assert "false_alarm_rate_nominal=0" in metrics_text
+
+
+def test_known_inputs_with_non_finite_coordinates_match_nothing(chain, mlm):
+    stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0]]})
+    known = DataPoint({"Mach": 0.225, "Alt": 14000.0})
+    nan, inf = float("nan"), float("inf")
+    stream = [
+        DataPoint({"Mach": 0.225, "Alt": 14000.0}),
+        DataPoint({"Mach": 0.225, "Alt": nan}),
+        DataPoint({"Mach": nan, "Alt": 14000.0}),
+        DataPoint({"Mach": 0.225, "Alt": inf}),
+        DataPoint({"Mach": -inf, "Alt": 14000.0}),
+    ]
+    mon = monitors.Monitor("known_input_monitor", node=mlm, known_inputs=(known,), action="mask")
+    # the range monitor then filters the non-finite rows before the stub
+    chain_monitors = [mon, monitors.Monitor("range_monitor", node=mlm)]
+    result = monitors.run_monitor_chain(stream, chain, chain_monitors, stub)
+    assert [v.action for v in result.verdicts] == ["mask", "filter", "filter", "filter", "filter"]
+    # a known input with a non-finite coordinate matches nothing either
+    for bad in ({"Mach": 0.225, "Alt": nan}, {"Mach": nan, "Alt": 14000.0}, {"Mach": inf, "Alt": 14000.0}):
+        mon = monitors.Monitor("known_input_monitor", node=mlm, known_inputs=(DataPoint(bad),))
+        assert not mon.detect(stream, chain, np.zeros(len(stream))).any()
+
+
+def test_lookup_stub_at_a_non_finite_coordinate(chain, mlm):
+    stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0, 2.0], [3.0, 4.0]]})
+    X = np.array([[0.05, 1000.0], [float("nan"), 1000.0], [0.05, float("inf")], [-float("inf"), 0.0], [1e308, 0.0]])
+    assert np.array_equal(stub.outputs(X), [1.0, np.nan, np.nan, np.nan, np.nan], equal_nan=True)
+    for x in X[1:].tolist():
+        p = DataPoint(dict(zip(mlm.parameter_names, x)))
+        with pytest.raises(oddkit.StubEvaluationError, match="non-finite output"):
+            stub.evaluate(p)
+        with pytest.raises(oddkit.StubEvaluationError, match="non-finite output"):
+            monitors.run_monitor_chain([p], chain, [], stub)
+    # a row the range monitor filters never reaches the stub
+    mon = monitors.Monitor("range_monitor", node=mlm)
+    result = monitors.run_monitor_chain([DataPoint({"Mach": float("nan"), "Alt": 0.0})], chain, [mon], stub)
+    assert result.verdicts[0].final_disposition == "mitigated"
+    assert result.verdicts[0].stub_output is None
