@@ -19,7 +19,7 @@ from .classify import (
     CATEGORY_LABELS,
     Chain,
     PartitionKey,
-    classify_points,
+    _category_codes,
     full_key_space,
     partition_dataset,
 )
@@ -296,12 +296,15 @@ def coverage_report(
     if len(node.parameters) != 2:
         raise ValueError("coverage metrics require a 2-parameter node")
 
-    counts: dict[str, int] = {}
-    for label in classify_points(points, node, None, tol, declared_transform=()):
-        counts[label.category.label] = counts.get(label.category.label, 0) + 1
+    X = geometry.coords_array(points, node)
+    categories = _category_codes(points, node, tol=tol, declared_transform=(), X=X)[0]
+    # in the order the categories first occur
+    present, first, number = np.unique(categories, return_index=True, return_counts=True)
+    counts = {
+        CATEGORY_LABELS[present[k]]: int(number[k]) for k in np.argsort(first, kind="stable")
+    }
     lo = np.array([p.lo for p in node.parameters])
     span = np.array([p.span for p in node.parameters])
-    X = geometry.coords_array(points, node)
     X_hat = (X - lo) / span
 
     vertices = geometry.region_vertices(node)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,7 +77,12 @@ class Category:
         return self.label in ANOMALY_LABELS
 
 
-_CATEGORIES = {label: Category(label) for label in CATEGORY_LABELS}
+# a category code is an index into CATEGORY_LABELS (and into _CATEGORIES)
+_CATEGORIES = tuple(Category(label) for label in CATEGORY_LABELS)
+_INLIER = CATEGORY_LABELS.index("Inlier")
+_NOVELTY = CATEGORY_LABELS.index("Novelty")
+# label_rows' code of OUTCOD_CATEGORY, one past the categories
+_OUTCOD = len(CATEGORY_LABELS)
 
 
 @dataclass
@@ -180,12 +186,16 @@ def _raw_mismatch(
     node: OddNode,
     transforms: tuple[Transform, ...],
     tol: float,
+    counted: Collection[str] | None = None,
 ) -> list[str]:
-    """Parameters whose declared-transform-of-raw disagrees with the recorded value."""
+    """Parameters whose declared-transform-of-raw disagrees with the recorded value.
+
+    Only recorded values named in ``counted`` take part; by default all do.
+    """
     expected = apply_transforms(transforms, dict(p.provenance_raw or {}))
     mismatched = []
     for name, exp in expected.items():
-        if name not in p.values:
+        if name not in p.values or (counted is not None and name not in counted):
             continue
         try:
             span = node.parameter(name).span
@@ -196,11 +206,18 @@ def _raw_mismatch(
     return sorted(mismatched)
 
 
-def _geometric_category(inside: bool, k: int) -> str:
-    """Category of a point with ``k`` parameters at a range extreme."""
-    if inside:
-        return "Nominal" if k == 0 else ("EdgeCase" if k == 1 else "FeasibleCornerCase")
-    return "InfeasibleCornerCase" if k >= 2 else "Outlier"
+# category code by [containment code, parameters at a range extreme (2 for two or more)]
+_GEOMETRIC = np.array(
+    [
+        [CATEGORY_LABELS.index(label) for label in row]
+        for row in (
+            ("Nominal", "EdgeCase", "FeasibleCornerCase"),  # INSIDE
+            ("Nominal", "EdgeCase", "FeasibleCornerCase"),  # ON_BOUNDARY
+            ("Outlier", "Outlier", "InfeasibleCornerCase"),  # OUTSIDE
+        )
+    ],
+    dtype=np.int8,
+)
 
 
 def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> list[bool]:
@@ -218,6 +235,9 @@ def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> lis
     return outside
 
 
+_Categories = tuple[np.ndarray, np.ndarray, dict[int, dict[str, str]]]
+
+
 def _categorize(
     points: list[DataPoint],
     node: OddNode,
@@ -226,38 +246,68 @@ def _categorize(
     chain_ctx: Chain | None,
     tol: float,
     transforms: tuple[Transform, ...],
-) -> list[tuple[str, bool, dict[str, str]]]:
-    """(category, on_boundary, annotations) of points whose coordinates and
-    containment codes in ``node`` are known.
+    counted: Collection[str] | None = None,
+) -> _Categories:
+    """Category codes, on_boundary flags, and the annotations of the rows that
+    have any, of points whose coordinates and containment codes in ``node``
+    are known.
 
     Provenance mismatch (Inlier) first, hidden-parameter exclusion (Novelty)
-    second, then the geometric cases.
+    second, then the geometric cases, which one table lookup decides for every
+    row; only rows carrying raw or hidden values are visited one by one.
+    ``counted`` restricts the values a raw value is checked against, as
+    :func:`_raw_mismatch` does.
     """
+    extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
+    categories = _GEOMETRIC[codes, extremes]
     inside = (codes != geometry.OUTSIDE).tolist()
-    on_boundary = (codes == geometry.ON_BOUNDARY).tolist()
-    decided: dict[int, tuple[str, dict[str, str]]] = {}
-    for i, p in enumerate(points):
-        if p.provenance_raw and inside[i]:
-            mismatched = _raw_mismatch(p, node, transforms, tol)
-            if mismatched:
-                decided[i] = ("Inlier", {"raw_mismatch": "|".join(mismatched)})
+    notes: dict[int, dict[str, str]] = {}
+    for i in [i for i, p in enumerate(points) if p.provenance_raw and inside[i]]:
+        mismatched = _raw_mismatch(points[i], node, transforms, tol, counted)
+        if mismatched:
+            categories[i] = _INLIER
+            notes[i] = {"raw_mismatch": "|".join(mismatched)}
 
     ext = chain_ctx.extended if chain_ctx is not None else None
     if ext is not None and ext.extends == node.name:
         hidden = [
-            i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in decided
+            i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in notes
         ]
         novel = _outside_extension([points[i] for i in hidden], ext, tol)
         for i, outside in zip(hidden, novel):
             if outside:
-                decided[i] = ("Novelty", {"hidden": "|".join(sorted(points[i].hidden_values))})
+                categories[i] = _NOVELTY
+                notes[i] = {"hidden": "|".join(sorted(points[i].hidden_values))}
+    return categories, codes == geometry.ON_BOUNDARY, notes
 
-    extremes = geometry.extreme_mask(X, node, tol).sum(axis=1).tolist()
-    labels = []
-    for i in range(len(points)):
-        label, annotations = decided.get(i) or (_geometric_category(inside[i], extremes[i]), {})
-        labels.append((label, on_boundary[i], annotations))
-    return labels
+
+def _category_codes(
+    points: list[DataPoint],
+    node: OddNode,
+    chain_ctx: Chain | None = None,
+    tol: float = DEFAULT_TOL,
+    declared_transform: tuple[Transform, ...] | None = None,
+    X: np.ndarray | None = None,
+) -> _Categories:
+    """:func:`_categorize` of every point against ``node``, the transform
+    resolved as :func:`classify_points` documents. ``X`` holds the points'
+    coordinates in ``node`` if the caller has read them."""
+    transforms = declared_transform
+    if transforms is None and chain_ctx is not None:
+        transforms = chain_ctx.declared_transform
+    if transforms is None:
+        first_raw = next((i for i, p in enumerate(points) if p.provenance_raw), None)
+        if first_raw is not None:
+            if X is None:  # a point up to that one that lacks a parameter fails first
+                geometry.coords_array(points[: first_raw + 1], node)
+            raise MissingTransform(
+                "point carries raw provenance but no preprocessing transform is declared"
+            )
+        transforms = ()
+    if X is None:
+        X = geometry.coords_array(points, node)
+    codes = geometry.region_containment(X, node, tol)
+    return _categorize(points, node, X, codes, chain_ctx, tol, transforms)
 
 
 def classify_points(
@@ -276,25 +326,10 @@ def classify_points(
     the whole batch; the extension node only for inside points with hidden
     values.
     """
-    transforms = declared_transform
-    if transforms is None and chain_ctx is not None:
-        transforms = chain_ctx.declared_transform
-    if transforms is None:
-        first_raw = next((i for i, p in enumerate(points) if p.provenance_raw), None)
-        if first_raw is not None:
-            # a point up to that one that lacks a parameter fails first
-            geometry.coords_array(points[: first_raw + 1], node)
-            raise MissingTransform(
-                "point carries raw provenance but no preprocessing transform is declared"
-            )
-        transforms = ()
-    X = geometry.coords_array(points, node)
-    codes = geometry.region_containment(X, node, tol)
+    categories, on_boundary, notes = _category_codes(points, node, chain_ctx, tol, declared_transform)
     return [
-        PointLabel(_CATEGORIES[label], on_boundary, annotations)
-        for label, on_boundary, annotations in _categorize(
-            points, node, X, codes, chain_ctx, tol, transforms
-        )
+        PointLabel(_CATEGORIES[category], boundary, notes.get(i, {}))
+        for i, (category, boundary) in enumerate(zip(categories.tolist(), on_boundary.tolist()))
     ]
 
 
@@ -390,42 +425,44 @@ def _in_sample(points: list[DataPoint], X: np.ndarray, chain: Chain, tol: float)
 class _NodeRows:
     """The rows one node decided, with their coordinates and containment codes."""
 
-    rows: list[int]
+    rows: np.ndarray
     X: np.ndarray
     codes: np.ndarray
 
 
-def _kind_step(
-    points: list[DataPoint], chain: Chain, tol: float
-) -> tuple[list[Kind], _NodeRows, _NodeRows]:
-    """Each point's kind, plus the rows the MLM and the MLC decided.
+# a kind code is an index into _KINDS
+_KINDS = tuple(Kind)
+_IN_SAMPLE, _OUT_OF_SAMPLE, _OUT_OF_MLMODD, _OUT_OF_MLCODD = range(len(_KINDS))
 
-    The MLM decides every point and the MLC only points outside the MLM; the
+
+def _kind_step(
+    points: list[DataPoint], X: np.ndarray, chain: Chain, tol: float, Y: np.ndarray | None = None
+) -> tuple[np.ndarray, _NodeRows, _NodeRows]:
+    """Each point's kind code, plus the rows the MLM and the MLC decided.
+
+    ``X`` holds the points' MLM coordinates, and ``Y``, if given, their MLC
+    coordinates. The MLM decides every point and the MLC only points outside
+    the MLM, whose MLC coordinates are read if ``Y`` is not given; the
     registry is searched only for MLM points not flagged in_sample.
     """
-    X = geometry.coords_array(points, chain.mlm)
     codes = geometry.region_containment(X, chain.mlm, tol)
-    outside = codes == geometry.OUTSIDE
-    kinds: list[Kind] = [Kind.OUT_OF_MLCODD] * len(points)
-    in_mlm = np.flatnonzero(~outside).tolist()
-    in_sample = _in_sample([points[i] for i in in_mlm], X[~outside], chain, tol)
-    for i, sampled in zip(in_mlm, in_sample.tolist()):
-        kinds[i] = Kind.IN_SAMPLE if sampled else Kind.OUT_OF_SAMPLE
-    out_mlm = np.flatnonzero(outside).tolist()
-    Y = geometry.coords_array([points[i] for i in out_mlm], chain.mlc)
+    inside = codes != geometry.OUTSIDE
+    in_mlm, out_mlm = np.flatnonzero(inside), np.flatnonzero(~inside)
+    kinds = np.full(len(points), _OUT_OF_MLCODD, dtype=np.int8)
+    in_sample = _in_sample([points[i] for i in in_mlm.tolist()], X[in_mlm], chain, tol)
+    kinds[in_mlm] = np.where(in_sample, _IN_SAMPLE, _OUT_OF_SAMPLE)
+    if Y is None:
+        Y = geometry.coords_array([points[i] for i in out_mlm.tolist()], chain.mlc)
+    else:
+        Y = Y[out_mlm]
     mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
-    for i, code in zip(out_mlm, mlc_codes.tolist()):
-        if code != geometry.OUTSIDE:
-            kinds[i] = Kind.OUT_OF_MLMODD
-    return (
-        kinds,
-        _NodeRows(in_mlm, X[~outside], codes[~outside]),
-        _NodeRows(out_mlm, Y, mlc_codes),
-    )
+    kinds[out_mlm[mlc_codes != geometry.OUTSIDE]] = _OUT_OF_MLMODD
+    return kinds, _NodeRows(in_mlm, X[in_mlm], codes[in_mlm]), _NodeRows(out_mlm, Y, mlc_codes)
 
 
 def classify_kind(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> Kind:
-    return _kind_step([p], chain, tol)[0][0]
+    kinds = _kind_step([p], geometry.coords_array([p], chain.mlm), chain, tol)[0]
+    return _KINDS[kinds[0]]
 
 
 def category_node(kind: Kind, chain: Chain) -> OddNode:
@@ -445,43 +482,65 @@ class LabelRow:
     annotations: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
 
 
+def _label_codes(
+    points: list[DataPoint], chain: Chain, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, dict[str, str]]]:
+    """Kind codes, category codes (``_OUTCOD`` for OutCOD rows), on_boundary
+    flags, and the annotations of the rows that have any, of :func:`label_rows`."""
+    kinds, *decided = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)
+    categories = np.empty(len(points), dtype=np.int8)
+    on_boundary = np.empty(len(points), dtype=bool)
+    notes: dict[int, dict[str, str]] = {}
+    for node, d in zip((chain.mlm, chain.mlc), decided):
+        rows = d.rows.tolist()
+        cats, boundary, node_notes = _categorize(
+            [points[i] for i in rows], node, d.X, d.codes, chain, tol, chain.declared_transform
+        )
+        categories[rows] = cats
+        on_boundary[rows] = boundary
+        notes.update((rows[j], note) for j, note in node_notes.items())
+
+    # indistinct at the MLC level; the MLC and SOD categories are kept as notes
+    out_cod = np.flatnonzero(kinds == _OUT_OF_MLCODD)
+    rows = out_cod.tolist()
+    for i, category in zip(rows, categories[out_cod].tolist()):
+        notes.setdefault(i, {})["mlc_category"] = CATEGORY_LABELS[category]
+    sod = chain.system_od
+    if sod is not None:
+        batch = [points[i] for i in rows]
+        Z = geometry.coords_array(batch, sod)
+        codes = geometry.region_containment(Z, sod, tol)
+        # categorized as the point restricted to the SOD's parameters would be
+        sod_categories = _categorize(
+            batch, sod, Z, codes, chain, tol, chain.declared_transform, sod.parameter_names
+        )[0]
+        for i, category in zip(rows, sod_categories.tolist()):
+            notes[i]["sod_category"] = CATEGORY_LABELS[category]
+    categories[out_cod] = _OUTCOD
+    return kinds, categories, on_boundary, notes
+
+
 def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> list[LabelRow]:
     """Classify each point against the chain; rows keep dataset order.
 
     The category reuses the containment the kind step decided: MLM points
-    are categorized against the MLM, the others against the MLC.
+    are categorized against the MLM, the others against the MLC. OutCOD rows
+    take the category ``Any`` and note their MLC and SOD categories.
     """
-    kinds, mlm_rows, mlc_rows = _kind_step(points, chain, tol)
-    labels: list[tuple[str, bool, dict[str, str]] | None] = [None] * len(points)
-    for node, decided in ((chain.mlm, mlm_rows), (chain.mlc, mlc_rows)):
-        batch = [points[i] for i in decided.rows]
-        node_labels = _categorize(
-            batch, node, decided.X, decided.codes, chain, tol, chain.declared_transform
+    kinds, categories, on_boundary, notes = _label_codes(points, chain, tol)
+    nodes = [category_node(kind, chain).name for kind in _KINDS]
+    labels = CATEGORY_LABELS + (OUTCOD_CATEGORY,)
+    return [
+        LabelRow(i, _KINDS[kind], labels[category], nodes[kind], boundary, notes.get(i, {}))
+        for i, (kind, category, boundary) in enumerate(
+            zip(kinds.tolist(), categories.tolist(), on_boundary.tolist())
         )
-        for i, label in zip(decided.rows, node_labels):
-            labels[i] = label
-
-    sod_categories: dict[int, str] = {}
-    if chain.system_od is not None:
-        out_cod = [i for i, kind in enumerate(kinds) if kind == Kind.OUT_OF_MLCODD]
-        projected = [geometry.project(points[i], chain.system_od) for i in out_cod]
-        sod_labels = classify_points(projected, chain.system_od, chain, tol)
-        sod_categories = {i: label.category.label for i, label in zip(out_cod, sod_labels)}
-
-    node_names = {kind: category_node(kind, chain).name for kind in Kind}
-    rows = []
-    for i, (kind, (category, on_boundary, annotations)) in enumerate(zip(kinds, labels)):
-        if kind == Kind.OUT_OF_MLCODD:
-            # indistinct at the MLC level; keep the per-node views as notes
-            annotations["mlc_category"] = category
-            if i in sod_categories:
-                annotations["sod_category"] = sod_categories[i]
-            category = OUTCOD_CATEGORY
-        rows.append(LabelRow(i, kind, category, node_names[kind], on_boundary, annotations))
-    return rows
+    ]
 
 
 def _annotations_cell(annotations: dict[str, str]) -> str:
+    if not annotations:  # most rows
+        return ""
     return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
 
 
@@ -511,12 +570,25 @@ def partition_dataset(
 ) -> dict[PartitionKey, list[int]]:
     """Group row indices by (kind-set, category); every row lands in one cell.
 
-    The populated cells come in :func:`full_key_space` order.
+    The populated cells come in :func:`full_key_space` order, and each cell's
+    rows in dataset order.
     """
-    partitions: dict[PartitionKey, list[int]] = {key: [] for key in full_key_space()}
-    for row in label_rows(points, chain, tol):
-        partitions[(KIND_SET[row.kind], row.category)].append(row.row)
-    return {key: rows for key, rows in partitions.items() if rows}
+    kinds, categories, _, _ = _label_codes(points, chain, tol)
+    keys = full_key_space()
+    # cell index in full_key_space: a cell per category for each kind but
+    # OutCOD, whose one cell comes last
+    cells = np.where(
+        kinds == _OUT_OF_MLCODD,
+        len(keys) - 1,
+        kinds.astype(np.intp) * len(CATEGORY_LABELS) + categories,
+    )
+    order = np.argsort(cells, kind="stable")
+    bounds = np.cumsum(np.bincount(cells, minlength=len(keys)))
+    return {
+        key: rows.tolist()
+        for key, rows in zip(keys, np.split(order, bounds[:-1]))
+        if len(rows)
+    }
 
 
 def serialize_partitions(parts: dict[PartitionKey, list[int]]) -> str:
@@ -546,13 +618,17 @@ def verify_set_algebra(
     regressions in the classifier itself.
     """
     if labels is None:
-        labels = _kind_step(points, chain, tol)[0]
-    known = tuple(Kind)
-    pairs = list(zip(points, labels))
-    audited = [p for p, label in pairs if label in known]
-    X = geometry.coords_array(audited, chain.mlm)
+        X = geometry.coords_array(points, chain.mlm)
+        Y = geometry.coords_array(points, chain.mlc)
+        kinds = _kind_step(points, X, chain, tol, Y)[0].tolist()
+        pairs = [(p, _KINDS[kind]) for p, kind in zip(points, kinds)]
+        audited = points
+    else:
+        pairs = list(zip(points, labels))
+        audited = [p for p, label in pairs if label in _KINDS]
+        X = geometry.coords_array(audited, chain.mlm)
+        Y = geometry.coords_array(audited, chain.mlc)
     mlm_codes = geometry.region_containment(X, chain.mlm, tol)
-    Y = geometry.coords_array(audited, chain.mlc)
     mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
     verdicts = zip(
         (mlm_codes != geometry.OUTSIDE).tolist(),
@@ -561,7 +637,7 @@ def verify_set_algebra(
     )
     violations: list[tuple[int, str]] = []
     for i, (_, label) in enumerate(pairs):
-        if label not in known:
+        if label not in _KINDS:
             violations.append((i, "totality: unlabeled point"))
             continue
         in_mlm, in_mlc, in_sample = next(verdicts)

@@ -24,6 +24,8 @@ from .model import DataPoint, OddNode
 
 _TRUE = {"1", "true", "t", "yes"}
 _FALSE = {"0", "false", "f", "no"}
+# roles of dataset columns
+_PARAM, _RAW, _HIDDEN, _IN_SAMPLE, _EXTRA = "param", "raw", "hidden", "in_sample", "extra"
 
 
 @dataclass
@@ -75,22 +77,26 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
             )
         seen.add(col)
 
-    recognized = set()
-    for col in header:
-        if col in node.parameter_names or col == "in_sample":
-            recognized.add(col)
-        elif col.startswith("raw:") and col[4:] in node.parameter_names:
-            recognized.add(col)
-        elif col.startswith("hidden:"):
-            recognized.add(col)
+    # each column's role, decided once: (cell index, role, key of its value)
+    names = node.parameter_names
+    roles = []
     for i, col in enumerate(header):
-        if col not in recognized:
+        if col in names:
+            roles.append((i, _PARAM, col))
+        elif col == "in_sample":
+            roles.append((i, _IN_SAMPLE, col))
+        elif col.startswith("raw:") and col[4:] in names:
+            roles.append((i, _RAW, col[4:]))
+        elif col.startswith("hidden:"):
+            roles.append((i, _HIDDEN, col[7:]))
+        else:
+            roles.append((i, _EXTRA, col))
             ds.diagnostics.append(
                 Diagnostic(
                     "warning", "W101", f"unrecognized column {col!r} ignored", skipped + 1, i + 1
                 )
             )
-    for name in node.parameter_names:
+    for name in names:
         if name not in header:
             ds.diagnostics.append(
                 Diagnostic("error", "E101", f"missing required parameter column {name!r}", skipped + 1, 1)
@@ -98,36 +104,35 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if not ds.ok:
         return ds
 
-    col_index = {col: i for i, col in enumerate(header)}
     for rownum, row in enumerate(reader):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
-        line = skipped + 2 + rownum
+        if len(row) < len(header):
+            row += [""] * (len(header) - len(row))
         values: dict[str, float] = {}
         raw: dict[str, float] = {}
         hidden: dict[str, float] = {}
         in_sample: bool | None = None
         extras: dict[str, str] = {}
         try:
-            for col, i in col_index.items():
-                cell = row[i].strip() if i < len(row) else ""
-                if col in node.parameter_names:
+            for i, role, key in roles:
+                cell = row[i].strip()
+                if role == _PARAM:
                     if not cell:
-                        raise ValueError(f"empty value for parameter {col!r}")
-                    values[col] = _number(cell)
-                elif col.startswith("raw:") and col in recognized:
-                    if cell:
-                        raw[col[4:]] = _number(cell)
-                elif col.startswith("hidden:"):
-                    if cell:
-                        hidden[col[7:]] = _number(cell)
-                elif col == "in_sample":
-                    if cell:
-                        in_sample = _boolean(cell)
+                        raise ValueError(f"empty value for parameter {key!r}")
+                    values[key] = _number(cell)
+                elif not cell:
+                    continue
+                elif role == _RAW:
+                    raw[key] = _number(cell)
+                elif role == _HIDDEN:
+                    hidden[key] = _number(cell)
+                elif role == _IN_SAMPLE:
+                    in_sample = _boolean(cell)
                 else:
-                    if cell:
-                        extras[col] = cell
+                    extras[key] = cell
         except ValueError as exc:
+            line = skipped + 2 + rownum
             ds.diagnostics.append(
                 Diagnostic("warning", "E103", f"row excluded: {exc}", line, 1)
             )

@@ -69,6 +69,9 @@ class MonitorDecl:
     action: str = "filter"
     action_value: float | None = None
     inputs: tuple[tuple[float, ...], ...] = ()
+    # source position of the 'monitor' keyword
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,9 @@ class MonitorChainDecl:
     name: str
     stub: StubDecl | None
     monitors: tuple[MonitorDecl, ...]
+    # source position of the 'monitorchain' keyword
+    line: int = field(default=1, compare=False)
+    col: int = field(default=1, compare=False)
 
 
 @dataclass
@@ -484,10 +490,10 @@ class _Parser:
                 self.skip_line(tok.line)
         if self.expect("punct", "}") is None:
             return None
-        return MonitorChainDecl(name, stub, tuple(monitors))
+        return MonitorChainDecl(name, stub, tuple(monitors), start.line, start.col)
 
     def monitor_decl(self) -> MonitorDecl | None:
-        self.next()  # 'monitor'
+        start = self.next()  # 'monitor'
         kind = self.expect("ident")
         if kind is None:
             return None
@@ -524,7 +530,9 @@ class _Parser:
                 if v is None:
                     return None
                 opts[key.value] = v
-        return MonitorDecl(kind=kind.value, inputs=tuple(inputs), **opts)
+        return MonitorDecl(
+            kind=kind.value, inputs=tuple(inputs), line=start.line, col=start.col, **opts
+        )
 
 
 # -- semantic assembly and validation ------------------------------------------
@@ -793,8 +801,8 @@ def _validate_document(doc: SpecDocument) -> None:
                         "error",
                         "E003",
                         f"monitorchain {chain.name!r} references unknown node {mon.node!r}",
-                        1,
-                        1,
+                        mon.line,
+                        mon.col,
                     )
                 )
                 continue
@@ -804,7 +812,7 @@ def _validate_document(doc: SpecDocument) -> None:
                     f"monitorchain {chain.name!r}: {mon.kind} input {pt} has"
                     f" {len(pt)} value(s), node {mon.node!r} has {arity} parameter(s)"
                 )
-                doc.diagnostics.append(Diagnostic("error", "E010", message, 1, 1))
+                doc.diagnostics.append(Diagnostic("error", "E010", message, mon.line, mon.col))
 
 
 def parse_spec(text: str) -> SpecDocument:

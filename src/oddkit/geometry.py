@@ -8,7 +8,6 @@ rescaling a parameter together with its range and region coordinates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -253,13 +252,15 @@ def coords_array(points: list[DataPoint], node: OddNode) -> np.ndarray:
     Raises MissingParameter for the first point lacking a parameter, naming
     the parameter as :func:`coords` does.
     """
-    names = node.parameter_names
-    values_of = operator.itemgetter(*names)
+    X = np.empty((len(points), len(node.parameters)))
     try:
-        rows = [values_of(p.values) for p in points]
-    except KeyError as exc:
-        raise MissingParameter(exc.args[0]) from None
-    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+        # a column at a time: no tuple per row for the garbage collector to track
+        for j, name in enumerate(node.parameter_names):
+            X[:, j] = np.array([p.values[name] for p in points], dtype=float)
+    except KeyError:
+        for p in points:
+            coords(p, node)
+    return X
 
 
 def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:

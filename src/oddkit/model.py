@@ -97,15 +97,14 @@ class OddNode:
     variant: Variant = Variant.AS_SPECIFIED
     allocates: str | None = None
     extends: str | None = None
+    # derived from ``parameters``, so left out of equality, hashing and repr
+    parameter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [p.name for p in self.parameters]
+        names = tuple(p.name for p in self.parameters)
         if len(set(names)) != len(names):
             raise ValueError(f"node {self.name!r}: duplicate parameter names")
-
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
+        object.__setattr__(self, "parameter_names", names)
 
     def parameter(self, name: str) -> Parameter:
         for p in self.parameters:

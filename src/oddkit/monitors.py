@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
 from . import geometry
-from .classify import Chain, classify_points, near_matches
+from .classify import CATEGORY_LABELS, Chain, _category_codes, near_matches
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
@@ -96,7 +98,8 @@ def make_stub_model(node: OddNode, spec: dict) -> StubModel:
 class Monitor:
     kind: str
     node: OddNode | None = None
-    tol: float = 1e-6
+    # None: the engine's band for a range_monitor, 1e-6 for the other kinds
+    tol: float | None = None
     threshold: float = 0.5
     lo: float = -math.inf
     hi: float = math.inf
@@ -110,6 +113,8 @@ class Monitor:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
         if self.action not in ACTIONS:
             raise ValueError(f"unknown monitor action {self.action!r}")
+        if self.tol is None:
+            object.__setattr__(self, "tol", DEFAULT_TOL if self.kind == "range_monitor" else 1e-6)
         if self.tol <= 0 or self.threshold <= 0:
             raise ValueError("monitor tolerances and thresholds must be positive")
         if self.kind == "known_input_monitor" and not self.known_inputs:
@@ -121,17 +126,24 @@ class Monitor:
     def input_side(self) -> bool:
         return self.kind != "output_range_monitor"
 
-    def detect(self, points: list[DataPoint], chain: Chain, outputs: np.ndarray) -> np.ndarray:
+    def detect(
+        self,
+        points: list[DataPoint],
+        chain: Chain,
+        outputs: np.ndarray,
+        coords_of: Callable[[OddNode], np.ndarray] | None = None,
+    ) -> np.ndarray:
         """Per point: does this monitor fire on it? ``outputs`` holds the
-        stub's output on each point."""
+        stub's output on each point. ``coords_of(node)`` gives the points'
+        coordinates in a node, read from the points if not given."""
         if self.kind == "output_range_monitor":
             return ~((self.lo <= outputs) & (outputs <= self.hi))
         node = self.node or chain.mlm
         if self.kind == "cross_check_monitor":
             return np.array([self._cross_check(p, node) for p in points], dtype=bool)
-        X = geometry.coords_array(points, node)
+        X = (coords_of or partial(geometry.coords_array, points))(node)
         if self.kind == "range_monitor":
-            return geometry.region_containment(X, node) == geometry.OUTSIDE
+            return geometry.region_containment(X, node, self.tol) == geometry.OUTSIDE
         if self.kind == "extreme_value_monitor":
             return geometry.extreme_mask(X, node, self.tol).any(axis=1)
         # known_input_monitor
@@ -244,16 +256,18 @@ def run_monitor_chain(
     draws no randomness. Oracle category labels default to classifying each
     point against the chain's MLM node.
     """
+    # each node's coordinates are read from the points once per run
+    coords_of = cache(partial(geometry.coords_array, points))
     if oracle_categories is None:
-        oracle_categories = [
-            label.category.label for label in classify_points(points, chain.mlm, chain, tol)
-        ]
+        categories = _category_codes(points, chain.mlm, chain, tol, X=coords_of(chain.mlm))[0]
+        oracle_categories = [CATEGORY_LABELS[c] for c in categories.tolist()]
 
     n, m = len(points), len(monitors)
-    outputs = stub.outputs(geometry.coords_array(points, stub.node))
+    outputs = stub.outputs(coords_of(stub.node))
     # column m fires on every row: argmax is the first monitor that fired, or m
     fired = np.column_stack(
-        [monitor.detect(points, chain, outputs) for monitor in monitors] + [np.ones(n, dtype=bool)]
+        [monitor.detect(points, chain, outputs, coords_of) for monitor in monitors]
+        + [np.ones(n, dtype=bool)]
     )
     first = fired.argmax(axis=1)
     actions = [monitor.action for monitor in monitors] + [None]

@@ -9,7 +9,8 @@ enough to assert on with an XML parser.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
+
+import numpy as np
 
 from .dsl import fmt
 from .model import DataPoint, OddNode, Polygon2D
@@ -30,6 +31,30 @@ _NODE_COLORS = ("#1864ab", "#2b8a3e", "#e67700", "#9c36b5", "#0b7285", "#a61e4d"
 _WIDTH = 720
 _HEIGHT = 540
 _MARGIN = 40.0
+
+# ElementTree's escaping of attribute values and of text. The document is
+# written as strings: one Element per point would cost more than the rest of
+# the render, and xml.sax.saxutils would import urllib.request on every CLI start.
+_ATTRIB_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _attrs(attrs: dict[str, str]) -> str:
+    return "".join(f' {k}="{v.translate(_ATTRIB_ESCAPES)}"' for k, v in attrs.items())
+
+
+def _element(tag: str, attrs: dict[str, str], content: str = "") -> str:
+    """One element as ElementTree writes it; ``content`` is its serialised
+    children or escaped text, and an element without any is self-closed."""
+    if content:
+        return f"<{tag}{_attrs(attrs)}>{content}</{tag}>"
+    return f"<{tag}{_attrs(attrs)} />"
+
+
+def _text(tag: str, attrs: dict[str, str], text: str) -> str:
+    return _element(tag, attrs, text.translate(_TEXT_ESCAPES))
 
 
 def _member_loops(node: OddNode) -> list[list[tuple[float, float]]]:
@@ -54,23 +79,24 @@ def render_svg(
     nodes = [n for n in nodes if len(n.parameters) == 2]
     if not nodes:
         raise ValueError("nothing to render: no 2-parameter nodes")
-    labeled_points = labeled_points or []
     names = nodes[0].parameter_names
     for n in nodes:
         if n.parameter_names != names:
             raise ValueError("rendered nodes must share the same two parameters")
+    a, b = names
+    # three flat lists, not a tuple per point for the garbage collector to track
+    px: list[float] = []
+    py: list[float] = []
+    cats: list[str] = []
+    for p, cat in labeled_points or ():
+        if a in p.values and b in p.values:
+            px.append(p.values[a])
+            py.append(p.values[b])
+            cats.append(cat)
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for n in nodes:
-        for loop in _member_loops(n):
-            for x, y in loop:
-                xs.append(x)
-                ys.append(y)
-    for p, _cat in labeled_points:
-        if names[0] in p.values and names[1] in p.values:
-            xs.append(p.values[names[0]])
-            ys.append(p.values[names[1]])
+    loops = [_member_loops(n) for n in nodes]
+    xs = [x for node_loops in loops for loop in node_loops for x, _ in loop] + px
+    ys = [y for node_loops in loops for loop in node_loops for _, y in loop] + py
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     sx = (_WIDTH - 2 * _MARGIN) / ((x1 - x0) or 1.0)
@@ -79,7 +105,59 @@ def render_svg(
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (_MARGIN + (x - x0) * sx, _HEIGHT - _MARGIN - (y - y0) * sy)
 
-    svg = ET.Element(
+    regions = []
+    for i, (node, node_loops) in enumerate(zip(nodes, loops)):
+        color = _NODE_COLORS[i % len(_NODE_COLORS)]
+        parts = []
+        for loop in node_loops:
+            px_loop = [to_px(x, y) for x, y in loop]
+            parts.append("M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in px_loop) + " Z")
+        regions.append(
+            _element(
+                "path",
+                {
+                    "class": "region",
+                    "id": f"region-{node.name}",
+                    "d": " ".join(parts),
+                    "fill": color,
+                    "fill-opacity": "0.08",
+                    "stroke": color,
+                    "stroke-width": "1.5",
+                },
+            )
+        )
+        lx, ly = to_px(*node_loops[0][0])
+        regions.append(
+            _text(
+                "text",
+                {"class": "region-label", "x": fmt(lx + 4), "y": fmt(ly - 4), "fill": color, "font-size": "11"},
+                node.name,
+            )
+        )
+
+    # the same float operations as to_px, one array at a time
+    cxs = (_MARGIN + (np.array(px, dtype=float) - x0) * sx).tolist()
+    cys = (_HEIGHT - _MARGIN - (np.array(py, dtype=float) - y0) * sy).tolist()
+    present = list(dict.fromkeys(cats))
+    classes = {cat: f"pt cat-{cat}".translate(_ATTRIB_ESCAPES) for cat in present}
+    fills = {cat: CATEGORY_COLORS.get(cat, "#343a40") for cat in present}
+    circles = [
+        f'<circle class="{classes[cat]}" cx="{fmt(cx)}" cy="{fmt(cy)}" r="4"'
+        f' fill="{fills[cat]}" fill-opacity="0.85" />'
+        for cat, cx, cy in zip(cats, cxs, cys)
+    ]
+
+    legend = []
+    for i, cat in enumerate(sorted(present)):
+        y = _MARGIN / 2 + 16 * i
+        rect = _element(
+            "rect",
+            {"x": fmt(_WIDTH - 190), "y": fmt(y - 9), "width": "10", "height": "10", "fill": fills[cat]},
+        )
+        text = _text("text", {"x": fmt(_WIDTH - 175), "y": fmt(y), "font-size": "11"}, cat)
+        legend.append(_element("g", {"class": f"legend-entry cat-{cat}"}, rect + text))
+
+    svg = _element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
@@ -87,82 +165,9 @@ def render_svg(
             "height": str(_HEIGHT),
             "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
         },
+        _text("title", {}, f"{a} vs {b}")
+        + _element("g", {"class": "regions"}, "".join(regions))
+        + _element("g", {"class": "points"}, "".join(circles))
+        + _element("g", {"class": "legend"}, "".join(legend)),
     )
-    title = ET.SubElement(svg, "title")
-    title.text = f"{names[0]} vs {names[1]}"
-
-    regions = ET.SubElement(svg, "g", {"class": "regions"})
-    for i, node in enumerate(nodes):
-        color = _NODE_COLORS[i % len(_NODE_COLORS)]
-        parts = []
-        for loop in _member_loops(node):
-            px = [to_px(x, y) for x, y in loop]
-            parts.append(
-                "M "
-                + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in px)
-                + " Z"
-            )
-        ET.SubElement(
-            regions,
-            "path",
-            {
-                "class": "region",
-                "id": f"region-{node.name}",
-                "d": " ".join(parts),
-                "fill": color,
-                "fill-opacity": "0.08",
-                "stroke": color,
-                "stroke-width": "1.5",
-            },
-        )
-        lx, ly = to_px(*_member_loops(node)[0][0])
-        label = ET.SubElement(
-            regions,
-            "text",
-            {"class": "region-label", "x": fmt(lx + 4), "y": fmt(ly - 4), "fill": color, "font-size": "11"},
-        )
-        label.text = node.name
-
-    pts = ET.SubElement(svg, "g", {"class": "points"})
-    present: list[str] = []
-    for p, cat in labeled_points:
-        if names[0] not in p.values or names[1] not in p.values:
-            continue
-        cx, cy = to_px(p.values[names[0]], p.values[names[1]])
-        color = CATEGORY_COLORS.get(cat, "#343a40")
-        ET.SubElement(
-            pts,
-            "circle",
-            {
-                "class": f"pt cat-{cat}",
-                "cx": fmt(cx),
-                "cy": fmt(cy),
-                "r": "4",
-                "fill": color,
-                "fill-opacity": "0.85",
-            },
-        )
-        if cat not in present:
-            present.append(cat)
-
-    legend = ET.SubElement(svg, "g", {"class": "legend"})
-    for i, cat in enumerate(sorted(present)):
-        y = _MARGIN / 2 + 16 * i
-        entry = ET.SubElement(legend, "g", {"class": f"legend-entry cat-{cat}"})
-        ET.SubElement(
-            entry,
-            "rect",
-            {
-                "x": fmt(_WIDTH - 190),
-                "y": fmt(y - 9),
-                "width": "10",
-                "height": "10",
-                "fill": CATEGORY_COLORS.get(cat, "#343a40"),
-            },
-        )
-        text = ET.SubElement(
-            entry, "text", {"x": fmt(_WIDTH - 175), "y": fmt(y), "font-size": "11"}
-        )
-        text.text = cat
-
-    return ET.tostring(svg, encoding="unicode") + "\n"
+    return svg + "\n"

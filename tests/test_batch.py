@@ -3,13 +3,16 @@
 ``ref_*`` below are the per-row implementations of params_at_extreme,
 classify_point, classify_kind, label_rows and coverage_report as they were
 before the batch engine, the linear registry scan the grid-hash matcher
-replaced, and the per-row monitor loop the detection matrix replaced; each
+replaced, the per-row monitor loop the detection matrix replaced, and the
+per-row categorisation (``ref_categorize``) the category codes replaced; each
 batch result must equal them label for label. Containment and range extremes
 are further checked against the independent oracles.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import math
 
@@ -172,10 +175,11 @@ def ref_stub_evaluate(stub, p):
 def ref_detect(monitor, p, chain, stub_output):
     """Monitor.detect for one point as it was, except that a known input or a
     point with a non-finite coordinate matches nothing (the scan's max()
-    depended on which coordinate held a NaN)."""
+    depended on which coordinate held a NaN), and that a range monitor
+    decides with its own tol (it used the engine's default band)."""
     if monitor.kind == "range_monitor":
         return (
-            geometry.point_in_region(geometry.project(p, monitor.node), monitor.node)
+            geometry.point_in_region(geometry.project(p, monitor.node), monitor.node, monitor.tol)
             == Containment.OUTSIDE
         )
     if monitor.kind == "extreme_value_monitor":
@@ -324,6 +328,72 @@ def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol
         covered / feasible if feasible else 0.0,
         occupied / interior if interior else 0.0,
     )
+
+
+def ref_categorize(points, node, X, codes, chain_ctx, tol, transforms):
+    """classify._categorize as it was, deciding row by row: a list of
+    (category, on_boundary, annotations)."""
+    inside = (codes != geometry.OUTSIDE).tolist()
+    on_boundary = (codes == geometry.ON_BOUNDARY).tolist()
+    decided = {}
+    for i, p in enumerate(points):
+        if p.provenance_raw and inside[i]:
+            mismatched = _raw_mismatch(p, node, transforms, tol)
+            if mismatched:
+                decided[i] = ("Inlier", {"raw_mismatch": "|".join(mismatched)})
+
+    ext = chain_ctx.extended if chain_ctx is not None else None
+    if ext is not None and ext.extends == node.name:
+        hidden = [
+            i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in decided
+        ]
+        novel = classify._outside_extension([points[i] for i in hidden], ext, tol)
+        for i, outside in zip(hidden, novel):
+            if outside:
+                decided[i] = ("Novelty", {"hidden": "|".join(sorted(points[i].hidden_values))})
+
+    extremes = geometry.extreme_mask(X, node, tol).sum(axis=1).tolist()
+    labels = []
+    for i in range(len(points)):
+        if i in decided:
+            label, annotations = decided[i]
+        elif inside[i]:
+            k = extremes[i]
+            label, annotations = ("Nominal", "EdgeCase", "FeasibleCornerCase")[min(k, 2)], {}
+        else:
+            label, annotations = ("InfeasibleCornerCase" if extremes[i] >= 2 else "Outlier"), {}
+        labels.append((label, on_boundary[i], annotations))
+    return labels
+
+
+def ref_categories(points, node, chain_ctx, tol=DEFAULT_TOL, transforms=()):
+    """ref_categorize of every point against ``node``."""
+    X = geometry.coords_array(points, node)
+    return ref_categorize(points, node, X, geometry.region_containment(X, node, tol), chain_ctx, tol, transforms)
+
+
+def ref_label_rows_by_node(points, chain, tol=DEFAULT_TOL):
+    """label_rows as it was before category codes: ref_categorize per node,
+    and the OutCOD rows projected on the SOD; in ref_label_rows' form."""
+    kinds = [ref_classify_kind(p, chain, tol) for p in points]
+    labels = [None] * len(points)
+    for node in (chain.mlm, chain.mlc):
+        rows = [i for i, kind in enumerate(kinds) if classify.category_node(kind, chain) is node]
+        batch = [points[i] for i in rows]
+        for i, label in zip(rows, ref_categories(batch, node, chain, tol, chain.declared_transform)):
+            labels[i] = label
+    out_cod = [i for i, kind in enumerate(kinds) if kind == Kind.OUT_OF_MLCODD]
+    projected = [geometry.project(points[i], chain.system_od) for i in out_cod]
+    sod = ref_categories(projected, chain.system_od, chain, tol, chain.declared_transform)
+    sod_categories = {i: label for i, (label, _, _) in zip(out_cod, sod)}
+    rows = []
+    for i, (kind, (category, on_boundary, annotations)) in enumerate(zip(kinds, labels)):
+        if kind == Kind.OUT_OF_MLCODD:
+            annotations["mlc_category"] = category
+            annotations["sod_category"] = sod_categories[i]
+            category = OUTCOD_CATEGORY
+        rows.append((i, kind, category, classify.category_node(kind, chain).name, on_boundary, annotations))
+    return rows
 
 
 def outcome(fn, *args, **kwargs):
@@ -723,6 +793,107 @@ def test_monitor_oracle_categories_agree(mixed, extended_doc, chain):
     oracle = [ref_classify_point(p, chain.mlm, chain).category.label for p in points]
     want = oddkit.run_monitor_chain(points, chain, mons, stub, oracle_categories=oracle)
     assert got.metrics == want.metrics
+
+
+# -- category codes against the per-row categorisation they replaced ------------
+
+
+def test_label_rows_agree_with_ref_categorize(mixed, chain):
+    # every fifth row also carries a Temp value with a raw Temp value: the
+    # MLM and MLC views check it, the SOD view (which lacks Temp) does not
+    points = [
+        p
+        if i % 5
+        else DataPoint(
+            {**p.values, "Temp": -20.0},
+            {**(p.provenance_raw or {}), "Temp": -20.0 + i % 3},
+            p.hidden_values,
+            p.in_sample,
+        )
+        for i, p in enumerate(mixed[:8000])
+    ]
+    got = row_tuples(oddkit.label_rows(points, chain))
+    want = ref_label_rows_by_node(points, chain)
+    disagreements = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not disagreements, disagreements[:10]
+    # every kind, every category, boundary rows and each annotation occur
+    assert {kind for _, kind, *_ in want} == set(Kind)
+    assert {notes.get("mlc_category", category) for _, _, category, _, _, notes in want} == set(
+        oddkit.CATEGORY_LABELS
+    )
+    assert any(on_boundary for *_, on_boundary, _ in want)
+    notes = {key for *_, annotations in want for key in annotations}
+    assert notes == {"raw_mismatch", "hidden", "mlc_category", "sod_category"}
+    parts = classify.partition_dataset(points, chain)
+    want_parts = {}
+    for i, kind, category, *_ in want:
+        want_parts.setdefault((classify.KIND_SET[kind], category), []).append(i)
+    assert parts == want_parts and list(parts) == [k for k in classify.full_key_space() if k in parts]
+
+
+@pytest.mark.parametrize(
+    "node_name, use_chain, declared",
+    [
+        ("MLMODD", True, None),
+        ("MLCODD_spec", True, None),
+        ("SOD", True, None),
+        ("MLMODD", False, (oddkit.Transform("scale", "Alt", factor=0.8),)),
+    ],
+)
+def test_classify_points_and_coverage_agree_with_ref_categorize(
+    mixed, extended_doc, chain, node_name, use_chain, declared
+):
+    node = extended_doc.node(node_name)
+    ctx = chain if use_chain else None
+    points = mixed[:8000]
+    got = [label_tuple(label) for label in oddkit.classify_points(points, node, ctx, declared_transform=declared)]
+    transforms = chain.declared_transform if declared is None else declared
+    want = ref_categories(points, node, ctx, DEFAULT_TOL, transforms)
+    disagreements = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not disagreements, disagreements[:10]
+    if not use_chain:
+        return
+    counts = {}
+    for label, _, _ in ref_categories(points, node, None):
+        counts[label] = counts.get(label, 0) + 1
+    if len(node.parameters) == 2:
+        got_counts = analysis.coverage_report(points, node).counts
+        assert list(got_counts.items()) == list(counts.items())  # first-occurrence order too
+
+
+def test_monitor_oracle_agrees_with_ref_categorize_row_for_row(mixed, extended_doc, chain):
+    """Run alone, a row's metrics name its oracle category."""
+    decl = next(m for m in extended_doc.monitor_chains if m.name == "baseline")
+    mons = monitors.build_monitors(decl.monitors, extended_doc)
+    stub = monitors.build_stub(decl.stub, chain.mlm)
+    points = mixed[:4000]
+    want = [label for label, _, _ in ref_categories(points, chain.mlm, chain, DEFAULT_TOL, chain.declared_transform)]
+    rows = [i for cat in oddkit.CATEGORY_LABELS for i in [j for j, w in enumerate(want) if w == cat][:15]]
+    assert {want[i] for i in rows} == set(oddkit.CATEGORY_LABELS)
+    for i in rows:
+        metrics = oddkit.run_monitor_chain([points[i]], chain, mons, stub).metrics
+        assert [k for k in metrics if k.startswith("detection_rate_")] == [f"detection_rate_{want[i]}"]
+
+
+def test_odd_node_value_semantics_exclude_parameter_names(extended_doc):
+    """parameter_names is computed once per node and is not part of its value."""
+    node = extended_doc.node("MLMODD_ext")
+    values = tuple(getattr(node, f) for f in ("name", "level", "parameters", "region", "variant", "allocates", "extends"))
+    assert node.parameter_names == ("Mach", "Alt", "Temp")
+    assert hash(node) == hash(values)
+    assert repr(node) == (
+        "OddNode(name={!r}, level={!r}, parameters={!r}, region={!r}, variant={!r},"
+        " allocates={!r}, extends={!r})".format(*values)
+    )
+    twin = OddNode(*values)
+    assert twin == node and hash(twin) == hash(node) and twin is not node
+    renamed = dataclasses.replace(node, name="other")
+    assert renamed.parameter_names == node.parameter_names and renamed != node
+    fewer = dataclasses.replace(node, parameters=node.parameters[:2], region=extended_doc.node("MLMODD").region)
+    assert fewer.parameter_names == ("Mach", "Alt")
+    assert copy.deepcopy(node) == node and copy.deepcopy(node).parameter_names == node.parameter_names
+    with pytest.raises(ValueError, match="duplicate parameter names"):
+        dataclasses.replace(node, parameters=node.parameters[:1] * 2)
 
 
 # -- the monitor chain's detection matrix against the per-row loop ---------------

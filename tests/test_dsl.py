@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import oddkit
@@ -261,8 +263,19 @@ monitorchain "m" {
     assert _codes(doc) == ["E010", "E010"]
     assert "input (0.2,) has 1 value(s)" in doc.diagnostics[0].message
     assert "input (0.1, 0.7, 99.0) has 3 value(s)" in doc.diagnostics[1].message
+    # both point at the monitor's keyword
+    assert [(d.line, d.col) for d in doc.diagnostics] == [(9, 3), (9, 3)]
     well_formed = text.replace("input (0.2) ", "").replace(" input (0.1, 0.7, 99)", "")
     assert oddkit.parse_spec(well_formed).ok
+    unknown = well_formed.replace('  stub', '  monitor range_monitor node "B" action filter\n  stub')
+    doc = oddkit.parse_spec(unknown)
+    assert _codes(doc) == ["E003"]
+    assert (doc.diagnostics[0].line, doc.diagnostics[0].col) == (8, 3)
+    # the position is not part of a declaration's value
+    chain = doc.monitor_chains[0]
+    assert (chain.line, chain.col) == (7, 1)
+    assert chain == dataclasses.replace(chain, line=1, col=1)
+    assert chain.monitors[1] == dataclasses.replace(chain.monitors[1], line=1, col=1)
 
 
 def test_fmt_is_9_significant_digits():

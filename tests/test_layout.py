@@ -1,9 +1,15 @@
 """Source-layout guards: one CSV writer, one random generator, one near-point
-matcher, monitors on the array engine, no output formatting in the CLI."""
+matcher, monitors on the array engine, label objects built only at the API
+edges, no output formatting in the CLI, and no XML or URL library loaded by
+the CLI."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import oddkit
@@ -70,6 +76,14 @@ def test_monitors_call_no_one_point_geometry():
     assert not called & {"point_in_region", "params_at_extreme", "project", "coords", "normalize"}
 
 
+def test_only_the_api_edges_build_label_objects():
+    """Labelling works on code arrays; PointLabel and LabelRow objects are
+    built once, by the functions that return them."""
+    for cls, owner in (("PointLabel", "classify_points"), ("LabelRow", "label_rows")):
+        callers = {path.name: _callers(path, cls) for path in SRC.glob("*.py")}
+        assert {name: fns for name, fns in callers.items() if fns} == {"classify.py": [owner]}
+
+
 def test_cli_imports_neither_csv_nor_io():
     imported = set()
     for node in ast.walk(_tree(SRC / "cli.py")):
@@ -78,3 +92,15 @@ def test_cli_imports_neither_csv_nor_io():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert not imported & {"csv", "io"}
+
+
+def test_cli_import_loads_no_xml_or_url_library():
+    """Every CLI call imports oddkit.cli; the SVG writer needs no XML library,
+    and xml.sax.saxutils would bring in urllib.request."""
+    code = "import json, sys, oddkit.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "oddkit.cli" in loaded
+    banned = ("xml.etree", "xml.sax", "urllib.request")
+    assert [m for m in loaded if m.startswith(banned)] == []

@@ -187,3 +187,25 @@ def test_lookup_stub_at_a_non_finite_coordinate(chain, mlm):
     result = monitors.run_monitor_chain([DataPoint({"Mach": float("nan"), "Alt": 0.0})], chain, [mon], stub)
     assert result.verdicts[0].final_disposition == "mitigated"
     assert result.verdicts[0].stub_output is None
+
+
+def test_range_monitor_honours_a_declared_tol(extended_spec_text):
+    """Alt -15 lies 0.001 of the Alt span below MLMODD: inside a 0.01 band,
+    outside the engine's default band."""
+    text = extended_spec_text + (
+        '\nmonitorchain "banded" {\n  stub bilinear 0 0 0 0\n'
+        '  monitor range_monitor node "MLMODD" tol 0.01 action filter\n}\n'
+    )
+    doc = oddkit.parse_spec(text)
+    assert doc.ok, [str(d) for d in doc.errors]
+    chain = oddkit.build_chain(doc)
+    point = DataPoint({"Mach": 0.2, "Alt": -15.0})
+    for name, tol, action in (("banded", 0.01, None), ("baseline", oddkit.DEFAULT_TOL, "filter")):
+        decl = next(c for c in doc.monitor_chains if c.name == name)
+        chain_monitors = monitors.build_monitors(decl.monitors, doc)
+        assert chain_monitors[0].kind == "range_monitor" and chain_monitors[0].tol == tol
+        stub = monitors.build_stub(decl.stub, chain.mlm)
+        result = monitors.run_monitor_chain([point], chain, chain_monitors, stub)
+        assert result.verdicts[0].action == action
+    # a monitor of another kind that declares no tol keeps 1e-6
+    assert monitors.Monitor("extreme_value_monitor", node=chain.mlm).tol == 1e-6

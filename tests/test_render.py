@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -72,3 +73,23 @@ odd "BOX" level mlm_odd {
     svg = oddkit.render_svg(doc.nodes)
     root = ET.fromstring(svg)
     assert root.find(f".//{SVG_NS}path[@id='region-BOX']") is not None
+
+
+def test_svg_matches_the_golden_file(extended_doc, golden_dataset, chain, data_dir):
+    svg = _render_corpus(extended_doc, golden_dataset, chain)
+    assert svg == (data_dir / "golden_render.svg").read_text(encoding="utf-8")
+
+
+def test_markup_characters_round_trip(extended_doc):
+    """A node name and a category holding XML markup characters come back
+    from an XML parser unchanged."""
+    name = 'A&B<"c">'
+    node = dataclasses.replace(extended_doc.node("MLMODD"), name=name)
+    cat = "x<&>\"y'"
+    svg = oddkit.render_svg([node], [(oddkit.DataPoint({"Mach": 0.2, "Alt": 7000.0}), cat)])
+    root = ET.fromstring(svg)
+    path = root.find(f".//{SVG_NS}path[@class='region']")
+    assert path.get("id") == f"region-{name}"
+    assert root.find(f".//{SVG_NS}text[@class='region-label']").text == name
+    assert root.find(f".//{SVG_NS}circle").get("class") == f"pt cat-{cat}"
+    assert root.find(f".//{SVG_NS}g[@class='legend']/{SVG_NS}g/{SVG_NS}text").text == cat
