@@ -613,9 +613,10 @@ def verify_set_algebra(
 ) -> SetAlgebraReport:
     """Cross-check kind labels against direct geometric membership.
 
-    With ``labels`` given, audits externally produced labels; otherwise the
-    labels are recomputed via :func:`classify_kind` and the check guards
-    regressions in the classifier itself.
+    With ``labels`` given, audits externally produced labels, and a point
+    beyond the last label is an unlabeled point; otherwise the labels are
+    recomputed via :func:`classify_kind` and the check guards regressions in
+    the classifier itself. More labels than points raise ValueError.
     """
     if labels is None:
         X = geometry.coords_array(points, chain.mlm)
@@ -624,7 +625,9 @@ def verify_set_algebra(
         pairs = [(p, _KINDS[kind]) for p, kind in zip(points, kinds)]
         audited = points
     else:
-        pairs = list(zip(points, labels))
+        if len(labels) > len(points):
+            raise ValueError(f"{len(labels)} labels for {len(points)} points")
+        pairs = list(itertools.zip_longest(points, labels))
         audited = [p for p, label in pairs if label in _KINDS]
         X = geometry.coords_array(audited, chain.mlm)
         Y = geometry.coords_array(audited, chain.mlc)

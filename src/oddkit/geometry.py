@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,55 +139,118 @@ def _normalized_halfspaces(node: OddNode):
 
 def _member_margin(xhat, rows) -> float:
     """Minimal signed slack over the member's faces; >= 0 means inside."""
-    return min(b - sum(ai * xi for ai, xi in zip(a, xhat)) for a, b in rows)
+    return min(b - sum(map(mul, a, xhat)) for a, b in rows)
 
 
-# Major plus minor cycles of _distance_to_hull; a hull of a few dozen
-# vertices in a handful of dimensions takes well under 100.
-_WOLFE_MAX_STEPS = 1000
-_WOLFE_EPS = 1e-12
+# Rows whose smallest singular value is below this (rows are unit vectors)
+# are dependent, as a redundant halfspace tight along an edge is with the
+# edge's two facets.
+_RANK_RCOND = 1e-9
+# The meeting point of d independent rows is a vertex when it exceeds no
+# halfspace by more than this, and a row is tight on the vertex when its
+# slack is within this; far above the rounding error of the solve.
+_VERTEX_SLACK = 1e-9
+# A face's projection is a point of the polytope when it exceeds no halfspace
+# by more than this times max(1, |xhat|), the scale of its rounding error.
+_FEASIBLE_SLACK = 1e-12
 
 
-def _distance_to_hull(xhat, verts_hat) -> float:
-    """Euclidean distance from a point to the convex hull of vertices.
+class _FaceTable(NamedTuple):
+    """One convex member's faces, stacked for one matrix product per point.
 
-    Wolfe's nearest-point algorithm ("Finding the nearest point in a
-    polytope", Math. Prog. 1976) on the vertices shifted by ``-xhat``: a
-    corral of affinely independent vertices grows by the vertex that most
-    decreases the distance (major cycle) and drops the vertices whose weight
-    would turn negative (minor cycles).
+    With ``z = xhat @ weights + offsets``, the first ``faces * d`` entries
+    of z hold ``p_f - xhat`` face by face, where p_f is the projection of
+    xhat onto face f's affine hull; the vertices come first, as faces whose
+    projection is the vertex itself. The rest of z holds ``A p_f - b`` for
+    the faces after the vertices, and ``starts`` indexes its first entry of
+    each face.
     """
-    P = np.asarray(verts_hat, dtype=float) - np.asarray(xhat, dtype=float)
-    sq = (P * P).sum(axis=1)
-    corral, w = [int(np.argmin(sq))], np.ones(1)
-    major = True
-    for _ in range(_WOLFE_MAX_STEPS):
-        if major:
-            x = w @ P[corral]
-            j = int(np.argmin(P @ x))
-            if x @ x - P[j] @ x <= _WOLFE_EPS * sq.max() or j in corral:
-                return math.sqrt(float(x @ x))
-            corral.append(j)
-            w = np.append(w, 0.0)
-        # weights of the least-norm point of the corral's affine hull: G v = c 1
-        # with G = Q Q^T under sum(v) = 1, and adding 1 1^T to G keeps it regular
-        Q = P[corral]
-        v = np.linalg.solve(Q @ Q.T + 1.0, np.ones(len(corral)))
-        v /= v.sum()
-        major = bool((v > 0).all())
-        if major:
-            w = v
-            continue
-        # move from w towards v until the first weight reaches zero, then drop it
-        falling = v < w
-        theta = min(1.0, (w[falling] / (w[falling] - v[falling])).min(initial=1.0))
-        w = (1 - theta) * w + theta * v
-        keep = w > _WOLFE_EPS
-        corral = [c for c, k in zip(corral, keep) if k]
-        w = w[keep] / w[keep].sum()
-    raise ArithmeticError(
-        f"nearest point of a {len(P)}-vertex hull not found in {_WOLFE_MAX_STEPS} steps"
-    )
+
+    weights: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
+    faces: int
+    vertices: int
+
+
+def _flat(A: np.ndarray, b: np.ndarray):
+    """Projector M and offset c of the flat {p : A p = b}, whose projection
+    of x is M x + c; None when A's rows are dependent."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] < _RANK_RCOND:
+        return None
+    return np.eye(A.shape[1]) - vt.T @ vt, vt.T @ ((u.T @ b) / s)
+
+
+@lru_cache(maxsize=256)
+def _face_tables(node: OddNode) -> tuple[_FaceTable, ...]:
+    """Per union member: its face table in normalized coordinates.
+
+    The table comes from the halfspaces alone, which decide containment;
+    the listed vertices play no part, since the spec admits a listed vertex
+    rounded into the member. A face's affine hull is {p : A_T p = b_T} for
+    a set T of independent rows tight on the face, so the table holds that
+    flat for every set of up to d independent rows tight on some vertex.
+    The vertices are the meeting points of d independent rows that lie in
+    the member. Every face of a polyhedron with a vertex contains one, so
+    each face's flat is in the table; without a vertex, every flat is.
+    """
+    d = len(node.parameters)
+    tables = []
+    for rows in _normalized_halfspaces(node):
+        A = np.array([a for a, _ in rows])
+        b = np.array([b for _, b in rows])
+        vertices = {}  # tight rows -> vertex: a vertex on more than d rows once
+        projector, offset = [], []
+        for k in range(d, 0, -1):
+            for T in map(list, combinations(range(len(b)), k)):
+                flat = _flat(A[T], b[T])
+                if flat is None:
+                    continue
+                if k == d:
+                    excess = A @ flat[1] - b
+                    if excess.max() <= _VERTEX_SLACK:
+                        tight = np.flatnonzero(excess >= -_VERTEX_SLACK).tolist()
+                        vertices.setdefault(frozenset(tight), flat[1])
+                elif not vertices or any(t.issuperset(T) for t in vertices):
+                    projector.append(flat[0])
+                    offset.append(flat[1])
+        M, c = np.reshape(projector, (-1, d, d)), np.reshape(offset, (-1, d))
+        V = np.reshape(list(vertices.values()), (-1, d))
+        # p - x = (M - I) x + c, and A p - b = A M x + (A c - b); M is symmetric
+        weights = np.hstack([
+            np.tile(-np.eye(d), len(V)),
+            (M - np.eye(d)).transpose(1, 0, 2).reshape(d, -1),
+            (M @ A.T).transpose(1, 0, 2).reshape(d, -1),
+        ])
+        offsets = np.concatenate([V.ravel(), c.ravel(), (c @ A.T - b).ravel()])
+        starts = np.arange(len(M)) * len(b)
+        for a in (weights, offsets, starts):
+            a.flags.writeable = False  # shared by every caller through the cache
+        tables.append(_FaceTable(weights, offsets, starts, len(V) + len(M), len(V)))
+    return tuple(tables)
+
+
+def _distance_outside(xhat, table: _FaceTable) -> float:
+    """Distance from a finite point outside a convex member to the member.
+
+    The nearest point lies in the relative interior of one face, where it
+    is the projection onto that face's affine hull; any other projection
+    that lies in the member is a point of it, so no nearer. So the distance
+    is the least over the vertices, which lie in the member, and over the
+    projections that exceed no halfspace by more than the slack. A point so
+    far that its squared distances overflow gives inf. Near the end of the
+    float range a sum can meet inf - inf, and a NaN excess counts as
+    infeasible.
+    """
+    d = len(xhat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.dot(xhat, table.weights) + table.offsets
+        diff = z[: table.faces * d]
+        sq = (diff * diff).reshape(table.faces, d).sum(axis=1)
+        excess = np.maximum.reduceat(z[table.faces * d :], table.starts)
+    sq[table.vertices :][~(excess <= _FEASIBLE_SLACK * max(1.0, *map(abs, xhat)))] = math.inf
+    return math.sqrt(sq.min(initial=math.inf))
 
 
 # -- public operations -------------------------------------------------------
@@ -390,22 +456,23 @@ def distance_to_boundary(
 ) -> float:
     """Minimal normalized distance from the point to the region boundary.
 
-    For polytope unions with overlapping members this is the distance to the
-    nearest member boundary, which upper-bounds the union-boundary distance.
+    Inside a polytope member this is the member's minimal face slack; outside
+    it, the exact distance to the member, from the member's face table (see
+    :func:`_distance_outside`). A NaN coordinate gives NaN, and an infinite
+    one, or one so far that its squared distance overflows, gives inf. For polytope
+    unions with overlapping members this is the distance to the nearest
+    member boundary, which upper-bounds the union-boundary distance.
     """
     xhat = normalize(coords(p, node), node)
     region = node.region
     if isinstance(region, Polygon2D):
         return _polygon_boundary_distance(xhat, _normalized_polygon(node))
+    if not all(map(math.isfinite, xhat)):
+        return math.nan if any(map(math.isnan, xhat)) else math.inf
     best = math.inf
-    for rows, member in zip(_normalized_halfspaces(node), region.members):
+    for i, rows in enumerate(_normalized_halfspaces(node)):
         margin = _member_margin(xhat, rows)
-        if margin >= 0:
-            d = margin
-        else:
-            verts_hat = [normalize(v, node) for v in member.vertices]
-            d = _distance_to_hull(xhat, verts_hat)
-        best = min(best, d)
+        best = min(best, margin if margin >= 0 else _distance_outside(xhat, _face_tables(node)[i]))
     return best
 
 

@@ -254,8 +254,10 @@ def run_monitor_chain(
 
     ``seed`` is recorded in the metrics for provenance; the simulation itself
     draws no randomness. Oracle category labels default to classifying each
-    point against the chain's MLM node.
+    point against the chain's MLM node; given, there must be one per point.
     """
+    if oracle_categories is not None and len(oracle_categories) != len(points):
+        raise ValueError(f"{len(oracle_categories)} oracle categories for {len(points)} points")
     # each node's coordinates are read from the points once per run
     coords_of = cache(partial(geometry.coords_array, points))
     if oracle_categories is None:

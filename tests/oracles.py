@@ -6,12 +6,16 @@ polytope membership evaluates halfspaces directly in raw coordinates (the
 package normalizes and unit-scales the rows), and range extremes are two
 interval tests (the package takes the distance to the nearer bound), and the
 boundary distance of a polygon-times-interval prism is computed in closed form
-(the package runs a nearest-point search over the polytope's vertices).
+(the package projects onto every face's affine hull), and the distance from
+an outside point to a convex polytope is found by Wolfe's nearest-point
+iteration over its vertices (the package evaluates a precomputed face table).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def winding_number(pt: tuple[float, float], vertices) -> int:
@@ -78,3 +82,49 @@ def prism_boundary_distance(x, vertices, t_bounds, ranges) -> float:
     if in_polygon and lo <= t <= hi:
         return min(to_wall, t - lo, hi - t)
     return math.hypot(0.0 if in_polygon else to_wall, max(lo - t, t - hi, 0.0))
+
+
+# Major plus minor cycles of wolfe_distance; a hull of a few dozen vertices in
+# a handful of dimensions takes well under 100.
+WOLFE_MAX_STEPS = 1000
+WOLFE_EPS = 1e-12
+
+
+def wolfe_distance(x, vertices) -> float:
+    """Euclidean distance from a point to the convex hull of vertices.
+
+    Wolfe's nearest-point algorithm ("Finding the nearest point in a
+    polytope", Math. Prog. 1976) on the vertices shifted by ``-x``: a corral
+    of affinely independent vertices grows by the vertex that most decreases
+    the distance (major cycle) and drops the vertices whose weight would turn
+    negative (minor cycles).
+    """
+    P = np.asarray(vertices, dtype=float) - np.asarray(x, dtype=float)
+    sq = (P * P).sum(axis=1)
+    corral, w = [int(np.argmin(sq))], np.ones(1)
+    major = True
+    for _ in range(WOLFE_MAX_STEPS):
+        if major:
+            y = w @ P[corral]
+            j = int(np.argmin(P @ y))
+            if y @ y - P[j] @ y <= WOLFE_EPS * sq.max() or j in corral:
+                return math.sqrt(float(y @ y))
+            corral.append(j)
+            w = np.append(w, 0.0)
+        # weights of the least-norm point of the corral's affine hull: G v = c 1
+        # with G = Q Q^T under sum(v) = 1, and adding 1 1^T to G keeps it regular
+        Q = P[corral]
+        v = np.linalg.solve(Q @ Q.T + 1.0, np.ones(len(corral)))
+        v /= v.sum()
+        major = bool((v > 0).all())
+        if major:
+            w = v
+            continue
+        # move from w towards v until the first weight reaches zero, then drop it
+        falling = v < w
+        theta = min(1.0, (w[falling] / (w[falling] - v[falling])).min(initial=1.0))
+        w = (1 - theta) * w + theta * v
+        keep = w > WOLFE_EPS
+        corral = [c for c, k in zip(corral, keep) if k]
+        w = w[keep] / w[keep].sum()
+    raise ArithmeticError(f"nearest point of a {len(P)}-vertex hull not found in {WOLFE_MAX_STEPS} steps")

@@ -149,6 +149,15 @@ def test_set_algebra_flags_corrupted_labels(golden_dataset, chain):
     assert any(row == 0 for row, _ in report.violations)
 
 
+def test_set_algebra_reports_points_beyond_the_labels(chain):
+    inside = [DataPoint({"Mach": 0.2, "Alt": a}) for a in (1000.0, 5000.0, 9000.0)]
+    report = oddkit.verify_set_algebra(inside, chain, labels=[Kind.OUT_OF_SAMPLE])
+    assert not report.holds
+    assert report.violations == [(1, "totality: unlabeled point"), (2, "totality: unlabeled point")]
+    with pytest.raises(ValueError, match="4 labels for 3 points"):
+        oddkit.verify_set_algebra(inside, chain, labels=[Kind.OUT_OF_SAMPLE] * 4)
+
+
 def test_build_chain_rejects_broken_allocation(extended_spec_text):
     text = extended_spec_text.replace('allocates "MLCODD_spec" ', "")
     doc = oddkit.parse_spec(text)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,13 +158,232 @@ def test_distance_to_boundary_is_exact_on_the_prism(extended_doc):
     assert outside >= 1000
 
 
-def test_distance_to_boundary_raises_when_the_step_bound_is_hit(extended_doc, monkeypatch):
+def test_face_table_of_the_prism_is_built_once(extended_doc):
     ext = extended_doc.node("MLMODD_ext")
+    geometry._face_tables.cache_clear()
     far = DataPoint({"Mach": 0.15, "Alt": 7000.0, "Temp": 40.0})  # nearest the cap's interior
-    assert geometry.distance_to_boundary(far, ext) > 0.1
-    monkeypatch.setattr(geometry, "_WOLFE_MAX_STEPS", 1)
-    with pytest.raises(ArithmeticError):
-        geometry.distance_to_boundary(far, ext)
+    assert geometry.distance_to_boundary(far, ext) == pytest.approx(25 / 75, rel=1e-12)
+    (table,) = geometry._face_tables(ext)
+    # 10 vertices, 15 edges (5 per cap, 5 vertical) and 7 facets (5 walls, 2 caps)
+    assert (table.faces, table.vertices) == (32, 10)
+    built = geometry._face_tables.cache_info().misses
+    geometry.distance_to_boundary(DataPoint({"Mach": 0.5, "Alt": -100.0, "Temp": -70.0}), ext)
+    info = geometry._face_tables.cache_info()
+    assert info.misses == built
+    assert info.hits >= 2
+
+
+def _node(name, ranges, members):
+    """A polytope-union node over parameters x0, x1, ... with the given ranges;
+    ``members`` holds (halfspaces, vertices) pairs in raw coordinates."""
+    params = tuple(oddkit.Parameter(f"x{i}", "u", lo, hi) for i, (lo, hi) in enumerate(ranges))
+    region = oddkit.PolytopeUnion(tuple(oddkit.ConvexPolytope(tuple(h), tuple(v)) for h, v in members))
+    return oddkit.OddNode(name, oddkit.Level.MLM_ODD, params, region)
+
+
+def _box(lo, hi):
+    d = len(lo)
+    halfspaces = []
+    for i in range(d):
+        e = [0.0] * d
+        e[i] = 1.0
+        halfspaces += [(tuple(e), hi[i]), (tuple(-c for c in e), -lo[i])]
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(d, -1).T
+    return halfspaces, [tuple(v) for v in corners.tolist()]
+
+
+def _simplex_4d():
+    # x_i >= lo_i and sum (x_i - lo_i) / s_i <= 1, under unequal spans
+    lo, s = [0.0, -1.0, 10.0, 0.5], [1.0, 4.0, 0.01, 300.0]
+    halfspaces = [(tuple(-1.0 if j == i else 0.0 for j in range(4)), -lo[i]) for i in range(4)]
+    halfspaces.append((tuple(1 / si for si in s), 1 + sum(l / si for l, si in zip(lo, s))))
+    verts = [tuple(lo)] + [tuple(l + (si if j == i else 0.0) for j, (l, si) in enumerate(zip(lo, s))) for i in range(4)]
+    return _node("simplex", [(l, l + si) for l, si in zip(lo, s)], [(halfspaces, verts)])
+
+
+def _octahedron():
+    # |x| / r0 + |y| / r1 + |z| / r2 <= 1, plus x / r0 + y / r1 <= 1, which is
+    # tight only along the edge (r0, 0, 0)-(0, r1, 0)
+    r = (1.0, 3.0, 0.7)
+    signs = [(sx, sy, sz) for sx in (1.0, -1.0) for sy in (1.0, -1.0) for sz in (1.0, -1.0)]
+    halfspaces = [(tuple(si / ri for si, ri in zip(s, r)), 1.0) for s in signs]
+    halfspaces.append(((1 / r[0], 1 / r[1], 0.0), 1.0))
+    verts = [tuple(s * ri * (j == i) for j, ri in enumerate(r)) for i in range(3) for s in (1.0, -1.0)]
+    return _node("octahedron", [(-1.0, 1.2), (-3.1, 3.0), (-0.7, 0.9)], [(halfspaces, verts)])
+
+
+def _box_with_slack_halfspace():
+    halfspaces, verts = _box([0.0, 0.0, -5.0], [2.0, 1.0, 5.0])
+    halfspaces.append(((1.0, 1.0, 0.1), 10.0))  # tight nowhere: its most is 3.5
+    return _node("box", [(0.0, 2.0), (0.0, 1.0), (-5.0, 5.0)], [(halfspaces, verts)])
+
+
+def _box_with_a_clipped_corner():
+    # the unit cube less the corner x + y + z > 3 - 3e-6, a facet 3e-6 across
+    halfspaces, verts = _box([0.0] * 3, [1.0] * 3)
+    halfspaces.append(((1.0, 1.0, 1.0), 3.0 - 3e-6))
+    verts = verts[:-1] + [tuple(1.0 - 3e-6 * (j == i) for j in range(3)) for i in range(3)]
+    return _node("clipped", [(0.0, 1.0)] * 3, [(halfspaces, verts)])
+
+
+def _two_boxes():
+    return _node(
+        "union",
+        [(0.0, 1.0)] * 3,
+        [_box([0.0, 0.0, 0.0], [0.6, 0.6, 0.6]), _box([0.4, 0.2, 0.0], [1.0, 0.8, 1.0])],
+    )
+
+
+def _boundary_probes(node, rng, n_uniform=600):
+    """Points over the 30%-inflated box, plus vertices, points on edges and
+    points on facets of each member, each pushed off in a random direction
+    by 0, 1e-9, 1e-6 and 1e-3 of the spans."""
+    span = np.array([p.span for p in node.parameters])
+    lo = np.array([p.lo for p in node.parameters])
+    d = len(span)
+    snapped = []
+    for member in node.region.members:
+        V = np.array(member.vertices)
+        tight = [
+            [i for i, v in enumerate(V) if abs(np.dot(a, v) - b) <= 1e-9 * (np.abs(a) @ span)]
+            for a, b in member.halfspaces
+        ]
+        on = [{f for f, face in enumerate(tight) if i in face} for i in range(len(V))]
+        edges = [(i, j) for i in range(len(V)) for j in range(i) if len(on[i] & on[j]) >= d - 1]
+        snapped += list(V)
+        for i, j in edges:
+            t = rng.uniform(size=4)[:, None]
+            snapped += list(V[i] + t * (V[j] - V[i]))
+        for face in tight:
+            if len(face) >= d:
+                w = rng.dirichlet(np.ones(len(face)), size=8)
+                snapped += list(w @ V[face])
+    snapped = np.repeat(np.array(snapped), 4, axis=0)
+    push = np.tile([0.0, 1e-9, 1e-6, 1e-3], len(snapped) // 4)[:, None]
+    snapped += rng.normal(size=snapped.shape) * span * push
+    uniform = rng.uniform(lo - 0.3 * span, lo + 1.3 * span, size=(n_uniform, d))
+    return np.vstack([snapped, uniform])
+
+
+def _triangle_prism(apex):
+    # a prism over the triangle (0,0) (1,0) (1/3,1), its apex listed as given
+    halfspaces = [((0.0, -1.0, 0.0), 0.0), ((-3.0, 1.0, 0.0), 0.0), ((1.5, 1.0, 0.0), 1.5),
+                  ((0.0, 0.0, 1.0), 1.0), ((0.0, 0.0, -1.0), 0.0)]
+    verts = [(x, y, z) for z in (0.0, 1.0) for x, y in ((0.0, 0.0), (1.0, 0.0), apex)]
+    return _node("rounded", [(0.0, 1.0)] * 3, [(halfspaces, verts)])
+
+
+def _hull_vertices(member, node):
+    """The member's vertices from its halfspaces alone, normalized: the points
+    where d independent halfspaces meet that satisfy all of them."""
+    lo = np.array([p.lo for p in node.parameters])
+    span = np.array([p.span for p in node.parameters])
+    A = np.array([a for a, _ in member.halfspaces]) * span
+    b = np.array([b for _, b in member.halfspaces]) - A @ (lo / span)
+    b, A = b / np.linalg.norm(A, axis=1), A / np.linalg.norm(A, axis=1)[:, None]
+    found = []
+    for T in map(list, itertools.combinations(range(len(b)), A.shape[1])):
+        if abs(np.linalg.det(A[T])) < 1e-9:
+            continue
+        v = np.linalg.solve(A[T], b[T])
+        if (A @ v - b).max() <= 1e-9 and all(np.abs(v - w).max() > 1e-9 for w in found):
+            found.append(v)
+    return found
+
+
+def _wolfe_distance(p, node):
+    """distance_to_boundary with Wolfe's iteration for the outside members,
+    over the vertices of their halfspaces."""
+    xhat = geometry.normalize(geometry.coords(p, node), node)
+    best = math.inf
+    for rows, member in zip(geometry._normalized_halfspaces(node), node.region.members):
+        margin = geometry._member_margin(xhat, rows)
+        if margin < 0:
+            margin = oracles.wolfe_distance(xhat, _hull_vertices(member, node))
+        best = min(best, margin)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make",
+    [None, _simplex_4d, _octahedron, _box_with_slack_halfspace, _two_boxes,
+     lambda: _triangle_prism((0.333, 0.999))],
+    ids=["prism", "simplex_4d", "octahedron", "box", "two_boxes", "inward_rounded_prism"],
+)
+def test_face_table_agrees_with_wolfe(make, extended_doc):
+    node = extended_doc.node("MLMODD_ext") if make is None else make()
+    X = _boundary_probes(node, np.random.default_rng(2024))
+    outside = 0
+    for x in X.tolist():
+        p = DataPoint(dict(zip(node.parameter_names, x)))
+        got, want = geometry.distance_to_boundary(p, node), _wolfe_distance(p, node)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), x
+        assert got >= want - 1e-12, x
+        outside += geometry.point_in_region(p, node) == Containment.OUTSIDE
+    assert outside >= len(X) // 4
+
+
+def test_face_table_resolves_a_clipped_corner():
+    # Wolfe's stopping rule is relative to the farthest vertex, too coarse for
+    # a point 1e-9 off a facet 3e-6 across, so the distances are in closed
+    # form: off the facet's centre along its normal, the distance is the push
+    node = _box_with_a_clipped_corner()
+    assert geometry._face_tables(node)[0].faces == 32  # 10 vertices, 15 edges, 7 facets
+    centre = np.full(3, 1.0 - 1e-6)
+    for push in (1e-9, 1e-6, 1e-3):
+        x = centre + push / math.sqrt(3.0)
+        p = DataPoint(dict(zip(node.parameter_names, x.tolist())))
+        assert geometry.distance_to_boundary(p, node) == pytest.approx(push, rel=1e-6)
+
+
+@pytest.mark.parametrize("apex", [(0.333333, 1.0), (0.333, 0.999)], ids=["outward", "inward"])
+def test_face_table_follows_the_halfspaces_under_rounded_vertices(apex):
+    # the spec admits a listed vertex off its halfspaces by up to 1e-6
+    # outward and by any amount inward; the table takes its faces from the
+    # halfspaces, so both listings give the triangle's prism
+    node = _triangle_prism(apex)
+    assert geometry._face_tables(node)[0].faces == 20  # 6 vertices, 9 edges, 5 facets
+    walls = [((0.0, 0.0), (1 / 3, 1.0), (-3.0, 1.0)), ((1.0, 0.0), (1 / 3, 1.0), (1.5, 1.0))]
+    for start, end, normal in walls:
+        start, end, normal = np.array(start), np.array(end), np.array(normal) / np.hypot(*normal)
+        for s, z in np.random.default_rng(5).uniform(0.2, 0.8, size=(50, 2)).tolist():
+            x = [*(start + s * (end - start) + 0.05 * normal), z]  # 0.05 off the wall
+            p = DataPoint(dict(zip(node.parameter_names, x)))
+            assert geometry.distance_to_boundary(p, node) == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])
+def test_distance_to_boundary_of_non_finite_coordinates(node_name, extended_doc):
+    node = extended_doc.node(node_name)
+    base = {"Mach": 0.45, "Alt": 7000.0, "Temp": 0.0}
+    for name in node.parameter_names:
+        assert math.isnan(geometry.distance_to_boundary(DataPoint({**base, name: math.nan}), node))
+        for value in (math.inf, -math.inf):
+            assert geometry.distance_to_boundary(DataPoint({**base, name: value}), node) == math.inf
+    # Mach / 0.4 overflows; Alt / 15000 does not: the polygon's math.hypot
+    # keeps its distance finite, and the polytope's squared distance overflows
+    assert geometry.distance_to_boundary(DataPoint({**base, "Mach": 1e308}), node) == math.inf
+    for alt in (-1e308, 1e200):
+        huge = geometry.distance_to_boundary(DataPoint({**base, "Alt": alt}), node)
+        if isinstance(node.region, oddkit.Polygon2D):
+            assert huge == pytest.approx(abs(alt) / 15000, rel=1e-12)
+        else:
+            assert huge == math.inf
+
+
+def test_distance_to_boundary_at_the_end_of_the_float_range():
+    # the table's sums over coordinates of +-1.79e308 meet inf - inf, and the
+    # NaN excess must not pass a face as feasible
+    d = 8
+    w = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 1.1, 1.3)
+    halfspaces = [(tuple(-1.0 * (j == i) for j in range(d)), 0.0) for i in range(d)] + [(w, 1.0)]
+    verts = [(0.0,) * d] + [tuple(1 / w[i] * (j == i) for j in range(d)) for i in range(d)]
+    node = _node("simplex_8d", [(0.0, 1.0)] * d, [(halfspaces, verts)])
+    big = 1.79e308
+    for x in itertools.product((big, -big, 0.5), repeat=d):
+        if max(map(abs, x)) == big:
+            p = DataPoint(dict(zip(node.parameter_names, x)))
+            assert geometry.distance_to_boundary(p, node) == math.inf, x
 
 
 def test_contains_node(extended_doc):

@@ -63,6 +63,16 @@ def test_first_detection_short_circuits(chain, baseline):
     assert v.stub_output is None  # stub never consulted
 
 
+def test_oracle_categories_must_match_the_points(chain, baseline):
+    chain_monitors, stub = baseline
+    points = [DataPoint({"Mach": 0.2, "Alt": a}) for a in (1000.0, 5000.0, 9000.0)]
+    for oracle in (["Nominal"], ["Nominal"] * 4):
+        with pytest.raises(ValueError, match=f"{len(oracle)} oracle categories for 3 points"):
+            monitors.run_monitor_chain(points, chain, chain_monitors, stub, oracle_categories=oracle)
+    result = monitors.run_monitor_chain(points, chain, chain_monitors, stub, oracle_categories=["Nominal"] * 3)
+    assert result.metrics["points"] == 3.0
+
+
 def test_nominal_point_processed(chain, baseline):
     chain_monitors, stub = baseline
     result = monitors.run_monitor_chain(
