@@ -24,7 +24,7 @@ from .classify import (
     partition_dataset,
 )
 from .datasets import write_csv
-from .dsl import Diagnostic, tokenize
+from .dsl import Diagnostic, Token, _Parser, tokenize
 from .errors import EmptyInput, UnvalidatedRuleBase
 from .model import DEFAULT_TOL, DataPoint, OddNode
 
@@ -88,87 +88,56 @@ class RuleBase:
 _RULE_KEYS = {"kinds", "categories", "E", "R", "L", "A"}
 
 
+def _rule_block(p: _Parser, head: Token) -> dict | None:
+    """The fields of the block ``head`` opens: ``reason`` a string, the
+    others identifier lists. None once an error is reported."""
+    if head.kind != "ident" or head.value not in ("rule", "not_applicable"):
+        p.error(f"expected 'rule' or 'not_applicable', got {head.value!r}", head)
+        return None
+    if p.expect("punct", "{") is None:
+        return None
+    fields: dict = {"reason": ""}
+    while (key := p.peek()) is not None and key.value != "}":
+        p.next()
+        if key.value == "reason":
+            value = p.string()
+        elif key.value not in _RULE_KEYS:
+            p.error(f"unknown field {key.value!r}", key)
+            return None
+        elif p.expect("punct", "[") is None:
+            return None
+        else:
+            items = []
+            while (item := p.peek()) is not None and item.kind == "ident":
+                items.append(p.next().value)
+            value = tuple(items) if p.expect("punct", "]") else None
+        if value is None:
+            return None
+        fields[key.value] = value
+    return fields if p.expect("punct", "}") else None
+
+
 def parse_rules(text: str) -> tuple[RuleBase, list[Diagnostic]]:
-    """Parse the line-oriented rule-base format (see the packaged default)."""
+    """Parse the rule-base format (see the packaged default); after an error,
+    parsing resumes at the next ``rule`` or ``not_applicable`` keyword."""
     tokens, diagnostics = tokenize(text)
+    p = _Parser(tokens)
     rules: list[ErlaRule] = []
     nas: list[NotApplicable] = []
-    pos = 0
-
-    def err(message, tok):
-        diagnostics.append(Diagnostic("error", "E001", message, tok.line, tok.col))
-
-    while pos < len(tokens):
-        head = tokens[pos]
-        if head.kind != "ident" or head.value not in ("rule", "not_applicable"):
-            err(f"expected 'rule' or 'not_applicable', got {head.value!r}", head)
-            pos += 1
-            continue
-        pos += 1
-        if pos >= len(tokens) or tokens[pos].value != "{":
-            err("expected '{'", head)
-            continue
-        pos += 1
-        fields: dict[str, tuple[str, ...]] = {}
-        reason = ""
-        bad = False
-        while pos < len(tokens) and tokens[pos].value != "}":
-            key_tok = tokens[pos]
-            pos += 1
-            if key_tok.kind != "ident":
-                err(f"expected field name, got {key_tok.value!r}", key_tok)
-                bad = True
-                break
-            if key_tok.value == "reason":
-                if pos < len(tokens) and tokens[pos].kind == "string":
-                    reason = tokens[pos].value[1:-1]
-                    pos += 1
-                    continue
-                err("expected quoted reason", key_tok)
-                bad = True
-                break
-            if key_tok.value not in _RULE_KEYS:
-                err(f"unknown field {key_tok.value!r}", key_tok)
-                bad = True
-                break
-            if pos >= len(tokens) or tokens[pos].value != "[":
-                err(f"expected '[' after {key_tok.value}", key_tok)
-                bad = True
-                break
-            pos += 1
-            items = []
-            while pos < len(tokens) and tokens[pos].value != "]":
-                items.append(tokens[pos].value)
-                pos += 1
-            if pos >= len(tokens):
-                err("unterminated list", key_tok)
-                bad = True
-                break
-            pos += 1
-            fields[key_tok.value] = tuple(items)
-        if pos < len(tokens) and tokens[pos].value == "}":
-            pos += 1
-        if bad:
+    while (head := p.next()) is not None:
+        fields = _rule_block(p, head)
+        if fields is None:
+            p.skip_to("rule", "not_applicable")
             continue
         kinds = frozenset(fields.get("kinds", ()))
         categories = frozenset(fields.get("categories", ()))
         if not kinds or not categories:
-            err(f"{head.value} block needs kinds and categories", head)
-            continue
-        if head.value == "rule":
-            rules.append(
-                ErlaRule(
-                    kinds=kinds,
-                    categories=categories,
-                    effects=fields.get("E", ()),
-                    requirements=fields.get("R", ()),
-                    learning_assurance=fields.get("L", ()),
-                    architecture=fields.get("A", ()),
-                )
-            )
+            p.error(f"{head.value} block needs kinds and categories", head)
+        elif head.value == "rule":
+            rules.append(ErlaRule(kinds, categories, *(fields.get(key, ()) for key in "ERLA")))
         else:
-            nas.append(NotApplicable(kinds, categories, reason))
-    return RuleBase(rules, nas), diagnostics
+            nas.append(NotApplicable(kinds, categories, fields["reason"]))
+    return RuleBase(rules, nas), diagnostics + p.diagnostics
 
 
 def load_default_rules() -> RuleBase:

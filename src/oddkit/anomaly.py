@@ -227,6 +227,12 @@ def sample_region(
                 f"node {node.name!r} has no vertices with >= 2 parameters at extremes"
             )
         return [corners[i % len(corners)] for i in range(n)]
+    if mode == "edge":
+        # a coordinate is extreme over the region within its box, grown by the
+        # boundary band, at a vertex: with none at a bound, no point is either
+        V = np.clip(np.vstack(geometry.region_pieces(node, tol)), *np.array(node.box).T)
+        if not geometry.extreme_mask(V, node, tol).any():
+            raise EmptyStratum(f"node {node.name!r} reaches no range bound: it has no edge points")
     params = node.parameters
     if mode == "outlier_ring":
         params = [_widened(p, _OUTLIER_INFLATION) for p in params]

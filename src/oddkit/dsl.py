@@ -16,6 +16,7 @@ Diagnostic codes:
     E009 more than one system_od node
     E010 monitor input point whose arity differs from its node's parameter count
     W001 unknown attribute or construct (ignored)
+    W002 E007 undecided (a base that is a union of several members)
 """
 
 from __future__ import annotations
@@ -212,6 +213,11 @@ class _Parser:
                 return
             self.next()
 
+    def skip_to(self, *keywords: str):
+        """Skip tokens up to the next of these keywords, the point to resume at."""
+        while self.peek() is not None and not self.at_ident(*keywords):
+            self.next()
+
     def skip_block(self):
         """Skip tokens until the matching close brace of an already-open block."""
         depth = 1
@@ -267,12 +273,8 @@ class _Parser:
                     chains.append(chain)
             else:
                 self.error(f"expected 'odd' or 'monitorchain', got {tok.value!r}")
-                # recover: resynchronize on the next top-level keyword
                 self.next()
-                while (t := self.peek()) is not None and not (
-                    t.kind == "ident" and t.value in ("odd", "monitorchain")
-                ):
-                    self.next()
+                self.skip_to("odd", "monitorchain")
         return node_decls, chains
 
     def node_decl(self) -> dict | None:
@@ -779,17 +781,15 @@ def _validate_document(doc: SpecDocument) -> None:
             )
             continue
         result = geometry.contains_node(node, base)
-        if not result.contained:
-            witness = result.witness.values if result.witness else None
-            doc.diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E007",
-                    f"projection of {node.name!r} leaves base region {base.name!r}"
-                    f" (witness {witness})",
-                    *loc,
-                )
+        if result.contained is None:
+            message = f"E007 undecided: the projection of {node.name!r} fits in no one member of {base.name!r}"
+            doc.diagnostics.append(Diagnostic("warning", "W002", message, *loc))
+        elif not result.contained:
+            message = (
+                f"projection of {node.name!r} leaves base region {base.name!r}"
+                f" (witness {result.witness.values})"
             )
+            doc.diagnostics.append(Diagnostic("error", "E007", message, *loc))
 
     for chain in doc.monitor_chains:
         for mon in chain.monitors:

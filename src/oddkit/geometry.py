@@ -8,7 +8,7 @@ rescaling a parameter together with its range and region coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
 from operator import mul
@@ -173,13 +173,27 @@ class _FaceTable(NamedTuple):
     vertices: int
 
 
-def _flat(A: np.ndarray, b: np.ndarray):
-    """Projector M and offset c of the flat {p : A p = b}, whose projection
-    of x is M x + c; None when A's rows are dependent."""
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] < _RANK_RCOND:
-        return None
-    return np.eye(A.shape[1]) - vt.T @ vt, vt.T @ ((u.T @ b) / s)
+def _flats(A: np.ndarray, b: np.ndarray, k: int):
+    """Every set T of k independent rows, as index rows, with the projector
+    M and offset c of its flat {p : A_T p = b_T}, whose projection of x is
+    M x + c; all sets are solved in one batch."""
+    T = np.array(list(combinations(range(len(b)), k)), dtype=int).reshape(-1, k)
+    u, s, vt = np.linalg.svd(A[T], full_matrices=False)
+    T, u, s, vt = (a[s[:, -1] >= _RANK_RCOND] for a in (T, u, s, vt))
+    c = np.einsum("tji,tj->ti", vt, np.einsum("tji,tj->ti", u, b[T]) / s)
+    return T, np.eye(A.shape[1]) - vt.transpose(0, 2, 1) @ vt, c
+
+
+def _vertices(A: np.ndarray, b: np.ndarray) -> dict[frozenset, np.ndarray]:
+    """The vertices of {x : A x <= b} (unit rows), keyed by their tight rows:
+    the flats of d independent rows that exceed no row by more than the
+    slack, a vertex on more than d rows kept once, from its first set."""
+    x = _flats(A, b, A.shape[1])[2]
+    excess = x @ A.T - b
+    vertices = {}
+    for row in np.flatnonzero(excess.max(axis=1) <= _VERTEX_SLACK):
+        vertices.setdefault(frozenset(np.flatnonzero(excess[row] >= -_VERTEX_SLACK).tolist()), x[row])
+    return vertices
 
 
 @lru_cache(maxsize=256)
@@ -191,31 +205,20 @@ def _face_tables(node: OddNode) -> tuple[_FaceTable, ...]:
     rounded into the member. A face's affine hull is {p : A_T p = b_T} for
     a set T of independent rows tight on the face, so the table holds that
     flat for every set of up to d independent rows tight on some vertex.
-    The vertices are the meeting points of d independent rows that lie in
-    the member. Every face of a polyhedron with a vertex contains one, so
-    each face's flat is in the table; without a vertex, every flat is.
+    Every face of a polyhedron with a vertex contains one, so each face's
+    flat is in the table; without a vertex, every flat is.
     """
     d = len(node.parameters)
     tables = []
     for rows in _normalized_halfspaces(node):
         A = np.array([a for a, _ in rows])
         b = np.array([b for _, b in rows])
-        vertices = {}  # tight rows -> vertex: a vertex on more than d rows once
-        projector, offset = [], []
-        for k in range(d, 0, -1):
-            for T in map(list, combinations(range(len(b)), k)):
-                flat = _flat(A[T], b[T])
-                if flat is None:
-                    continue
-                if k == d:
-                    excess = A @ flat[1] - b
-                    if excess.max() <= _VERTEX_SLACK:
-                        tight = np.flatnonzero(excess >= -_VERTEX_SLACK).tolist()
-                        vertices.setdefault(frozenset(tight), flat[1])
-                elif not vertices or any(t.issuperset(T) for t in vertices):
-                    projector.append(flat[0])
-                    offset.append(flat[1])
-        M, c = np.reshape(projector, (-1, d, d)), np.reshape(offset, (-1, d))
+        vertices = _vertices(A, b)
+        M, c = np.empty((0, d, d)), np.empty((0, d))
+        for k in range(d - 1, 0, -1):
+            T, M_k, c_k = _flats(A, b, k)
+            keep = [not vertices or any(t.issuperset(row) for t in vertices) for row in T.tolist()]
+            M, c = np.concatenate([M, M_k[keep]]), np.concatenate([c, c_k[keep]])
         V = np.reshape(list(vertices.values()), (-1, d))
         # p - x = (M - I) x + c, and A p - b = A M x + (A c - b); M is symmetric
         weights = np.hstack([
@@ -478,7 +481,9 @@ def distance_to_boundary(
 
 @dataclass(frozen=True)
 class ContainsResult:
-    contained: bool
+    """``contained`` is None when undecided; see :func:`contains_node`."""
+
+    contained: bool | None
     witness: DataPoint | None = None
 
 
@@ -491,39 +496,44 @@ def project(p: DataPoint, node: OddNode) -> DataPoint:
     return DataPoint(vals, p.provenance_raw, p.hidden_values, p.in_sample)
 
 
-# Interior probes of contains_node: Halton indices are drawn in blocks until
-# this many land inside the inner region or _PROBE_LIMIT indices are spent.
-_PROBES = 128
-_PROBE_BLOCK = 256
-_PROBE_LIMIT = 200 * _PROBES
-
-
-def _halton(start: int, count: int, dim: int) -> np.ndarray:
-    """Unscrambled Halton points ``start .. start+count-1`` in [0, 1)^dim:
-    column j is the radical inverse of the index in the j-th prime."""
-    # the first dim primes; the k-th prime is below 4k^2
-    primes = [b for b in range(2, 4 * dim * dim) if all(b % q for q in range(2, int(b**0.5) + 1))]
-    primes = primes[:dim]
-    out = np.zeros((count, dim))
-    for j, base in enumerate(primes):
-        i = np.arange(start, start + count)
-        f = 1.0 / base
-        while i.any():
-            out[:, j] += (i % base) * f
-            i //= base
-            f /= base
-    return out
+@lru_cache(maxsize=256)
+def region_pieces(node: OddNode, grow: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Vertices, in raw coordinates, of each piece of the region within its
+    box: the polygon, or each member with its box rows added and its own
+    halfspaces moved out by ``grow`` (normalized). A member's vertices come
+    from its halfspaces; the spec admits listed vertices rounded inward.
+    """
+    if isinstance(node.region, Polygon2D):
+        pieces = [np.array(node.region.vertices, dtype=float)]
+    else:
+        d = len(node.parameters)
+        lo, hi = np.array(node.box).T
+        span = np.array([p.span for p in node.parameters])
+        E, top = np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([(hi - lo) / span, np.zeros(d)])
+        pieces = []
+        for member in _normalized_halfspaces(node):
+            A, b = np.array([a for a, _ in member]), np.array([b + grow for _, b in member])
+            # a box row that a member row already implies only adds sets of rows to solve
+            keep = ~((A[:, None] == E).all(axis=2) & (b[:, None] <= top)).any(axis=0)
+            A, b = np.vstack([A, E[keep]]), np.concatenate([b, top[keep]])
+            pieces.append(lo + np.reshape(list(_vertices(A, b).values()), (-1, d)) * span)
+    for V in pieces:
+        V.flags.writeable = False  # shared by every caller through the cache
+    return tuple(pieces)
 
 
 def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> ContainsResult:
-    """Sampling check that ``inner``'s region lies within ``outer``'s.
+    """Decide whether ``inner``'s region, within its box, projects into ``outer``'s.
 
-    Checks all inner vertices, then Halton probes of ``inner``'s box (from
-    index 1, unscrambled) until 128 of them lie inside ``inner``'s region.
-    This is a sampling check, not a decision procedure: a ``contained``
-    verdict can be wrong for adversarial geometry, a ``not_contained``
-    witness never is. The witness is the first failing vertex, else the
-    first failing probe in sequence order.
+    A convex piece of ``inner`` (see :func:`region_pieces`) projects onto the
+    hull of its projected vertices, bounded by chords between them; a polygon
+    is bounded by its edges. Along a chord, containment in ``outer`` changes
+    only where it crosses an edge line or halfspace plane of ``outer``, so the
+    endpoints and the midpoints between crossings decide it. The witness is
+    the first failing point, vertices first. With none failing, the answer is
+    ``contained`` when ``outer`` is a simple polygon, a single member or one
+    parameter, or when each piece's projected vertices lie in one member of
+    the union; otherwise it is undecided (None).
     """
     missing = set(outer.parameter_names) - set(inner.parameter_names)
     if missing:
@@ -531,17 +541,30 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
             f"outer node {outer.name!r} has parameters absent from inner "
             f"{inner.name!r}: {sorted(missing)}"
         )
-    lo, hi = np.array(inner.box).T
-    X = coords_array(region_vertices(inner), inner)
-    wanted = len(X) + _PROBES
-    for start in range(1, _PROBE_LIMIT + 1, _PROBE_BLOCK):
-        if len(X) >= wanted:
-            break
-        probes = lo + _halton(start, _PROBE_BLOCK, len(lo)) * (hi - lo)
-        X = np.vstack([X, probes[region_containment(probes, inner, tol) != OUTSIDE]])
     columns = [inner.parameter_names.index(name) for name in outer.parameter_names]
-    failing = np.flatnonzero(region_containment(X[:wanted, columns], outer, tol) == OUTSIDE)
+    pieces = region_pieces(inner)
+    if isinstance(inner.region, Polygon2D):  # its edges project onto the boundary
+        starts, ends = pieces[0], np.roll(pieces[0], -1, axis=0)
+    else:  # one lift per projected vertex: the others add only chords inside the hull
+        lifts = [V[np.sort(np.unique(V[:, columns], axis=0, return_index=True)[1])] for V in pieces]
+        pairs = [(V[i], V[j]) for V in lifts for i, j in combinations(range(len(V)), 2)]
+        starts, ends = np.reshape(pairs, (-1, 2, len(inner.parameters))).transpose(1, 0, 2)
+    if isinstance(outer.region, Polygon2D):
+        ax, ay, _, dx, dy, _, _ = _polygon_edges(outer)
+        N, c = np.column_stack([-dy, dx]), dx * ay - dy * ax
+    else:
+        N, c = map(np.array, zip(*[row for member in _normalized_halfspaces(outer) for row in member]))
+    p0, p1 = (normalize_array(P[:, columns], outer) for P in (starts, ends))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (c - p0 @ N.T) / ((p1 - p0) @ N.T)  # crossings; 0 and 1 are the endpoints
+    t = np.sort(np.hstack([np.zeros((len(t), 1)), np.where((t > 0) & (t < 1), t, 1.0)]), axis=1)
+    chords = starts[:, None] + (t[:, :-1, None] + t[:, 1:, None]) / 2 * (ends - starts)[:, None]
+    X = np.vstack([*pieces, chords.reshape(-1, len(inner.parameters))])
+    failing = np.flatnonzero(region_containment(X[:, columns], outer, tol) == OUTSIDE)
     if len(failing):
-        witness = dict(zip(inner.parameter_names, X[failing[0]].tolist()))
-        return ContainsResult(False, DataPoint(witness))
-    return ContainsResult(True, None)
+        return ContainsResult(False, DataPoint(dict(zip(inner.parameter_names, X[failing[0]].tolist()))))
+    if isinstance(outer.region, Polygon2D) or len(outer.region.members) == 1 or len(columns) == 1:
+        return ContainsResult(True)
+    members = [replace(outer, region=PolytopeUnion((m,))) for m in outer.region.members]
+    fits = [any((region_containment(V[:, columns], m, tol) != OUTSIDE).all() for m in members) for V in pieces]
+    return ContainsResult(True if all(fits) else None)

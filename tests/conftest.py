@@ -3,8 +3,13 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import oddkit
+
+# the same examples on every run, however long each takes
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 DATA = Path(__file__).parent / "data"
 

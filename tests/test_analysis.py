@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 import oddkit
@@ -44,6 +46,27 @@ def test_unvalidated_rule_base_refuses_lookup():
         base.lookup(("OutCOD", "Any"))
     with pytest.raises(ValueError, match="uncovered cell"):
         base.validate()
+
+
+def test_packaged_rules_parse_cleanly():
+    text = resources.files("oddkit").joinpath("data/erla_rules.txt").read_text("utf-8")
+    base, diags = analysis.parse_rules(text)
+    assert diags == []
+    assert (len(base.rules), len(base.not_applicable)) == (9, 3)
+
+
+@pytest.mark.parametrize(
+    "text,where,parsed",
+    [
+        ("rule { kinds [OutCOD] categories [Any]", (1, 38), 0),  # unclosed at end of file
+        ("rule kinds [x] }\nrule { kinds [OutCOD] categories [Any] }", (1, 6), 1),  # no '{'
+        ("rule { E [ { ] }\nrule { kinds [OutCOD] categories [Any] }", (1, 12), 1),  # '{' as an item
+    ],
+)
+def test_rule_file_errors_report_once_and_resume(text, where, parsed):
+    base, diags = analysis.parse_rules(text)
+    assert [(d.code, d.line, d.col) for d in diags] == [("E001", *where)]
+    assert len(base.rules) == parsed
 
 
 def test_overlapping_rules_rejected():

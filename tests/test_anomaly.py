@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import oddkit
@@ -115,6 +117,32 @@ def test_empty_stratum_raises():
         anomaly.sample_region(node, 5, "feasible_corner", seed=0)
     with pytest.raises(oddkit.EmptyStratum):
         anomaly.sample_region(node, 5, "edge", seed=0)
+
+
+def test_empty_edge_stratum_is_decided_before_any_draw():
+    # no vertex of the triangle lies at a range bound, so no edge point
+    # exists whatever n is; the draw cap would take time linear in n
+    tri = oddkit.OddNode(
+        "tri",
+        oddkit.Level.MLM_ODD,
+        (oddkit.Parameter("x", "u", 0.0, 1.0), oddkit.Parameter("y", "u", 0.0, 1.0)),
+        oddkit.Polygon2D(((0.3, 0.3), (0.7, 0.3), (0.5, 0.7))),
+    )
+    start = time.perf_counter()
+    with pytest.raises(oddkit.EmptyStratum, match="no edge points"):
+        anomaly.sample_region(tri, 10_000, "edge", seed=0)
+    assert time.perf_counter() - start < 1.0
+    # a square whose halfspaces reach x = 1, listed with vertices rounded
+    # inward: the halfspaces decide, so it has edge points
+    params = (oddkit.Parameter("x", "u", 0.0, 1.0), oddkit.Parameter("y", "u", 0.0, 1.0))
+    halfspaces = (((1.0, 0.0), 1.0), ((-1.0, 0.0), -0.5), ((0.0, 1.0), 0.7), ((0.0, -1.0), -0.3))
+    rounded = ((0.5, 0.3), (0.999, 0.3), (0.999, 0.7), (0.5, 0.7))
+    square = oddkit.OddNode(
+        "square", oddkit.Level.MLM_ODD, params,
+        oddkit.PolytopeUnion((oddkit.ConvexPolytope(halfspaces, rounded),)),
+    )
+    points = anomaly.sample_region(square, 20, "edge", seed=0)
+    assert len(points) == 20 and all(p.values["x"] == 1.0 for p in points)
 
 
 def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):

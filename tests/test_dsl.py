@@ -128,6 +128,59 @@ odd "EXT" level mlm_odd extends "BASE" {
     assert "E007" in _codes(doc)
 
 
+_UNION_BASE_SPEC = """
+odd "BASE" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polytope {
+    halfspace 1 0 <= 0.6
+    halfspace -1 0 <= 0
+    halfspace 0 1 <= 1
+    halfspace 0 -1 <= 0
+    vertex (0,0) vertex (0.6,0) vertex (0.6,1) vertex (0,1)
+  }
+  region polytope {
+    halfspace 1 0 <= 1
+    halfspace -1 0 <= -0.4
+    halfspace 0 1 <= 1
+    halfspace 0 -1 <= 0
+    vertex (0.4,0) vertex (1,0) vertex (1,1) vertex (0.4,1)
+  }
+}
+odd "EXT" level mlm_odd extends "BASE" {
+  param x: u range [0, 2]
+  param y: u range [0, 1]
+  param z: u range [0, 1]
+  region polytope {
+    halfspace 1 0 0 <= HI
+    halfspace -1 0 0 <= -0.1
+    halfspace 0 1 0 <= 0.9
+    halfspace 0 -1 0 <= -0.1
+    halfspace 0 0 1 <= 1
+    halfspace 0 0 -1 <= 0
+    vertex (0.1,0.1,0) vertex (HI,0.1,0) vertex (HI,0.9,0) vertex (0.1,0.9,0)
+    vertex (0.1,0.1,1) vertex (HI,0.1,1) vertex (HI,0.9,1) vertex (0.1,0.9,1)
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "hi,codes",
+    [
+        ("0.5", []),  # the projection fits in the first member
+        ("0.9", ["W002"]),  # it lies in the union, across both members
+        ("1.2", ["E007"]),  # a chord leaves the union
+    ],
+)
+def test_extends_union_base_decided_or_w002(hi, codes):
+    # over two parameters a union of several members need not be simply
+    # connected, so passing every chord point decides nothing by itself
+    doc = oddkit.parse_spec(_UNION_BASE_SPEC.replace("HI", hi))
+    assert [d.code for d in doc.diagnostics] == codes
+    assert doc.ok == (codes != ["E007"])
+
+
 def test_extends_without_new_parameter_e007():
     text = """
 odd "BASE" level mlm_odd {

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddkit
 from oddkit import geometry
+from oddkit.cli import cli
 from oddkit.model import Containment, DataPoint
 
 import oracles
@@ -400,7 +402,7 @@ def test_contains_node(extended_doc):
 
 def test_contains_node_probes_find_a_gap_between_vertices():
     # a U-shaped base with a 0.2-wide gap; every vertex of the extension's box
-    # projects into the arms, so only an interior probe can show the gap
+    # projects into the arms, so only a point between vertices can show the gap
     text = """
 odd "U" level mlm_odd {
   param x: u range [0, 1]
@@ -433,6 +435,111 @@ odd "BOX" level mlm_odd extends "U" {
     assert geometry.point_in_region(result.witness, box) != Containment.OUTSIDE
     assert geometry.point_in_region(geometry.project(result.witness, base), base) == Containment.OUTSIDE
     assert "witness {'x'" in doc.errors[0].message
+
+
+_NOTCH_SPEC = """
+odd "BASE" level mlm_odd {{
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon {{ (0,0) (1,0) (1,1) ({hi},1) ({hi},0.05) ({lo},0.05) ({lo},1) (0,1) }}
+}}
+odd "EXT" level mlm_odd extends "BASE" {{
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  param z: u range [0, 1]
+  region polytope {{
+    halfspace 1 0 0 <= 0.9
+    halfspace -1 0 0 <= -0.1
+    halfspace 0 1 0 <= 0.9
+    halfspace 0 -1 0 <= -0.1
+    halfspace 0 0 1 <= 1
+    halfspace 0 0 -1 <= 0
+    vertex (0.1,0.1,0) vertex (0.9,0.1,0) vertex (0.9,0.9,0) vertex (0.1,0.9,0)
+    vertex (0.1,0.1,1) vertex (0.9,0.1,1) vertex (0.9,0.9,1) vertex (0.1,0.9,1)
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize("lo,hi", [("0.3295", "0.3305"), ("0.4995", "0.5005")])
+def test_contains_node_finds_a_notch_off_any_lattice(lo, hi, tmp_path):
+    # a notch 0.001 wide cut down from the top of the base; the extension's box
+    # spans it, so (x, 0.5) of its projection lies outside the base
+    text = _NOTCH_SPEC.format(lo=lo, hi=hi)
+    doc = oddkit.parse_spec(text)
+    assert [d.code for d in doc.errors] == ["E007"]
+    base, ext = doc.node("BASE"), doc.node("EXT")
+    result = geometry.contains_node(ext, base)
+    assert result.contained is False
+    w = result.witness.values
+    assert oracles.polytope_contains(tuple(w[n] for n in ext.parameter_names), ext.region.members[0].halfspaces)
+    assert not oracles.polygon_contains((w["x"], w["y"]), base.region.vertices)
+    assert float(lo) < w["x"] < float(hi)
+    spec = tmp_path / "notch.odd"
+    spec.write_text(text)
+    assert CliRunner().invoke(cli, ["validate", str(spec)]).exit_code == 1
+
+
+def test_contains_node_reads_the_halfspaces_not_the_listed_vertices():
+    # the extension's box reaches x = 0.9, past the base's edge at x = 0.8995,
+    # but its listed vertices are rounded inward to x = 0.899, inside the base
+    text = _NOTCH_SPEC.format(lo="0.3295", hi="0.3305").replace("(0.9,", "(0.899,")
+    text = text.replace("(1,0) (1,1) (0.3305,1) (0.3305,0.05) (0.3295,0.05) (0.3295,1)", "(0.8995,0) (0.8995,1)")
+    doc = oddkit.parse_spec(text)
+    base, ext = doc.node("BASE"), doc.node("EXT")
+    assert base.region.vertices == ((0, 0), (0.8995, 0), (0.8995, 1), (0, 1))
+    assert max(v.values["x"] for v in geometry.region_vertices(ext)) == 0.899
+    result = geometry.contains_node(ext, base)
+    assert result.contained is False
+    assert result.witness.values["x"] == pytest.approx(0.9)
+
+
+def _star_polygon(gaps, radii):
+    """A simple polygon: vertices at increasing angles around (0.5, 0.5)."""
+    angles = np.cumsum(gaps) / np.sum(gaps) * 2 * math.pi
+    return tuple((0.5 + r * math.cos(a), 0.5 + r * math.sin(a)) for a, r in zip(angles, radii))
+
+
+@given(
+    data=st.data(),
+    sides=st.integers(min_value=8, max_value=16),
+    corner=st.tuples(*[st.floats(min_value=0.25, max_value=0.65)] * 2),
+    size=st.tuples(*[st.floats(min_value=0.01, max_value=0.3)] * 2),
+    simplex=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100)
+def test_contains_node_never_misses_a_sampled_witness(data, sides, corner, size, simplex, seed):
+    # a box or a corner simplex over (x0, x1, x2) against a random simple
+    # polygon over (x0, x1): every sampled inner point whose projection is outside the
+    # base must be matched by a "not contained" verdict with a true witness
+    gaps = data.draw(st.lists(st.floats(min_value=0.5, max_value=1.0), min_size=sides, max_size=sides))
+    radii = data.draw(st.lists(st.floats(min_value=0.05, max_value=0.45), min_size=sides, max_size=sides))
+    base = oddkit.OddNode(
+        "base",
+        oddkit.Level.MLM_ODD,
+        (oddkit.Parameter("x0", "u", 0.0, 1.0), oddkit.Parameter("x1", "u", 0.0, 1.0)),
+        oddkit.Polygon2D(_star_polygon(gaps, radii)),
+    )
+    (x0, y0), (a, b) = corner, size
+    rng = np.random.default_rng(seed)
+    if simplex:
+        halfspaces = [((-1.0, 0.0, 0.0), -x0), ((0.0, -1.0, 0.0), -y0), ((0.0, 0.0, -1.0), 0.0),
+                      ((1 / a, 1 / b, 1.0), 1 + x0 / a + y0 / b)]
+        verts = [(x0, y0, 0.0), (x0 + a, y0, 0.0), (x0, y0 + b, 0.0), (x0, y0, 1.0)]
+        X = rng.dirichlet(np.ones(4), 300) @ np.array(verts)
+    else:
+        halfspaces, verts = _box([x0, y0, 0.0], [x0 + a, y0 + b, 1.0])
+        X = rng.uniform([x0, y0, 0.0], [x0 + a, y0 + b, 1.0], (300, 3))
+    inner = _node("inner", [(0.0, 1.0)] * 3, [(halfspaces, verts)])
+    result = geometry.contains_node(inner, base)
+    assert result.contained is not None
+    if (geometry.region_containment(X[:, :2], base) == geometry.OUTSIDE).any():
+        assert result.contained is False
+    if result.contained is False:
+        w = result.witness
+        assert geometry.point_in_region(w, inner) != Containment.OUTSIDE
+        assert geometry.point_in_region(geometry.project(w, base), base) == Containment.OUTSIDE
 
 
 def test_region_vertices_deduplicates(extended_doc):

@@ -1,7 +1,7 @@
-"""Source-layout guards: one CSV writer, one random generator, one near-point
-matcher, monitors on the array engine, label objects built only at the API
-edges, no output formatting in the CLI, and no XML or URL library loaded by
-the CLI."""
+"""Source-layout guards: one CSV writer, one random generator, one vertex
+enumeration, one token cursor, one near-point matcher, monitors on the array
+engine, label objects built only at the API edges, no output formatting in
+the CLI, and no XML or URL library loaded by the CLI."""
 
 from __future__ import annotations
 
@@ -40,6 +40,15 @@ def _callers(path: Path, callee: str) -> list[str | None]:
 def test_csv_writer_is_built_only_by_write_csv():
     callers = {path.name: _callers(path, "csv.writer") for path in SRC.glob("*.py")}
     assert {name: fns for name, fns in callers.items() if fns} == {"datasets.py": ["write_csv"]}
+
+
+def test_one_vertex_enumeration_and_one_token_cursor():
+    # every set of halfspace rows is solved in _flats; the rule-file parser
+    # walks tokens with the spec parser's cursor, not one of its own
+    callers = {path.name: _callers(path, "np.linalg.svd") for path in SRC.glob("*.py")}
+    assert {name: fns for name, fns in callers.items() if fns} == {"geometry.py": ["_flats"]}
+    assert _callers(SRC / "analysis.py", "_Parser") == ["parse_rules"]
+    assert _callers(SRC / "analysis.py", "tokenize") == ["parse_rules"]
 
 
 def test_anomaly_seeds_a_generator_only_in_the_draw_loop():
