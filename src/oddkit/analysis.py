@@ -223,7 +223,6 @@ def analyze_partitions(
 
 DEFAULT_GRID = (20, 20)
 _VERTEX_TOL = 1e-3  # normalized distance within which a point covers a vertex or range bound
-_SLICE_PROBE_POINTS = 65
 
 
 @dataclass
@@ -276,29 +275,17 @@ def coverage_report(
     span = np.array([p.span for p in node.parameters])
     X_hat = (X - lo) / span
 
-    vertices = geometry.region_vertices(node)
-    matched = 0
-    for v in vertices:
-        v_hat = (np.array(geometry.coords(v, node)) - lo) / span
-        if (np.abs(X_hat - v_hat).max(axis=1) <= _VERTEX_TOL).any():
-            matched += 1
-    vertex_coverage = matched / len(vertices) if vertices else 0.0
+    V_hat = geometry.normalize_array(geometry.region_vertices(node), node)
+    covers = (np.abs(X_hat[:, None] - V_hat).max(axis=2) <= _VERTEX_TOL).any(axis=0)
+    vertex_coverage = int(covers.sum()) / len(V_hat) if len(V_hat) else 0.0
 
+    # a point covers a bound slice the region reaches when it lies near both
     near_region = geometry.region_containment(X, node, max(tol, _VERTEX_TOL)) != geometry.OUTSIDE
-    feasible_slices = 0
-    covered_slices = 0
-    for idx, param in enumerate(node.parameters):
-        other = node.parameters[1 - idx]
-        for bound in (param.lo, param.hi):
-            probe = np.empty((_SLICE_PROBE_POINTS, 2))
-            probe[:, idx] = bound
-            probe[:, 1 - idx] = np.linspace(other.lo, other.hi, _SLICE_PROBE_POINTS)
-            if (geometry.region_containment(probe, node, tol) == geometry.OUTSIDE).all():
-                continue
-            feasible_slices += 1
-            bound_hat = (bound - param.lo) / param.span
-            if (near_region & (np.abs(X_hat[:, idx] - bound_hat) <= _VERTEX_TOL)).any():
-                covered_slices += 1
+    bounds_hat = geometry.normalize_array(np.array(node.box).T, node)  # rows lo, hi
+    at_bound = near_region[:, None, None] & (np.abs(X_hat[:, None] - bounds_hat) <= _VERTEX_TOL)
+    reached = geometry.bounds_reached(node, tol).T
+    feasible_slices = int(reached.sum())
+    covered_slices = int((at_bound.any(axis=0) & reached).sum())
     edge_coverage = covered_slices / feasible_slices if feasible_slices else 0.0
 
     nx, ny = grid

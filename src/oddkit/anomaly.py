@@ -208,9 +208,11 @@ def sample_region(
     Deterministic given ``seed``. Every returned point classifies into exactly
     the requested stratum: strictly interior non-extreme (nominal_interior),
     exactly one parameter at an extreme and inside (edge; each candidate has
-    one parameter pinned to one of its bounds), region vertices
-    with two or more extremes (feasible_corner), or outside the region but
-    within the 20%-inflated parameter box (outlier_ring).
+    one parameter pinned to one of its bounds), the vertices of
+    :func:`geometry.region_vertices` with two or more extremes, repeated
+    (feasible_corner), or outside the region but within the 20%-inflated
+    parameter box (outlier_ring). An empty edge stratum raises before any
+    draw, when :func:`geometry.bounds_reached` finds no bound.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -219,20 +221,15 @@ def sample_region(
     if n == 0:
         return []
     if mode == "feasible_corner":
-        vertices = geometry.region_vertices(node, tol)
-        keep = _in_stratum(geometry.coords_array(vertices, node), node, mode, tol)
-        corners = [v for v, k in zip(vertices, keep) if k]
+        V = geometry.region_vertices(node, tol)
+        corners = _points(V[_in_stratum(V, node, mode, tol)], node)
         if not corners:
             raise EmptyStratum(
                 f"node {node.name!r} has no vertices with >= 2 parameters at extremes"
             )
         return [corners[i % len(corners)] for i in range(n)]
-    if mode == "edge":
-        # a coordinate is extreme over the region within its box, grown by the
-        # boundary band, at a vertex: with none at a bound, no point is either
-        V = np.clip(np.vstack(geometry.region_pieces(node, tol)), *np.array(node.box).T)
-        if not geometry.extreme_mask(V, node, tol).any():
-            raise EmptyStratum(f"node {node.name!r} reaches no range bound: it has no edge points")
+    if mode == "edge" and not geometry.bounds_reached(node, tol).any():
+        raise EmptyStratum(f"node {node.name!r} reaches no range bound: it has no edge points")
     params = node.parameters
     if mode == "outlier_ring":
         params = [_widened(p, _OUTLIER_INFLATION) for p in params]

@@ -15,12 +15,14 @@ Diagnostic codes:
     E008 allocation cycle
     E009 more than one system_od node
     E010 monitor input point whose arity differs from its node's parameter count
+    E011 distribution that cannot be drawn within its parameter's range
     W001 unknown attribute or construct (ignored)
     W002 E007 undecided (a base that is a union of several members)
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -386,7 +388,7 @@ class _Parser:
                     if None in lst or self.expect("punct", ")") is None:
                         return None
                     args = tuple(lst)
-                distribution = Distribution(kind.value, args)
+                distribution, dist_tok = Distribution(kind.value, args), kind
         if lo > hi:
             self.error(
                 f"parameter {name.value!r}: range lo {lo:g} > hi {hi:g}",
@@ -394,6 +396,8 @@ class _Parser:
                 code="E005",
             )
             lo, hi = hi, lo
+        if distribution is not None and (problem := _distribution_problem(distribution, lo, hi)):
+            self.error(f"parameter {name.value!r}: {distribution.kind} {problem}", dist_tok, code="E011")
         return {
             "name": name.value,
             "unit": unit.value,
@@ -535,6 +539,32 @@ class _Parser:
         return MonitorDecl(
             kind=kind.value, inputs=tuple(inputs), line=start.line, col=start.col, **opts
         )
+
+
+def _distribution_problem(dist: Distribution, lo: float, hi: float) -> str | None:
+    """Why the sampler cannot draw ``dist`` within [lo, hi], or None."""
+    args = dist.args
+    if dist.kind == "uniform":
+        return f"takes no arguments, got {len(args)}" if args else None
+    if dist.kind == "triangular":
+        if len(args) != 3:
+            return f"takes 3 arguments (left, mode, right), got {len(args)}"
+        if not args[0] <= args[1] <= args[2] or args[0] == args[2]:
+            return "needs left <= mode <= right and left < right"
+        support = args[0], args[2]
+    else:
+        bins = (len(args) - 1) // 2
+        if bins < 1 or len(args) != 2 * bins + 1:
+            return f"takes k + 1 edges and k weights (k >= 1), got {len(args)} arguments"
+        edges, weights = args[: bins + 1], args[bins + 1 :]
+        if not all(a < b for a, b in zip(edges, edges[1:])):
+            return "needs strictly increasing edges"
+        if min(weights) < 0 or not 0 < sum(weights) < math.inf:
+            return "needs non-negative weights with a positive finite sum"
+        support = edges[0], edges[-1]
+    if not (lo <= support[0] and support[1] <= hi):
+        return f"support [{support[0]:g}, {support[1]:g}] leaves the range [{lo:g}, {hi:g}]"
+    return None
 
 
 # -- semantic assembly and validation ------------------------------------------

@@ -434,26 +434,6 @@ def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.n
     return _by_chunk(decide, X, np.empty(X.shape, dtype=bool))
 
 
-def region_vertices(node: OddNode, tol: float = DEFAULT_TOL) -> list[DataPoint]:
-    """Region vertices as data points; polytope-union vertices are deduplicated."""
-    names = node.parameter_names
-    region = node.region
-    if isinstance(region, Polygon2D):
-        return [DataPoint(dict(zip(names, v))) for v in region.vertices]
-    seen: list[tuple[float, ...]] = []
-    out = []
-    for member in region.members:
-        for v in member.vertices:
-            v_hat = normalize(v, node)
-            if any(
-                max(abs(a - b) for a, b in zip(v_hat, s)) <= tol for s in seen
-            ):
-                continue
-            seen.append(v_hat)
-            out.append(DataPoint(dict(zip(names, v))))
-    return out
-
-
 def distance_to_boundary(
     p: DataPoint, node: OddNode, tol: float = DEFAULT_TOL
 ) -> float:
@@ -520,6 +500,31 @@ def region_pieces(node: OddNode, grow: float = 0.0) -> tuple[np.ndarray, ...]:
     for V in pieces:
         V.flags.writeable = False  # shared by every caller through the cache
     return tuple(pieces)
+
+
+def region_vertices(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The vertices of :func:`region_pieces`, clipped to the box, as one (V, d)
+    array in raw coordinates; a vertex within ``tol`` (normalized, L∞) of an
+    earlier one it keeps is dropped."""
+    V = np.clip(np.vstack(region_pieces(node)), *np.array(node.box).T)
+    V_hat = normalize_array(V, node)
+    kept: list[int] = []
+    for i, v in enumerate(V_hat):
+        if not kept or np.abs(V_hat[kept] - v).max(axis=1).min() > tol:
+            kept.append(i)
+    return V[kept]
+
+
+def bounds_reached(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(d, 2) flags: whether the region within its box, grown by the boundary
+    band ``tol``, reaches parameter j's lo (column 0) or hi (column 1) bound
+    within ``tol`` times its span. A coordinate is least and greatest over a
+    polygon or a convex piece at a vertex, so the vertices of
+    ``region_pieces(node, tol)`` decide it."""
+    lo, hi = np.array(node.box).T
+    V = np.clip(np.vstack(region_pieces(node, tol)), lo, hi)
+    band = tol * np.array([p.span for p in node.parameters])
+    return np.column_stack([(V - lo <= band).any(axis=0), (hi - V <= band).any(axis=0)])
 
 
 def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> ContainsResult:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import geometry
 from .dsl import fmt
 from .model import DataPoint, OddNode, Polygon2D
 
@@ -58,16 +59,16 @@ def _text(tag: str, attrs: dict[str, str], text: str) -> str:
 
 
 def _member_loops(node: OddNode) -> list[list[tuple[float, float]]]:
-    region = node.region
-    if isinstance(region, Polygon2D):
-        return [[tuple(v) for v in region.vertices]]
-    loops = []
-    for member in region.members:
-        pts = [tuple(v) for v in member.vertices]
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-        pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-        loops.append(pts)
+    """One loop per nonempty piece of :func:`geometry.region_pieces`; a convex
+    piece's vertices are put in order by their angle about its centroid."""
+    loops = [[tuple(v) for v in V.tolist()] for V in geometry.region_pieces(node) if len(V)]
+    if not loops:
+        raise ValueError(f"node {node.name!r} has no region within its box to draw")
+    if not isinstance(node.region, Polygon2D):
+        for pts in loops:
+            cx = sum(p[0] for p in pts) / len(pts)
+            cy = sum(p[1] for p in pts) / len(pts)
+            pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     return loops
 
 

@@ -44,6 +44,24 @@ def chain(extended_doc) -> oddkit.Chain:
 
 
 @pytest.fixture(scope="session")
+def rounded_square_text() -> str:
+    """The unit square as halfspaces, its vertices listed rounded inward."""
+    return """
+odd "SQ" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polytope {
+    halfspace 1 0 <= 1
+    halfspace -1 0 <= 0
+    halfspace 0 1 <= 1
+    halfspace 0 -1 <= 0
+    vertex (0.001, 0.001) vertex (0.999, 0.001) vertex (0.999, 0.999) vertex (0.001, 0.999)
+  }
+}
+"""
+
+
+@pytest.fixture(scope="session")
 def golden_text() -> str:
     return (DATA / "golden_points.csv").read_text(encoding="utf-8")
 

@@ -114,6 +114,27 @@ def test_coverage_report(golden_dataset, extended_doc):
     assert "count_Nominal=3" in text
 
 
+def test_coverage_counts_a_bound_slice_reached_at_one_vertex(extended_doc):
+    # SOD reaches Alt = 16000 only at its vertex (0.2, 16000)
+    node = extended_doc.node("SOD")
+    points = [DataPoint({"Mach": 0.0, "Alt": 5000.0}), DataPoint({"Mach": 0.7, "Alt": 5000.0}),
+              DataPoint({"Mach": 0.3, "Alt": -2000.0})]
+    assert analysis.coverage_report(points, node).edge_coverage == 0.75
+    points.append(DataPoint({"Mach": 0.2, "Alt": 16000.0}))
+    assert analysis.coverage_report(points, node).edge_coverage == 1.0
+
+
+def test_coverage_reads_the_halfspaces_of_a_square_listed_rounded_inward(rounded_square_text):
+    doc = oddkit.parse_spec(rounded_square_text)
+    assert doc.ok
+    points = [DataPoint({"x": 0.0, "y": 0.0}), DataPoint({"x": 1.0, "y": 1.0}), DataPoint({"x": 0.5, "y": 0.0})]
+    report = analysis.coverage_report(points, doc.node("SQ"))
+    # the corner rows the classifier finds cover two of the four box corners
+    assert report.counts == {"FeasibleCornerCase": 2, "EdgeCase": 1}
+    assert report.vertex_coverage == 0.5
+    assert report.edge_coverage == 1.0  # (0, 0) and (1, 1) lie on all four bounds
+
+
 def test_coverage_flags_empty_required_partitions(extended_doc):
     node = extended_doc.node("MLMODD")
     points = [DataPoint({"Mach": 0.2, "Alt": 7000.0})]

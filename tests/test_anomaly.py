@@ -3,9 +3,11 @@ from __future__ import annotations
 import time
 
 import pytest
+from click.testing import CliRunner
 
 import oddkit
 from oddkit import anomaly, geometry
+from oddkit.cli import cli
 from oddkit.model import Containment, DataPoint
 
 
@@ -143,6 +145,21 @@ def test_empty_edge_stratum_is_decided_before_any_draw():
     )
     points = anomaly.sample_region(square, 20, "edge", seed=0)
     assert len(points) == 20 and all(p.values["x"] == 1.0 for p in points)
+
+
+def test_feasible_corners_of_a_square_listed_rounded_inward(rounded_square_text, tmp_path):
+    # the halfspaces reach the four box corners; the listed vertices reach none
+    node = oddkit.parse_spec(rounded_square_text).node("SQ")
+    points = anomaly.sample_region(node, 8, "feasible_corner", seed=0)
+    corners = {(round(p.values["x"], 9), round(p.values["y"], 9)) for p in points}
+    assert corners == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
+    assert {label.category.label for label in oddkit.classify_points(points, node)} == {"FeasibleCornerCase"}
+    spec = tmp_path / "square.odd"
+    spec.write_text(rounded_square_text)
+    args = ["generate", str(spec), "--node", "SQ", "--mode", "feasible_corner", "-n", "4", "--seed", "0"]
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    assert sorted(result.output.splitlines()[2:]) == ["0,0", "0,1", "1,0", "1,1"]
 
 
 def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):

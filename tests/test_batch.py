@@ -5,7 +5,8 @@ classify_point, classify_kind, label_rows and coverage_report as they were
 before the batch engine, the linear registry scan the grid-hash matcher
 replaced, the per-row monitor loop the detection matrix replaced, and the
 per-row categorisation (``ref_categorize``) the category codes replaced; each
-batch result must equal them label for label. Containment and range extremes
+batch result must equal them label for label. ``ref_coverage_report`` decides
+which bound slices a polygon reaches edge by edge (``ref_slice_reached``). Containment and range extremes
 are further checked against the independent oracles.
 """
 
@@ -268,6 +269,27 @@ def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAU
     return monitors.SimulationResult(verdicts, metrics)
 
 
+def ref_slice_reached(vertices, idx, bound_hat, tol):
+    """Whether the normalized polygon comes within ``tol`` of the bound slice
+    x[idx] = bound_hat, 0 <= x[other] <= 1, decided edge by edge: an edge
+    crossing the slice, or an endpoint of one within ``tol`` of the other."""
+    s0, s1 = [bound_hat, bound_hat], [bound_hat, bound_hat]
+    s0[1 - idx], s1[1 - idx] = 0.0, 1.0
+
+    def orient(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return (v > 0) - (v < 0)
+
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        if orient(a, b, s0) * orient(a, b, s1) < 0 and orient(s0, s1, a) * orient(s0, s1, b) < 0:
+            return True
+        ends = (oracles._segment_distance(a, s0, s1), oracles._segment_distance(b, s0, s1),
+                oracles._segment_distance(s0, a, b), oracles._segment_distance(s1, a, b))
+        if min(ends) <= tol:
+            return True
+    return False
+
+
 def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol=1e-3):
     counts: dict[str, int] = {}
     normalized = []
@@ -276,25 +298,20 @@ def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol
         counts[label.category.label] = counts.get(label.category.label, 0) + 1
         normalized.append(geometry.normalize(geometry.coords(p, node), node))
 
-    vertices = geometry.region_vertices(node)
+    assert isinstance(node.region, Polygon2D), "the reference reads a polygon's edges"
+    vertices = [geometry.normalize(v, node) for v in node.region.vertices]
     matched = 0
-    for v in vertices:
-        v_hat = geometry.normalize(geometry.coords(v, node), node)
+    for v_hat in vertices:
         if any(max(abs(a - b) for a, b in zip(v_hat, x)) <= vertex_tol for x in normalized):
             matched += 1
 
     feasible = covered = 0
     for idx, param in enumerate(node.parameters):
-        other = node.parameters[1 - idx]
         for bound in (param.lo, param.hi):
-            probe = np.linspace(other.lo, other.hi, 65)
-            probes = [DataPoint({param.name: bound, other.name: float(g)}) for g in probe]
-            if not any(
-                geometry.point_in_region(q, node, tol) != Containment.OUTSIDE for q in probes
-            ):
+            bound_hat = (bound - param.lo) / param.span
+            if not ref_slice_reached(vertices, idx, bound_hat, tol):
                 continue
             feasible += 1
-            bound_hat = (bound - param.lo) / param.span
             if any(
                 abs(x[idx] - bound_hat) <= vertex_tol
                 for x, p in zip(normalized, points)
@@ -772,7 +789,7 @@ def test_classify_points_agree_label_for_label(
     assert len(got) == len(want) and not disagreements, disagreements[:10]
 
 
-@pytest.mark.parametrize("node_name", ["MLMODD", "SOD"])
+@pytest.mark.parametrize("node_name", ["MLMODD", "SOD", "MLCODD_oper"])
 def test_coverage_report_agrees(mixed, extended_doc, node_name):
     node = extended_doc.node(node_name)
     points = mixed[:5000]

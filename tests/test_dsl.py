@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from click.testing import CliRunner
 
 import oddkit
 from oddkit import dsl
+from oddkit.cli import cli
 
 
 def test_corpus_round_trip(extended_spec_text):
@@ -329,6 +331,57 @@ monitorchain "m" {
     assert (chain.line, chain.col) == (7, 1)
     assert chain == dataclasses.replace(chain, line=1, col=1)
     assert chain.monitors[1] == dataclasses.replace(chain.monitors[1], line=1, col=1)
+
+
+_DIST_SPEC = """
+odd "D" level mlm_odd {{
+  param x: u range [0, 1] dist {dist}
+  param y: u range [0, 1]
+  region polygon {{ (0,0) (1,0) (1,1) (0,1) }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "uniform(0, 1)",
+        "triangular(1)",
+        "triangular(0.5, 0.2, 0.8)",
+        "triangular(0.5, 0.5, 0.5)",
+        "triangular(0, 1, 2)",
+        "histogram(0, 1)",
+        "histogram(0, 0.5, 1, 1)",
+        "histogram(0.5, 0, 1, 1, 1)",
+        "histogram(0, 0.5, 1, -1, 2)",
+        "histogram(0, 0.5, 1, 0, 0)",
+        "histogram(0, 0.5, 1, 1e308, 1e308)",
+        "histogram(-1, 0.5, 1, 1, 1)",
+        "triangular(0, 0.5, 1e400)",
+    ],
+)
+def test_undrawable_distribution_e011(dist, tmp_path):
+    text = _DIST_SPEC.format(dist=dist)
+    doc = oddkit.parse_spec(text)
+    assert _codes(doc) == ["E011"]
+    assert (doc.errors[0].line, doc.errors[0].col) == (3, 32)
+    spec = tmp_path / "dist.odd"
+    spec.write_text(text)
+    runner = CliRunner()
+    assert runner.invoke(cli, ["validate", str(spec)]).exit_code == 1
+    args = ["generate", str(spec), "--node", "D", "--mode", "nominal_interior", "-n", "5", "--seed", "0"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1, result.output
+
+
+@pytest.mark.parametrize(
+    "dist", ["uniform", "triangular(0, 1, 1)", "triangular(0.2, 0.5, 0.9)", "histogram(0, 0.5, 1, 0, 1)"]
+)
+def test_drawable_distribution_is_accepted(dist):
+    doc = oddkit.parse_spec(_DIST_SPEC.format(dist=dist))
+    assert doc.ok
+    points = oddkit.sample_region(doc.node("D"), 200, "nominal_interior", seed=0)
+    assert all(0 <= p.values["x"] <= 1 for p in points)
 
 
 def test_fmt_is_9_significant_digits():

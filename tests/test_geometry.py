@@ -427,8 +427,7 @@ odd "BOX" level mlm_odd extends "U" {
 """
     doc = oddkit.parse_spec(text)
     base, box = doc.node("U"), doc.node("BOX")
-    for v in geometry.region_vertices(box):
-        assert geometry.point_in_region(geometry.project(v, base), base) != Containment.OUTSIDE
+    assert (geometry.region_containment(geometry.region_vertices(box)[:, :2], base) != geometry.OUTSIDE).all()
     assert [d.code for d in doc.errors] == ["E007"]
     result = geometry.contains_node(box, base)
     assert not result.contained
@@ -488,7 +487,7 @@ def test_contains_node_reads_the_halfspaces_not_the_listed_vertices():
     doc = oddkit.parse_spec(text)
     base, ext = doc.node("BASE"), doc.node("EXT")
     assert base.region.vertices == ((0, 0), (0.8995, 0), (0.8995, 1), (0, 1))
-    assert max(v.values["x"] for v in geometry.region_vertices(ext)) == 0.899
+    assert max(v[0] for v in ext.region.members[0].vertices) == 0.899
     result = geometry.contains_node(ext, base)
     assert result.contained is False
     assert result.witness.values["x"] == pytest.approx(0.9)
@@ -543,8 +542,14 @@ def test_contains_node_never_misses_a_sampled_witness(data, sides, corner, size,
 
 
 def test_region_vertices_deduplicates(extended_doc):
-    ext = extended_doc.node("MLMODD_ext")
-    verts = geometry.region_vertices(ext)
-    assert len(verts) == 10
-    mlm = extended_doc.node("MLMODD")
-    assert len(geometry.region_vertices(mlm)) == 5
+    # the prism's 10 vertices and the polygon's 5, from the halfspaces and the listed loop
+    assert geometry.region_vertices(extended_doc.node("MLMODD_ext")).shape == (10, 3)
+    assert geometry.region_vertices(extended_doc.node("MLMODD")).tolist() == [
+        list(v) for v in extended_doc.node("MLMODD").region.vertices
+    ]
+    # two unit squares side by side share the edge x = 1: its two vertices are kept once
+    union = _node("pair", [(0.0, 2.0), (0.0, 1.0)], [_box([0.0, 0.0], [1.0, 1.0]), _box([1.0, 0.0], [2.0, 1.0])])
+    verts = geometry.region_vertices(union)
+    assert sorted(map(tuple, verts.tolist())) == pytest.approx(
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)], abs=1e-12
+    )

@@ -1,7 +1,8 @@
 """Source-layout guards: one CSV writer, one random generator, one vertex
-enumeration, one token cursor, one near-point matcher, monitors on the array
-engine, label objects built only at the API edges, no output formatting in
-the CLI, and no XML or URL library loaded by the CLI."""
+enumeration and one vertex source, one token cursor, one near-point
+matcher, monitors on the array engine, label objects built only at the API
+edges, no output formatting in the CLI, and no XML or URL library loaded by
+the CLI."""
 
 from __future__ import annotations
 
@@ -49,6 +50,43 @@ def test_one_vertex_enumeration_and_one_token_cursor():
     assert {name: fns for name, fns in callers.items() if fns} == {"geometry.py": ["_flats"]}
     assert _callers(SRC / "analysis.py", "_Parser") == ["parse_rules"]
     assert _callers(SRC / "analysis.py", "tokenize") == ["parse_rules"]
+
+
+def test_one_vertex_source_for_polytopes():
+    """Outside the spec parser and serializer, polytope vertices come from
+    the halfspaces (region_pieces): every ``.vertices`` read is of a polygon
+    region, or the vertex count of a face table."""
+    reads = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "dsl.py":
+            continue
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads |= {
+                    f"{path.name}:{fn.name}:{ast.unparse(node.value)}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "vertices"
+                }
+    assert reads == {
+        "geometry.py:_normalized_polygon:region",
+        "geometry.py:region_pieces:node.region",
+        "geometry.py:_distance_outside:table",
+    }
+
+
+def test_coverage_decides_on_no_probe_lattice():
+    """Coverage checks the data rows and the grid cells it reports on; which
+    bound slices the region reaches is decided from its vertices."""
+    tree = _tree(SRC / "analysis.py")
+    checked = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("region_containment")
+    }
+    assert checked == {"X", "centers"}
+    assert _callers(SRC / "analysis.py", "np.linspace") == []
+    assert _callers(SRC / "analysis.py", "geometry.bounds_reached") == ["coverage_report"]
+    assert _callers(SRC / "anomaly.py", "geometry.bounds_reached") == ["sample_region"]
 
 
 def test_anomaly_seeds_a_generator_only_in_the_draw_loop():

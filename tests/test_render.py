@@ -75,6 +75,40 @@ odd "BOX" level mlm_odd {
     assert root.find(f".//{SVG_NS}path[@id='region-BOX']") is not None
 
 
+def _corners(svg: str) -> set[str]:
+    d = ET.fromstring(svg).find(f".//{SVG_NS}path[@class='region']").get("d")
+    return set(d.removeprefix("M ").removesuffix(" Z").split(" L "))
+
+
+def test_render_draws_polytopes_from_their_halfspaces(rounded_square_text):
+    # the square's listed vertices are rounded inward; its drawn loop is the box
+    square = oddkit.parse_spec(rounded_square_text).node("SQ")
+    box = dataclasses.replace(square, region=oddkit.Polygon2D(((0, 0), (1, 0), (1, 1), (0, 1))))
+    assert _corners(oddkit.render_svg([square])) == _corners(oddkit.render_svg([box]))
+
+
+def test_render_refuses_a_polytope_outside_its_box():
+    # within the E006 band of the box, but no point of it is in the box
+    doc = oddkit.parse_spec(
+        """
+odd "OFF" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polytope {
+    halfspace -1 0 <= -1.0000005
+    halfspace 1 0 <= 1.0000006
+    halfspace 0 1 <= 1
+    halfspace 0 -1 <= 0
+    vertex (1.0000005, 0) vertex (1.0000006, 0) vertex (1.0000006, 1) vertex (1.0000005, 1)
+  }
+}
+"""
+    )
+    assert doc.ok
+    with pytest.raises(ValueError, match="no region within its box"):
+        oddkit.render_svg(doc.nodes)
+
+
 def test_svg_matches_the_golden_file(extended_doc, golden_dataset, chain, data_dir):
     svg = _render_corpus(extended_doc, golden_dataset, chain)
     assert svg == (data_dir / "golden_render.svg").read_text(encoding="utf-8")
