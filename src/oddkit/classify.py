@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from enum import Enum
@@ -85,9 +84,12 @@ _NOVELTY = CATEGORY_LABELS.index("Novelty")
 _OUTCOD = len(CATEGORY_LABELS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chain:
-    """An MLM/MLC allocation pair plus the classification context around it."""
+    """An MLM/MLC allocation pair plus the classification context around it.
+
+    Frozen, so the registry index a chain keeps cannot go stale.
+    """
 
     mlm: OddNode
     mlc: OddNode
@@ -97,6 +99,11 @@ class Chain:
     system_od: OddNode | None = None
     # declared preprocessing applied to raw values; empty means identity
     declared_transform: tuple[Transform, ...] = ()
+    # the sample registry's NearIndex per tol, built by registry_matches on
+    # first use; left out of equality and repr
+    registry_indexes: dict[float, NearIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.mlm.level != Level.MLM_ODD:
@@ -349,60 +356,106 @@ def classify_point(
 # are clipped to ±_CELL_LIMIT, where float rounding moves them by at most 1/8
 # and the int64 cell index cannot overflow; the clip keeps neighbours adjacent.
 _CELL_LIMIT = 2.0**50
+# Candidate pairs a query makes at once, a block of query rows times the most
+# reference rows sharing a cell key: bounds the temporaries.
+_PAIR_BLOCK = 1 << 16
 
 
-def _grid_cells(Xhat: np.ndarray, tol: float) -> list[tuple[int, ...]]:
-    """The L∞ grid cell of each row of normalised coordinates.
+def _grid_cells(Xhat: np.ndarray, tol: float) -> np.ndarray:
+    """The L∞ grid cell of each row of normalised coordinates, as int64 rows.
 
     With ``tol`` <= 0 only equal points match, and any cell edge keeps those
     together.
     """
     edge = 2.0 * tol if tol > 0 else 1.0
     limit = _CELL_LIMIT * edge
-    cells = np.floor(np.clip(Xhat, -limit, limit) / edge).astype(np.int64)
-    return list(map(tuple, cells.tolist()))
+    return np.floor(np.clip(Xhat, -limit, limit) / edge).astype(np.int64)
+
+
+class NearIndex:
+    """Fixed-radius near neighbours (Bentley, Stanat & Williams 1977) of a set
+    of reference rows, built once: which query rows lie within ``tol`` of some
+    reference row in every normalised coordinate of ``node``?
+
+    The reference rows are hashed into a grid of cells 2·``tol`` wide (see
+    :func:`_grid_cells`) and sorted by cell key. A query row looks up the
+    keys of its 3^d neighbouring cells with a binary search, in numpy, and
+    applies the exact L∞ test ``abs(q - r) <= tol`` to the rows found there.
+    Two cells may share a key, which adds candidates but removes no match.
+    For well-spread rows a query of N rows against M reference rows costs
+    O((N + M) log M); the candidate pairs are made in blocks, so the
+    temporaries stay bounded. A row with a non-finite coordinate, queried or
+    referenced, matches nothing.
+    """
+
+    def __init__(self, R: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL):
+        self.node, self.tol = node, tol
+        # a cell's key sums its indices times odd multipliers, wrapping mod
+        # 2^64, so a neighbour's key is the cell's plus the offset's
+        d = len(node.parameters)
+        self.factors = np.array([(2 * j + 1) * 0x9E3779B97F4A7C15 % 2**63 for j in range(d)], dtype=np.int64)
+        Rhat = geometry.normalize_array(R, node)
+        Rhat = Rhat[np.isfinite(Rhat).all(axis=1)]
+        keys = self._keys(Rhat)
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.rows = keys[order], Rhat[order]
+        # the row's own cell first: a match there settles the row
+        offsets = np.array(list(itertools.product((0, -1, 1), repeat=d)), dtype=np.int64)
+        self.offsets = (offsets * self.factors).sum(axis=1)
+        widest = np.unique(self.keys, return_counts=True)[1].max(initial=1)
+        self.block = max(1, _PAIR_BLOCK // int(widest))
+
+    def _keys(self, Xhat: np.ndarray) -> np.ndarray:
+        return (_grid_cells(Xhat, self.tol) * self.factors).sum(axis=1)
+
+    def matches(self, X: np.ndarray) -> np.ndarray:
+        """Per row of ``X``, raw coordinates in the node's parameter order:
+        is some reference row within ``tol`` of it?"""
+        matched = np.zeros(len(X), dtype=bool)
+        if not len(self.keys):
+            return matched
+        Q = geometry.normalize_array(X, self.node)
+        rows = np.flatnonzero(np.isfinite(Q).all(axis=1))
+        for start in range(0, len(rows), self.block):
+            block = rows[start : start + self.block]
+            q, keys = Q[block], self._keys(Q[block])
+            pending = np.arange(len(block))
+            for offset in self.offsets.tolist():
+                cell = keys[pending] + offset
+                lo = np.searchsorted(self.keys, cell, side="left")
+                n = np.searchsorted(self.keys, cell, side="right") - lo
+                # the candidate pairs: each pending row with each row of its cell
+                i = np.repeat(pending, n)
+                j = np.arange(len(i)) + np.repeat(lo - np.cumsum(n) + n, n)
+                hit = i[(np.abs(q[i] - self.rows[j]) <= self.tol).all(axis=1)]
+                matched[block[hit]] = True
+                pending = pending[~matched[block[pending]]]
+                if not len(pending):
+                    break
+        return matched
 
 
 def near_matches(
     X: np.ndarray, R: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Per row of ``X``: does ``R`` hold a row within ``tol`` of it in every
-    normalised coordinate?
-
-    ``X`` and ``R`` hold raw coordinates in ``node``'s parameter order, as from
-    :func:`geometry.coords_array`. ``R`` is hashed into a grid once per call
-    and each row of ``X`` is tested only against the rows of its 3^d
-    neighbouring cells (fixed-radius near neighbours, Bentley, Stanat &
-    Williams 1977), so a call costs O(N + M) for well-spread points. A row
-    with a non-finite coordinate, in ``X`` or in ``R``, matches nothing.
-    """
-    matched = np.zeros(len(X), dtype=bool)
-    Rhat = geometry.normalize_array(R, node)
-    Rhat = Rhat[np.isfinite(Rhat).all(axis=1)]
-    if not len(Rhat):
-        return matched
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for j, cell in enumerate(_grid_cells(Rhat, tol)):
-        cells.setdefault(cell, []).append(j)
-    targets = Rhat.tolist()
-    Q = geometry.normalize_array(X, node)
-    rows = np.flatnonzero(np.isfinite(Q).all(axis=1))
-    offsets = list(itertools.product((-1, 0, 1), repeat=Q.shape[1]))
-    for i, q, cell in zip(rows.tolist(), Q[rows].tolist(), _grid_cells(Q[rows], tol)):
-        matched[i] = any(
-            max(abs(a - b) for a, b in zip(q, targets[j])) <= tol
-            for offset in offsets
-            for j in cells.get(tuple(map(operator.add, cell, offset)), ())
-        )
-    return matched
+    normalised coordinate? Both hold raw coordinates in ``node``'s parameter
+    order; callers that query ``R`` again keep its :class:`NearIndex`."""
+    return NearIndex(R, node, tol).matches(X)
 
 
 def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """:func:`near_matches` of raw MLM coordinates ``X`` against the sample
-    registry; registry entries lacking an MLM parameter are skipped."""
-    names = chain.mlm.parameter_names
-    entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
-    return near_matches(X, geometry.coords_array(entries, chain.mlm), chain.mlm, tol)
+    """Per row of raw MLM coordinates ``X``: does the sample registry hold a
+    row within ``tol`` of it? The chain's :class:`NearIndex` of the registry
+    for ``tol`` is built on the first call and kept on the chain; registry
+    entries lacking an MLM parameter are skipped."""
+    index = chain.registry_indexes.get(tol)
+    if index is None:
+        names = chain.mlm.parameter_names
+        entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
+        index = NearIndex(geometry.coords_array(entries, chain.mlm), chain.mlm, tol)
+        chain.registry_indexes[tol] = index
+    return index.matches(X)
 
 
 def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool:

@@ -10,7 +10,7 @@ Diagnostic codes:
     E003 unresolved reference
     E004 degenerate or inconsistent region
     E005 parameter range violation (lo > hi)
-    E006 region outside the parameter box
+    E006 region outside the parameter box, or a polytope member with no point in it
     E007 extends-containment violation
     E008 allocation cycle
     E009 more than one system_od node
@@ -631,7 +631,7 @@ def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
     errors_after = sum(1 for d in diagnostics if d.severity == "error")
     if decl["bad"] or region is None or errors_after > errors_before:
         return None
-    return OddNode(
+    node = OddNode(
         name=decl["name"],
         level=level,
         variant=variant,
@@ -640,6 +640,17 @@ def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
         allocates=decl["allocates"],
         extends=decl["extends"],
     )
+    if isinstance(region, PolytopeUnion):
+        # the band of _in_box admits a member just outside the box, so one
+        # whose piece has no vertex has no point in the box
+        pieces = geometry.region_pieces(node)
+        for piece, (_, _, rloc) in zip(pieces, decl["polytopes"]):
+            if not len(piece):
+                message = f"node {decl['name']!r}: polytope member has no point within the parameter box"
+                diagnostics.append(Diagnostic("error", "E006", message, *rloc))
+        if not all(map(len, pieces)):
+            return None
+    return node
 
 
 def _in_box(value: float, param: Parameter) -> bool:

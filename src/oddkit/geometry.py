@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
-from operator import mul
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import IncompatibleParameters, MissingParameter
 from .model import (
     DEFAULT_TOL,
     Containment,
-    ConvexPolytope,
     DataPoint,
     OddNode,
     Polygon2D,
@@ -30,16 +29,16 @@ from .model import (
 
 def coords(p: DataPoint, node: OddNode) -> tuple[float, ...]:
     """Extract the node's parameter values from a data point, in order."""
-    out = []
-    for param in node.parameters:
-        if param.name not in p.values:
-            raise MissingParameter(param.name)
-        out.append(float(p.values[param.name]))
+    values, out = p.values, []
+    for name in node.parameter_names:
+        if name not in values:
+            raise MissingParameter(name)
+        out.append(float(values[name]))
     return tuple(out)
 
 
 def normalize(x: tuple[float, ...], node: OddNode) -> tuple[float, ...]:
-    return tuple((v - p.lo) / p.span for v, p in zip(x, node.parameters))
+    return _geometry(node).normalize(x)
 
 
 # -- polygon helpers ---------------------------------------------------------
@@ -84,62 +83,29 @@ def polygon_is_simple(verts) -> bool:
     return True
 
 
-def _even_odd_inside(pt, verts) -> bool:
-    x, y = pt
+def _polygon_distance(px: float, py: float, segments) -> float:
+    """Distance from (px, py) to the nearest of the polygon's edge segments."""
+    dists = []
+    for ax, ay, _, dx, dy, denom in segments:
+        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+        dists.append(math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    return min(dists)
+
+
+def _even_odd_inside(px: float, py: float, segments) -> bool:
     inside = False
-    for (x1, y1), (x2, y2) in _edges(verts):
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
+    for ax, ay, by, dx, dy, _ in segments:
+        if (ay > py) != (by > py) and px < ax + (py - ay) * dx / dy:
+            inside = not inside
     return inside
-
-
-def _point_segment_distance(pt, a, b) -> float:
-    px, py = pt
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        t = 0.0
-    else:
-        t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)
-
-
-def _polygon_boundary_distance(pt, verts) -> float:
-    return min(_point_segment_distance(pt, a, b) for a, b in _edges(verts))
-
-
-@lru_cache(maxsize=256)
-def _normalized_polygon(node: OddNode) -> tuple[tuple[float, float], ...]:
-    region = node.region
-    return tuple(normalize(v, node) for v in region.vertices)
 
 
 # -- polytope helpers --------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _normalized_halfspaces(node: OddNode):
-    """Per union member: unit-norm rows (A, b) of A.xhat <= b in normalized coords."""
-    members = []
-    for member in node.region.members:
-        rows = []
-        for a, b in member.halfspaces:
-            a_n = [ai * p.span for ai, p in zip(a, node.parameters)]
-            b_n = b - sum(ai * p.lo for ai, p in zip(a, node.parameters))
-            norm = math.sqrt(sum(v * v for v in a_n)) or 1.0
-            rows.append((tuple(v / norm for v in a_n), b_n / norm))
-        members.append(tuple(rows))
-    return tuple(members)
-
-
 def _member_margin(xhat, rows) -> float:
     """Minimal signed slack over the member's faces; >= 0 means inside."""
-    return min(b - sum(map(mul, a, xhat)) for a, b in rows)
+    return min([b - sum(map(mul, a, xhat)) for a, b in rows])
 
 
 # Rows whose smallest singular value is below this (rows are unit vectors)
@@ -184,21 +150,20 @@ def _flats(A: np.ndarray, b: np.ndarray, k: int):
     return T, np.eye(A.shape[1]) - vt.transpose(0, 2, 1) @ vt, c
 
 
-def _vertices(A: np.ndarray, b: np.ndarray) -> dict[frozenset, np.ndarray]:
+def _vertices(A: np.ndarray, b: np.ndarray) -> dict[frozenset, tuple[np.ndarray, np.ndarray]]:
     """The vertices of {x : A x <= b} (unit rows), keyed by their tight rows:
     the flats of d independent rows that exceed no row by more than the
-    slack, a vertex on more than d rows kept once, from its first set."""
-    x = _flats(A, b, A.shape[1])[2]
+    slack, a vertex on more than d rows kept once, with its first set's rows."""
+    T, _, x = _flats(A, b, A.shape[1])
     excess = x @ A.T - b
     vertices = {}
     for row in np.flatnonzero(excess.max(axis=1) <= _VERTEX_SLACK):
-        vertices.setdefault(frozenset(np.flatnonzero(excess[row] >= -_VERTEX_SLACK).tolist()), x[row])
+        vertices.setdefault(frozenset(np.flatnonzero(excess[row] >= -_VERTEX_SLACK).tolist()), (x[row], T[row]))
     return vertices
 
 
-@lru_cache(maxsize=256)
-def _face_tables(node: OddNode) -> tuple[_FaceTable, ...]:
-    """Per union member: its face table in normalized coordinates.
+def _face_tables(members) -> tuple[_FaceTable, ...]:
+    """Per union member, as unit rows ``(A, b)``: its normalized face table.
 
     The table comes from the halfspaces alone, which decide containment;
     the listed vertices play no part, since the spec admits a listed vertex
@@ -208,18 +173,16 @@ def _face_tables(node: OddNode) -> tuple[_FaceTable, ...]:
     Every face of a polyhedron with a vertex contains one, so each face's
     flat is in the table; without a vertex, every flat is.
     """
-    d = len(node.parameters)
     tables = []
-    for rows in _normalized_halfspaces(node):
-        A = np.array([a for a, _ in rows])
-        b = np.array([b for _, b in rows])
+    for A, b in members:
+        d = A.shape[1]
         vertices = _vertices(A, b)
         M, c = np.empty((0, d, d)), np.empty((0, d))
         for k in range(d - 1, 0, -1):
             T, M_k, c_k = _flats(A, b, k)
             keep = [not vertices or any(t.issuperset(row) for t in vertices) for row in T.tolist()]
             M, c = np.concatenate([M, M_k[keep]]), np.concatenate([c, c_k[keep]])
-        V = np.reshape(list(vertices.values()), (-1, d))
+        V = np.reshape([x for x, _ in vertices.values()], (-1, d))
         # p - x = (M - I) x + c, and A p - b = A M x + (A c - b); M is symmetric
         weights = np.hstack([
             np.tile(-np.eye(d), len(V)),
@@ -228,10 +191,65 @@ def _face_tables(node: OddNode) -> tuple[_FaceTable, ...]:
         ])
         offsets = np.concatenate([V.ravel(), c.ravel(), (c @ A.T - b).ravel()])
         starts = np.arange(len(M)) * len(b)
-        for a in (weights, offsets, starts):
-            a.flags.writeable = False  # shared by every caller through the cache
-        tables.append(_FaceTable(weights, offsets, starts, len(V) + len(M), len(V)))
+        tables.append(_FaceTable(*map(_read_only, (weights, offsets, starts)), len(V) + len(M), len(V)))
     return tuple(tables)
+
+
+def _read_only(a) -> np.ndarray:
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=float)
+    a.flags.writeable = False  # shared by every caller through the node's record
+    return a
+
+
+class _NodeGeometry:
+    """What one node's geometry calls read, built once per node by
+    :func:`_geometry`: the bounds as tuples and as arrays, and the normalized
+    polygon's edges (``segments`` for one point, ``edges`` for the engine)
+    or each member's unit rows (``rows`` as tuples, ``members`` as ``(A, b)``
+    arrays). The face tables and the region pieces come on first use."""
+
+    def __init__(self, node: OddNode):
+        params, self.region = node.parameters, node.region
+        self.lo_t, self.span_t = tuple(p.lo for p in params), tuple(p.span for p in params)
+        self.lo, self.hi, self.span = map(_read_only, (self.lo_t, [p.hi for p in params], self.span_t))
+        self.tables, self.pieces = None, {}
+        if isinstance(self.region, Polygon2D):
+            verts = [self.normalize(v) for v in self.region.vertices]
+            (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
+            dx, dy = bx - ax, by - ay
+            sq = dx * dx + dy * dy
+            self.segments = tuple(zip(*(v.tolist() for v in (ax, ay, by, dx, dy, sq))))
+            # the squared lengths and rises with zeros replaced by 1: see _polygon_codes
+            edges = (ax, ay, by, dx, dy, np.where(sq == 0.0, 1.0, sq), np.where(dy == 0.0, 1.0, dy))
+            self.edges = tuple(map(_read_only, edges))
+        else:
+            self.rows = tuple(tuple(map(self._unit_row, m.halfspaces)) for m in self.region.members)
+            self.members = tuple((_read_only([a for a, _ in m]), _read_only([b for _, b in m])) for m in self.rows)
+
+    def _unit_row(self, halfspace) -> tuple[tuple[float, ...], float]:
+        a, b = halfspace  # a.x <= b, in normalized coordinates as a unit row
+        a_n = [ai * s for ai, s in zip(a, self.span_t)]
+        b_n = b - sum(ai * lo for ai, lo in zip(a, self.lo_t))
+        norm = math.sqrt(sum(v * v for v in a_n)) or 1.0
+        return tuple(v / norm for v in a_n), b_n / norm
+
+    def normalize(self, x) -> tuple[float, ...]:
+        return tuple(map(truediv, map(sub, x, self.lo_t), self.span_t))
+
+    def face_tables(self) -> tuple[_FaceTable, ...]:
+        if self.tables is None:
+            self.tables = _face_tables(self.members)
+        return self.tables
+
+
+def _geometry(node: OddNode) -> _NodeGeometry:
+    """The node's geometry record, built on the first call and kept on the
+    node, so later calls neither hash the node nor rebuild an array."""
+    g = node.compiled
+    if g is None:
+        g = _NodeGeometry(node)
+        object.__setattr__(node, "compiled", g)
+    return g
 
 
 def _distance_outside(xhat, table: _FaceTable) -> float:
@@ -269,16 +287,15 @@ def point_in_region(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xhat = normalize(coords(p, node), node)
-    region = node.region
-    if isinstance(region, Polygon2D):
-        verts = _normalized_polygon(node)
-        if _polygon_boundary_distance(xhat, verts) <= tol:
+    g = _geometry(node)
+    xhat = g.normalize(coords(p, node))
+    if isinstance(node.region, Polygon2D):
+        if _polygon_distance(*xhat, g.segments) <= tol:
             return Containment.ON_BOUNDARY
-        return Containment.INSIDE if _even_odd_inside(xhat, verts) else Containment.OUTSIDE
+        return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
 
     on_boundary = False
-    for rows in _normalized_halfspaces(node):
+    for rows in g.rows:
         margin = _member_margin(xhat, rows)
         if margin > tol:
             return Containment.INSIDE
@@ -334,10 +351,9 @@ def coords_array(points: list[DataPoint], node: OddNode) -> np.ndarray:
 
 def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:
     """Rows of raw coordinates in node-parameter order, scaled as by :func:`normalize`."""
-    lo = np.array([p.lo for p in node.parameters])
-    span = np.array([p.span for p in node.parameters])
+    g = _geometry(node)
     with np.errstate(over="ignore"):  # an overflow gives inf, decided as such
-        return (X - lo) / span
+        return (X - g.lo) / g.span
 
 
 def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -348,20 +364,6 @@ def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:
             stop = start + _CHUNK_ROWS
             out[start:stop] = decide(X[start:stop])
     return out
-
-
-@lru_cache(maxsize=256)
-def _polygon_edges(node: OddNode) -> tuple[np.ndarray, ...]:
-    """Per edge of the normalized polygon: start (ax, ay), end ordinate by,
-    direction (dx, dy), and dx*dx + dy*dy and dy with zeros replaced by 1."""
-    verts = _normalized_polygon(node)
-    (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
-    dx, dy = bx - ax, by - ay
-    sq = dx * dx + dy * dy
-    edges = (ax, ay, by, dx, dy, np.where(sq == 0.0, 1.0, sq), np.where(dy == 0.0, 1.0, dy))
-    for a in edges:
-        a.flags.writeable = False  # shared by every caller through the cache
-    return edges
 
 
 def _polygon_codes(xhat: np.ndarray, edges: tuple[np.ndarray, ...], tol: float) -> np.ndarray:
@@ -411,22 +413,17 @@ def region_containment(
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(node.region, Polygon2D):
-        decide = partial(_polygon_codes, edges=_polygon_edges(node), tol=tol)
+        decide = partial(_polygon_codes, edges=_geometry(node).edges, tol=tol)
     else:
-        members = [
-            (np.array([a for a, _ in rows]), np.array([b for _, b in rows]))
-            for rows in _normalized_halfspaces(node)
-        ]
-        decide = partial(_union_codes, members=members, tol=tol)
+        decide = partial(_union_codes, members=_geometry(node).members, tol=tol)
     return _by_chunk(decide, normalize_array(X, node), np.empty(len(X), dtype=np.int8))
 
 
 def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(n, d) flags: row i's parameter j lies within ``tol`` times its span
     of its lo or hi bound."""
-    lo = np.array([p.lo for p in node.parameters])
-    hi = np.array([p.hi for p in node.parameters])
-    band = np.array([tol * p.span for p in node.parameters])
+    g = _geometry(node)
+    lo, hi, band = g.lo, g.hi, tol * g.span
 
     def decide(x):
         return np.minimum(np.abs(x - lo), np.abs(x - hi)) <= band
@@ -446,16 +443,16 @@ def distance_to_boundary(
     unions with overlapping members this is the distance to the nearest
     member boundary, which upper-bounds the union-boundary distance.
     """
-    xhat = normalize(coords(p, node), node)
-    region = node.region
-    if isinstance(region, Polygon2D):
-        return _polygon_boundary_distance(xhat, _normalized_polygon(node))
+    g = _geometry(node)
+    xhat = g.normalize(coords(p, node))
+    if isinstance(node.region, Polygon2D):
+        return _polygon_distance(*xhat, g.segments)
     if not all(map(math.isfinite, xhat)):
         return math.nan if any(map(math.isnan, xhat)) else math.inf
     best = math.inf
-    for i, rows in enumerate(_normalized_halfspaces(node)):
+    for i, rows in enumerate(g.rows):
         margin = _member_margin(xhat, rows)
-        best = min(best, margin if margin >= 0 else _distance_outside(xhat, _face_tables(node)[i]))
+        best = min(best, margin if margin >= 0 else _distance_outside(xhat, g.face_tables()[i]))
     return best
 
 
@@ -476,30 +473,40 @@ def project(p: DataPoint, node: OddNode) -> DataPoint:
     return DataPoint(vals, p.provenance_raw, p.hidden_values, p.in_sample)
 
 
-@lru_cache(maxsize=256)
 def region_pieces(node: OddNode, grow: float = 0.0) -> tuple[np.ndarray, ...]:
     """Vertices, in raw coordinates, of each piece of the region within its
     box: the polygon, or each member with its box rows added and its own
     halfspaces moved out by ``grow`` (normalized). A member's vertices come
-    from its halfspaces; the spec admits listed vertices rounded inward.
+    from its halfspaces; the spec admits listed vertices rounded inward. A
+    vertex's rows are found in normalized coordinates, then solved as the
+    spec writes them, and a coordinate held by a box row is that bound.
     """
+    g = _geometry(node)
+    if grow in g.pieces:
+        return g.pieces[grow]
     if isinstance(node.region, Polygon2D):
-        pieces = [np.array(node.region.vertices, dtype=float)]
+        pieces = [g.region.vertices]
     else:
-        d = len(node.parameters)
-        lo, hi = np.array(node.box).T
-        span = np.array([p.span for p in node.parameters])
-        E, top = np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([(hi - lo) / span, np.zeros(d)])
-        pieces = []
-        for member in _normalized_halfspaces(node):
-            A, b = np.array([a for a, _ in member]), np.array([b + grow for _, b in member])
+        d, pieces = len(g.lo), []
+        E, top = np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([(g.hi - g.lo) / g.span, np.zeros(d)])
+        # box row j in raw coordinates, and the bound it holds coordinate j % d at
+        raw_top, bound = np.concatenate([g.hi, -g.lo]), np.concatenate([g.hi, g.lo])
+        for (A, b), member in zip(g.members, g.region.members):
+            b = b + grow
             # a box row that a member row already implies only adds sets of rows to solve
-            keep = ~((A[:, None] == E).all(axis=2) & (b[:, None] <= top)).any(axis=0)
-            A, b = np.vstack([A, E[keep]]), np.concatenate([b, top[keep]])
-            pieces.append(lo + np.reshape(list(_vertices(A, b).values()), (-1, d)) * span)
-    for V in pieces:
-        V.flags.writeable = False  # shared by every caller through the cache
-    return tuple(pieces)
+            box = np.flatnonzero(~((A[:, None] == E).all(axis=2) & (b[:, None] <= top)).any(axis=0))
+            vertices = _vertices(np.vstack([A, E[box]]), np.concatenate([b, top[box]]))
+            a_raw, b_raw = map(np.array, zip(*member.halfspaces))
+            b_raw = b_raw + grow * np.linalg.norm(a_raw * g.span, axis=1)
+            a_raw, b_raw = np.vstack([a_raw, E[box]]), np.concatenate([b_raw, raw_top[box]])
+            T = np.array([rows for _, rows in vertices.values()], dtype=int).reshape(-1, d)
+            V = np.linalg.solve(a_raw[T], b_raw[T][..., None])[..., 0] + 0.0  # + 0.0: no -0.0
+            for V_k, tight in zip(V, vertices):
+                for j in box[[row - len(A) for row in tight if row >= len(A)]].tolist():
+                    V_k[j % d] = bound[j]
+            pieces.append(V)
+    g.pieces[grow] = tuple(map(_read_only, pieces))
+    return g.pieces[grow]
 
 
 def region_vertices(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -521,10 +528,10 @@ def bounds_reached(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
     within ``tol`` times its span. A coordinate is least and greatest over a
     polygon or a convex piece at a vertex, so the vertices of
     ``region_pieces(node, tol)`` decide it."""
-    lo, hi = np.array(node.box).T
-    V = np.clip(np.vstack(region_pieces(node, tol)), lo, hi)
-    band = tol * np.array([p.span for p in node.parameters])
-    return np.column_stack([(V - lo <= band).any(axis=0), (hi - V <= band).any(axis=0)])
+    g = _geometry(node)
+    V = np.clip(np.vstack(region_pieces(node, tol)), g.lo, g.hi)
+    band = tol * g.span
+    return np.column_stack([(V - g.lo <= band).any(axis=0), (g.hi - V <= band).any(axis=0)])
 
 
 def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> ContainsResult:
@@ -555,10 +562,10 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
         pairs = [(V[i], V[j]) for V in lifts for i, j in combinations(range(len(V)), 2)]
         starts, ends = np.reshape(pairs, (-1, 2, len(inner.parameters))).transpose(1, 0, 2)
     if isinstance(outer.region, Polygon2D):
-        ax, ay, _, dx, dy, _, _ = _polygon_edges(outer)
+        ax, ay, _, dx, dy, _, _ = _geometry(outer).edges
         N, c = np.column_stack([-dy, dx]), dx * ay - dy * ax
     else:
-        N, c = map(np.array, zip(*[row for member in _normalized_halfspaces(outer) for row in member]))
+        N, c = (np.concatenate(part) for part in zip(*_geometry(outer).members))
     p0, p1 = (normalize_array(P[:, columns], outer) for P in (starts, ends))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (c - p0 @ N.T) / ((p1 - p0) @ N.T)  # crossings; 0 and 1 are the endpoints

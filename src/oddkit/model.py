@@ -99,6 +99,8 @@ class OddNode:
     extends: str | None = None
     # derived from ``parameters``, so left out of equality, hashing and repr
     parameter_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # geometry record built by oddkit.geometry on first use, left out likewise
+    compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(p.name for p in self.parameters)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
 
 from . import geometry
-from .classify import CATEGORY_LABELS, Chain, _category_codes, near_matches
+from .classify import CATEGORY_LABELS, Chain, NearIndex, _category_codes
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
@@ -107,6 +107,9 @@ class Monitor:
     action: str = "filter"
     action_value: float | None = None
     known_inputs: tuple[DataPoint, ...] = ()
+    # the known inputs' NearIndex in the node detect last read them in, built
+    # there on first use; left out of equality and repr
+    known_index: NearIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MONITOR_KINDS:
@@ -147,7 +150,11 @@ class Monitor:
         if self.kind == "extreme_value_monitor":
             return geometry.extreme_mask(X, node, self.tol).any(axis=1)
         # known_input_monitor
-        return near_matches(X, geometry.coords_array(self.known_inputs, node), node, self.tol)
+        index = self.known_index
+        if index is None or index.node is not node:
+            index = NearIndex(geometry.coords_array(self.known_inputs, node), node, self.tol)
+            object.__setattr__(self, "known_index", index)
+        return index.matches(X)
 
     def _cross_check(self, p: DataPoint, node: OddNode) -> bool:
         if not p.provenance_raw:

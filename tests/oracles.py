@@ -8,7 +8,9 @@ interval tests (the package takes the distance to the nearer bound), and the
 boundary distance of a polygon-times-interval prism is computed in closed form
 (the package projects onto every face's affine hull), and the distance from
 an outside point to a convex polytope is found by Wolfe's nearest-point
-iteration over its vertices (the package evaluates a precomputed face table).
+iteration over its vertices (the package evaluates a precomputed face table),
+and near matches are found by comparing every pair of rows (the package
+looks candidates up in a grid of sorted cell keys).
 """
 
 from __future__ import annotations
@@ -128,3 +130,22 @@ def wolfe_distance(x, vertices) -> float:
         corral = [c for c, k in zip(corral, keep) if k]
         w = w[keep] / w[keep].sum()
     raise ArithmeticError(f"nearest point of a {len(P)}-vertex hull not found in {WOLFE_MAX_STEPS} steps")
+
+
+def near_matches(Q, R, lo, span, tol) -> list[bool]:
+    """Per row of ``Q``: does some row of ``R`` lie within ``tol`` of it in
+    every coordinate scaled as ``(x - lo) / span``? Every pair of rows is
+    compared; a row with a non-finite scaled coordinate matches nothing."""
+
+    def scaled(rows):
+        out = []
+        for row in rows:
+            x = [(v - l) / s for v, l, s in zip(row, lo, span)]
+            out.append(x if all(map(math.isfinite, x)) else None)
+        return out
+
+    refs = [r for r in scaled(R) if r is not None]
+    return [
+        q is not None and any(all(abs(a - b) <= tol for a, b in zip(q, r)) for r in refs)
+        for q in scaled(Q)
+    ]

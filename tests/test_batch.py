@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
 from oddkit import analysis, classify, geometry, monitors
@@ -764,6 +766,92 @@ def test_registry_matches_with_an_empty_registry(chain):
     assert classify.registry_matches(X, chain).tolist() == [False, False]
     assert [classify.registry_match(p, chain) for p in queries] == [False, False]
     assert classify.registry_matches(X[:0], chain).shape == (0,)
+
+
+# Coordinates of the index property: multiples of the step, which put rows
+# exactly one tol apart and on cell edges (multiples of 2·tol), free floats,
+# and non-finite values.
+def _index_coordinate(step):
+    return st.one_of(
+        st.integers(-8, 8).map(lambda k: k * step),
+        st.floats(-3.0, 3.0),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_near_index_equals_the_pairwise_scan(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    tol = data.draw(st.sampled_from([0.25, 0.1, DEFAULT_TOL, 0.0, -0.25]), label="tol")
+    row = st.lists(_index_coordinate(abs(tol) or 0.25), min_size=d, max_size=d)
+    R = data.draw(st.lists(row, max_size=12), label="R")
+    if R:  # duplicate reference rows
+        R += data.draw(st.lists(st.sampled_from(R), max_size=4), label="copies")
+    Q = data.draw(st.lists(st.one_of(row, st.sampled_from(R or [[0.0] * d])), max_size=12), label="Q")
+    node = _unit_box_chain(d, ()).mlm  # spans of 1: rows scale exactly
+    R_arr, Q_arr = np.array(R, dtype=float).reshape(-1, d), np.array(Q, dtype=float).reshape(-1, d)
+    want = oracles.near_matches(Q, R, [0.0] * d, [1.0] * d, tol)
+    assert classify.NearIndex(R_arr, node, tol).matches(Q_arr).tolist() == want
+    assert classify.near_matches(Q_arr, R_arr, node, tol).tolist() == want
+
+
+def test_near_index_in_small_blocks_equals_the_pairwise_scan(extended_doc, monkeypatch):
+    """Blocks of one query row, and cells shared by many reference rows."""
+    mlm = extended_doc.node("MLMODD")
+    registry, queries = registry_case(mlm, seed=33, n=60)
+    R = geometry.coords_array([r for r in registry if len(r.values) == 2], mlm)
+    Q = geometry.coords_array(queries, mlm)
+    lo, span = [p.lo for p in mlm.parameters], [p.span for p in mlm.parameters]
+    monkeypatch.setattr(classify, "_PAIR_BLOCK", 1)
+    for tol in (DEFAULT_TOL, 0.05, 0.5):
+        index = classify.NearIndex(R, mlm, tol)
+        assert index.block == 1
+        assert index.matches(Q).tolist() == oracles.near_matches(Q.tolist(), R.tolist(), lo, span, tol)
+
+
+def test_a_chain_builds_its_registry_index_once(extended_doc, monkeypatch):
+    registry, queries = registry_case(extended_doc.node("MLMODD"), seed=34, n=40)
+    chain = oddkit.build_chain(extended_doc, sample_registry=registry)
+    built = []
+
+    class Counted(classify.NearIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(classify, "NearIndex", Counted)
+    first = oddkit.label_rows(queries, chain)
+    for _ in range(3):
+        assert row_tuples(oddkit.label_rows(queries, chain)) == row_tuples(first)
+    assert oddkit.verify_set_algebra(queries, chain).holds
+    assert len(built) == 1
+    assert any(r.kind == Kind.IN_SAMPLE for r in first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.sample_registry = ()
+
+
+def test_one_point_calls_and_labelling_hash_no_node(extended_doc, monkeypatch):
+    """Every call reads the node's record, which is built without hashing the node."""
+    fresh = {n.name: dataclasses.replace(n) for n in extended_doc.nodes}  # nodes without a record
+    doc = dataclasses.replace(extended_doc, nodes=list(fresh.values()))
+    registry, queries = registry_case(fresh["MLMODD"], seed=35, n=40)
+    chain = oddkit.build_chain(doc, sample_registry=registry)
+
+    def unhashable(node):
+        raise AssertionError(f"node {node.name!r} hashed")
+
+    monkeypatch.setattr(OddNode, "__hash__", unhashable)
+    inside = DataPoint({"Mach": 0.2, "Alt": 7000.0, "Temp": 0.0})
+    outside = DataPoint({"Mach": 0.5, "Alt": 7000.0, "Temp": 40.0})
+    for name in ("MLMODD", "MLMODD_ext"):
+        node = fresh[name]
+        assert geometry.point_in_region(inside, node) == Containment.INSIDE
+        assert geometry.point_in_region(outside, node) == Containment.OUTSIDE
+        assert geometry.distance_to_boundary(outside, node) > 0
+        X = geometry.coords_array([inside, outside], node)
+        assert geometry.region_containment(X, node).tolist() == [geometry.INSIDE, geometry.OUTSIDE]
+    assert len(oddkit.label_rows(queries, chain)) == len(queries)
 
 
 @pytest.mark.parametrize(

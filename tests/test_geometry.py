@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -160,19 +161,19 @@ def test_distance_to_boundary_is_exact_on_the_prism(extended_doc):
     assert outside >= 1000
 
 
-def test_face_table_of_the_prism_is_built_once(extended_doc):
-    ext = extended_doc.node("MLMODD_ext")
-    geometry._face_tables.cache_clear()
+def test_face_table_of_the_prism_is_built_once(extended_doc, monkeypatch):
+    ext = dataclasses.replace(extended_doc.node("MLMODD_ext"))  # a node with no record yet
+    builds = []
+    build = geometry._face_tables
+    monkeypatch.setattr(geometry, "_face_tables", lambda members: builds.append(members) or build(members))
     far = DataPoint({"Mach": 0.15, "Alt": 7000.0, "Temp": 40.0})  # nearest the cap's interior
     assert geometry.distance_to_boundary(far, ext) == pytest.approx(25 / 75, rel=1e-12)
-    (table,) = geometry._face_tables(ext)
+    (table,) = geometry._geometry(ext).face_tables()
     # 10 vertices, 15 edges (5 per cap, 5 vertical) and 7 facets (5 walls, 2 caps)
     assert (table.faces, table.vertices) == (32, 10)
-    built = geometry._face_tables.cache_info().misses
     geometry.distance_to_boundary(DataPoint({"Mach": 0.5, "Alt": -100.0, "Temp": -70.0}), ext)
-    info = geometry._face_tables.cache_info()
-    assert info.misses == built
-    assert info.hits >= 2
+    assert len(builds) == 1
+    assert geometry._geometry(ext).face_tables() is geometry._geometry(ext).face_tables()
 
 
 def _node(name, ranges, members):
@@ -298,7 +299,7 @@ def _wolfe_distance(p, node):
     over the vertices of their halfspaces."""
     xhat = geometry.normalize(geometry.coords(p, node), node)
     best = math.inf
-    for rows, member in zip(geometry._normalized_halfspaces(node), node.region.members):
+    for rows, member in zip(geometry._geometry(node).rows, node.region.members):
         margin = geometry._member_margin(xhat, rows)
         if margin < 0:
             margin = oracles.wolfe_distance(xhat, _hull_vertices(member, node))
@@ -330,7 +331,7 @@ def test_face_table_resolves_a_clipped_corner():
     # a point 1e-9 off a facet 3e-6 across, so the distances are in closed
     # form: off the facet's centre along its normal, the distance is the push
     node = _box_with_a_clipped_corner()
-    assert geometry._face_tables(node)[0].faces == 32  # 10 vertices, 15 edges, 7 facets
+    assert geometry._geometry(node).face_tables()[0].faces == 32  # 10 vertices, 15 edges, 7 facets
     centre = np.full(3, 1.0 - 1e-6)
     for push in (1e-9, 1e-6, 1e-3):
         x = centre + push / math.sqrt(3.0)
@@ -344,7 +345,7 @@ def test_face_table_follows_the_halfspaces_under_rounded_vertices(apex):
     # outward and by any amount inward; the table takes its faces from the
     # halfspaces, so both listings give the triangle's prism
     node = _triangle_prism(apex)
-    assert geometry._face_tables(node)[0].faces == 20  # 6 vertices, 9 edges, 5 facets
+    assert geometry._geometry(node).face_tables()[0].faces == 20  # 6 vertices, 9 edges, 5 facets
     walls = [((0.0, 0.0), (1 / 3, 1.0), (-3.0, 1.0)), ((1.0, 0.0), (1 / 3, 1.0), (1.5, 1.0))]
     for start, end, normal in walls:
         start, end, normal = np.array(start), np.array(end), np.array(normal) / np.hypot(*normal)
@@ -553,3 +554,13 @@ def test_region_vertices_deduplicates(extended_doc):
     assert sorted(map(tuple, verts.tolist())) == pytest.approx(
         [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0)], abs=1e-12
     )
+
+
+def test_listed_vertices_come_back_exactly(extended_doc):
+    # solved from the spec's own rows, with box-bound coordinates set to the
+    # bound, the prism's vertices are its listed ones to the last bit
+    ext = extended_doc.node("MLMODD_ext")
+    (listed,) = [member.vertices for member in ext.region.members]
+    assert sorted(map(tuple, geometry.region_vertices(ext).tolist())) == sorted(listed)
+    corners = oddkit.sample_region(ext, 20, "feasible_corner", seed=0)
+    assert (0.2, 15000.0, 15.0) in [tuple(p.values.values()) for p in corners]

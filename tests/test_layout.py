@@ -68,10 +68,23 @@ def test_one_vertex_source_for_polytopes():
                     if isinstance(node, ast.Attribute) and node.attr == "vertices"
                 }
     assert reads == {
-        "geometry.py:_normalized_polygon:region",
-        "geometry.py:region_pieces:node.region",
+        "geometry.py:__init__:self.region",  # the node's geometry record
+        "geometry.py:region_pieces:g.region",
         "geometry.py:_distance_outside:table",
     }
+
+
+def test_geometry_keeps_no_cache_keyed_by_node():
+    """A node's geometry lives in its record; no functools cache hashes a
+    node on each call."""
+    text = (SRC / "geometry.py").read_text(encoding="utf-8")
+    names = {
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert not {"lru_cache", "cache", "functools.lru_cache", "functools.cache"} & names
+    assert "lru_cache" not in text and "@cache" not in text
 
 
 def test_coverage_decides_on_no_probe_lattice():
@@ -95,8 +108,8 @@ def test_anomaly_seeds_a_generator_only_in_the_draw_loop():
 
 def test_only_the_registry_index_reads_the_sample_registry():
     """The registry is read in one place and matched through the one grid
-    index, which the known-input monitor shares, so no second matcher scans
-    the registry or the known inputs."""
+    index type, which the known-input monitor shares, so no second matcher
+    scans the registry or the known inputs."""
     readers = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(_tree(path)):
@@ -107,9 +120,9 @@ def test_only_the_registry_index_reads_the_sample_registry():
                 readers.append(f"{path.name}:{fn.name}")
     assert readers == ["classify.py:registry_matches"]
     grids = {path.name: set(_callers(path, "_grid_cells")) for path in SRC.glob("*.py")}
-    assert {name: fns for name, fns in grids.items() if fns} == {"classify.py": {"near_matches"}}
-    assert _callers(SRC / "classify.py", "near_matches") == ["registry_matches"]
-    assert _callers(SRC / "monitors.py", "near_matches") == ["detect"]
+    assert {name: fns for name, fns in grids.items() if fns} == {"classify.py": {"_keys"}}
+    assert _callers(SRC / "classify.py", "NearIndex") == ["near_matches", "registry_matches"]
+    assert _callers(SRC / "monitors.py", "NearIndex") == ["detect"]
 
 
 def test_monitors_call_no_one_point_geometry():

@@ -88,9 +88,9 @@ def test_render_draws_polytopes_from_their_halfspaces(rounded_square_text):
 
 
 def test_render_refuses_a_polytope_outside_its_box():
-    # within the E006 band of the box, but no point of it is in the box
-    doc = oddkit.parse_spec(
-        """
+    # within the E006 band of the box, but no point of it is in the box:
+    # validation reports it, and render refuses a node built without parsing
+    off = """
 odd "OFF" level mlm_odd {
   param x: u range [0, 1]
   param y: u range [0, 1]
@@ -103,10 +103,18 @@ odd "OFF" level mlm_odd {
   }
 }
 """
+    doc = oddkit.parse_spec(off)
+    assert [(d.code, d.line) for d in doc.diagnostics] == [("E006", 5)]
+    assert "no point within the parameter box" in doc.diagnostics[0].message
+    assert doc.nodes == []
+    member = oddkit.ConvexPolytope(
+        (((-1.0, 0.0), -1.0000005), ((1.0, 0.0), 1.0000006), ((0.0, 1.0), 1.0), ((0.0, -1.0), 0.0)),
+        ((1.0000005, 0.0), (1.0000006, 0.0), (1.0000006, 1.0), (1.0000005, 1.0)),
     )
-    assert doc.ok
+    params = (oddkit.Parameter("x", "u", 0.0, 1.0), oddkit.Parameter("y", "u", 0.0, 1.0))
+    node = oddkit.OddNode("OFF", oddkit.Level.MLM_ODD, params, oddkit.PolytopeUnion((member,)))
     with pytest.raises(ValueError, match="no region within its box"):
-        oddkit.render_svg(doc.nodes)
+        oddkit.render_svg([node])
 
 
 def test_svg_matches_the_golden_file(extended_doc, golden_dataset, chain, data_dir):
