@@ -106,6 +106,8 @@ class Chain:
     )
 
     def __post_init__(self):
+        # a tuple, so the registry the index was built from cannot change
+        object.__setattr__(self, "sample_registry", tuple(self.sample_registry))
         if self.mlm.level != Level.MLM_ODD:
             raise ValueError(f"chain mlm node {self.mlm.name!r} must have level mlm_odd")
         if self.mlc.level != Level.MLC_ODD or self.mlc.variant != Variant.AS_SPECIFIED:
@@ -433,15 +435,6 @@ class NearIndex:
                 if not len(pending):
                     break
         return matched
-
-
-def near_matches(
-    X: np.ndarray, R: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Per row of ``X``: does ``R`` hold a row within ``tol`` of it in every
-    normalised coordinate? Both hold raw coordinates in ``node``'s parameter
-    order; callers that query ``R`` again keep its :class:`NearIndex`."""
-    return NearIndex(R, node, tol).matches(X)
 
 
 def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -640,9 +640,13 @@ def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
         allocates=decl["allocates"],
         extends=decl["extends"],
     )
-    if isinstance(region, PolytopeUnion):
-        # the band of _in_box admits a member just outside the box, so one
-        # whose piece has no vertex has no point in the box
+    # the band of _in_box admits a member just outside the box. A listed
+    # vertex exactly within the box and the member shows it is not empty;
+    # without one, the pieces are enumerated, and a member whose piece has no
+    # vertex has no point in the box
+    if isinstance(region, PolytopeUnion) and not all(
+        any(_in_member(v, m, params) for v in m.vertices) for m in region.members
+    ):
         pieces = geometry.region_pieces(node)
         for piece, (_, _, rloc) in zip(pieces, decl["polytopes"]):
             if not len(piece):
@@ -651,6 +655,12 @@ def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
         if not all(map(len, pieces)):
             return None
     return node
+
+
+def _in_member(v, member: ConvexPolytope, params) -> bool:
+    return all(p.lo <= c <= p.hi for c, p in zip(v, params)) and all(
+        sum(ai * ci for ai, ci in zip(a, v)) <= b for a, b in member.halfspaces
+    )
 
 
 def _in_box(value: float, param: Parameter) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -107,9 +107,6 @@ class Monitor:
     action: str = "filter"
     action_value: float | None = None
     known_inputs: tuple[DataPoint, ...] = ()
-    # the known inputs' NearIndex in the node detect last read them in, built
-    # there on first use; left out of equality and repr
-    known_index: NearIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MONITOR_KINDS:
@@ -150,11 +147,7 @@ class Monitor:
         if self.kind == "extreme_value_monitor":
             return geometry.extreme_mask(X, node, self.tol).any(axis=1)
         # known_input_monitor
-        index = self.known_index
-        if index is None or index.node is not node:
-            index = NearIndex(geometry.coords_array(self.known_inputs, node), node, self.tol)
-            object.__setattr__(self, "known_index", index)
-        return index.matches(X)
+        return NearIndex(geometry.coords_array(self.known_inputs, node), node, self.tol).matches(X)
 
     def _cross_check(self, p: DataPoint, node: OddNode) -> bool:
         if not p.provenance_raw:

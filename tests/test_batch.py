@@ -793,7 +793,6 @@ def test_near_index_equals_the_pairwise_scan(data):
     R_arr, Q_arr = np.array(R, dtype=float).reshape(-1, d), np.array(Q, dtype=float).reshape(-1, d)
     want = oracles.near_matches(Q, R, [0.0] * d, [1.0] * d, tol)
     assert classify.NearIndex(R_arr, node, tol).matches(Q_arr).tolist() == want
-    assert classify.near_matches(Q_arr, R_arr, node, tol).tolist() == want
 
 
 def test_near_index_in_small_blocks_equals_the_pairwise_scan(extended_doc, monkeypatch):
@@ -829,6 +828,18 @@ def test_a_chain_builds_its_registry_index_once(extended_doc, monkeypatch):
     assert any(r.kind == Kind.IN_SAMPLE for r in first)
     with pytest.raises(dataclasses.FrozenInstanceError):
         chain.sample_registry = ()
+
+
+def test_a_registry_list_changed_after_the_chain_is_built_is_not_read(extended_doc):
+    registry, queries = registry_case(extended_doc.node("MLMODD"), seed=36, n=40)
+    entries = list(registry)
+    chain = oddkit.build_chain(extended_doc, sample_registry=entries)
+    entries.extend(queries)  # would make every query in-sample
+    assert chain.sample_registry == registry
+    frozen = oddkit.build_chain(extended_doc, sample_registry=registry)
+    got = oddkit.label_rows(queries, chain)
+    assert row_tuples(got) == row_tuples(oddkit.label_rows(queries, frozen))
+    assert any(r.kind != Kind.IN_SAMPLE for r in got)
 
 
 def test_one_point_calls_and_labelling_hash_no_node(extended_doc, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import oddkit
-from oddkit import dsl
+from oddkit import dsl, geometry
 from oddkit.cli import cli
 
 
@@ -101,6 +101,32 @@ odd "A" level mlm_odd {
 """
     doc = oddkit.parse_spec(text)
     assert "E006" in _codes(doc)
+
+
+def test_a_listed_vertex_in_the_box_spares_the_vertex_enumeration(monkeypatch):
+    """A polytope member with a listed vertex in its box and its halfspaces
+    has a point in the box, so parsing solves no sets of rows: at 8
+    parameters and 8 halfspaces there would be C(24, 8) = 735,471 of them."""
+    params = "\n".join(f"  param x{j}: u range [0, 1]" for j in range(8))
+    rows = "\n".join(
+        "    halfspace " + " ".join("1" if k == j else "0" for k in range(8)) + f" <= 0.{j + 1}"
+        for j in range(8)
+    )
+    text = f"""
+odd "P8" level mlm_odd {{
+{params}
+  region polytope {{
+{rows}
+    vertex ({", ".join(["0"] * 8)}) vertex ({", ".join(["0.1"] + ["0"] * 7)})
+  }}
+}}
+"""
+    solved = []
+    monkeypatch.setattr(geometry, "_flats", lambda *args: solved.append(args))
+    doc = oddkit.parse_spec(text)
+    assert doc.ok, doc.diagnostics
+    assert len(doc.node("P8").parameters) == 8
+    assert solved == []
 
 
 def test_extends_containment_e007():
