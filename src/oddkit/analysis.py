@@ -19,7 +19,7 @@ from .classify import (
     CATEGORY_LABELS,
     Chain,
     PartitionKey,
-    _category_codes,
+    classify_points,
     full_key_space,
     partition_dataset,
 )
@@ -265,7 +265,7 @@ def coverage_report(
         raise ValueError("coverage metrics require a 2-parameter node")
 
     X = geometry.coords_array(points, node)
-    categories = _category_codes(points, node, tol=tol, declared_transform=(), X=X)[0]
+    categories = classify_points(points, node, tol=tol, declared_transform=(), X=X).categories
     # in the order the categories first occur
     present, first, number = np.unique(categories, return_index=True, return_counts=True)
     counts = {

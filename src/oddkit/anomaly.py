@@ -8,6 +8,7 @@ seeded and reproducible (counter-based Philox generator).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,8 @@ class Transform:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if self.kind in ("scale", "unit_swap") and self.factor == 0.0:
             raise ValueError("scale factor must be nonzero")
+        if not (math.isfinite(self.factor) and math.isfinite(self.offset)):
+            raise ValueError("factor and offset must be finite")
 
     def apply(self, values: dict[str, float]) -> dict[str, float]:
         out = dict(values)

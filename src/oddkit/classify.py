@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,33 +55,16 @@ PartitionKey = tuple[str, str]  # (kind-set label, category label)
 
 def full_key_space() -> list[PartitionKey]:
     """Every (kind-set, category) cell, in the order partition tables list them."""
-    keys: list[PartitionKey] = []
-    for kind_set in KIND_SET_LABELS:
-        if kind_set == "OutCOD":
-            keys.append((kind_set, OUTCOD_CATEGORY))
-        else:
-            keys.extend((kind_set, cat) for cat in CATEGORY_LABELS)
-    return keys
+    # OutCOD, the last kind set, has one cell
+    keys = [(kind_set, cat) for kind_set in KIND_SET_LABELS[:-1] for cat in CATEGORY_LABELS]
+    return [*keys, (KIND_SET_LABELS[-1], OUTCOD_CATEGORY)]
 
 
-@dataclass(frozen=True)
-class Category:
-    label: str
-
-    def __post_init__(self):
-        if self.label not in CATEGORY_LABELS:
-            raise ValueError(f"unknown category {self.label!r}")
-
-    @property
-    def anomaly(self) -> bool:
-        return self.label in ANOMALY_LABELS
-
-
-# a category code is an index into CATEGORY_LABELS (and into _CATEGORIES)
-_CATEGORIES = tuple(Category(label) for label in CATEGORY_LABELS)
+# a category code is an index into _CATEGORY_NAMES; label_rows gives OutCOD
+# rows the code of OUTCOD_CATEGORY, one past the categories
+_CATEGORY_NAMES = CATEGORY_LABELS + (OUTCOD_CATEGORY,)
 _INLIER = CATEGORY_LABELS.index("Inlier")
 _NOVELTY = CATEGORY_LABELS.index("Novelty")
-# label_rows' code of OUTCOD_CATEGORY, one past the categories
 _OUTCOD = len(CATEGORY_LABELS)
 
 
@@ -183,11 +167,51 @@ def build_chain(
     )
 
 
-@dataclass(frozen=True)
-class PointLabel:
-    category: Category
+class LabelRow(NamedTuple):
+    """One point's label, as iterating a :class:`Labels` gives it."""
+
+    row: int
+    kind: Kind | None
+    category: str
+    node: str
     on_boundary: bool
-    annotations: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
+    annotations: dict[str, str]
+
+
+@dataclass(frozen=True, eq=False)
+class Labels:
+    """The labels of a list of points, in point order.
+
+    ``categories`` holds codes into ``CATEGORY_LABELS + (OUTCOD_CATEGORY,)``
+    and ``notes`` the annotations of the rows that have any. From
+    :func:`label_rows`, ``kinds`` holds kind codes (indices into ``Kind``)
+    and ``nodes`` the name of the node each kind's rows are categorized
+    against; from :func:`classify_points`, ``kinds`` is None and ``nodes``
+    names the one node. Iterating gives a :class:`LabelRow` per point.
+    """
+
+    categories: np.ndarray
+    on_boundary: np.ndarray
+    notes: dict[int, dict[str, str]]
+    kinds: np.ndarray | None
+    nodes: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.categories)
+
+    def __iter__(self) -> Iterator[LabelRow]:
+        if self.kinds is None:
+            kinds, nodes = itertools.repeat(None), itertools.repeat(self.nodes[0])
+        else:
+            codes = self.kinds.tolist()
+            kinds, nodes = map(_KINDS.__getitem__, codes), map(self.nodes.__getitem__, codes)
+        categories = map(_CATEGORY_NAMES.__getitem__, self.categories.tolist())
+        return (
+            LabelRow(i, kind, category, node, boundary, self.notes.get(i, {}))
+            for i, kind, category, node, boundary in zip(
+                range(len(self)), kinds, categories, nodes, self.on_boundary.tolist()
+            )
+        )
 
 
 def _raw_mismatch(
@@ -229,22 +253,20 @@ _GEOMETRIC = np.array(
 )
 
 
-def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> list[bool]:
+def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> np.ndarray:
     """Per point: do its declared and hidden values fall outside ``ext``?
 
-    A point whose values do not cover the extension's parameters is not
-    outside it.
+    A hidden value overrides a declared one of the same name, as in
+    :meth:`DataPoint.combined_values`. A point whose values do not cover the
+    extension's parameters is not outside it.
     """
-    merged = [p.combined_values() for p in points]
-    covered = [i for i, v in enumerate(merged) if all(n in v for n in ext.parameter_names)]
-    X = geometry.coords_array([DataPoint(merged[i]) for i in covered], ext)
-    outside = [False] * len(points)
-    for i, code in zip(covered, geometry.region_containment(X, ext, tol).tolist()):
-        outside[i] = code == geometry.OUTSIDE
-    return outside
-
-
-_Categories = tuple[np.ndarray, np.ndarray, dict[int, dict[str, str]]]
+    X = np.empty((len(points), len(ext.parameters)))
+    covered = np.ones(len(points), dtype=bool)
+    for j, name in enumerate(ext.parameter_names):
+        column = [p.hidden_values.get(name, p.values.get(name)) for p in points]
+        covered &= np.array([v is not None for v in column], dtype=bool)
+        X[:, j] = column  # a missing value reads as NaN
+    return covered & (geometry.region_containment(X, ext, tol) == geometry.OUTSIDE)
 
 
 def _categorize(
@@ -256,10 +278,9 @@ def _categorize(
     tol: float,
     transforms: tuple[Transform, ...],
     counted: Collection[str] | None = None,
-) -> _Categories:
-    """Category codes, on_boundary flags, and the annotations of the rows that
-    have any, of points whose coordinates and containment codes in ``node``
-    are known.
+) -> Labels:
+    """The labels against ``node`` of points whose coordinates and
+    containment codes in ``node`` are known.
 
     Provenance mismatch (Inlier) first, hidden-parameter exclusion (Novelty)
     second, then the geometric cases, which one table lookup decides for every
@@ -283,24 +304,31 @@ def _categorize(
             i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in notes
         ]
         novel = _outside_extension([points[i] for i in hidden], ext, tol)
-        for i, outside in zip(hidden, novel):
-            if outside:
-                categories[i] = _NOVELTY
-                notes[i] = {"hidden": "|".join(sorted(points[i].hidden_values))}
-    return categories, codes == geometry.ON_BOUNDARY, notes
+        for i in np.array(hidden, dtype=np.intp)[novel].tolist():
+            categories[i] = _NOVELTY
+            notes[i] = {"hidden": "|".join(sorted(points[i].hidden_values))}
+    return Labels(categories, codes == geometry.ON_BOUNDARY, notes, None, (node.name,))
 
 
-def _category_codes(
+def classify_points(
     points: list[DataPoint],
     node: OddNode,
     chain_ctx: Chain | None = None,
     tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
     X: np.ndarray | None = None,
-) -> _Categories:
-    """:func:`_categorize` of every point against ``node``, the transform
-    resolved as :func:`classify_points` documents. ``X`` holds the points'
-    coordinates in ``node`` if the caller has read them."""
+) -> Labels:
+    """Assign each point its single category relative to ``node``.
+
+    Decision order per point: provenance mismatch (Inlier) first,
+    hidden-parameter exclusion (Novelty) second, then the geometric cases.
+    Boundary points are inside; the on_boundary flag is reported but never
+    changes the category. Containment and range extremes are decided once for
+    the whole batch; the extension node only for inside points with hidden
+    values. The declared transform defaults to the chain's; a point with raw
+    values and no transform declared raises MissingTransform. ``X`` holds the
+    points' coordinates in ``node`` if the caller has read them.
+    """
     transforms = declared_transform
     if transforms is None and chain_ctx is not None:
         transforms = chain_ctx.declared_transform
@@ -319,38 +347,15 @@ def _category_codes(
     return _categorize(points, node, X, codes, chain_ctx, tol, transforms)
 
 
-def classify_points(
-    points: list[DataPoint],
-    node: OddNode,
-    chain_ctx: Chain | None = None,
-    tol: float = DEFAULT_TOL,
-    declared_transform: tuple[Transform, ...] | None = None,
-) -> list[PointLabel]:
-    """Assign each point its single category relative to ``node``.
-
-    Decision order per point: provenance mismatch (Inlier) first,
-    hidden-parameter exclusion (Novelty) second, then the geometric cases.
-    Boundary points are inside; the on_boundary flag is reported but never
-    changes the category. Containment and range extremes are decided once for
-    the whole batch; the extension node only for inside points with hidden
-    values.
-    """
-    categories, on_boundary, notes = _category_codes(points, node, chain_ctx, tol, declared_transform)
-    return [
-        PointLabel(_CATEGORIES[category], boundary, notes.get(i, {}))
-        for i, (category, boundary) in enumerate(zip(categories.tolist(), on_boundary.tolist()))
-    ]
-
-
 def classify_point(
     p: DataPoint,
     node: OddNode,
     chain_ctx: Chain | None = None,
     tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
-) -> PointLabel:
+) -> LabelRow:
     """One point's category relative to ``node``; see :func:`classify_points`."""
-    return classify_points([p], node, chain_ctx, tol, declared_transform)[0]
+    return next(iter(classify_points([p], node, chain_ctx, tol, declared_transform)))
 
 
 # Grid cells are 2·tol wide, so two points within tol of each other in every
@@ -478,6 +483,7 @@ class _NodeRows:
 
 # a kind code is an index into _KINDS
 _KINDS = tuple(Kind)
+_KIND_VALUES = tuple(kind.value for kind in _KINDS)
 _IN_SAMPLE, _OUT_OF_SAMPLE, _OUT_OF_MLMODD, _OUT_OF_MLCODD = range(len(_KINDS))
 
 
@@ -518,33 +524,25 @@ def category_node(kind: Kind, chain: Chain) -> OddNode:
     return chain.mlc
 
 
-@dataclass(frozen=True)
-class LabelRow:
-    row: int
-    kind: Kind
-    category: str
-    node: str
-    on_boundary: bool
-    annotations: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
+def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> Labels:
+    """Classify each point against the chain; rows keep dataset order.
 
-
-def _label_codes(
-    points: list[DataPoint], chain: Chain, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, dict[str, str]]]:
-    """Kind codes, category codes (``_OUTCOD`` for OutCOD rows), on_boundary
-    flags, and the annotations of the rows that have any, of :func:`label_rows`."""
+    The category reuses the containment the kind step decided: MLM points
+    are categorized against the MLM, the others against the MLC. OutCOD rows
+    take the category ``Any`` and note their MLC and SOD categories.
+    """
     kinds, *decided = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)
     categories = np.empty(len(points), dtype=np.int8)
     on_boundary = np.empty(len(points), dtype=bool)
     notes: dict[int, dict[str, str]] = {}
     for node, d in zip((chain.mlm, chain.mlc), decided):
         rows = d.rows.tolist()
-        cats, boundary, node_notes = _categorize(
+        part = _categorize(
             [points[i] for i in rows], node, d.X, d.codes, chain, tol, chain.declared_transform
         )
-        categories[rows] = cats
-        on_boundary[rows] = boundary
-        notes.update((rows[j], note) for j, note in node_notes.items())
+        categories[rows] = part.categories
+        on_boundary[rows] = part.on_boundary
+        notes.update((rows[j], note) for j, note in part.notes.items())
 
     # indistinct at the MLC level; the MLC and SOD categories are kept as notes
     out_cod = np.flatnonzero(kinds == _OUT_OF_MLCODD)
@@ -557,58 +555,35 @@ def _label_codes(
         Z = geometry.coords_array(batch, sod)
         codes = geometry.region_containment(Z, sod, tol)
         # categorized as the point restricted to the SOD's parameters would be
-        sod_categories = _categorize(
+        sod_labels = _categorize(
             batch, sod, Z, codes, chain, tol, chain.declared_transform, sod.parameter_names
-        )[0]
-        for i, category in zip(rows, sod_categories.tolist()):
+        )
+        for i, category in zip(rows, sod_labels.categories.tolist()):
             notes[i]["sod_category"] = CATEGORY_LABELS[category]
     categories[out_cod] = _OUTCOD
-    return kinds, categories, on_boundary, notes
+    nodes = tuple(category_node(kind, chain).name for kind in _KINDS)
+    return Labels(categories, on_boundary, notes, kinds, nodes)
 
 
-def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> list[LabelRow]:
-    """Classify each point against the chain; rows keep dataset order.
-
-    The category reuses the containment the kind step decided: MLM points
-    are categorized against the MLM, the others against the MLC. OutCOD rows
-    take the category ``Any`` and note their MLC and SOD categories.
-    """
-    kinds, categories, on_boundary, notes = _label_codes(points, chain, tol)
-    nodes = [category_node(kind, chain).name for kind in _KINDS]
-    labels = CATEGORY_LABELS + (OUTCOD_CATEGORY,)
-    return [
-        LabelRow(i, _KINDS[kind], labels[category], nodes[kind], boundary, notes.get(i, {}))
-        for i, (kind, category, boundary) in enumerate(
-            zip(kinds.tolist(), categories.tolist(), on_boundary.tolist())
-        )
-    ]
-
-
-def _annotations_cell(annotations: dict[str, str]) -> str:
-    if not annotations:  # most rows
-        return ""
-    return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
-
-
-def serialize_labels(rows: list[LabelRow]) -> str:
-    return write_csv(
-        ["row", "kind", "category", "node", "on_boundary", "annotations"],
-        (
-            [r.row, r.kind.value, r.category, r.node, int(r.on_boundary), _annotations_cell(r.annotations)]
-            for r in rows
-        ),
-    )
-
-
-def serialize_point_labels(labels: list[PointLabel]) -> str:
-    """One CSV row per :func:`classify_points` label, numbered in point order."""
-    return write_csv(
-        ["row", "category", "on_boundary", "annotations"],
-        (
-            [i, label.category.label, int(label.on_boundary), _annotations_cell(label.annotations)]
-            for i, label in enumerate(labels)
-        ),
-    )
+def serialize_labels(labels: Labels) -> str:
+    """One CSV row per label, numbered in point order: ``row, kind, category,
+    node, on_boundary, annotations`` for :func:`label_rows`, and ``row,
+    category, on_boundary, annotations`` for :func:`classify_points`."""
+    n = len(labels)
+    categories = map(_CATEGORY_NAMES.__getitem__, labels.categories.tolist())
+    on_boundary = labels.on_boundary.astype(np.int8).tolist()
+    annotations = [""] * n
+    for i, note in labels.notes.items():
+        annotations[i] = ";".join(f"{k}={v}" for k, v in sorted(note.items()))
+    if labels.kinds is None:
+        header = ["row", "category", "on_boundary", "annotations"]
+        columns = [range(n), categories, on_boundary, annotations]
+    else:
+        kinds = labels.kinds.tolist()
+        header = ["row", "kind", "category", "node", "on_boundary", "annotations"]
+        kind_values, nodes = map(_KIND_VALUES.__getitem__, kinds), map(labels.nodes.__getitem__, kinds)
+        columns = [range(n), kind_values, categories, nodes, on_boundary, annotations]
+    return write_csv(header, zip(*columns))
 
 
 def partition_dataset(
@@ -619,14 +594,14 @@ def partition_dataset(
     The populated cells come in :func:`full_key_space` order, and each cell's
     rows in dataset order.
     """
-    kinds, categories, _, _ = _label_codes(points, chain, tol)
+    labels = label_rows(points, chain, tol)
     keys = full_key_space()
     # cell index in full_key_space: a cell per category for each kind but
     # OutCOD, whose one cell comes last
     cells = np.where(
-        kinds == _OUT_OF_MLCODD,
+        labels.kinds == _OUT_OF_MLCODD,
         len(keys) - 1,
-        kinds.astype(np.intp) * len(CATEGORY_LABELS) + categories,
+        labels.kinds.astype(np.intp) * len(CATEGORY_LABELS) + labels.categories,
     )
     order = np.argsort(cells, kind="stable")
     bounds = np.cumsum(np.bincount(cells, minlength=len(keys)))
@@ -660,9 +635,9 @@ def verify_set_algebra(
     """Cross-check kind labels against direct geometric membership.
 
     With ``labels`` given, audits externally produced labels, and a point
-    beyond the last label is an unlabeled point; otherwise the labels are
-    recomputed via :func:`classify_kind` and the check guards regressions in
-    the classifier itself. More labels than points raise ValueError.
+    beyond the last label is an unlabeled point; otherwise the kinds
+    :func:`label_rows` gives are recomputed from the points, and the check
+    guards regressions in the classifier itself. More labels than points raise ValueError.
     """
     if labels is None:
         X = geometry.coords_array(points, chain.mlm)

@@ -133,12 +133,11 @@ def classify_cmd(spec, data, node_name, chain_spec, transform_specs, out_path, f
         node = _node(doc, node_name)
         ds = _load_dataset(data, node)
         labels = classify.classify_points(ds.points, node, None, declared_transform=transforms)
-        _write_output(out_path, classify.serialize_point_labels(labels), force)
-        return
-    chain = _build_chain(doc, chain_spec, transforms)
-    ds = _load_dataset(data, chain.mlm)
-    rows = classify.label_rows(ds.points, chain)
-    _write_output(out_path, classify.serialize_labels(rows), force)
+    else:
+        chain = _build_chain(doc, chain_spec, transforms)
+        ds = _load_dataset(data, chain.mlm)
+        labels = classify.label_rows(ds.points, chain)
+    _write_output(out_path, classify.serialize_labels(labels), force)
 
 
 @cli.command()
@@ -202,7 +201,9 @@ def coverage(spec, data, node_name, grid, out_path, force) -> None:
     try:
         nx, ny = (int(part) for part in grid.lower().split("x"))
     except ValueError:
-        raise click.UsageError(f"bad --grid {grid!r}; expected NxM")
+        nx = ny = 0
+    if nx < 1 or ny < 1:
+        raise click.UsageError(f"bad --grid {grid!r}; expected NxM with N, M >= 1")
     ds = _load_dataset(data, node)
     try:
         report = analysis.coverage_report(ds.points, node, grid=(nx, ny))
@@ -293,8 +294,8 @@ def render_cmd(spec, data, node_names, chain_spec, out_path, force) -> None:
     if data:
         chain = _build_chain(doc, chain_spec)
         ds = _load_dataset(data, chain.mlm)
-        rows = classify.label_rows(ds.points, chain)
-        labeled = [(p, r.category) for p, r in zip(ds.points, rows)]
+        labels = classify.label_rows(ds.points, chain)
+        labeled = [(p, r.category) for p, r in zip(ds.points, labels)]
     try:
         svg = render.render_svg(nodes, labeled)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import geometry
-from .classify import CATEGORY_LABELS, Chain, NearIndex, _category_codes
+from .classify import CATEGORY_LABELS, Chain, NearIndex, classify_points
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
@@ -261,7 +261,7 @@ def run_monitor_chain(
     # each node's coordinates are read from the points once per run
     coords_of = cache(partial(geometry.coords_array, points))
     if oracle_categories is None:
-        categories = _category_codes(points, chain.mlm, chain, tol, X=coords_of(chain.mlm))[0]
+        categories = classify_points(points, chain.mlm, chain, tol, X=coords_of(chain.mlm)).categories
         oracle_categories = [CATEGORY_LABELS[c] for c in categories.tolist()]
 
     n, m = len(points), len(monitors)

@@ -95,7 +95,7 @@ def test_edge_points_are_distinct_and_follow_the_seed(extended_doc, node_name):
     assert len(set(values)) == 300
     assert set(values).isdisjoint(tuple(p.values.items()) for p in b)
     labels = oddkit.classify_points(a, node)
-    assert {label.category.label for label in labels} == {"EdgeCase"}
+    assert {label.category for label in labels} == {"EdgeCase"}
     assert all(len(geometry.params_at_extreme(p, node)) == 1 for p in a)
 
 
@@ -153,7 +153,7 @@ def test_feasible_corners_of_a_square_listed_rounded_inward(rounded_square_text,
     points = anomaly.sample_region(node, 8, "feasible_corner", seed=0)
     corners = {(round(p.values["x"], 9), round(p.values["y"], 9)) for p in points}
     assert corners == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
-    assert {label.category.label for label in oddkit.classify_points(points, node)} == {"FeasibleCornerCase"}
+    assert {label.category for label in oddkit.classify_points(points, node)} == {"FeasibleCornerCase"}
     spec = tmp_path / "square.odd"
     spec.write_text(rounded_square_text)
     args = ["generate", str(spec), "--node", "SQ", "--mode", "feasible_corner", "-n", "4", "--seed", "0"]

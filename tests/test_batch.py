@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 import oddkit
 from oddkit import analysis, classify, geometry, monitors
-from oddkit.classify import OUTCOD_CATEGORY, Category, Kind, PointLabel, _raw_mismatch
+from oddkit.classify import OUTCOD_CATEGORY, Kind, LabelRow, _raw_mismatch
+from oddkit.datasets import write_csv
 from oddkit.model import (
     DEFAULT_TOL,
     Containment,
@@ -58,6 +59,7 @@ def ref_params_at_extreme(p, node, tol=DEFAULT_TOL):
 
 
 def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transform=None):
+    """(category, on_boundary, annotations) of one point."""
     containment = geometry.point_in_region(p, node, tol)
     inside = containment != Containment.OUTSIDE
     on_boundary = containment == Containment.ON_BOUNDARY
@@ -72,7 +74,7 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
         mismatched = _raw_mismatch(p, node, transforms, tol)
         if mismatched and inside:
             annotations["raw_mismatch"] = "|".join(mismatched)
-            return PointLabel(Category("Inlier"), on_boundary, annotations)
+            return ("Inlier", on_boundary, annotations)
 
     if (
         chain_ctx is not None
@@ -91,14 +93,14 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
             outside_extended = False
         if outside_extended:
             annotations["hidden"] = "|".join(sorted(p.hidden_values))
-            return PointLabel(Category("Novelty"), on_boundary, annotations)
+            return ("Novelty", on_boundary, annotations)
 
     k = len(ref_params_at_extreme(p, node, tol))
     if inside:
         label = "Nominal" if k == 0 else ("EdgeCase" if k == 1 else "FeasibleCornerCase")
     else:
         label = "InfeasibleCornerCase" if k >= 2 else "Outlier"
-    return PointLabel(Category(label), on_boundary, annotations)
+    return (label, on_boundary, annotations)
 
 
 def ref_registry_match(p, chain, tol=DEFAULT_TOL):
@@ -137,18 +139,16 @@ def ref_label_rows(points, chain, tol=DEFAULT_TOL):
     for i, p in enumerate(points):
         kind = ref_classify_kind(p, chain, tol)
         node = classify.category_node(kind, chain)
-        label = ref_classify_point(p, node, chain, tol)
-        annotations = dict(label.annotations)
-        category = label.category.label
+        category, on_boundary, annotations = ref_classify_point(p, node, chain, tol)
+        annotations = dict(annotations)
         if kind == Kind.OUT_OF_MLCODD:
             annotations["mlc_category"] = category
             if chain.system_od is not None:
-                sod_label = ref_classify_point(
+                annotations["sod_category"] = ref_classify_point(
                     geometry.project(p, chain.system_od), chain.system_od, chain, tol
-                )
-                annotations["sod_category"] = sod_label.category.label
+                )[0]
             category = OUTCOD_CATEGORY
-        rows.append((i, kind, category, node.name, label.on_boundary, annotations))
+        rows.append((i, kind, category, node.name, on_boundary, annotations))
     return rows
 
 
@@ -219,9 +219,7 @@ def ref_detect(monitor, p, chain, stub_output):
 
 def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAULT_TOL):
     """run_monitor_chain's per-row loop as it was."""
-    oracle_categories = [
-        label.category.label for label in oddkit.classify_points(points, chain.mlm, chain, tol)
-    ]
+    oracle_categories = [label.category for label in oddkit.classify_points(points, chain.mlm, chain, tol)]
     verdicts = []
     failover_latched = False
     for i, p in enumerate(points):
@@ -296,8 +294,8 @@ def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol
     counts: dict[str, int] = {}
     normalized = []
     for p in points:
-        label = ref_classify_point(p, node, None, tol, declared_transform=())
-        counts[label.category.label] = counts.get(label.category.label, 0) + 1
+        category = ref_classify_point(p, node, None, tol, declared_transform=())[0]
+        counts[category] = counts.get(category, 0) + 1
         normalized.append(geometry.normalize(geometry.coords(p, node), node))
 
     assert isinstance(node.region, Polygon2D), "the reference reads a polygon's edges"
@@ -423,8 +421,9 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def label_tuple(label: PointLabel):
-    return (label.category.label, label.on_boundary, label.annotations)
+def label_tuple(label: LabelRow):
+    """A classify_points label in ref_classify_point's form."""
+    return (label.category, label.on_boundary, label.annotations)
 
 
 def row_tuples(rows):
@@ -883,7 +882,7 @@ def test_classify_points_agree_label_for_label(
     ctx = chain if use_chain else None
     labels = oddkit.classify_points(mixed, node, ctx, declared_transform=declared)
     got = [label_tuple(label) for label in labels]
-    want = [label_tuple(ref_classify_point(p, node, ctx, DEFAULT_TOL, declared)) for p in mixed]
+    want = [ref_classify_point(p, node, ctx, DEFAULT_TOL, declared) for p in mixed]
     disagreements = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert len(got) == len(want) and not disagreements, disagreements[:10]
 
@@ -906,7 +905,7 @@ def test_monitor_oracle_categories_agree(mixed, extended_doc, chain):
     stub = monitors.build_stub(decl.stub, chain.mlm)
     points = mixed[:3000]
     got = oddkit.run_monitor_chain(points, chain, mons, stub)
-    oracle = [ref_classify_point(p, chain.mlm, chain).category.label for p in points]
+    oracle = [ref_classify_point(p, chain.mlm, chain)[0] for p in points]
     want = oddkit.run_monitor_chain(points, chain, mons, stub, oracle_categories=oracle)
     assert got.metrics == want.metrics
 
@@ -1166,7 +1165,7 @@ def test_raw_provenance_without_transform_raises(extended_doc):
         first_error = next((w for w in want if isinstance(w, type)), None)
         got = outcome(oddkit.classify_points, batch, mlm)
         if first_error is None:
-            assert [label_tuple(g) for g in got] == [label_tuple(w) for w in want]
+            assert [label_tuple(g) for g in got] == want
         else:
             assert got is first_error, (batch, got, first_error)
     with pytest.raises(oddkit.MissingTransform):
@@ -1229,5 +1228,49 @@ def test_hidden_values_not_covering_the_extension_are_not_novelty(extended_doc, 
         DataPoint({"Mach": 0.3, "Alt": 14000}, hidden_values={"Temp": 0.0}),
     ]
     got = [label_tuple(lb) for lb in oddkit.classify_points(points, mlm, chain)]
-    assert got == [label_tuple(ref_classify_point(p, mlm, chain)) for p in points]
+    assert got == [ref_classify_point(p, mlm, chain) for p in points]
     assert [g[0] for g in got] == ["Nominal", "Novelty", "Nominal"]
+
+
+def test_a_hidden_value_overrides_the_declared_value_of_its_name(extended_doc, chain):
+    """The extension sees the declared values with the hidden ones laid over
+    them, as DataPoint.combined_values merges them."""
+    mlm = extended_doc.node("MLMODD")
+    text = "Mach,Alt,hidden:Mach,hidden:Temp\n0.3,14000,0.45,0\n0.3,14000,0.1,0\n0.3,14000,0.45,\n0.3,14000,,0\n"
+    ds = oddkit.parse_dataset(text, mlm)
+    assert ds.ok and ds.points[0].hidden_values == {"Mach": 0.45, "Temp": 0.0}
+    got = [label_tuple(lb) for lb in oddkit.classify_points(ds.points, mlm, chain)]
+    assert got == [ref_classify_point(p, mlm, chain) for p in ds.points]
+    # Mach 0.45 is outside the extension's range; without Temp the hidden
+    # values do not cover the extension
+    assert got == [
+        ("Novelty", False, {"hidden": "Mach|Temp"}),
+        ("Nominal", False, {}),
+        ("Nominal", False, {}),
+        ("Nominal", False, {}),
+    ]
+
+
+def _annotations_cell(annotations):
+    return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
+
+
+@pytest.mark.parametrize("node_name", [None, "MLMODD", "MLCODD_spec", "SOD"])
+def test_serialize_labels_writes_the_rows_iterating_gives(mixed, extended_doc, chain, node_name):
+    """The column writer against the row path: label_rows' rows, or the --node
+    form of classify_points' rows, written one by one."""
+    if node_name is None:
+        labels = oddkit.label_rows(mixed, chain)
+        header = ["row", "kind", "category", "node", "on_boundary", "annotations"]
+        rows = [
+            [r.row, r.kind.value, r.category, r.node, int(r.on_boundary), _annotations_cell(r.annotations)]
+            for r in labels
+        ]
+    else:
+        labels = oddkit.classify_points(mixed, extended_doc.node(node_name), chain)
+        header = ["row", "category", "on_boundary", "annotations"]
+        rows = [[r.row, r.category, int(r.on_boundary), _annotations_cell(r.annotations)] for r in labels]
+        assert {(r.kind, r.node) for r in labels} == {(None, node_name)}
+    assert len(rows) == len(labels) == len(mixed)
+    assert any(r[-1] for r in rows) and any(r[-2] for r in rows)
+    assert oddkit.serialize_labels(labels) == write_csv(header, rows)

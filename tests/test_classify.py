@@ -19,7 +19,7 @@ from oddkit.model import DataPoint
 
 
 def cat(p, node, chain=None, **kw):
-    return oddkit.classify_point(p, node, chain, **kw).category.label
+    return oddkit.classify_point(p, node, chain, **kw).category
 
 
 def test_geometric_categories(extended_doc):
@@ -35,7 +35,7 @@ def test_boundary_counts_as_inside(extended_doc):
     mlm = extended_doc.node("MLMODD")
     label = oddkit.classify_point(DataPoint({"Mach": 0.1, "Alt": 0}), mlm)
     assert label.on_boundary
-    assert label.category.label == "EdgeCase"
+    assert label.category == "EdgeCase"
 
 
 def test_inlier_requires_declared_transform(extended_doc, chain):
@@ -61,12 +61,9 @@ def test_novelty_requires_extension_context(extended_doc, chain):
     assert cat(q, mlm, chain) == "Nominal"
 
 
-def test_category_is_single_and_anomaly_flags():
-    assert oddkit.Category("Outlier").anomaly
-    assert oddkit.Category("Novelty").anomaly
-    assert not oddkit.Category("Nominal").anomaly
-    with pytest.raises(ValueError):
-        oddkit.Category("Weird")
+def test_anomaly_labels_are_categories():
+    assert {"Outlier", "Novelty"} <= oddkit.ANOMALY_LABELS < set(oddkit.CATEGORY_LABELS)
+    assert "Nominal" not in oddkit.ANOMALY_LABELS
 
 
 def test_classify_kind(chain):

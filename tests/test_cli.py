@@ -104,6 +104,39 @@ def test_coverage_command(runner, spec_path, points_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("grid", ["0x5", "5x0", "-3x5"])
+def test_coverage_grid_without_cells_is_a_usage_error(runner, spec_path, points_path, grid):
+    result = runner.invoke(cli, ["coverage", spec_path, points_path, "--node", "MLMODD", "--grid", grid])
+    assert result.exit_code == 2
+    assert "--grid" in result.output
+
+
+@pytest.mark.parametrize("transform", ["scale:Alt:nan", "scale:Alt:inf", "offset:Alt:-inf", "unit_swap:Alt:nan"])
+def test_classify_non_finite_transform_is_a_usage_error(runner, spec_path, points_path, transform):
+    result = runner.invoke(cli, ["classify", spec_path, points_path, "--transform", transform])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
+def test_generate_non_finite_transform_is_a_usage_error(runner, spec_path):
+    args = ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "-n", "5"]
+    result = runner.invoke(cli, [*args, "--transform", "scale:Alt:inf"])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "extra, header",
+    [([], "row,kind,category,node,on_boundary,annotations"), (["--node", "MLMODD"], "row,category,on_boundary,annotations")],
+)
+def test_classify_header_only_dataset_writes_the_header(runner, spec_path, tmp_path, extra, header):
+    data = tmp_path / "empty.csv"
+    data.write_text("Mach,Alt\n", encoding="utf-8")
+    result = runner.invoke(cli, ["classify", spec_path, str(data), *extra])
+    assert result.exit_code == 0, result.output
+    assert result.output == header + "\n"
+
+
 def test_generate_is_reproducible(runner, spec_path):
     args = ["generate", spec_path, "--node", "MLMODD", "--mode", "edge", "-n", "5", "--seed", "3"]
     a = runner.invoke(cli, args)
@@ -130,7 +163,7 @@ def test_generate_inlier_and_novelty(runner, spec_path, chain, mode, extra, cate
     ds = oddkit.parse_dataset(out, chain.mlm)
     assert ds.ok and len(ds.points) == 25
     labels = oddkit.classify_points(ds.points, chain.mlm, chain)
-    assert {label.category.label for label in labels} == {category}
+    assert {label.category for label in labels} == {category}
 
 
 def test_generate_novelty_needs_an_extension(runner, data_dir):

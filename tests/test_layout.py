@@ -138,11 +138,11 @@ def test_monitors_call_no_one_point_geometry():
 
 
 def test_only_the_api_edges_build_label_objects():
-    """Labelling works on code arrays; PointLabel and LabelRow objects are
-    built once, by the functions that return them."""
-    for cls, owner in (("PointLabel", "classify_points"), ("LabelRow", "label_rows")):
+    """Labelling works on code arrays; a LabelRow is built only when a
+    Labels is iterated, and every Labels by _categorize or label_rows."""
+    for cls, owners in (("LabelRow", ["__iter__"]), ("Labels", ["_categorize", "label_rows"])):
         callers = {path.name: _callers(path, cls) for path in SRC.glob("*.py")}
-        assert {name: fns for name, fns in callers.items() if fns} == {"classify.py": [owner]}
+        assert {name: fns for name, fns in callers.items() if fns} == {"classify.py": owners}
 
 
 def test_cli_imports_neither_csv_nor_io():
