@@ -26,7 +26,7 @@ from .classify import (
 from .datasets import write_csv
 from .dsl import Diagnostic, Token, _Parser, tokenize
 from .errors import EmptyInput, UnvalidatedRuleBase
-from .model import DEFAULT_TOL, DataPoint, OddNode
+from .model import DEFAULT_TOL, DataPoint, OddNode, Points
 
 @dataclass(frozen=True)
 class ErlaRule:
@@ -205,7 +205,7 @@ class AnalysisReport:
 
 
 def analyze_partitions(
-    points: list[DataPoint],
+    points: Points | list[DataPoint],
     chain: Chain,
     rules: RuleBase,
     tol: float = DEFAULT_TOL,
@@ -249,7 +249,7 @@ _REQUIRED_PARTITIONS = ("Nominal", "EdgeCase", "FeasibleCornerCase")
 
 
 def coverage_report(
-    points: list[DataPoint],
+    points: Points | list[DataPoint],
     node: OddNode,
     grid: tuple[int, int] = DEFAULT_GRID,
     tol: float = DEFAULT_TOL,
@@ -264,6 +264,7 @@ def coverage_report(
     if len(node.parameters) != 2:
         raise ValueError("coverage metrics require a 2-parameter node")
 
+    points = Points.of(points)
     X = geometry.coords_array(points, node)
     categories = classify_points(points, node, tol=tol, declared_transform=(), X=X).categories
     # in the order the categories first occur
@@ -271,9 +272,7 @@ def coverage_report(
     counts = {
         CATEGORY_LABELS[present[k]]: int(number[k]) for k in np.argsort(first, kind="stable")
     }
-    lo = np.array([p.lo for p in node.parameters])
-    span = np.array([p.span for p in node.parameters])
-    X_hat = (X - lo) / span
+    X_hat = geometry.normalize_array(X, node)
 
     V_hat = geometry.normalize_array(geometry.region_vertices(node), node)
     covers = (np.abs(X_hat[:, None] - V_hat).max(axis=2) <= _VERTEX_TOL).any(axis=0)
@@ -294,7 +293,7 @@ def coverage_report(
     cell = np.minimum((X_hat[in_box] * (nx, ny)).astype(int), (nx - 1, ny - 1))
     occupied_cells[cell[:, 0], cell[:, 1]] = True
     ci, cj = np.meshgrid((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny, indexing="ij")
-    centers = lo + np.column_stack([ci.ravel(), cj.ravel()]) * span
+    centers = geometry.denormalize_array(np.column_stack([ci.ravel(), cj.ravel()]), node)
     interior = (geometry.region_containment(centers, node, tol) != geometry.OUTSIDE).reshape(nx, ny)
     interior_cells = int(interior.sum())
     occupied = int((interior & occupied_cells).sum())

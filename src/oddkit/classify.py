@@ -11,10 +11,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .anomaly import Transform, apply_transforms
+from .anomaly import Transform
 from .datasets import write_csv
 from .errors import MissingTransform
-from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Variant
+from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Points, Variant
 
 
 class Kind(str, Enum):
@@ -215,28 +215,29 @@ class Labels:
 
 
 def _raw_mismatch(
-    p: DataPoint,
+    points: Points,
     node: OddNode,
     transforms: tuple[Transform, ...],
     tol: float,
     counted: Collection[str] | None = None,
-) -> list[str]:
-    """Parameters whose declared-transform-of-raw disagrees with the recorded value.
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The recorded raw names in sorted order, and per point and name: does
+    the declared transform of the raw value disagree with the point's value?
 
-    Only recorded values named in ``counted`` take part; by default all do.
+    Only names in ``counted`` take part; by default all do.
     """
-    expected = apply_transforms(transforms, dict(p.provenance_raw or {}))
-    mismatched = []
-    for name, exp in expected.items():
-        if name not in p.values or (counted is not None and name not in counted):
-            continue
-        try:
-            span = node.parameter(name).span
-        except KeyError:
-            span = 1.0
-        if abs(exp - p.values[name]) > tol * span:
-            mismatched.append(name)
-    return sorted(mismatched)
+    names = tuple(sorted(n for n in points.raw.names if counted is None or n in counted))
+    raw, recorded = points.raw.select(names)
+    values, declared = points.values.select(names)
+    spans = np.array([node.parameter(n).span if n in node.parameter_names else 1.0 for n in names])
+    expected = raw.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in transforms:  # as apply_transforms does, a column at a time
+            if t.parameter in names:
+                j = names.index(t.parameter)
+                expected[:, j] = expected[:, j] + t.offset if t.kind == "offset" else expected[:, j] * t.factor
+        differs = np.abs(expected - values) > tol * spans
+    return names, recorded & declared & differs
 
 
 # category code by [containment code, parameters at a range extreme (2 for two or more)]
@@ -253,24 +254,21 @@ _GEOMETRIC = np.array(
 )
 
 
-def _outside_extension(points: list[DataPoint], ext: OddNode, tol: float) -> np.ndarray:
+def _outside_extension(points: Points, ext: OddNode, tol: float) -> np.ndarray:
     """Per point: do its declared and hidden values fall outside ``ext``?
 
     A hidden value overrides a declared one of the same name, as in
     :meth:`DataPoint.combined_values`. A point whose values do not cover the
     extension's parameters is not outside it.
     """
-    X = np.empty((len(points), len(ext.parameters)))
-    covered = np.ones(len(points), dtype=bool)
-    for j, name in enumerate(ext.parameter_names):
-        column = [p.hidden_values.get(name, p.values.get(name)) for p in points]
-        covered &= np.array([v is not None for v in column], dtype=bool)
-        X[:, j] = column  # a missing value reads as NaN
-    return covered & (geometry.region_containment(X, ext, tol) == geometry.OUTSIDE)
+    X, declared = points.values.select(ext.parameter_names)
+    H, hidden = points.hidden.select(ext.parameter_names)
+    covered = (declared | hidden).all(axis=1)
+    return covered & (geometry.region_containment(np.where(hidden, H, X), ext, tol) == geometry.OUTSIDE)
 
 
 def _categorize(
-    points: list[DataPoint],
+    points: Points,
     node: OddNode,
     X: np.ndarray,
     codes: np.ndarray,
@@ -284,34 +282,33 @@ def _categorize(
 
     Provenance mismatch (Inlier) first, hidden-parameter exclusion (Novelty)
     second, then the geometric cases, which one table lookup decides for every
-    row; only rows carrying raw or hidden values are visited one by one.
+    row; the extension node decides only inside rows carrying hidden values.
     ``counted`` restricts the values a raw value is checked against, as
     :func:`_raw_mismatch` does.
     """
     extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
     categories = _GEOMETRIC[codes, extremes]
-    inside = (codes != geometry.OUTSIDE).tolist()
-    notes: dict[int, dict[str, str]] = {}
-    for i in [i for i, p in enumerate(points) if p.provenance_raw and inside[i]]:
-        mismatched = _raw_mismatch(points[i], node, transforms, tol, counted)
-        if mismatched:
-            categories[i] = _INLIER
-            notes[i] = {"raw_mismatch": "|".join(mismatched)}
+    inside = codes != geometry.OUTSIDE
+    names, mismatched = _raw_mismatch(points, node, transforms, tol, counted)
+    inliers = inside & mismatched.any(axis=1)
+    categories[inliers] = _INLIER
+    notes = {
+        i: {"raw_mismatch": "|".join(itertools.compress(names, mismatched[i].tolist()))}
+        for i in np.flatnonzero(inliers).tolist()
+    }
 
     ext = chain_ctx.extended if chain_ctx is not None else None
     if ext is not None and ext.extends == node.name:
-        hidden = [
-            i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in notes
-        ]
-        novel = _outside_extension([points[i] for i in hidden], ext, tol)
-        for i in np.array(hidden, dtype=np.intp)[novel].tolist():
-            categories[i] = _NOVELTY
-            notes[i] = {"hidden": "|".join(sorted(points[i].hidden_values))}
+        hidden = np.flatnonzero(points.hidden.present.any(axis=1) & inside & ~inliers)
+        novel = hidden[_outside_extension(points.take(hidden), ext, tol)]
+        categories[novel] = _NOVELTY
+        for i in novel.tolist():
+            notes[i] = {"hidden": "|".join(sorted(points.hidden.row(i)))}
     return Labels(categories, codes == geometry.ON_BOUNDARY, notes, None, (node.name,))
 
 
 def classify_points(
-    points: list[DataPoint],
+    points: Points | list[DataPoint],
     node: OddNode,
     chain_ctx: Chain | None = None,
     tol: float = DEFAULT_TOL,
@@ -329,14 +326,15 @@ def classify_points(
     values and no transform declared raises MissingTransform. ``X`` holds the
     points' coordinates in ``node`` if the caller has read them.
     """
+    points = Points.of(points)
     transforms = declared_transform
     if transforms is None and chain_ctx is not None:
         transforms = chain_ctx.declared_transform
     if transforms is None:
-        first_raw = next((i for i, p in enumerate(points) if p.provenance_raw), None)
-        if first_raw is not None:
-            if X is None:  # a point up to that one that lacks a parameter fails first
-                geometry.coords_array(points[: first_raw + 1], node)
+        raw_rows = np.flatnonzero(points.raw.present.any(axis=1))
+        if len(raw_rows):
+            if X is None:  # a point up to the first with raw values that lacks a parameter fails first
+                geometry.coords_array(points[: raw_rows[0] + 1], node)
             raise MissingTransform(
                 "point carries raw provenance but no preprocessing transform is declared"
             )
@@ -449,9 +447,8 @@ def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> n
     entries lacking an MLM parameter are skipped."""
     index = chain.registry_indexes.get(tol)
     if index is None:
-        names = chain.mlm.parameter_names
-        entries = [r for r in chain.sample_registry if all(n in r.values for n in names)]
-        index = NearIndex(geometry.coords_array(entries, chain.mlm), chain.mlm, tol)
+        R, present = Points.of(chain.sample_registry).values.select(chain.mlm.parameter_names)
+        index = NearIndex(R[present.all(axis=1)], chain.mlm, tol)
         chain.registry_indexes[tol] = index
     return index.matches(X)
 
@@ -461,12 +458,13 @@ def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool
     return bool(registry_matches(geometry.coords_array([p], chain.mlm), chain, tol)[0])
 
 
-def _in_sample(points: list[DataPoint], X: np.ndarray, chain: Chain, tol: float) -> np.ndarray:
+def _in_sample(flags: np.ndarray, X: np.ndarray, chain: Chain, tol: float) -> np.ndarray:
     """Per point: flagged in_sample, or matched in the sample registry.
 
-    ``X`` holds the points' raw MLM coordinates; flagged points are not matched.
+    ``flags`` holds the points' in_sample codes and ``X`` their raw MLM
+    coordinates; flagged points are not matched.
     """
-    in_sample = np.array([bool(p.in_sample) for p in points], dtype=bool)
+    in_sample = flags == 1
     unflagged = np.flatnonzero(~in_sample)
     in_sample[unflagged] = registry_matches(X[unflagged], chain, tol)
     return in_sample
@@ -488,7 +486,7 @@ _IN_SAMPLE, _OUT_OF_SAMPLE, _OUT_OF_MLMODD, _OUT_OF_MLCODD = range(len(_KINDS))
 
 
 def _kind_step(
-    points: list[DataPoint], X: np.ndarray, chain: Chain, tol: float, Y: np.ndarray | None = None
+    points: Points, X: np.ndarray, chain: Chain, tol: float, Y: np.ndarray | None = None
 ) -> tuple[np.ndarray, _NodeRows, _NodeRows]:
     """Each point's kind code, plus the rows the MLM and the MLC decided.
 
@@ -501,10 +499,10 @@ def _kind_step(
     inside = codes != geometry.OUTSIDE
     in_mlm, out_mlm = np.flatnonzero(inside), np.flatnonzero(~inside)
     kinds = np.full(len(points), _OUT_OF_MLCODD, dtype=np.int8)
-    in_sample = _in_sample([points[i] for i in in_mlm.tolist()], X[in_mlm], chain, tol)
+    in_sample = _in_sample(points.in_sample[in_mlm], X[in_mlm], chain, tol)
     kinds[in_mlm] = np.where(in_sample, _IN_SAMPLE, _OUT_OF_SAMPLE)
     if Y is None:
-        Y = geometry.coords_array([points[i] for i in out_mlm.tolist()], chain.mlc)
+        Y = geometry.coords_array(points.take(out_mlm), chain.mlc)
     else:
         Y = Y[out_mlm]
     mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
@@ -513,7 +511,8 @@ def _kind_step(
 
 
 def classify_kind(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> Kind:
-    kinds = _kind_step([p], geometry.coords_array([p], chain.mlm), chain, tol)[0]
+    points = Points.of([p])
+    kinds = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)[0]
     return _KINDS[kinds[0]]
 
 
@@ -524,24 +523,23 @@ def category_node(kind: Kind, chain: Chain) -> OddNode:
     return chain.mlc
 
 
-def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> Labels:
+def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> Labels:
     """Classify each point against the chain; rows keep dataset order.
 
     The category reuses the containment the kind step decided: MLM points
     are categorized against the MLM, the others against the MLC. OutCOD rows
     take the category ``Any`` and note their MLC and SOD categories.
     """
+    points = Points.of(points)
     kinds, *decided = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)
     categories = np.empty(len(points), dtype=np.int8)
     on_boundary = np.empty(len(points), dtype=bool)
     notes: dict[int, dict[str, str]] = {}
     for node, d in zip((chain.mlm, chain.mlc), decided):
+        part = _categorize(points.take(d.rows), node, d.X, d.codes, chain, tol, chain.declared_transform)
+        categories[d.rows] = part.categories
+        on_boundary[d.rows] = part.on_boundary
         rows = d.rows.tolist()
-        part = _categorize(
-            [points[i] for i in rows], node, d.X, d.codes, chain, tol, chain.declared_transform
-        )
-        categories[rows] = part.categories
-        on_boundary[rows] = part.on_boundary
         notes.update((rows[j], note) for j, note in part.notes.items())
 
     # indistinct at the MLC level; the MLC and SOD categories are kept as notes
@@ -551,7 +549,7 @@ def label_rows(points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) 
         notes.setdefault(i, {})["mlc_category"] = CATEGORY_LABELS[category]
     sod = chain.system_od
     if sod is not None:
-        batch = [points[i] for i in rows]
+        batch = points.take(out_cod)
         Z = geometry.coords_array(batch, sod)
         codes = geometry.region_containment(Z, sod, tol)
         # categorized as the point restricted to the SOD's parameters would be
@@ -587,7 +585,7 @@ def serialize_labels(labels: Labels) -> str:
 
 
 def partition_dataset(
-    points: list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL
+    points: Points | list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL
 ) -> dict[PartitionKey, list[int]]:
     """Group row indices by (kind-set, category); every row lands in one cell.
 
@@ -627,7 +625,7 @@ class SetAlgebraReport:
 
 
 def verify_set_algebra(
-    points: list[DataPoint],
+    points: Points | list[DataPoint],
     chain: Chain,
     tol: float = DEFAULT_TOL,
     labels: list[Kind] | None = None,
@@ -635,48 +633,68 @@ def verify_set_algebra(
     """Cross-check kind labels against direct geometric membership.
 
     With ``labels`` given, audits externally produced labels, and a point
-    beyond the last label is an unlabeled point; otherwise the kinds
-    :func:`label_rows` gives are recomputed from the points, and the check
-    guards regressions in the classifier itself. More labels than points raise ValueError.
+    beyond the last label, or labelled with what is not a kind, is an
+    unlabeled point; otherwise the kinds :func:`label_rows` gives are
+    recomputed from the points, and the check guards regressions in the
+    classifier itself. More labels than points raise ValueError. The
+    violations come in point order, and a point's in the order of
+    ``_RULES``.
     """
+    points = Points.of(points)
     if labels is None:
         X = geometry.coords_array(points, chain.mlm)
         Y = geometry.coords_array(points, chain.mlc)
-        kinds = _kind_step(points, X, chain, tol, Y)[0].tolist()
-        pairs = [(p, _KINDS[kind]) for p, kind in zip(points, kinds)]
-        audited = points
+        codes = _kind_step(points, X, chain, tol, Y)[0]
+        audited = np.arange(len(points))
     else:
         if len(labels) > len(points):
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
-        pairs = list(itertools.zip_longest(points, labels))
-        audited = [p for p, label in pairs if label in _KINDS]
-        X = geometry.coords_array(audited, chain.mlm)
-        Y = geometry.coords_array(audited, chain.mlc)
-    mlm_codes = geometry.region_containment(X, chain.mlm, tol)
-    mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
-    verdicts = zip(
-        (mlm_codes != geometry.OUTSIDE).tolist(),
-        (mlc_codes != geometry.OUTSIDE).tolist(),
-        _in_sample(audited, X, chain, tol).tolist(),
-    )
-    violations: list[tuple[int, str]] = []
-    for i, (_, label) in enumerate(pairs):
-        if label not in _KINDS:
-            violations.append((i, "totality: unlabeled point"))
-            continue
-        in_mlm, in_mlc, in_sample = next(verdicts)
-        in_mod = label in (Kind.IN_SAMPLE, Kind.OUT_OF_SAMPLE)
-        in_cod = in_mod or label == Kind.OUT_OF_MLMODD
-        if in_mod != in_mlm:
-            violations.append((i, "InMOD = InS ∪ OutS"))
-        if label == Kind.IN_SAMPLE and not in_sample:
-            violations.append((i, "InS ∩ OutS = ∅"))
-        if label == Kind.OUT_OF_SAMPLE and in_mlm and in_sample:
-            violations.append((i, "InS ∩ OutS = ∅"))
-        if label == Kind.OUT_OF_MLMODD and (in_mlm or not in_mlc):
-            violations.append((i, "InMOD ∩ OutMOD = ∅"))
-        if in_cod != in_mlc:
-            violations.append((i, "InCOD = InMOD ∪ OutMOD"))
-        if label == Kind.OUT_OF_MLCODD and in_mlc:
-            violations.append((i, "InCOD ∩ OutCOD = ∅"))
+        codes = _kind_codes(labels, len(points))
+        audited = np.flatnonzero(codes >= 0)
+        labelled = points.take(audited)
+        X = geometry.coords_array(labelled, chain.mlm)
+        Y = geometry.coords_array(labelled, chain.mlc)
+    in_mlm = geometry.region_containment(X, chain.mlm, tol) != geometry.OUTSIDE
+    in_mlc = geometry.region_containment(Y, chain.mlc, tol) != geometry.OUTSIDE
+    in_sample = _in_sample(points.in_sample[audited], X, chain, tol)
+    kind = codes[audited]
+    broken = np.zeros((len(points), len(_RULES)), dtype=bool)
+    broken[:, 0] = codes < 0
+    broken[audited, 1:] = np.column_stack([
+        (kind <= _OUT_OF_SAMPLE) != in_mlm,
+        (kind == _IN_SAMPLE) & ~in_sample,
+        (kind == _OUT_OF_SAMPLE) & in_mlm & in_sample,
+        (kind == _OUT_OF_MLMODD) & (in_mlm | ~in_mlc),
+        (kind <= _OUT_OF_MLMODD) != in_mlc,
+        (kind == _OUT_OF_MLCODD) & in_mlc,
+    ])
+    rows, rules = np.nonzero(broken)
+    violations = list(zip(rows.tolist(), map(_RULES.__getitem__, rules.tolist())))
     return SetAlgebraReport(holds=not violations, violations=violations)
+
+
+# the totality check, then the six set-algebra rules, as verify_set_algebra
+# decides them per point
+_RULES = (
+    "totality: unlabeled point",
+    "InMOD = InS ∪ OutS",
+    "InS ∩ OutS = ∅",
+    "InS ∩ OutS = ∅",
+    "InMOD ∩ OutMOD = ∅",
+    "InCOD = InMOD ∪ OutMOD",
+    "InCOD ∩ OutCOD = ∅",
+)
+
+
+def _kind_codes(labels, n: int) -> np.ndarray:
+    """Per point, the code of the kind its label equals, as ``label in
+    _KINDS`` decides (a Kind, or a string equal to one's value); -1 for a
+    point without a label or with a label that is no kind. Labels are
+    compared, never hashed."""
+    given = np.fromiter(labels, dtype=object, count=len(labels))
+    codes = np.full(n, -1, dtype=np.int8)
+    for code in reversed(range(len(_KINDS))):  # the first kind equal to a label wins
+        kind = np.empty((), dtype=object)
+        kind[()] = _KINDS[code]
+        codes[: len(given)][given == kind] = code
+    return codes

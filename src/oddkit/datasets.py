@@ -2,13 +2,18 @@
 
 Datasets are RFC-4180 CSV with a required header row. Columns map to
 parameters by exact name; recognized special columns are ``raw:<param>``
-(pre-processing value), ``hidden:<param>`` (hidden-parameter value), and
+(pre-processing value), ``hidden:<name>`` (hidden-parameter value), and
 ``in_sample`` (0/1/true/false). Other columns are kept as opaque per-row
 extras and reported with a warning. Lines starting with ``#`` before the
 header are skipped (generators record their seed there).
 
+The text is read with ``csv.reader`` once, and each column is converted as
+a whole into the columns of a :class:`~oddkit.model.Points`; only the rows
+whose conversion fails are read again cell by cell, for their diagnostic.
+
 Diagnostic codes: E101 missing required parameter column, E102 duplicate
-column, E103 unparseable row (row excluded), W101 unrecognized column.
+column, E103 unparseable row or a row with more cells than the header (row
+excluded), W101 unrecognized column.
 """
 
 from __future__ import annotations
@@ -18,21 +23,31 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+
+import numpy as np
 
 from .dsl import Diagnostic, fmt
-from .model import DataPoint, OddNode
+from .model import DataPoint, OddNode, Points, columns
 
 _TRUE = {"1", "true", "t", "yes"}
 _FALSE = {"0", "false", "f", "no"}
+# in_sample codes of the cells _boolean needs neither strip nor lower for;
+# any other cell is read by _boolean
+_FLAG_CELLS = {"": -1, **dict.fromkeys(_TRUE, 1), **dict.fromkeys(_FALSE, 0)}
 # roles of dataset columns
 _PARAM, _RAW, _HIDDEN, _IN_SAMPLE, _EXTRA = "param", "raw", "hidden", "in_sample", "extra"
 
 
 @dataclass
 class Dataset:
-    points: list[DataPoint] = field(default_factory=list)
-    extras: list[dict[str, str]] = field(default_factory=list)
+    points: Points
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @property
+    def extras(self) -> dict[int, dict[str, str]]:
+        """The unrecognized columns' non-empty cells, for the rows that have any."""
+        return self.points.extras
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -49,30 +64,29 @@ class Dataset:
 def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     """Parse a CSV dataset against a node's parameter list.
 
-    Row order is preserved. Rows with unparseable numerics are excluded and
-    reported individually; header problems are fatal (no points returned).
-    A leading byte-order mark is skipped, in ``str`` and ``bytes`` alike.
+    Row order is preserved. Rows with unparseable numerics, and rows with
+    more cells than the header, are excluded and reported individually;
+    header problems are fatal (no points returned). A leading byte-order
+    mark is skipped, in ``str`` and ``bytes`` alike.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     data = data.removeprefix("\ufeff")
-    ds = Dataset()
+    diagnostics: list[Diagnostic] = []
     lines = data.splitlines(keepends=True)
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
-    reader = csv.reader(io.StringIO("".join(lines[skipped:])))
-    try:
-        header = next(reader)
-    except StopIteration:
-        ds.diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
-        return ds
-    header = [h.strip() for h in header]
+    body = list(csv.reader(io.StringIO("".join(lines[skipped:]))))
+    if not body:
+        diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
+        return Dataset(Points.of(()), diagnostics)
+    header = [h.strip() for h in body.pop(0)]
 
     seen = set()
     for i, col in enumerate(header):
         if col in seen:
-            ds.diagnostics.append(
+            diagnostics.append(
                 Diagnostic("error", "E102", f"duplicate column {col!r}", skipped + 1, i + 1)
             )
         seen.add(col)
@@ -87,61 +101,135 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
             roles.append((i, _IN_SAMPLE, col))
         elif col.startswith("raw:") and col[4:] in names:
             roles.append((i, _RAW, col[4:]))
-        elif col.startswith("hidden:"):
+        elif col.startswith("hidden:") and col[7:]:
             roles.append((i, _HIDDEN, col[7:]))
         else:
             roles.append((i, _EXTRA, col))
-            ds.diagnostics.append(
+            diagnostics.append(
                 Diagnostic(
                     "warning", "W101", f"unrecognized column {col!r} ignored", skipped + 1, i + 1
                 )
             )
     for name in names:
         if name not in header:
-            ds.diagnostics.append(
+            diagnostics.append(
                 Diagnostic("error", "E101", f"missing required parameter column {name!r}", skipped + 1, 1)
             )
-    if not ds.ok:
-        return ds
+    if any(d.severity == "error" for d in diagnostics):
+        return Dataset(Points.of(()), diagnostics)
 
-    for rownum, row in enumerate(reader):
+    # rows of another width: a blank one is skipped, a longer one excluded,
+    # and a shorter one padded with empty cells
+    width, dropped, excluded = len(header), set(), []
+    lengths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+    for r in np.flatnonzero(lengths != width).tolist():
+        row = body[r]
         if not "".join(row).strip():
-            continue
-        if len(row) < len(header):
-            row += [""] * (len(header) - len(row))
-        values: dict[str, float] = {}
-        raw: dict[str, float] = {}
-        hidden: dict[str, float] = {}
-        in_sample: bool | None = None
-        extras: dict[str, str] = {}
-        try:
-            for i, role, key in roles:
-                cell = row[i].strip()
-                if role == _PARAM:
-                    if not cell:
-                        raise ValueError(f"empty value for parameter {key!r}")
-                    values[key] = _number(cell)
-                elif not cell:
-                    continue
-                elif role == _RAW:
-                    raw[key] = _number(cell)
-                elif role == _HIDDEN:
-                    hidden[key] = _number(cell)
-                elif role == _IN_SAMPLE:
-                    in_sample = _boolean(cell)
-                else:
-                    extras[key] = cell
-        except ValueError as exc:
-            line = skipped + 2 + rownum
-            ds.diagnostics.append(
-                Diagnostic("warning", "E103", f"row excluded: {exc}", line, 1)
-            )
-            continue
-        ds.points.append(
-            DataPoint(values, provenance_raw=raw or None, hidden_values=hidden or None, in_sample=in_sample)
-        )
-        ds.extras.append(extras)
-    return ds
+            dropped.add(r)
+        elif len(row) > width:
+            dropped.add(r)
+            excluded.append((r, f"{len(row)} cells for the {width} columns of the header"))
+        else:
+            row += [""] * (width - len(row))
+    rownums = [r for r in range(len(body)) if r not in dropped] if dropped else range(len(body))
+    table = [body[r] for r in rownums] if dropped else body
+
+    points, bad = _read_columns(table, roles, width)
+    # a row that failed, read cell by cell: its first failing cell names the problem
+    for r in bad.tolist():
+        message = _row_error(table[r], roles)
+        if message is not None:
+            excluded.append((rownums[r], message))
+    for r, message in sorted(excluded):
+        diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", skipped + 2 + r, 1))
+    return Dataset(points, diagnostics)
+
+
+def _read_columns(table: list[list[str]], roles, width: int) -> tuple[Points, np.ndarray]:
+    """The points of the rows of ``table`` that every column reads, and the
+    rows some column cannot read. Each column is read as a whole; a cell
+    that is empty, or only whitespace, is an absent value (NaN)."""
+    cells = list(zip(*table)) or [()] * width
+    n = len(table)
+    failed = np.zeros(n, dtype=bool)
+    read: dict[str, dict[str, np.ndarray]] = {_PARAM: {}, _RAW: {}, _HIDDEN: {}}
+    flags = np.full(n, -1, dtype=np.int8)
+    extras: dict[int, dict[str, str]] = {}
+    for i, role, key in roles:
+        column = cells[i]
+        if role == _PARAM:
+            read[role][key], failing = _numbers(column)
+            failed |= failing
+        elif role in read:
+            filled = [r for r in compress(range(n), column) if not column[r].isspace()]
+            read[role][key] = np.full(n, np.nan)
+            read[role][key][filled], failing = _numbers([column[r] for r in filled])
+            failed[filled] |= failing
+        elif role == _IN_SAMPLE:
+            flags = np.fromiter(map(_FLAG_CELLS.get, column, repeat(2)), dtype=np.int8, count=n)
+            for r in np.flatnonzero(flags == 2).tolist():
+                cell = column[r].strip()
+                try:
+                    flags[r] = -1 if not cell else _boolean(cell)
+                except ValueError:
+                    failed[r] = True
+        else:
+            for r in compress(range(n), column):
+                if not column[r].isspace():
+                    extras.setdefault(r, {})[key] = column[r].strip()
+
+    good = np.flatnonzero(~failed)
+    if extras:
+        kept = dict(zip(good.tolist(), range(len(good))))
+        extras = {kept[r]: row for r, row in extras.items() if r in kept}
+
+    def stacked(by_name: dict[str, np.ndarray]):
+        data = [values[good] for values in by_name.values()]
+        return columns(tuple(by_name), np.column_stack(data) if data else np.empty((len(good), 0)))
+
+    points = Points(*map(stacked, read.values()), flags[good], extras)
+    return points, np.flatnonzero(failed)
+
+
+def _numbers(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell read as :func:`_number` reads it, NaN where that fails, and
+    where it fails."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        values = np.array([_float_or_nan(cell) for cell in cells], dtype=float)
+    failed = ~np.isfinite(values)
+    if "_" in "".join(cells):
+        failed |= np.array(["_" in cell for cell in cells], dtype=bool)
+    return values, failed
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _row_error(row: list[str], roles) -> str | None:
+    """Why a row is excluded, from its first failing cell as :func:`_number`
+    and :func:`_boolean` read it; None for a blank row."""
+    if not "".join(row).strip():
+        return None
+    try:
+        for i, role, key in roles:
+            cell = row[i].strip()
+            if role == _PARAM and not cell:
+                raise ValueError(f"empty value for parameter {key!r}")
+            if not cell or role == _EXTRA:
+                continue
+            if role == _IN_SAMPLE:
+                _boolean(cell)
+            else:
+                _number(cell)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _number(cell: str) -> float:

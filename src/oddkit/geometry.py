@@ -22,6 +22,7 @@ from .model import (
     Containment,
     DataPoint,
     OddNode,
+    Points,
     Polygon2D,
     PolytopeUnion,
 )
@@ -312,7 +313,7 @@ def params_at_extreme(
     Values strictly outside [lo, hi] by more than the tolerance band are never
     at an extreme. The one-row case of :func:`extreme_mask`.
     """
-    flags = extreme_mask(coords_array([p], node), node, tol)[0].tolist()
+    flags = extreme_mask(np.array([coords(p, node)]), node, tol)[0].tolist()
     return {name for name, at in zip(node.parameter_names, flags) if at}
 
 
@@ -332,20 +333,17 @@ CONTAINMENT = (Containment.INSIDE, Containment.ON_BOUNDARY, Containment.OUTSIDE)
 _CHUNK_ROWS = 4096
 
 
-def coords_array(points: list[DataPoint], node: OddNode) -> np.ndarray:
-    """The node's parameter values of each point, as an (n, d) float array.
+def coords_array(points: Points | list[DataPoint], node: OddNode) -> np.ndarray:
+    """The node's parameter values of each point, as an (n, d) float array,
+    read-only.
 
     Raises MissingParameter for the first point lacking a parameter, naming
     the parameter as :func:`coords` does.
     """
-    X = np.empty((len(points), len(node.parameters)))
-    try:
-        # a column at a time: no tuple per row for the garbage collector to track
-        for j, name in enumerate(node.parameter_names):
-            X[:, j] = np.array([p.values[name] for p in points], dtype=float)
-    except KeyError:
-        for p in points:
-            coords(p, node)
+    X, present = Points.of(points).values.select(node.parameter_names)
+    if not present.all():
+        row = present[np.flatnonzero(~present.all(axis=1))[0]]
+        raise MissingParameter(node.parameter_names[row.argmin()])
     return X
 
 
@@ -354,6 +352,12 @@ def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:
     g = _geometry(node)
     with np.errstate(over="ignore"):  # an overflow gives inf, decided as such
         return (X - g.lo) / g.span
+
+
+def denormalize_array(U: np.ndarray, node: OddNode) -> np.ndarray:
+    """Rows of normalized coordinates as raw ones: ``lo + U * span``."""
+    g = _geometry(node)
+    return g.lo + U * g.span
 
 
 def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,13 +1,19 @@
 """Domain types for parameters, regions, ODD nodes, and data points.
 
 All types are immutable value objects; geometric operations over them live
-in :mod:`oddkit.geometry`.
+in :mod:`oddkit.geometry`. A set of data points is held column by column as
+:class:`Points`.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -148,3 +154,151 @@ class DataPoint:
         if self.hidden_values:
             merged.update(self.hidden_values)
         return merged
+
+
+class Columns(NamedTuple):
+    """Named value columns of a set of points: ``data[i, j]`` is row i's value
+    of ``names[j]``, NaN where ``present[i, j]`` is False. A row without a
+    value and a row whose value is NaN stay apart."""
+
+    names: tuple[str, ...]
+    data: np.ndarray
+    present: np.ndarray
+
+    def select(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The data and presence of ``names``, in that order; a name that is
+        not a column is absent from every row."""
+        if names == self.names:
+            return self.data, self.present
+        data = np.full((len(self.data), len(names)), np.nan)
+        present = np.zeros(data.shape, dtype=bool)
+        for j, name in enumerate(names):
+            if name in self.names:
+                k = self.names.index(name)
+                data[:, j], present[:, j] = self.data[:, k], self.present[:, k]
+        return data, present
+
+    def row(self, i: int) -> dict[str, float]:
+        values, present = self.data[i].tolist(), self.present[i].tolist()
+        return {name: v for name, v, has in zip(self.names, values, present) if has}
+
+    def dicts(self, keep_empty: bool = False) -> list[dict[str, float] | None]:
+        """Per row, its values by name; a row without any gets None, or an
+        empty dict with ``keep_empty``. Filled a column at a time, which
+        costs a fraction of a dict built per row."""
+        if keep_empty:
+            out: list[dict[str, float] | None] = [{} for _ in range(len(self.data))]
+        else:
+            out = [None] * len(self.data)
+            for i in np.flatnonzero(self.present.any(axis=1)).tolist():
+                out[i] = {}
+        for name, column, present in zip(self.names, self.data.T, self.present.T):
+            rows = np.flatnonzero(present)
+            for i, v in zip(rows.tolist(), column[rows].tolist()):
+                out[i][name] = v
+        return out
+
+    def take(self, rows) -> Columns:
+        return Columns(self.names, *map(_read_only, (self.data[rows], self.present[rows])))
+
+
+def columns(names: tuple[str, ...], data: np.ndarray, present: np.ndarray | None = None) -> Columns:
+    """Read-only columns; without ``present``, a NaN entry is an absent value."""
+    if present is None:
+        present = ~np.isnan(data)
+    return Columns(names, _read_only(data), _read_only(present))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# DataPoint.in_sample per code of Points.in_sample: 0, 1 and -1 (unset)
+_FLAGS = (False, True, None)
+
+
+@dataclass(frozen=True, eq=False)
+class Points(Sequence):
+    """Data points held column by column, read-only.
+
+    ``values``, ``raw`` and ``hidden`` hold what :class:`DataPoint` keeps in
+    ``values``, ``provenance_raw`` and ``hidden_values``; ``in_sample`` holds
+    an int8 code per row: 1, 0, or -1 where the flag is unset. ``extras``
+    keeps, for the rows of a parsed dataset that have any, the cells of its
+    unrecognized columns. Indexing and iterating build :class:`DataPoint`
+    objects equal to the ones the columns came from; a slice is a
+    :class:`Points` of the selected rows.
+    """
+
+    values: Columns
+    raw: Columns
+    hidden: Columns
+    in_sample: np.ndarray
+    extras: dict[int, dict[str, str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _read_only(self.in_sample)
+
+    @classmethod
+    def of(cls, points: Iterable[DataPoint]) -> Points:
+        """``points`` as columns; a :class:`Points` is returned as it is.
+        Values that are not numbers are left out."""
+        if isinstance(points, Points):
+            return points
+        points = list(points)
+        flags = [-1 if p.in_sample is None else int(bool(p.in_sample)) for p in points]
+        return cls(
+            _gather([p.values for p in points]),
+            _gather([p.provenance_raw or {} for p in points]),
+            _gather([p.hidden_values or {} for p in points]),
+            np.array(flags, dtype=np.int8),
+        )
+
+    def __len__(self) -> int:
+        return len(self.in_sample)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        i = range(len(self))[key]
+        return DataPoint(
+            self.values.row(i),
+            self.raw.row(i) or None,
+            self.hidden.row(i) or None,
+            _FLAGS[self.in_sample[i]],
+        )
+
+    def __iter__(self) -> Iterator[DataPoint]:
+        flags = map(_FLAGS.__getitem__, self.in_sample.tolist())
+        return map(DataPoint, self.values.dicts(True), self.raw.dicts(), self.hidden.dicts(), flags)
+
+    def take(self, rows) -> Points:
+        """The points of ``rows``, an index array, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        extras = {}
+        if self.extras:
+            extras = {new: self.extras[old] for new, old in enumerate(rows.tolist()) if old in self.extras}
+        return Points(
+            self.values.take(rows),
+            self.raw.take(rows),
+            self.hidden.take(rows),
+            self.in_sample[rows],
+            extras,
+        )
+
+
+def _gather(dicts: list[dict[str, float]]) -> Columns:
+    """The columns of one field of a list of points, in first-seen name order."""
+    names, data, present = [], [], []
+    for name in dict.fromkeys(name for d in dicts for name in d):
+        has = [name in d for d in dicts]
+        try:
+            data.append(np.array([d[name] if h else math.nan for d, h in zip(dicts, has)], dtype=float))
+        except (TypeError, ValueError):  # not a number
+            continue
+        names.append(name)
+        present.append(has)
+    if not names:
+        return columns((), np.empty((len(dicts), 0)), np.empty((len(dicts), 0), dtype=bool))
+    return columns(tuple(names), np.array(data).T, np.array(present, dtype=bool).T)

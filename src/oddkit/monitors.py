@@ -22,7 +22,7 @@ from .classify import CATEGORY_LABELS, Chain, NearIndex, classify_points
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl
 from .errors import IncompleteTable, StubEvaluationError
-from .model import DEFAULT_TOL, DataPoint, OddNode
+from .model import DEFAULT_TOL, DataPoint, OddNode, Points
 
 MONITOR_KINDS = (
     "range_monitor",
@@ -128,7 +128,7 @@ class Monitor:
 
     def detect(
         self,
-        points: list[DataPoint],
+        points: Points | list[DataPoint],
         chain: Chain,
         outputs: np.ndarray,
         coords_of: Callable[[OddNode], np.ndarray] | None = None,
@@ -138,9 +138,10 @@ class Monitor:
         coordinates in a node, read from the points if not given."""
         if self.kind == "output_range_monitor":
             return ~((self.lo <= outputs) & (outputs <= self.hi))
+        points = Points.of(points)
         node = self.node or chain.mlm
         if self.kind == "cross_check_monitor":
-            return np.array([self._cross_check(p, node) for p in points], dtype=bool)
+            return self._cross_check(points, node)
         X = (coords_of or partial(geometry.coords_array, points))(node)
         if self.kind == "range_monitor":
             return geometry.region_containment(X, node, self.tol) == geometry.OUTSIDE
@@ -149,20 +150,17 @@ class Monitor:
         # known_input_monitor
         return NearIndex(geometry.coords_array(self.known_inputs, node), node, self.tol).matches(X)
 
-    def _cross_check(self, p: DataPoint, node: OddNode) -> bool:
-        if not p.provenance_raw:
-            return False  # no second channel available for this point
-        names = [self.param] if self.param else sorted(p.provenance_raw)
-        for name in names:
-            if name not in p.provenance_raw or name not in p.values:
-                continue
-            try:
-                span = node.parameter(name).span
-            except KeyError:
-                span = 1.0
-            if abs(p.values[name] - p.provenance_raw[name]) / span > self.threshold:
-                return True
-        return False
+    def _cross_check(self, points: Points, node: OddNode) -> np.ndarray:
+        """Per point: does a value differ from its raw value (``param``'s, or
+        any) by more than ``threshold`` spans? A point without raw values
+        has no second channel and never fires."""
+        names = (self.param,) if self.param else points.raw.names
+        raw, recorded = points.raw.select(names)
+        values, declared = points.values.select(names)
+        spans = np.array([node.parameter(n).span if n in node.parameter_names else 1.0 for n in names])
+        with np.errstate(over="ignore", invalid="ignore"):
+            differs = np.abs(values - raw) / spans > self.threshold
+        return (recorded & declared & differs).any(axis=1)
 
 
 def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Monitor]:
@@ -242,7 +240,7 @@ class SimulationResult:
 
 
 def run_monitor_chain(
-    points: list[DataPoint],
+    points: Points | list[DataPoint],
     chain: Chain,
     monitors: list[Monitor],
     stub: StubModel,
@@ -256,6 +254,7 @@ def run_monitor_chain(
     draws no randomness. Oracle category labels default to classifying each
     point against the chain's MLM node; given, there must be one per point.
     """
+    given, points = points, Points.of(points)
     if oracle_categories is not None and len(oracle_categories) != len(points):
         raise ValueError(f"{len(oracle_categories)} oracle categories for {len(points)} points")
     # each node's coordinates are read from the points once per run
@@ -280,29 +279,37 @@ def run_monitor_chain(
     evaluated = ~latched & (first >= first_output)
     non_finite = np.flatnonzero(evaluated & ~np.isfinite(outputs))
     if len(non_finite):
-        p = points[non_finite[0]]
+        p = given[non_finite[0]]  # the point as the caller gave it
         raise StubEvaluationError(f"stub produced non-finite output at {p.values}")
 
+    # each row's case: the first monitor that fired, m if none did, or m + 1
+    # once a failover has latched; the verdict's fields follow from the case
+    case = np.where(latched, m + 1, first).tolist()
     misses = [MonitorDecision(monitor.kind, False) for monitor in monitors]
     hits = [MonitorDecision(monitor.kind, True, monitor.action) for monitor in monitors]
-    verdicts: list[MonitorVerdict] = []
-    for i, (j, output, is_latched, is_evaluated) in enumerate(
-        zip(first.tolist(), outputs.tolist(), latched.tolist(), evaluated.tolist())
-    ):
-        if is_latched:
-            verdicts.append(MonitorVerdict(i, [], "mitigated", "failover", None, latched=True))
-            continue
-        disposition = "mitigated" if j < m else "processed_by_mlm"
-        output = output if is_evaluated else None
-        verdicts.append(MonitorVerdict(i, misses[:j] + hits[j : j + 1], disposition, actions[j], output))
+    decisions = [misses[:j] + hits[j : j + 1] for j in range(m + 1)] + [[]]
+    dispositions = ["mitigated"] * m + ["processed_by_mlm", "mitigated"]
+    stub_outputs = outputs.astype(object)
+    stub_outputs[~evaluated] = None
+    verdicts = list(
+        map(
+            MonitorVerdict,
+            range(n),
+            map(list, map(decisions.__getitem__, case)),  # a list of its own per verdict
+            map(dispositions.__getitem__, case),
+            map([*actions, "failover"].__getitem__, case),
+            stub_outputs.tolist(),
+            latched.tolist(),
+        )
+    )
 
-    rows = list(zip(oracle_categories, latched.tolist(), (first < m).tolist()))
-    total = Counter(cat for cat, is_latched, _ in rows if not is_latched)
-    detected = Counter(cat for cat, is_latched, hit in rows if hit and not is_latched)
+    categories = np.fromiter(oracle_categories, dtype=object, count=n)
+    total = Counter(categories[~latched].tolist())
+    detected = Counter(categories[~latched & (first < m)].tolist())
     metrics: dict[str, float] = {"points": float(n), "seed": float(seed)}
     for cat, count in sorted(total.items()):
         metrics[f"detection_rate_{cat}"] = detected[cat] / count
     nominal = total["Nominal"]
     metrics["false_alarm_rate_nominal"] = detected["Nominal"] / nominal if nominal else 0.0
-    metrics["failover_latched_points"] = float(sum(is_latched for _, is_latched, _ in rows))
+    metrics["failover_latched_points"] = float(latched.sum())
     return SimulationResult(verdicts, metrics)

@@ -11,13 +11,22 @@ an outside point to a convex polytope is found by Wolfe's nearest-point
 iteration over its vertices (the package evaluates a precomputed face table),
 and near matches are found by comparing every pair of rows (the package
 looks candidates up in a grid of sorted cell keys).
+
+Two row-by-row references sit beside them: the CSV dataset parser that
+reads one row at a time into a DataPoint (the package converts whole
+columns), and the per-point loop of the set-algebra audit (the package
+decides its rules as boolean columns).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
+
+from oddkit.model import DataPoint
 
 
 def winding_number(pt: tuple[float, float], vertices) -> int:
@@ -149,3 +158,142 @@ def near_matches(Q, R, lo, span, tol) -> list[bool]:
         q is not None and any(all(abs(a - b) <= tol for a, b in zip(q, r)) for r in refs)
         for q in scaled(Q)
     ]
+
+
+# -- the row-by-row dataset parser ---------------------------------------------
+
+_TRUE = {"1", "true", "t", "yes"}
+_FALSE = {"0", "false", "f", "no"}
+
+
+def _number(cell: str) -> float:
+    if "," in cell or "_" in cell:
+        raise ValueError(f"unparseable numeric {cell!r}")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"unparseable numeric {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite numeric {cell!r}")
+    return value
+
+
+def _boolean(cell: str) -> bool:
+    low = cell.lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(f"unparseable in_sample flag {cell!r}")
+
+
+def parse_rows(text: str, names: tuple[str, ...]):
+    """The dataset format read one row at a time: (diagnostics as
+    ``(severity, code, message, line, column)``, points, extras per point).
+
+    A row with more cells than the header is excluded (E103), and a
+    ``hidden:`` column without a name is an unrecognized column (W101).
+    """
+    text = text.removeprefix("\ufeff")
+    lines = text.splitlines(keepends=True)
+    skipped = 0
+    while skipped < len(lines) and lines[skipped].startswith("#"):
+        skipped += 1
+    reader = csv.reader(io.StringIO("".join(lines[skipped:])))
+    diagnostics, points, extras = [], [], []
+    try:
+        header = next(reader)
+    except StopIteration:
+        return [("error", "E101", "empty dataset: no header row", 1, 1)], [], []
+    header = [h.strip() for h in header]
+    seen = set()
+    for i, col in enumerate(header):
+        if col in seen:
+            diagnostics.append(("error", "E102", f"duplicate column {col!r}", skipped + 1, i + 1))
+        seen.add(col)
+    roles = []
+    for i, col in enumerate(header):
+        if col in names:
+            roles.append((i, "param", col))
+        elif col == "in_sample":
+            roles.append((i, "in_sample", col))
+        elif col.startswith("raw:") and col[4:] in names:
+            roles.append((i, "raw", col[4:]))
+        elif col.startswith("hidden:") and col[7:]:
+            roles.append((i, "hidden", col[7:]))
+        else:
+            roles.append((i, "extra", col))
+            diagnostics.append(("warning", "W101", f"unrecognized column {col!r} ignored", skipped + 1, i + 1))
+    for name in names:
+        if name not in header:
+            diagnostics.append(("error", "E101", f"missing required parameter column {name!r}", skipped + 1, 1))
+    if any(d[0] == "error" for d in diagnostics):
+        return diagnostics, [], []
+
+    for rownum, row in enumerate(reader):
+        if not "".join(row).strip():
+            continue
+        line = skipped + 2 + rownum
+        if len(row) > len(header):
+            message = f"row excluded: {len(row)} cells for the {len(header)} columns of the header"
+            diagnostics.append(("warning", "E103", message, line, 1))
+            continue
+        row += [""] * (len(header) - len(row))
+        values, raw, hidden, in_sample, extra = {}, {}, {}, None, {}
+        try:
+            for i, role, key in roles:
+                cell = row[i].strip()
+                if role == "param":
+                    if not cell:
+                        raise ValueError(f"empty value for parameter {key!r}")
+                    values[key] = _number(cell)
+                elif not cell:
+                    continue
+                elif role == "raw":
+                    raw[key] = _number(cell)
+                elif role == "hidden":
+                    hidden[key] = _number(cell)
+                elif role == "in_sample":
+                    in_sample = _boolean(cell)
+                else:
+                    extra[key] = cell
+        except ValueError as exc:
+            diagnostics.append(("warning", "E103", f"row excluded: {exc}", line, 1))
+            continue
+        points.append(DataPoint(values, raw or None, hidden or None, in_sample))
+        extras.append(extra)
+    return diagnostics, points, extras
+
+
+# -- the per-point set-algebra audit -----------------------------------------------
+
+KIND_VALUES = ("InS", "OutS", "OutMOD", "OutCOD")
+
+
+def set_algebra_violations(labels, verdicts) -> list[tuple[int, str]]:
+    """Per point, in order, the set-algebra rules its label breaks.
+
+    ``labels`` holds one label per point (None past the last given label);
+    a label that equals no kind's value is an unlabeled point. ``verdicts``
+    holds per point ``(in_mlm, in_mlc, in_sample)`` decided directly.
+    """
+    violations = []
+    for i, (label, (in_mlm, in_mlc, in_sample)) in enumerate(zip(labels, verdicts)):
+        if label not in KIND_VALUES:
+            violations.append((i, "totality: unlabeled point"))
+            continue
+        in_mod = label in ("InS", "OutS")
+        in_cod = in_mod or label == "OutMOD"
+        if in_mod != in_mlm:
+            violations.append((i, "InMOD = InS ∪ OutS"))
+        if label == "InS" and not in_sample:
+            violations.append((i, "InS ∩ OutS = ∅"))
+        if label == "OutS" and in_mlm and in_sample:
+            violations.append((i, "InS ∩ OutS = ∅"))
+        if label == "OutMOD" and (in_mlm or not in_mlc):
+            violations.append((i, "InMOD ∩ OutMOD = ∅"))
+        if in_cod != in_mlc:
+            violations.append((i, "InCOD = InMOD ∪ OutMOD"))
+        if label == "OutCOD" and in_mlc:
+            violations.append((i, "InCOD ∩ OutCOD = ∅"))
+    return violations

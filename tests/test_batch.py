@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import oddkit
 from oddkit import analysis, classify, geometry, monitors
-from oddkit.classify import OUTCOD_CATEGORY, Kind, LabelRow, _raw_mismatch
+from oddkit.classify import OUTCOD_CATEGORY, Kind, LabelRow
 from oddkit.datasets import write_csv
 from oddkit.model import (
     DEFAULT_TOL,
@@ -34,6 +34,7 @@ from oddkit.model import (
     Level,
     OddNode,
     Parameter,
+    Points,
     Polygon2D,
     PolytopeUnion,
     Variant,
@@ -58,6 +59,22 @@ def ref_params_at_extreme(p, node, tol=DEFAULT_TOL):
     return out
 
 
+def ref_raw_mismatch(p, node, transforms, tol):
+    """Parameters whose declared-transform-of-raw disagrees with the recorded value."""
+    expected = oddkit.apply_transforms(transforms, dict(p.provenance_raw or {}))
+    mismatched = []
+    for name, exp in expected.items():
+        if name not in p.values:
+            continue
+        try:
+            span = node.parameter(name).span
+        except KeyError:
+            span = 1.0
+        if abs(exp - p.values[name]) > tol * span:
+            mismatched.append(name)
+    return sorted(mismatched)
+
+
 def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transform=None):
     """(category, on_boundary, annotations) of one point."""
     containment = geometry.point_in_region(p, node, tol)
@@ -71,7 +88,7 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
             transforms = chain_ctx.declared_transform
         if transforms is None:
             raise oddkit.MissingTransform("no transform")
-        mismatched = _raw_mismatch(p, node, transforms, tol)
+        mismatched = ref_raw_mismatch(p, node, transforms, tol)
         if mismatched and inside:
             annotations["raw_mismatch"] = "|".join(mismatched)
             return ("Inlier", on_boundary, annotations)
@@ -355,7 +372,7 @@ def ref_categorize(points, node, X, codes, chain_ctx, tol, transforms):
     decided = {}
     for i, p in enumerate(points):
         if p.provenance_raw and inside[i]:
-            mismatched = _raw_mismatch(p, node, transforms, tol)
+            mismatched = ref_raw_mismatch(p, node, transforms, tol)
             if mismatched:
                 decided[i] = ("Inlier", {"raw_mismatch": "|".join(mismatched)})
 
@@ -364,7 +381,7 @@ def ref_categorize(points, node, X, codes, chain_ctx, tol, transforms):
         hidden = [
             i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in decided
         ]
-        novel = classify._outside_extension([points[i] for i in hidden], ext, tol)
+        novel = classify._outside_extension(Points.of([points[i] for i in hidden]), ext, tol)
         for i, outside in zip(hidden, novel):
             if outside:
                 decided[i] = ("Novelty", {"hidden": "|".join(sorted(points[i].hidden_values))})
@@ -1150,6 +1167,90 @@ def test_monitor_chain_agrees_with_the_per_row_loop(extended_doc, chain, seed):
         *monitors.MONITOR_KINDS, *monitors.ACTIONS, *(f"{kind} fired" for kind in monitors.MONITOR_KINDS),
     ]
     assert all(seen.get(what, 0) >= 3 for what in wanted), seen
+
+
+# -- the columns of a parsed dataset against a list of its points ---------------
+
+
+def test_columns_and_a_list_of_points_give_equal_outputs(mixed, extended_doc, chain):
+    """Every stage reads the same columns whether it is given the parsed
+    dataset's Points or a list of the DataPoints they give."""
+    assert isinstance(mixed, Points)
+    listed = list(mixed)
+    rules = analysis.load_default_rules()
+    decl = {m.name: m for m in extended_doc.monitor_chains}
+
+    def outputs(points):
+        labels = oddkit.label_rows(points, chain)
+        out = {
+            "label_rows": row_tuples(labels),
+            "partition": classify.partition_dataset(points, chain),
+            "analyze": analysis.analyze_partitions(points, chain, rules).render_csv(),
+            "audit": oddkit.verify_set_algebra(points, chain).violations,
+            "audit_labels": oddkit.verify_set_algebra(points, chain, labels=[r.kind for r in labels]).violations,
+            "coverage": [analysis.coverage_report(points, extended_doc.node(n)).render_text() for n in ("MLMODD", "SOD")],
+        }
+        for name in ("MLMODD", "MLCODD_spec", "SOD"):
+            labels = oddkit.classify_points(points, extended_doc.node(name), chain)
+            out[name] = [label_tuple(label) for label in labels]
+        scaled = oddkit.classify_points(points, chain.mlm, declared_transform=(oddkit.Transform("scale", "Alt", factor=0.8),))
+        out["scaled"] = [label_tuple(label) for label in scaled]
+        for name, d in decl.items():
+            mons = monitors.build_monitors(d.monitors, extended_doc)
+            sim = oddkit.run_monitor_chain(points, chain, mons, monitors.build_stub(d.stub, chain.mlm))
+            out[name] = (sim.render_verdicts_csv(), sim.metrics)
+        return out
+
+    got, want = outputs(mixed), outputs(listed)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert got[key] == want[key], key
+    assert got["audit_labels"] == got["audit"] == []
+
+
+def test_verify_set_algebra_agrees_with_the_per_row_loop(mixed, extended_doc):
+    """The audit's rule columns give the per-point loop's violations, for
+    labels that break each rule, strings equal to a kind's value, labels
+    that are no kind, and a label list shorter than the points."""
+    registry = tuple(
+        DataPoint({"Mach": p.values["Mach"], "Alt": p.values["Alt"] + 1e-6}) for p in mixed[::500]
+    )
+    chain = oddkit.build_chain(extended_doc, sample_registry=registry)
+    kinds = [r.kind for r in oddkit.label_rows(mixed, chain)]
+    labels = list(kinds)
+    others = list(Kind)
+    for i in range(0, len(labels), 37):
+        labels[i] = others[(others.index(labels[i]) + 1 + i % 3) % 4]
+    for i in range(5, len(labels), 61):
+        labels[i] = labels[i].value  # a string equal to a kind's value is that kind
+    for i, odd in zip(range(11, len(labels), 89), itertools.cycle([None, "x", 3, "ins", ("InS",)])):
+        labels[i] = odd
+    labels = labels[:-17]
+
+    listed = list(mixed)
+    X = np.array([[p.values["Mach"], p.values["Alt"]] for p in listed])
+    R = np.array([[r.values["Mach"], r.values["Alt"]] for r in registry])
+    params = chain.mlm.parameters
+    matched = oracles.near_matches(X, R, [q.lo for q in params], [q.span for q in params], DEFAULT_TOL)
+    verdicts = [
+        (
+            geometry.point_in_region(p, chain.mlm) != Containment.OUTSIDE,
+            geometry.point_in_region(p, chain.mlc) != Containment.OUTSIDE,
+            bool(p.in_sample) or match,
+        )
+        for p, match in zip(listed, matched)
+    ]
+    padded = list(itertools.zip_longest(range(len(listed)), labels))
+    want = oracles.set_algebra_violations([label for _, label in padded], verdicts)
+    got = oddkit.verify_set_algebra(mixed, chain, labels=labels)
+    assert got.violations == want and not got.holds
+    assert {rule for _, rule in want} == {
+        "totality: unlabeled point", "InMOD = InS ∪ OutS", "InS ∩ OutS = ∅",
+        "InMOD ∩ OutMOD = ∅", "InCOD = InMOD ∪ OutMOD", "InCOD ∩ OutCOD = ∅",
+    }
+    assert oddkit.verify_set_algebra(mixed, chain).violations == oracles.set_algebra_violations(
+        [k.value for k in kinds], verdicts
+    ) == []
 
 
 # -- errors are raised as the per-row path raises them ----------------------------

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
+from oddkit.model import DataPoint, Points
+
+import oracles
 
 
 @pytest.fixture()
@@ -84,3 +93,139 @@ def test_str_with_a_byte_order_mark_parses(node):
     ds = oddkit.parse_dataset("\ufeffMach,Alt\n0.1,5\n", node)
     assert ds.ok and not ds.diagnostics
     assert [p.values for p in ds.points] == [{"Mach": 0.1, "Alt": 5.0}]
+
+
+def test_a_row_longer_than_the_header_is_e103(node):
+    # an unquoted comma decimal splits one cell in two
+    ds = oddkit.parse_dataset("Mach,Alt\n0,2,5\n0.1,5\n", node)
+    assert [(d.code, d.line, d.message) for d in ds.diagnostics] == [
+        ("E103", 2, "row excluded: 3 cells for the 2 columns of the header")
+    ]
+    assert [p.values for p in ds.points] == [{"Mach": 0.1, "Alt": 5.0}]
+
+
+def test_a_hidden_column_without_a_name_is_w101(node):
+    ds = oddkit.parse_dataset("Mach,Alt,hidden:\n0,2,5\n", node)
+    assert [(d.code, d.message) for d in ds.diagnostics] == [
+        ("W101", "unrecognized column 'hidden:' ignored")
+    ]
+    assert ds.points[0].hidden_values is None
+    assert ds.extras == {0: {"hidden:": "5"}}
+
+
+def test_points_are_read_only_columns(golden_dataset):
+    points = golden_dataset.points
+    assert isinstance(points, Points) and len(points) == 12
+    assert points.values.names == ("Mach", "Alt")
+    assert points.in_sample.tolist() == [1] + [0] * 11
+    for a in (points.values.data, points.raw.present, points.hidden.data, points.in_sample):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        points.extras = {}
+    every = list(points)
+    assert [points[i] for i in range(-12, 0)] == every
+    assert list(points[::5]) == every[::5] and isinstance(points[::5], Points)
+    assert list(points[8:][:2]) == every[8:10]
+    with pytest.raises(IndexError):
+        points[12]
+
+
+def test_a_list_of_points_keeps_absent_and_nan_apart():
+    given_points = [
+        DataPoint({"Mach": 0.1, "Alt": math.nan}, {"Alt": math.nan}, None, True),
+        DataPoint({"Mach": 0.2}, None, {"Temp": 3.0, "Mach": 0.5}, False),
+        DataPoint({}, {}, {}, None),
+        DataPoint({"Alt": 7, "note": "x"}, None, None, 1),
+    ]
+    points = Points.of(given_points)
+    assert Points.of(points) is points
+    assert points.values.names == ("Mach", "Alt")  # "note" is no number
+    assert points.values.present.tolist() == [[True, True], [True, False], [False, False], [False, True]]
+    assert points.raw.present.tolist() == [[True], [False], [False], [False]]
+    again = list(points)
+    assert again[1:3] == [given_points[1], DataPoint({})]
+    assert again[3] == DataPoint({"Alt": 7.0}, in_sample=True)
+    assert math.isnan(again[0].values["Alt"]) and math.isnan(again[0].provenance_raw["Alt"])
+
+
+# -- the columnar parser against the row-by-row reference ----------------------
+
+# cells each column reads (but an empty parameter cell), and cells that
+# may fail; a row has at most one of the latter
+_READABLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(["", " ", " 2.5\t", "7"])
+)
+_TRICKY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([
+        "1_000", "1__0", "0,2", "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "-1e400", "5.",
+        ".5", "+2", "0x10", "abc", "1e-400", "\u0661\u0662", "\u00a01\u00a0", "\t", "",
+    ]),
+)
+_FLAGS = st.sampled_from(["", "1", "0", "true", "TRUE", " True ", "false", "F", "t", "yes", "NO", " "])
+_TRICKY_FLAGS = st.sampled_from(["maybe", "2", "y", "\u0130", "tru e"])
+_EXTRAS = st.one_of(st.sampled_from(["", " ", " \t", " a "]), st.text(alphabet="ab _,\"", max_size=4))
+_COLUMNS = ["Mach", "Alt", "raw:Alt", "raw:Mach", "raw:Temp", "hidden:Temp", "hidden:Mach", "hidden:",
+            "in_sample", "note", " Mach", "Alt "]
+
+
+def _quoted(cell: str, quote: bool) -> str:
+    return '"' + cell.replace('"', '""') + '"' if quote or '"' in cell else cell
+
+
+@st.composite
+def dataset_texts(draw):
+    header = draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=6))
+    if draw(st.booleans()):  # most datasets name every parameter
+        header = ["Mach", "Alt"] + [c for c in header if c.strip() not in ("Mach", "Alt")]
+        header = draw(st.permutations(header))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",,"])))
+            continue
+        if kind == "comment":
+            lines.append("# " + draw(_EXTRAS))
+            continue
+        width = max(len(header) + draw(st.sampled_from([0, 0, 0, -1, -2, 1, 2])), 0)
+        tricky = draw(st.integers(-1, width - 1))
+        cells = []
+        for j in range(width):
+            col = header[j].strip() if j < len(header) else "note"
+            if col in ("note", "hidden:"):
+                strategy = _EXTRAS
+            elif col == "in_sample":
+                strategy = _TRICKY_FLAGS if j == tricky else _FLAGS
+            else:
+                strategy = _TRICKY if j == tricky else _READABLE
+            cells.append(_quoted(draw(strategy), draw(st.booleans())))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    prefix = draw(st.sampled_from(["", "\ufeff", "# seed=1" + newline, "\ufeff# a" + newline + "#b" + newline]))
+    return prefix + text
+
+
+@settings(max_examples=400)
+@given(text=dataset_texts())
+def test_parse_equals_the_row_by_row_reference(extended_doc, text):
+    node = extended_doc.node("MLMODD")
+    ds = oddkit.parse_dataset(text, node)
+    diagnostics, points, extras = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    assert len(ds.points) == len(points)
+    assert list(ds.points) == points
+    assert [ds.points[i] for i in range(len(points))] == points
+    assert ds.extras == {i: extra for i, extra in enumerate(extras) if extra}
+    assert oddkit.parse_dataset(text.encode("utf-8"), node).diagnostics == ds.diagnostics
+
+
+def test_parse_reads_every_in_sample_spelling(node):
+    spellings = ["1", "true", "TRUE", " t ", "Yes", "0", "false", "F", "no", " NO ", ""]
+    text = "Mach,Alt,in_sample\n" + "".join(f"0.1,5,{s}\n" for s in spellings)
+    ds = oddkit.parse_dataset(text, node)
+    assert not ds.diagnostics
+    assert [p.in_sample for p in ds.points] == [True] * 5 + [False] * 5 + [None]
+    assert ds.points.in_sample.tolist() == [1] * 5 + [0] * 5 + [-1]
