@@ -6,6 +6,7 @@ import itertools
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -182,22 +183,39 @@ class LabelRow(NamedTuple):
 class Labels:
     """The labels of a list of points, in point order.
 
-    ``categories`` holds codes into ``CATEGORY_LABELS + (OUTCOD_CATEGORY,)``
-    and ``notes`` the annotations of the rows that have any. From
-    :func:`label_rows`, ``kinds`` holds kind codes (indices into ``Kind``)
-    and ``nodes`` the name of the node each kind's rows are categorized
-    against; from :func:`classify_points`, ``kinds`` is None and ``nodes``
-    names the one node. Iterating gives a :class:`LabelRow` per point.
+    ``categories`` holds codes into ``CATEGORY_LABELS + (OUTCOD_CATEGORY,)``.
+    From :func:`label_rows`, ``kinds`` holds kind codes (indices into
+    ``Kind``) and ``nodes`` the name of the node each kind's rows are
+    categorized against; from :func:`classify_points`, ``kinds`` is None and
+    ``nodes`` names the one node. ``mlc_categories`` and ``sod_categories``
+    hold an OutCOD row's MLC and SOD category codes (into
+    ``CATEGORY_LABELS``) and -1 on every other row; without a system OD,
+    ``sod_categories`` is -1 throughout. ``anomaly_notes`` holds the
+    ``raw_mismatch`` note of each Inlier row and the ``hidden`` note of each
+    Novelty row. Iterating gives a :class:`LabelRow` per point.
     """
 
     categories: np.ndarray
     on_boundary: np.ndarray
-    notes: dict[int, dict[str, str]]
     kinds: np.ndarray | None
     nodes: tuple[str, ...]
+    mlc_categories: np.ndarray
+    sod_categories: np.ndarray
+    anomaly_notes: dict[int, dict[str, str]]
 
     def __len__(self) -> int:
         return len(self.categories)
+
+    @cached_property
+    def notes(self) -> dict[int, dict[str, str]]:
+        """The annotations of the rows that have any: an Inlier or Novelty
+        note first, then an OutCOD row's ``mlc_category`` and ``sod_category``."""
+        notes = dict(self.anomaly_notes)
+        out_cod = np.flatnonzero(self.mlc_categories >= 0)
+        codes = zip(out_cod.tolist(), self.mlc_categories[out_cod].tolist(), self.sod_categories[out_cod].tolist())
+        for i, mlc, sod in codes:
+            notes[i] = _row_notes(notes.get(i, {}), mlc, sod)
+        return notes
 
     def __iter__(self) -> Iterator[LabelRow]:
         if self.kinds is None:
@@ -206,12 +224,23 @@ class Labels:
             codes = self.kinds.tolist()
             kinds, nodes = map(_KINDS.__getitem__, codes), map(self.nodes.__getitem__, codes)
         categories = map(_CATEGORY_NAMES.__getitem__, self.categories.tolist())
-        return (
-            LabelRow(i, kind, category, node, boundary, self.notes.get(i, {}))
-            for i, kind, category, node, boundary in zip(
-                range(len(self)), kinds, categories, nodes, self.on_boundary.tolist()
-            )
-        )
+        n = len(self)
+        annotations = [{} for _ in range(n)]  # a dict of its own for a row without annotations
+        for i, note in self.notes.items():
+            annotations[i] = note
+        columns = zip(range(n), kinds, categories, nodes, self.on_boundary.tolist(), annotations)
+        return map(tuple.__new__, itertools.repeat(LabelRow), columns)
+
+
+def _row_notes(note: dict[str, str], mlc: int, sod: int) -> dict[str, str]:
+    """A row's annotations: its Inlier or Novelty note, then the categories
+    its MLC and SOD codes name, where they are not -1."""
+    notes = dict(note)
+    if mlc >= 0:
+        notes["mlc_category"] = CATEGORY_LABELS[mlc]
+    if sod >= 0:
+        notes["sod_category"] = CATEGORY_LABELS[sod]
+    return notes
 
 
 def _raw_mismatch(
@@ -304,7 +333,8 @@ def _categorize(
         categories[novel] = _NOVELTY
         for i in novel.tolist():
             notes[i] = {"hidden": "|".join(sorted(points.hidden.row(i)))}
-    return Labels(categories, codes == geometry.ON_BOUNDARY, notes, None, (node.name,))
+    unset = np.full(len(categories), -1, dtype=np.int8)
+    return Labels(categories, codes == geometry.ON_BOUNDARY, None, (node.name,), unset, unset, notes)
 
 
 def classify_points(
@@ -532,56 +562,76 @@ def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFA
     """
     points = Points.of(points)
     kinds, *decided = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)
-    categories = np.empty(len(points), dtype=np.int8)
-    on_boundary = np.empty(len(points), dtype=bool)
+    n = len(points)
+    categories = np.empty(n, dtype=np.int8)
+    on_boundary = np.empty(n, dtype=bool)
     notes: dict[int, dict[str, str]] = {}
     for node, d in zip((chain.mlm, chain.mlc), decided):
         part = _categorize(points.take(d.rows), node, d.X, d.codes, chain, tol, chain.declared_transform)
         categories[d.rows] = part.categories
         on_boundary[d.rows] = part.on_boundary
-        rows = d.rows.tolist()
-        notes.update((rows[j], note) for j, note in part.notes.items())
+        noted = d.rows[list(part.anomaly_notes)].tolist()
+        notes.update(zip(noted, part.anomaly_notes.values()))
 
-    # indistinct at the MLC level; the MLC and SOD categories are kept as notes
+    # indistinct at the MLC level; the MLC and SOD category codes are kept
     out_cod = np.flatnonzero(kinds == _OUT_OF_MLCODD)
-    rows = out_cod.tolist()
-    for i, category in zip(rows, categories[out_cod].tolist()):
-        notes.setdefault(i, {})["mlc_category"] = CATEGORY_LABELS[category]
+    mlc_categories = np.full(n, -1, dtype=np.int8)
+    mlc_categories[out_cod] = categories[out_cod]
+    sod_categories = np.full(n, -1, dtype=np.int8)
     sod = chain.system_od
     if sod is not None:
         batch = points.take(out_cod)
         Z = geometry.coords_array(batch, sod)
         codes = geometry.region_containment(Z, sod, tol)
         # categorized as the point restricted to the SOD's parameters would be
-        sod_labels = _categorize(
+        sod_categories[out_cod] = _categorize(
             batch, sod, Z, codes, chain, tol, chain.declared_transform, sod.parameter_names
-        )
-        for i, category in zip(rows, sod_labels.categories.tolist()):
-            notes[i]["sod_category"] = CATEGORY_LABELS[category]
+        ).categories
     categories[out_cod] = _OUTCOD
     nodes = tuple(category_node(kind, chain).name for kind in _KINDS)
-    return Labels(categories, on_boundary, notes, kinds, nodes)
+    return Labels(categories, on_boundary, kinds, nodes, mlc_categories, sod_categories, notes)
 
 
 def serialize_labels(labels: Labels) -> str:
     """One CSV row per label, numbered in point order: ``row, kind, category,
     node, on_boundary, annotations`` for :func:`label_rows`, and ``row,
-    category, on_boundary, annotations`` for :func:`classify_points`."""
-    n = len(labels)
-    categories = map(_CATEGORY_NAMES.__getitem__, labels.categories.tolist())
-    on_boundary = labels.on_boundary.astype(np.int8).tolist()
-    annotations = [""] * n
-    for i, note in labels.notes.items():
-        annotations[i] = ";".join(f"{k}={v}" for k, v in sorted(note.items()))
+    category, on_boundary, annotations`` for :func:`classify_points`.
+
+    A row's cells after its number follow from its codes, so they are
+    written once per combination of codes present; only a row with an
+    Inlier or Novelty note is written on its own.
+    """
     if labels.kinds is None:
         header = ["row", "category", "on_boundary", "annotations"]
-        columns = [range(n), categories, on_boundary, annotations]
+        kinds = np.zeros(len(labels), dtype=np.int8)
     else:
-        kinds = labels.kinds.tolist()
         header = ["row", "kind", "category", "node", "on_boundary", "annotations"]
-        kind_values, nodes = map(_KIND_VALUES.__getitem__, kinds), map(labels.nodes.__getitem__, kinds)
-        columns = [range(n), kind_values, categories, nodes, on_boundary, annotations]
-    return write_csv(header, zip(*columns))
+        kinds = labels.kinds
+    # a -1 category code is stored as 0, the others one up
+    codes = (kinds, labels.categories, labels.on_boundary.astype(np.int8), labels.mlc_categories + 1,
+             labels.sod_categories + 1)
+    shape = (len(_KINDS), len(_CATEGORY_NAMES), 2, len(CATEGORY_LABELS) + 1, len(CATEGORY_LABELS) + 1)
+    present, row_codes = np.unique(np.ravel_multi_index(codes, shape), return_inverse=True)
+    combos = [c.tolist() for c in np.unravel_index(present, shape)]
+
+    @cache
+    def body(j: int, note: tuple[tuple[str, str], ...] = ()) -> str:
+        """The cells after the row number of the rows with the ``j``-th
+        combination of codes and the Inlier or Novelty ``note``, as one line."""
+        kind, category, boundary, mlc, sod = (c[j] for c in combos)
+        notes = _row_notes(dict(note), mlc - 1, sod - 1)
+        annotations = ";".join(f"{k}={v}" for k, v in sorted(notes.items()))
+        if labels.kinds is None:
+            cells = [_CATEGORY_NAMES[category], boundary, annotations]
+        else:
+            cells = [_KIND_VALUES[kind], _CATEGORY_NAMES[category], labels.nodes[kind], boundary, annotations]
+        return write_csv(cells, ())[:-1]
+
+    bodies = [body(j) for j in range(len(present))]
+    lines = list(map(bodies.__getitem__, row_codes.tolist()))
+    for i, note in labels.anomaly_notes.items():
+        lines[i] = body(int(row_codes[i]), tuple(note.items()))
+    return write_csv(header, ()) + "".join([f"{i},{line}\n" for i, line in enumerate(lines)])
 
 
 def partition_dataset(

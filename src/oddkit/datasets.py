@@ -67,11 +67,14 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     Row order is preserved. Rows with unparseable numerics, and rows with
     more cells than the header, are excluded and reported individually;
     header problems are fatal (no points returned). A leading byte-order
-    mark is skipped, in ``str`` and ``bytes`` alike.
+    mark is skipped, and lines may end in ``\\n``, ``\\r\\n`` or ``\\r``, in
+    ``str`` and ``bytes`` alike.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     data = data.removeprefix("\ufeff")
+    if "\r" in data:  # universal newlines, as the CLI reads a file
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
     diagnostics: list[Diagnostic] = []
     lines = data.splitlines(keepends=True)
     skipped = 0

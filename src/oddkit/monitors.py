@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -214,26 +214,67 @@ class MonitorVerdict:
     latched: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
-    verdicts: list[MonitorVerdict]
+    """The outcome of :func:`run_monitor_chain`, a code per row.
+
+    ``kinds`` and ``actions`` are the chain's monitors' kinds and actions.
+    ``cases`` holds each row's case: the index of the first monitor that
+    fired, ``len(kinds)`` if none did, or ``len(kinds) + 1`` once a failover
+    has latched (``latched``). ``stub_outputs`` holds the stub's output where
+    it was evaluated and NaN where it was not. ``verdicts`` builds one
+    :class:`MonitorVerdict` per row when it is first read.
+    """
+
+    kinds: tuple[str, ...]
+    actions: tuple[str, ...]
+    cases: np.ndarray
+    stub_outputs: np.ndarray
+    latched: np.ndarray
     metrics: dict[str, float]
 
-    def render_verdicts_csv(self) -> str:
-        return write_csv(
-            ["row", "disposition", "action", "stub_output", "detections", "latched"],
-            (
-                [
-                    v.row,
-                    v.final_disposition,
-                    v.action or "",
-                    "" if v.stub_output is None else f"{v.stub_output:.9g}",
-                    "|".join(d.monitor for d in v.decisions if d.detected),
-                    int(v.latched),
-                ]
-                for v in self.verdicts
-            ),
+    def _case_cells(self) -> list[tuple[str, str | None, tuple[str, ...], bool]]:
+        """Per case: disposition, action, the monitors that detected, latched."""
+        fired = [("mitigated", action, (kind,), False) for kind, action in zip(self.kinds, self.actions)]
+        return [*fired, ("processed_by_mlm", None, (), False), ("mitigated", "failover", (), True)]
+
+    @cached_property
+    def verdicts(self) -> list[MonitorVerdict]:
+        misses = [MonitorDecision(kind, False) for kind in self.kinds]
+        hits = [MonitorDecision(kind, True, action) for kind, action in zip(self.kinds, self.actions)]
+        decisions = [misses[:j] + hits[j : j + 1] for j in range(len(self.kinds) + 1)] + [[]]
+        dispositions, actions, _, _ = zip(*self._case_cells())
+        case = self.cases.tolist()
+        stub_outputs = self.stub_outputs.astype(object)
+        stub_outputs[np.isnan(self.stub_outputs)] = None
+        return list(
+            map(
+                MonitorVerdict,
+                range(len(case)),
+                map(list, map(decisions.__getitem__, case)),  # a list of its own per verdict
+                map(dispositions.__getitem__, case),
+                map(actions.__getitem__, case),
+                stub_outputs.tolist(),
+                self.latched.tolist(),
+            )
         )
+
+    def render_verdicts_csv(self) -> str:
+        """One CSV row per verdict: ``row, disposition, action, stub_output,
+        detections, latched``. The cells but the stub output follow from the
+        row's case, so they are written once per case."""
+        header = ["row", "disposition", "action", "stub_output", "detections", "latched"]
+        # one line each, without its line end; a stub output never needs quoting
+        before, after = [], []
+        for disposition, action, detected, latched in self._case_cells():
+            before.append(write_csv([disposition, action or ""], ())[:-1])
+            after.append(write_csv(["|".join(detected), int(latched)], ())[:-1])
+        outputs = ["" if v != v else f"{v:.9g}" for v in self.stub_outputs.tolist()]
+        lines = [
+            f"{i},{before[c]},{out},{after[c]}\n"
+            for i, c, out in zip(range(len(outputs)), self.cases.tolist(), outputs)
+        ]
+        return write_csv(header, ()) + "".join(lines)
 
     def render_metrics(self) -> str:
         return "\n".join(f"{k}={v:.6g}" for k, v in sorted(self.metrics.items())) + "\n"
@@ -283,25 +324,9 @@ def run_monitor_chain(
         raise StubEvaluationError(f"stub produced non-finite output at {p.values}")
 
     # each row's case: the first monitor that fired, m if none did, or m + 1
-    # once a failover has latched; the verdict's fields follow from the case
-    case = np.where(latched, m + 1, first).tolist()
-    misses = [MonitorDecision(monitor.kind, False) for monitor in monitors]
-    hits = [MonitorDecision(monitor.kind, True, monitor.action) for monitor in monitors]
-    decisions = [misses[:j] + hits[j : j + 1] for j in range(m + 1)] + [[]]
-    dispositions = ["mitigated"] * m + ["processed_by_mlm", "mitigated"]
-    stub_outputs = outputs.astype(object)
-    stub_outputs[~evaluated] = None
-    verdicts = list(
-        map(
-            MonitorVerdict,
-            range(n),
-            map(list, map(decisions.__getitem__, case)),  # a list of its own per verdict
-            map(dispositions.__getitem__, case),
-            map([*actions, "failover"].__getitem__, case),
-            stub_outputs.tolist(),
-            latched.tolist(),
-        )
-    )
+    # once a failover has latched
+    cases = np.where(latched, m + 1, first)
+    stub_outputs = np.where(evaluated, outputs, np.nan)
 
     categories = np.fromiter(oracle_categories, dtype=object, count=n)
     total = Counter(categories[~latched].tolist())
@@ -312,4 +337,5 @@ def run_monitor_chain(
     nominal = total["Nominal"]
     metrics["false_alarm_rate_nominal"] = detected["Nominal"] / nominal if nominal else 0.0
     metrics["failover_latched_points"] = float(latched.sum())
-    return SimulationResult(verdicts, metrics)
+    kinds = tuple(monitor.kind for monitor in monitors)
+    return SimulationResult(kinds, tuple(actions[:m]), cases, stub_outputs, latched, metrics)

@@ -136,14 +136,14 @@ def render_svg(
             )
         )
 
-    # the same float operations as to_px, one array at a time
+    # the same float operations as to_px, one array at a time, formatted as fmt does
     cxs = (_MARGIN + (np.array(px, dtype=float) - x0) * sx).tolist()
     cys = (_HEIGHT - _MARGIN - (np.array(py, dtype=float) - y0) * sy).tolist()
     present = list(dict.fromkeys(cats))
     classes = {cat: f"pt cat-{cat}".translate(_ATTRIB_ESCAPES) for cat in present}
     fills = {cat: CATEGORY_COLORS.get(cat, "#343a40") for cat in present}
     circles = [
-        f'<circle class="{classes[cat]}" cx="{fmt(cx)}" cy="{fmt(cy)}" r="4"'
+        f'<circle class="{classes[cat]}" cx="{cx:.9g}" cy="{cy:.9g}" r="4"'
         f' fill="{fills[cat]}" fill-opacity="0.85" />'
         for cat, cx, cy in zip(cats, cxs, cys)
     ]

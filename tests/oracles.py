@@ -12,10 +12,12 @@ iteration over its vertices (the package evaluates a precomputed face table),
 and near matches are found by comparing every pair of rows (the package
 looks candidates up in a grid of sorted cell keys).
 
-Two row-by-row references sit beside them: the CSV dataset parser that
-reads one row at a time into a DataPoint (the package converts whole
-columns), and the per-point loop of the set-algebra audit (the package
-decides its rules as boolean columns).
+Row-by-row references sit beside them: the CSV dataset parser that reads
+one row at a time into a DataPoint (the package converts whole columns),
+the per-point loop of the set-algebra audit (the package decides its rules
+as boolean columns), and the label and verdict CSV writers that write one
+row at a time from the LabelRows and MonitorVerdicts (the package writes
+each combination of codes once).
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def parse_rows(text: str, names: tuple[str, ...]):
     A row with more cells than the header is excluded (E103), and a
     ``hidden:`` column without a name is an unrecognized column (W101).
     """
-    text = text.removeprefix("\ufeff")
+    text = io.StringIO(text.removeprefix("\ufeff"), newline=None).read()  # universal newlines
     lines = text.splitlines(keepends=True)
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):
@@ -297,3 +299,52 @@ def set_algebra_violations(labels, verdicts) -> list[tuple[int, str]]:
         if label == "OutCOD" and in_mlc:
             violations.append((i, "InCOD ∩ OutCOD = ∅"))
     return violations
+
+
+# -- the row-by-row label and verdict writers --------------------------------------
+
+
+def _csv(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def annotations_cell(annotations: dict[str, str]) -> str:
+    return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
+
+
+def labels_csv(labels) -> str:
+    """The label CSV written row by row from the LabelRows iterating
+    ``labels`` gives; the one-node form when ``labels.kinds`` is None."""
+    if labels.kinds is None:
+        header = ["row", "category", "on_boundary", "annotations"]
+        rows = ([r.row, r.category, int(r.on_boundary), annotations_cell(r.annotations)] for r in labels)
+    else:
+        header = ["row", "kind", "category", "node", "on_boundary", "annotations"]
+        rows = (
+            [r.row, r.kind.value, r.category, r.node, int(r.on_boundary), annotations_cell(r.annotations)]
+            for r in labels
+        )
+    return _csv(header, rows)
+
+
+def verdicts_csv(verdicts) -> str:
+    """The verdict CSV written row by row from MonitorVerdicts."""
+    return _csv(
+        ["row", "disposition", "action", "stub_output", "detections", "latched"],
+        (
+            [
+                v.row,
+                v.final_disposition,
+                v.action or "",
+                "" if v.stub_output is None else f"{v.stub_output:.9g}",
+                "|".join(d.monitor for d in v.decisions if d.detected),
+                int(v.latched),
+            ]
+            for v in verdicts
+        ),
+    )

@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 import oddkit
 from oddkit import analysis, classify, geometry, monitors
-from oddkit.classify import OUTCOD_CATEGORY, Kind, LabelRow
-from oddkit.datasets import write_csv
+from oddkit.classify import CATEGORY_LABELS, OUTCOD_CATEGORY, Kind, LabelRow
 from oddkit.model import (
     DEFAULT_TOL,
     Containment,
@@ -235,7 +234,7 @@ def ref_detect(monitor, p, chain, stub_output):
 
 
 def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAULT_TOL):
-    """run_monitor_chain's per-row loop as it was."""
+    """run_monitor_chain's per-row loop as it was: the verdicts and the metrics."""
     oracle_categories = [label.category for label in oddkit.classify_points(points, chain.mlm, chain, tol)]
     verdicts = []
     failover_latched = False
@@ -283,7 +282,7 @@ def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAU
         else 0.0
     )
     metrics["failover_latched_points"] = float(latched_count)
-    return monitors.SimulationResult(verdicts, metrics)
+    return verdicts, metrics
 
 
 def ref_slice_reached(vertices, idx, bound_hat, tol):
@@ -1120,12 +1119,17 @@ def monitor_case(doc, chain, rng):
 
 
 def simulation_outcome(run, *args):
-    """The verdict CSV and metrics of a run, or the type and message of its error."""
+    """The verdicts, their CSV and the metrics of a run, or the type and
+    message of its error. The per-row loop's CSV is written by the row-by-row
+    oracle writer."""
     try:
         result = run(*args)
     except oddkit.OddkitError as exc:
         return type(exc), str(exc)
-    return result.render_verdicts_csv(), result.render_metrics()
+    if isinstance(result, monitors.SimulationResult):
+        return result.verdicts, result.render_verdicts_csv(), result.metrics
+    verdicts, metrics = result
+    return verdicts, oracles.verdicts_csv(verdicts), metrics
 
 
 @pytest.mark.parametrize("seed", [61, 62, 63])
@@ -1352,26 +1356,112 @@ def test_a_hidden_value_overrides_the_declared_value_of_its_name(extended_doc, c
     ]
 
 
-def _annotations_cell(annotations):
-    return ";".join(f"{k}={v}" for k, v in sorted(annotations.items()))
-
-
 @pytest.mark.parametrize("node_name", [None, "MLMODD", "MLCODD_spec", "SOD"])
 def test_serialize_labels_writes_the_rows_iterating_gives(mixed, extended_doc, chain, node_name):
-    """The column writer against the row path: label_rows' rows, or the --node
-    form of classify_points' rows, written one by one."""
+    """The code-table writer against the row-by-row one: label_rows' rows, or
+    the --node form of classify_points' rows."""
     if node_name is None:
         labels = oddkit.label_rows(mixed, chain)
-        header = ["row", "kind", "category", "node", "on_boundary", "annotations"]
-        rows = [
-            [r.row, r.kind.value, r.category, r.node, int(r.on_boundary), _annotations_cell(r.annotations)]
-            for r in labels
-        ]
     else:
         labels = oddkit.classify_points(mixed, extended_doc.node(node_name), chain)
-        header = ["row", "category", "on_boundary", "annotations"]
-        rows = [[r.row, r.category, int(r.on_boundary), _annotations_cell(r.annotations)] for r in labels]
         assert {(r.kind, r.node) for r in labels} == {(None, node_name)}
+    rows = list(labels)
     assert len(rows) == len(labels) == len(mixed)
-    assert any(r[-1] for r in rows) and any(r[-2] for r in rows)
-    assert oddkit.serialize_labels(labels) == write_csv(header, rows)
+    assert any(r.annotations for r in rows) and any(r.on_boundary for r in rows)
+    empty = [r.annotations for r in rows if not r.annotations]
+    assert empty and len(set(map(id, empty))) == len(empty)  # a dict of its own per row
+    assert oddkit.serialize_labels(labels) == oracles.labels_csv(labels)
+
+
+# names a CSV cell must quote (a comma, a quote, a line end) beside plain ones
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["Alt", "a,b", 'say "x"', "two\nlines", "cr\r", "k=v;w", "x|y"]),
+    st.text(alphabet='ab,"\n\r;=| ', min_size=1, max_size=5),
+)
+
+
+@st.composite
+def coded_labels(draw):
+    """A Labels of either form, with OutCOD codes on some rows and Inlier or
+    Novelty notes on some, both on a few."""
+    n = draw(st.integers(0, 25))
+
+    def column(codes, dtype=np.int8):
+        return np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=dtype)
+
+    one_node = draw(st.booleans())
+    kinds = None if one_node else column(st.integers(0, len(Kind) - 1))
+    nodes = tuple(draw(st.lists(_CELL_TEXT, min_size=1 if one_node else 4, max_size=1 if one_node else 4)))
+    categories = column(st.integers(0, len(CATEGORY_LABELS)))
+    on_boundary = column(st.booleans(), bool)
+    category = st.integers(0, len(CATEGORY_LABELS) - 1)
+    mlc = column(st.one_of(st.just(-1), category))
+    # an SOD code only on a row with an MLC code, and on every one or none
+    sod = np.where((mlc >= 0) & draw(st.booleans()), column(category), -1).astype(np.int8)
+    notes = draw(st.dictionaries(
+        st.integers(0, n - 1) if n else st.nothing(),
+        st.tuples(st.sampled_from(["raw_mismatch", "hidden"]), _CELL_TEXT).map(lambda kv: dict([kv])),
+    ))
+    return classify.Labels(categories, on_boundary, kinds, nodes, mlc, sod, notes)
+
+
+@settings(max_examples=300)
+@given(labels=coded_labels())
+def test_serialize_labels_equals_the_row_by_row_writer(labels):
+    """Node names and notes that need quoting, and rows whose note keys sort
+    around ``mlc_category`` and ``sod_category``."""
+    assert oddkit.serialize_labels(labels) == oracles.labels_csv(labels)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_labelling_writes_what_the_row_by_row_writer_writes(extended_doc, chain, data):
+    """label_rows and classify_points on chains whose node names, and on
+    points whose hidden names, need quoting."""
+    name = data.draw(_CELL_TEXT)
+    mlm = dataclasses.replace(chain.mlm, name=name + "-mlm")
+    renamed = classify.Chain(
+        mlm=mlm,
+        mlc=dataclasses.replace(chain.mlc, name=name + "-mlc"),
+        extended=dataclasses.replace(chain.extended, name=name + "-ext", extends=mlm.name),
+        system_od=dataclasses.replace(chain.system_od, name=name + "-sod"),
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hidden_name = data.draw(_CELL_TEXT)
+    lo, hi = np.array([0.0, -2000.0]), np.array([0.6, 40000.0])
+    points = []
+    for x in rng.uniform(lo, hi, size=(data.draw(st.integers(0, 40)), 2)).tolist():
+        values = {"Mach": x[0], "Alt": x[1]}
+        roll = rng.uniform()
+        if roll < 0.3:
+            points.append(DataPoint(values, hidden_values={"Temp": float(rng.uniform(-100, 100)), hidden_name: 1.0}))
+        elif roll < 0.5:
+            points.append(DataPoint(values, provenance_raw={"Alt": x[1] * float(rng.choice([1.0, 2.0]))}))
+        else:
+            points.append(DataPoint(values))
+    for labels in (
+        oddkit.label_rows(points, renamed),
+        oddkit.classify_points(points, renamed.mlm, renamed),
+        oddkit.classify_points(points, renamed.mlc, renamed),
+    ):
+        assert oddkit.serialize_labels(labels) == oracles.labels_csv(labels)
+
+
+@st.composite
+def coded_simulations(draw):
+    """A SimulationResult of a chain whose monitor kinds and actions need quoting."""
+    m = draw(st.integers(0, 4))
+    kinds = tuple(draw(st.lists(_CELL_TEXT, min_size=m, max_size=m)))
+    actions = tuple(draw(st.lists(_CELL_TEXT, min_size=m, max_size=m)))
+    cases = np.array(draw(st.lists(st.integers(0, m + 1), max_size=25)), dtype=np.intp)
+    outputs = draw(st.lists(st.floats(allow_nan=False), min_size=len(cases), max_size=len(cases)))
+    latched = cases == m + 1
+    evaluated = np.array(draw(st.lists(st.booleans(), min_size=len(cases), max_size=len(cases))), dtype=bool)
+    stub_outputs = np.where(evaluated & ~latched, np.array(outputs, dtype=float), np.nan)
+    return monitors.SimulationResult(kinds, actions, cases, stub_outputs, latched, {})
+
+
+@settings(max_examples=300)
+@given(result=coded_simulations())
+def test_render_verdicts_csv_equals_the_row_by_row_writer(result):
+    assert result.render_verdicts_csv() == oracles.verdicts_csv(result.verdicts)

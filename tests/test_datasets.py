@@ -95,6 +95,17 @@ def test_str_with_a_byte_order_mark_parses(node):
     assert [p.values for p in ds.points] == [{"Mach": 0.1, "Alt": 5.0}]
 
 
+@pytest.mark.parametrize("data", ["Mach,Alt\r0.1,5\r# c\r0.2,6", b"Mach,Alt\r0.1,5\r# c\r0.2,6"])
+def test_lines_ending_in_a_lone_cr_parse_as_the_cli_reads_them(node, tmp_path, data):
+    """Library input is read with universal newlines, as the CLI reads a file."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+    ds = oddkit.parse_dataset(data, node)
+    assert ds.diagnostics == oddkit.parse_dataset(path.read_text(encoding="utf-8"), node).diagnostics
+    assert [p.values for p in ds.points] == [{"Mach": 0.1, "Alt": 5.0}, {"Mach": 0.2, "Alt": 6.0}]
+    assert [d.line for d in ds.diagnostics] == [3]  # "# c" after the header is a row, excluded
+
+
 def test_a_row_longer_than_the_header_is_e103(node):
     # an unquoted comma decimal splits one cell in two
     ds = oddkit.parse_dataset("Mach,Alt\n0,2,5\n0.1,5\n", node)
@@ -202,7 +213,7 @@ def dataset_texts(draw):
                 strategy = _TRICKY if j == tricky else _READABLE
             cells.append(_quoted(draw(strategy), draw(st.booleans())))
         lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
     prefix = draw(st.sampled_from(["", "\ufeff", "# seed=1" + newline, "\ufeff# a" + newline + "#b" + newline]))
     return prefix + text

@@ -137,12 +137,35 @@ def test_monitors_call_no_one_point_geometry():
     assert not called & {"point_in_region", "params_at_extreme", "project", "coords", "normalize"}
 
 
+def _builders(path: Path, cls: str) -> set[str | None]:
+    """The functions that build ``cls``: that call it, or pass it to a call,
+    as ``map(cls, ...)`` and ``repeat(cls)`` do."""
+    found = set()
+
+    def visit(node: ast.AST, fn: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Call) and cls in [ast.unparse(e) for e in (node.func, *node.args)]:
+            found.add(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(_tree(path), None)
+    return found
+
+
 def test_only_the_api_edges_build_label_objects():
-    """Labelling works on code arrays; a LabelRow is built only when a
-    Labels is iterated, and every Labels by _categorize or label_rows."""
-    for cls, owners in (("LabelRow", ["__iter__"]), ("Labels", ["_categorize", "label_rows"])):
-        callers = {path.name: _callers(path, cls) for path in SRC.glob("*.py")}
-        assert {name: fns for name, fns in callers.items() if fns} == {"classify.py": owners}
+    """Labelling and simulation work on code arrays: a LabelRow is built only
+    when a Labels is iterated, and every Labels by _categorize or label_rows;
+    a MonitorVerdict and its MonitorDecisions only when ``verdicts`` is read."""
+    for cls, owners in (
+        ("LabelRow", {"classify.py": {"__iter__"}}),
+        ("Labels", {"classify.py": {"_categorize", "label_rows"}}),
+        ("MonitorVerdict", {"monitors.py": {"verdicts"}}),
+        ("MonitorDecision", {"monitors.py": {"verdicts"}}),
+    ):
+        builders = {path.name: _builders(path, cls) for path in SRC.glob("*.py")}
+        assert {name: fns for name, fns in builders.items() if fns} == owners, cls
 
 
 def test_cli_imports_neither_csv_nor_io():

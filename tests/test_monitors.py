@@ -219,3 +219,22 @@ def test_range_monitor_honours_a_declared_tol(extended_spec_text):
         assert result.verdicts[0].action == action
     # a monitor of another kind that declares no tol keeps 1e-6
     assert monitors.Monitor("extreme_value_monitor", node=chain.mlm).tol == 1e-6
+
+
+def test_verdicts_are_built_when_first_read(chain, baseline, monkeypatch):
+    """run_monitor_chain keeps a code per row; the MonitorVerdicts, with their
+    decision lists, are built on the first read of ``verdicts``, once."""
+    built, build = [], monitors.MonitorVerdict
+
+    def verdict(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(monitors, "MonitorVerdict", verdict)
+    points = [DataPoint({"Mach": 0.2, "Alt": 1000.0}), DataPoint({"Mach": 5.0, "Alt": 1000.0})]
+    result = oddkit.run_monitor_chain(points, chain, *baseline)
+    assert built == []
+    assert result.render_verdicts_csv().count("\n") == 3 and built == []
+    verdicts = result.verdicts
+    assert len(built) == 2 and result.verdicts is verdicts
+    assert [v.final_disposition for v in verdicts] == ["processed_by_mlm", "mitigated"]
