@@ -8,7 +8,7 @@ package (``data/erla_rules.txt``); cells without a specific record carry the
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -266,7 +266,7 @@ def coverage_report(
 
     points = Points.of(points)
     X = geometry.coords_array(points, node)
-    categories = classify_points(points, node, tol=tol, declared_transform=(), X=X).categories
+    categories = classify_points(points, node, tol=tol, declared_transform=()).categories
     # in the order the categories first occur
     present, first, number = np.unique(categories, return_index=True, return_counts=True)
     counts = {
@@ -335,20 +335,17 @@ class UpdateProposal:
     def render_text(self) -> str:
         if self.empty:
             return "no update proposed\n"
-        lines = []
-        for c in self.range_changes:
-            lines.append(
-                f"propose {c.parameter} {c.bound}: {c.current:g} -> {c.proposed:g} "
-                f"(evidence: {c.evidence_count} point(s), median {c.evidence_median:g}, "
-                f"extreme {c.evidence_extreme:g})"
-            )
-        for name in self.new_parameter_candidates:
-            lines.append(f"candidate new parameter: {name}")
+        lines = [
+            f"propose {c.parameter} {c.bound}: {c.current:g} -> {c.proposed:g} (evidence: {c.evidence_count}"
+            f" point(s), median {c.evidence_median:g}, extreme {c.evidence_extreme:g})"
+            for c in self.range_changes
+        ]
+        lines += [f"candidate new parameter: {name}" for name in self.new_parameter_candidates]
         return "\n".join(lines) + "\n"
 
 
 def propose_odd_update(
-    observed: list[DataPoint], node: OddNode, tol: float = DEFAULT_TOL
+    observed: Points | list[DataPoint], node: OddNode, tol: float = DEFAULT_TOL
 ) -> UpdateProposal:
     """Advisory range-extension proposal from operational out-of-ODD points.
 
@@ -356,45 +353,20 @@ def propose_odd_update(
     decision. Hidden-parameter columns in the evidence flag candidate new
     parameters.
     """
-    if not observed:
+    observed = Points.of(observed)
+    if not len(observed):
         raise EmptyInput("no observed points")
-    proposal = UpdateProposal()
-    for param in node.parameters:
+    X = observed.values.select(node.parameter_names)[0]  # NaN where a value is absent
+    changes = []
+    for param, column in zip(node.parameters, X.T):
         band = tol * param.span
-        above = [p.values[param.name] for p in observed if p.values.get(param.name, -math.inf) > param.hi + band]
-        below = [p.values[param.name] for p in observed if p.values.get(param.name, math.inf) < param.lo - band]
-        if above:
-            proposal.range_changes.append(
-                RangeChange(
-                    parameter=param.name,
-                    bound="hi",
-                    current=param.hi,
-                    proposed=max(above),
-                    evidence_count=len(above),
-                    evidence_median=float(np.median(above)),
-                    evidence_extreme=max(above),
-                )
-            )
-        if below:
-            proposal.range_changes.append(
-                RangeChange(
-                    parameter=param.name,
-                    bound="lo",
-                    current=param.lo,
-                    proposed=min(below),
-                    evidence_count=len(below),
-                    evidence_median=float(np.median(below)),
-                    evidence_extreme=min(below),
-                )
-            )
-    candidates = sorted(
-        {
-            name
-            for p in observed
-            if p.hidden_values
-            for name in p.hidden_values
-            if name not in node.parameter_names
-        }
-    )
-    proposal.new_parameter_candidates = candidates
-    return proposal
+        for bound, current, evidence, pick in (
+            ("hi", param.hi, column[column > param.hi + band], np.max),
+            ("lo", param.lo, column[column < param.lo - band], np.min),
+        ):
+            if len(evidence):
+                extreme, median = float(pick(evidence)), float(np.median(evidence))
+                changes.append(RangeChange(param.name, bound, current, extreme, len(evidence), median, extreme))
+    hidden = observed.hidden
+    named = itertools.compress(hidden.names, hidden.present.any(axis=0))
+    return UpdateProposal(changes, sorted(name for name in named if name not in node.parameter_names))

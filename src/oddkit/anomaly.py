@@ -44,14 +44,12 @@ class Transform:
         if not (math.isfinite(self.factor) and math.isfinite(self.offset)):
             raise ValueError("factor and offset must be finite")
 
+    def __call__(self, x):
+        """The transformed value of ``x``, a number or an array of them."""
+        return x + self.offset if self.kind == "offset" else x * self.factor
+
     def apply(self, values: dict[str, float]) -> dict[str, float]:
-        out = dict(values)
-        if self.parameter in out:
-            if self.kind == "offset":
-                out[self.parameter] = out[self.parameter] + self.offset
-            else:
-                out[self.parameter] = out[self.parameter] * self.factor
-        return out
+        return {name: self(v) if name == self.parameter else v for name, v in values.items()}
 
     def inverse(self) -> "Transform":
         if self.kind == "offset":

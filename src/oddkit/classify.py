@@ -264,7 +264,7 @@ def _raw_mismatch(
         for t in transforms:  # as apply_transforms does, a column at a time
             if t.parameter in names:
                 j = names.index(t.parameter)
-                expected[:, j] = expected[:, j] + t.offset if t.kind == "offset" else expected[:, j] * t.factor
+                expected[:, j] = t(expected[:, j])
         differs = np.abs(expected - values) > tol * spans
     return names, recorded & declared & differs
 
@@ -299,15 +299,14 @@ def _outside_extension(points: Points, ext: OddNode, tol: float) -> np.ndarray:
 def _categorize(
     points: Points,
     node: OddNode,
-    X: np.ndarray,
     codes: np.ndarray,
     chain_ctx: Chain | None,
     tol: float,
     transforms: tuple[Transform, ...],
     counted: Collection[str] | None = None,
 ) -> Labels:
-    """The labels against ``node`` of points whose coordinates and
-    containment codes in ``node`` are known.
+    """The labels against ``node`` of points whose containment codes in
+    ``node`` are known.
 
     Provenance mismatch (Inlier) first, hidden-parameter exclusion (Novelty)
     second, then the geometric cases, which one table lookup decides for every
@@ -315,6 +314,7 @@ def _categorize(
     ``counted`` restricts the values a raw value is checked against, as
     :func:`_raw_mismatch` does.
     """
+    X = geometry.coords_array(points, node)
     extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
     categories = _GEOMETRIC[codes, extremes]
     inside = codes != geometry.OUTSIDE
@@ -343,7 +343,6 @@ def classify_points(
     chain_ctx: Chain | None = None,
     tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
-    X: np.ndarray | None = None,
 ) -> Labels:
     """Assign each point its single category relative to ``node``.
 
@@ -353,8 +352,8 @@ def classify_points(
     changes the category. Containment and range extremes are decided once for
     the whole batch; the extension node only for inside points with hidden
     values. The declared transform defaults to the chain's; a point with raw
-    values and no transform declared raises MissingTransform. ``X`` holds the
-    points' coordinates in ``node`` if the caller has read them.
+    values and no transform declared raises MissingTransform, after
+    MissingParameter for a point up to the first with raw values.
     """
     points = Points.of(points)
     transforms = declared_transform
@@ -363,16 +362,13 @@ def classify_points(
     if transforms is None:
         raw_rows = np.flatnonzero(points.raw.present.any(axis=1))
         if len(raw_rows):
-            if X is None:  # a point up to the first with raw values that lacks a parameter fails first
-                geometry.coords_array(points[: raw_rows[0] + 1], node)
+            geometry.coords_array(points[: raw_rows[0] + 1], node)
             raise MissingTransform(
                 "point carries raw provenance but no preprocessing transform is declared"
             )
         transforms = ()
-    if X is None:
-        X = geometry.coords_array(points, node)
-    codes = geometry.region_containment(X, node, tol)
-    return _categorize(points, node, X, codes, chain_ctx, tol, transforms)
+    codes = geometry.region_containment(geometry.coords_array(points, node), node, tol)
+    return _categorize(points, node, codes, chain_ctx, tol, transforms)
 
 
 def classify_point(
@@ -500,50 +496,34 @@ def _in_sample(flags: np.ndarray, X: np.ndarray, chain: Chain, tol: float) -> np
     return in_sample
 
 
-@dataclass(frozen=True)
-class _NodeRows:
-    """The rows one node decided, with their coordinates and containment codes."""
-
-    rows: np.ndarray
-    X: np.ndarray
-    codes: np.ndarray
-
-
 # a kind code is an index into _KINDS
 _KINDS = tuple(Kind)
 _KIND_VALUES = tuple(kind.value for kind in _KINDS)
 _IN_SAMPLE, _OUT_OF_SAMPLE, _OUT_OF_MLMODD, _OUT_OF_MLCODD = range(len(_KINDS))
 
 
-def _kind_step(
-    points: Points, X: np.ndarray, chain: Chain, tol: float, Y: np.ndarray | None = None
-) -> tuple[np.ndarray, _NodeRows, _NodeRows]:
-    """Each point's kind code, plus the rows the MLM and the MLC decided.
+def _kind_step(points: Points, chain: Chain, tol: float) -> tuple[np.ndarray, tuple, tuple]:
+    """Each point's kind code, plus the rows the MLM and the MLC decided,
+    each as (rows, containment codes).
 
-    ``X`` holds the points' MLM coordinates, and ``Y``, if given, their MLC
-    coordinates. The MLM decides every point and the MLC only points outside
-    the MLM, whose MLC coordinates are read if ``Y`` is not given; the
-    registry is searched only for MLM points not flagged in_sample.
+    The MLM decides every point and the MLC only points outside the MLM;
+    the registry is searched only for MLM points not flagged in_sample.
     """
+    X = geometry.coords_array(points, chain.mlm)
     codes = geometry.region_containment(X, chain.mlm, tol)
     inside = codes != geometry.OUTSIDE
     in_mlm, out_mlm = np.flatnonzero(inside), np.flatnonzero(~inside)
     kinds = np.full(len(points), _OUT_OF_MLCODD, dtype=np.int8)
     in_sample = _in_sample(points.in_sample[in_mlm], X[in_mlm], chain, tol)
     kinds[in_mlm] = np.where(in_sample, _IN_SAMPLE, _OUT_OF_SAMPLE)
-    if Y is None:
-        Y = geometry.coords_array(points.take(out_mlm), chain.mlc)
-    else:
-        Y = Y[out_mlm]
+    Y = geometry.coords_array(points.take(out_mlm), chain.mlc)
     mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
     kinds[out_mlm[mlc_codes != geometry.OUTSIDE]] = _OUT_OF_MLMODD
-    return kinds, _NodeRows(in_mlm, X[in_mlm], codes[in_mlm]), _NodeRows(out_mlm, Y, mlc_codes)
+    return kinds, (in_mlm, codes[in_mlm]), (out_mlm, mlc_codes)
 
 
 def classify_kind(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> Kind:
-    points = Points.of([p])
-    kinds = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)[0]
-    return _KINDS[kinds[0]]
+    return _KINDS[_kind_step(Points.of([p]), chain, tol)[0][0]]
 
 
 def category_node(kind: Kind, chain: Chain) -> OddNode:
@@ -561,16 +541,16 @@ def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFA
     take the category ``Any`` and note their MLC and SOD categories.
     """
     points = Points.of(points)
-    kinds, *decided = _kind_step(points, geometry.coords_array(points, chain.mlm), chain, tol)
+    kinds, *decided = _kind_step(points, chain, tol)
     n = len(points)
     categories = np.empty(n, dtype=np.int8)
     on_boundary = np.empty(n, dtype=bool)
     notes: dict[int, dict[str, str]] = {}
-    for node, d in zip((chain.mlm, chain.mlc), decided):
-        part = _categorize(points.take(d.rows), node, d.X, d.codes, chain, tol, chain.declared_transform)
-        categories[d.rows] = part.categories
-        on_boundary[d.rows] = part.on_boundary
-        noted = d.rows[list(part.anomaly_notes)].tolist()
+    for node, (rows, codes) in zip((chain.mlm, chain.mlc), decided):
+        part = _categorize(points.take(rows), node, codes, chain, tol, chain.declared_transform)
+        categories[rows] = part.categories
+        on_boundary[rows] = part.on_boundary
+        noted = rows[list(part.anomaly_notes)].tolist()
         notes.update(zip(noted, part.anomaly_notes.values()))
 
     # indistinct at the MLC level; the MLC and SOD category codes are kept
@@ -581,11 +561,10 @@ def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFA
     sod = chain.system_od
     if sod is not None:
         batch = points.take(out_cod)
-        Z = geometry.coords_array(batch, sod)
-        codes = geometry.region_containment(Z, sod, tol)
+        codes = geometry.region_containment(geometry.coords_array(batch, sod), sod, tol)
         # categorized as the point restricted to the SOD's parameters would be
         sod_categories[out_cod] = _categorize(
-            batch, sod, Z, codes, chain, tol, chain.declared_transform, sod.parameter_names
+            batch, sod, codes, chain, tol, chain.declared_transform, sod.parameter_names
         ).categories
     categories[out_cod] = _OUTCOD
     nodes = tuple(category_node(kind, chain).name for kind in _KINDS)
@@ -692,18 +671,15 @@ def verify_set_algebra(
     """
     points = Points.of(points)
     if labels is None:
-        X = geometry.coords_array(points, chain.mlm)
-        Y = geometry.coords_array(points, chain.mlc)
-        codes = _kind_step(points, X, chain, tol, Y)[0]
-        audited = np.arange(len(points))
+        codes = _kind_step(points, chain, tol)[0]
     else:
         if len(labels) > len(points):
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
         codes = _kind_codes(labels, len(points))
-        audited = np.flatnonzero(codes >= 0)
-        labelled = points.take(audited)
-        X = geometry.coords_array(labelled, chain.mlm)
-        Y = geometry.coords_array(labelled, chain.mlc)
+    audited = np.flatnonzero(codes >= 0)
+    labelled = points.take(audited)
+    X = geometry.coords_array(labelled, chain.mlm)
+    Y = geometry.coords_array(labelled, chain.mlc)
     in_mlm = geometry.region_containment(X, chain.mlm, tol) != geometry.OUTSIDE
     in_mlc = geometry.region_containment(Y, chain.mlc, tol) != geometry.OUTSIDE
     in_sample = _in_sample(points.in_sample[audited], X, chain, tol)

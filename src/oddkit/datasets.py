@@ -76,11 +76,12 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if "\r" in data:  # universal newlines, as the CLI reads a file
         data = data.replace("\r\n", "\n").replace("\r", "\n")
     diagnostics: list[Diagnostic] = []
-    lines = data.splitlines(keepends=True)
-    skipped = 0
-    while skipped < len(lines) and lines[skipped].startswith("#"):
-        skipped += 1
-    body = list(csv.reader(io.StringIO("".join(lines[skipped:]))))
+    # skip the "#" lines before the header; only "\n" ends a line, as for csv.reader
+    text, skipped, start = io.StringIO(data), 0, 0
+    while text.readline().startswith("#"):
+        skipped, start = skipped + 1, text.tell()
+    text.seek(start)
+    body = list(csv.reader(text))
     if not body:
         diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
         return Dataset(Points.of(()), diagnostics)

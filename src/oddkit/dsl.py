@@ -5,7 +5,7 @@ blocks and ``monitorchain`` scenario blocks; ``#`` starts a comment. See the
 README for the full grammar and worked examples.
 
 Diagnostic codes:
-    E001 syntax error / unknown enumeration value
+    E001 syntax error / unknown enumeration value, monitor kind, action or stub kind
     E002 duplicate node name
     E003 unresolved reference
     E004 degenerate or inconsistent region
@@ -16,6 +16,10 @@ Diagnostic codes:
     E009 more than one system_od node
     E010 monitor input point whose arity differs from its node's parameter count
     E011 distribution that cannot be drawn within its parameter's range
+    E012 monitor tol or threshold that is not positive
+    E013 known_input_monitor without input points
+    E014 monitor without the node reference its kind or its input points need
+    E015 bilinear stub without exactly 4 finite coefficients
     W001 unknown attribute or construct (ignored)
     W002 E007 undecided (a base that is a union of several members)
 """
@@ -75,6 +79,45 @@ class MonitorDecl:
     # source position of the 'monitor' keyword
     line: int = field(default=1, compare=False)
     col: int = field(default=1, compare=False)
+
+
+MONITOR_KINDS = (
+    "range_monitor", "extreme_value_monitor", "known_input_monitor", "output_range_monitor", "cross_check_monitor"
+)
+ACTIONS = ("filter", "replace", "mask", "failover")
+
+
+def monitor_problem(
+    kind: str, action: str, tol: float | None, threshold: float | None, node: bool, inputs: int, bare: bool = False
+) -> tuple[str, str] | None:
+    """The code and message of the first rule a monitor breaks, or None.
+
+    ``node`` tells whether it names a node and ``inputs`` how many known
+    inputs it has; ``bare`` inputs are coordinate tuples, which only a node's
+    parameters can name. A ``tol`` or ``threshold`` of None is the default.
+    """
+    if kind not in MONITOR_KINDS:
+        return "E001", f"unknown monitor kind {kind!r}"
+    if action not in ACTIONS:
+        return "E001", f"unknown monitor action {action!r}"
+    if any(v is not None and v <= 0 for v in (tol, threshold)):
+        return "E012", "monitor tolerances and thresholds must be positive"
+    if kind == "known_input_monitor" and not inputs:
+        return "E013", "known_input_monitor needs a non-empty input list"
+    if not node and kind in ("range_monitor", "extreme_value_monitor"):
+        return "E014", f"{kind} needs a node reference"
+    if not node and inputs and bare:
+        return "E014", f"{kind} with input points needs a node reference to name the coordinates"
+    return None
+
+
+def stub_problem(kind: str, coefficients: tuple[float, ...]) -> tuple[str, str] | None:
+    """The code and message of the first rule a stub model breaks, or None."""
+    if kind != "bilinear":
+        return "E001", f"unknown stub kind {kind!r}"
+    if len(coefficients) != 4 or not all(math.isfinite(c) for c in coefficients):
+        return "E015", "bilinear stub needs 4 finite coefficients"
+    return None
 
 
 @dataclass(frozen=True)
@@ -843,6 +886,13 @@ def _validate_document(doc: SpecDocument) -> None:
             doc.diagnostics.append(Diagnostic("error", "E007", message, *loc))
 
     for chain in doc.monitor_chains:
+        stub = chain.stub
+        found = [(stub and stub_problem(stub.kind, stub.coefficients), chain.line, chain.col)] + [
+            (monitor_problem(m.kind, m.action, m.tol, m.threshold, m.node is not None, len(m.inputs), True), m.line, m.col)
+            for m in chain.monitors
+        ]
+        for (code, message), line, col in (f for f in found if f[0]):
+            doc.diagnostics.append(Diagnostic("error", code, f"monitorchain {chain.name!r}: {message}", line, col))
         for mon in chain.monitors:
             if mon.node is None:
                 continue

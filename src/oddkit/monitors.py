@@ -10,29 +10,23 @@ Actions are simulated as dispositions only.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry
 from .classify import CATEGORY_LABELS, Chain, NearIndex, classify_points
 from .datasets import write_csv
-from .dsl import MonitorDecl, SpecDocument, StubDecl
+from .dsl import MonitorDecl, SpecDocument, StubDecl, monitor_problem, stub_problem
 from .errors import IncompleteTable, StubEvaluationError
 from .model import DEFAULT_TOL, DataPoint, OddNode, Points
 
-MONITOR_KINDS = (
-    "range_monitor",
-    "extreme_value_monitor",
-    "known_input_monitor",
-    "output_range_monitor",
-    "cross_check_monitor",
-)
 
-ACTIONS = ("filter", "replace", "mask", "failover")
+def _check(problem: tuple[str, str] | None) -> None:
+    """Raise ValueError with the message of a rule ``dsl`` found broken."""
+    if problem is not None:
+        raise ValueError(problem[1])
 
 
 @dataclass(frozen=True)
@@ -81,8 +75,7 @@ def make_stub_model(node: OddNode, spec: dict) -> StubModel:
     kind = spec["kind"]
     if kind == "bilinear":
         coefficients = tuple(float(c) for c in spec["coefficients"])
-        if len(coefficients) != 4 or not all(math.isfinite(c) for c in coefficients):
-            raise ValueError("bilinear stub needs 4 finite coefficients")
+        _check(stub_problem(kind, coefficients))
         return StubModel(node, "bilinear", coefficients=coefficients)
     if kind == "lookup_table":
         table = tuple(tuple(float(v) for v in row) for row in spec["table"])
@@ -109,40 +102,25 @@ class Monitor:
     known_inputs: tuple[DataPoint, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in MONITOR_KINDS:
-            raise ValueError(f"unknown monitor kind {self.kind!r}")
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown monitor action {self.action!r}")
+        _check(monitor_problem(self.kind, self.action, self.tol, self.threshold, self.node is not None,
+                               len(self.known_inputs)))
         if self.tol is None:
             object.__setattr__(self, "tol", DEFAULT_TOL if self.kind == "range_monitor" else 1e-6)
-        if self.tol <= 0 or self.threshold <= 0:
-            raise ValueError("monitor tolerances and thresholds must be positive")
-        if self.kind == "known_input_monitor" and not self.known_inputs:
-            raise ValueError("known_input_monitor needs a non-empty input list")
-        if self.kind in ("range_monitor", "extreme_value_monitor") and self.node is None:
-            raise ValueError(f"{self.kind} needs a node reference")
 
     @property
     def input_side(self) -> bool:
         return self.kind != "output_range_monitor"
 
-    def detect(
-        self,
-        points: Points | list[DataPoint],
-        chain: Chain,
-        outputs: np.ndarray,
-        coords_of: Callable[[OddNode], np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def detect(self, points: Points | list[DataPoint], chain: Chain, outputs: np.ndarray) -> np.ndarray:
         """Per point: does this monitor fire on it? ``outputs`` holds the
-        stub's output on each point. ``coords_of(node)`` gives the points'
-        coordinates in a node, read from the points if not given."""
+        stub's output on each point."""
         if self.kind == "output_range_monitor":
             return ~((self.lo <= outputs) & (outputs <= self.hi))
         points = Points.of(points)
         node = self.node or chain.mlm
         if self.kind == "cross_check_monitor":
             return self._cross_check(points, node)
-        X = (coords_of or partial(geometry.coords_array, points))(node)
+        X = geometry.coords_array(points, node)
         if self.kind == "range_monitor":
             return geometry.region_containment(X, node, self.tol) == geometry.OUTSIDE
         if self.kind == "extreme_value_monitor":
@@ -166,35 +144,18 @@ class Monitor:
 def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Monitor]:
     monitors = []
     for d in decls:
+        _check(monitor_problem(d.kind, d.action, d.tol, d.threshold, d.node is not None, len(d.inputs), True))
         node = doc.node(d.node) if d.node is not None else None
-        known_inputs: tuple[DataPoint, ...] = ()
-        if d.inputs:
-            if node is None:
-                raise ValueError(
-                    f"{d.kind} with input points needs a node reference to name the coordinates"
-                )
-            known_inputs = tuple(
-                DataPoint(dict(zip(node.parameter_names, pt))) for pt in d.inputs
-            )
-        kwargs = dict(
-            kind=d.kind,
-            node=node,
-            param=d.param,
-            action=d.action,
-            action_value=d.action_value,
-            known_inputs=known_inputs,
-        )
-        for key in ("tol", "threshold", "lo", "hi"):
-            if getattr(d, key) is not None:
-                kwargs[key] = getattr(d, key)
-        monitors.append(Monitor(**kwargs))
+        known_inputs = tuple(DataPoint(dict(zip(node.parameter_names, pt))) for pt in d.inputs)
+        declared = {key: getattr(d, key) for key in ("tol", "threshold", "lo", "hi") if getattr(d, key) is not None}
+        monitors.append(Monitor(d.kind, node, param=d.param, action=d.action, action_value=d.action_value,
+                                known_inputs=known_inputs, **declared))
     return monitors
 
 
 def build_stub(decl: StubDecl, node: OddNode) -> StubModel:
-    if decl.kind == "bilinear":
-        return make_stub_model(node, {"kind": "bilinear", "coefficients": decl.coefficients})
-    raise ValueError(f"unsupported stub kind {decl.kind!r} in monitorchain block")
+    _check(stub_problem(decl.kind, decl.coefficients))
+    return make_stub_model(node, {"kind": decl.kind, "coefficients": decl.coefficients})
 
 
 @dataclass(frozen=True)
@@ -296,20 +257,20 @@ def run_monitor_chain(
     point against the chain's MLM node; given, there must be one per point.
     """
     given, points = points, Points.of(points)
-    if oracle_categories is not None and len(oracle_categories) != len(points):
-        raise ValueError(f"{len(oracle_categories)} oracle categories for {len(points)} points")
-    # each node's coordinates are read from the points once per run
-    coords_of = cache(partial(geometry.coords_array, points))
-    if oracle_categories is None:
-        categories = classify_points(points, chain.mlm, chain, tol, X=coords_of(chain.mlm)).categories
-        oracle_categories = [CATEGORY_LABELS[c] for c in categories.tolist()]
-
     n, m = len(points), len(monitors)
-    outputs = stub.outputs(coords_of(stub.node))
+    # each row's oracle category, as a code into names
+    if oracle_categories is None:
+        names, codes = CATEGORY_LABELS, classify_points(points, chain.mlm, chain, tol).categories
+    elif len(oracle_categories) != n:
+        raise ValueError(f"{len(oracle_categories)} oracle categories for {n} points")
+    else:
+        names, codes = np.unique(np.asarray(oracle_categories), return_inverse=True)
+        names = names.tolist()
+
+    outputs = stub.outputs(geometry.coords_array(points, stub.node))
     # column m fires on every row: argmax is the first monitor that fired, or m
     fired = np.column_stack(
-        [monitor.detect(points, chain, outputs, coords_of) for monitor in monitors]
-        + [np.ones(n, dtype=bool)]
+        [monitor.detect(points, chain, outputs) for monitor in monitors] + [np.ones(n, dtype=bool)]
     )
     first = fired.argmax(axis=1)
     actions = [monitor.action for monitor in monitors] + [None]
@@ -328,13 +289,12 @@ def run_monitor_chain(
     cases = np.where(latched, m + 1, first)
     stub_outputs = np.where(evaluated, outputs, np.nan)
 
-    categories = np.fromiter(oracle_categories, dtype=object, count=n)
-    total = Counter(categories[~latched].tolist())
-    detected = Counter(categories[~latched & (first < m)].tolist())
+    total = dict(zip(names, np.bincount(codes[~latched], minlength=len(names)).tolist()))
+    detected = dict(zip(names, np.bincount(codes[~latched & (first < m)], minlength=len(names)).tolist()))
     metrics: dict[str, float] = {"points": float(n), "seed": float(seed)}
-    for cat, count in sorted(total.items()):
-        metrics[f"detection_rate_{cat}"] = detected[cat] / count
-    nominal = total["Nominal"]
+    for cat in sorted(c for c, count in total.items() if count):
+        metrics[f"detection_rate_{cat}"] = detected[cat] / total[cat]
+    nominal = total.get("Nominal", 0)
     metrics["false_alarm_rate_nominal"] = detected["Nominal"] / nominal if nominal else 0.0
     metrics["failover_latched_points"] = float(latched.sum())
     kinds = tuple(monitor.kind for monitor in monitors)

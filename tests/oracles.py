@@ -15,9 +15,11 @@ looks candidates up in a grid of sorted cell keys).
 Row-by-row references sit beside them: the CSV dataset parser that reads
 one row at a time into a DataPoint (the package converts whole columns),
 the per-point loop of the set-algebra audit (the package decides its rules
-as boolean columns), and the label and verdict CSV writers that write one
+as boolean columns), the label and verdict CSV writers that write one
 row at a time from the LabelRows and MonitorVerdicts (the package writes
-each combination of codes once).
+each combination of codes once), and the ODD-update proposal that gathers
+its evidence point by point from the value dicts (the package selects it
+from the value columns).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 
 import numpy as np
 
+from oddkit.analysis import RangeChange, UpdateProposal
 from oddkit.model import DataPoint
 
 
@@ -197,11 +200,11 @@ def parse_rows(text: str, names: tuple[str, ...]):
     ``hidden:`` column without a name is an unrecognized column (W101).
     """
     text = io.StringIO(text.removeprefix("\ufeff"), newline=None).read()  # universal newlines
-    lines = text.splitlines(keepends=True)
+    lines = text.split("\n")  # only "\n" ends a line, as csv.reader reads one
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
-    reader = csv.reader(io.StringIO("".join(lines[skipped:])))
+    reader = csv.reader(io.StringIO("\n".join(lines[skipped:])))
     diagnostics, points, extras = [], [], []
     try:
         header = next(reader)
@@ -348,3 +351,27 @@ def verdicts_csv(verdicts) -> str:
             for v in verdicts
         ),
     )
+
+
+# -- the point-by-point ODD-update proposal ----------------------------------------
+
+
+def propose_odd_update(observed: list[DataPoint], node, tol: float) -> UpdateProposal:
+    """The range changes and new-parameter candidates, gathered point by point."""
+    proposal = UpdateProposal()
+    for param in node.parameters:
+        band = tol * param.span
+        above = [p.values[param.name] for p in observed if p.values.get(param.name, -math.inf) > param.hi + band]
+        below = [p.values[param.name] for p in observed if p.values.get(param.name, math.inf) < param.lo - band]
+        if above:
+            proposal.range_changes.append(
+                RangeChange(param.name, "hi", param.hi, max(above), len(above), float(np.median(above)), max(above))
+            )
+        if below:
+            proposal.range_changes.append(
+                RangeChange(param.name, "lo", param.lo, min(below), len(below), float(np.median(below)), min(below))
+            )
+    proposal.new_parameter_candidates = sorted(
+        {name for p in observed if p.hidden_values for name in p.hidden_values if name not in node.parameter_names}
+    )
+    return proposal

@@ -2,12 +2,18 @@ from __future__ import annotations
 
 from importlib import resources
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
 from oddkit import analysis
 from oddkit.analysis import NotApplicable, full_key_space, load_default_rules
-from oddkit.model import DataPoint
+from oddkit.model import DataPoint, Points
+
+import oracles
 
 
 def test_full_key_space_has_22_cells():
@@ -176,3 +182,55 @@ def test_propose_odd_update_flags_hidden_parameters(extended_doc):
 def test_propose_odd_update_empty_input(extended_doc):
     with pytest.raises(oddkit.EmptyInput):
         analysis.propose_odd_update([], extended_doc.node("MLCODD_spec"))
+
+
+_TOLS = (oddkit.DEFAULT_TOL, 1e-3, 0.0)
+
+
+@st.composite
+def observed_points(draw, node):
+    """Points whose values sit inside, beyond, exactly at and just past each
+    bound's band (for every tolerance of ``_TOLS``), are NaN or infinite, or
+    are missing, with hidden values named after a parameter or not."""
+    special = [math.nan, math.inf, -math.inf]
+    for p in node.parameters:
+        for tol in _TOLS:
+            band = tol * p.span
+            for edge, out in ((p.hi + band, math.inf), (p.lo - band, -math.inf)):
+                special += [edge, math.nextafter(edge, out), math.nextafter(edge, -out)]
+    values = {}
+    for p in node.parameters:
+        if draw(st.integers(0, 5)):  # a value is missing now and then
+            wide = st.floats(p.lo - p.span, p.hi + p.span)
+            values[p.name] = draw(st.one_of(wide, st.sampled_from(special)))
+    if draw(st.booleans()):
+        values["Temp"] = draw(st.floats(-100, 100))  # a value no parameter names
+    names = st.sampled_from(["Temp", "Wind", *node.parameter_names])
+    hidden = draw(st.dictionaries(names, st.floats(allow_infinity=False), max_size=2)) or None
+    return DataPoint(values, hidden_values=hidden)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_propose_odd_update_equals_the_point_by_point_reference(extended_doc, data):
+    node = extended_doc.node("MLCODD_spec")
+    tol = data.draw(st.sampled_from(_TOLS))
+    observed = data.draw(st.lists(observed_points(node), min_size=1, max_size=12))
+    expected = oracles.propose_odd_update(observed, node, tol)
+    for given_points in (observed, Points.of(observed)):
+        proposal = analysis.propose_odd_update(given_points, node, tol)
+        assert proposal == expected
+        assert proposal.render_text() == expected.render_text()
+
+
+def test_propose_odd_update_reads_a_parsed_dataset(extended_doc):
+    """A hidden column without a value in any row names no candidate."""
+    node = extended_doc.node("MLCODD_spec")
+    text = "Mach,Alt,hidden:Temp,hidden:Wind\n0.5,1000,,3\n0.45,-2000,,\n0.2,16000,,\n"
+    ds = oddkit.parse_dataset(text, node)
+    proposal = analysis.propose_odd_update(ds.points, node)
+    assert proposal == oracles.propose_odd_update(list(ds.points), node, oddkit.DEFAULT_TOL)
+    assert proposal.new_parameter_candidates == ["Wind"]
+    assert [(c.parameter, c.bound, c.evidence_count) for c in proposal.range_changes] == [
+        ("Mach", "hi", 2), ("Alt", "hi", 1), ("Alt", "lo", 1)
+    ]

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddkit
-from oddkit import analysis, classify, geometry, monitors
+from oddkit import analysis, classify, dsl, geometry, monitors
 from oddkit.classify import CATEGORY_LABELS, OUTCOD_CATEGORY, Kind, LabelRow
 from oddkit.model import (
     DEFAULT_TOL,
@@ -1087,8 +1087,8 @@ def monitor_case(doc, chain, rng):
         return DataPoint(dict(zip(("Mach", "Alt", "Temp"), x)), provenance_raw=raw)
 
     def monitor():
-        kind = monitors.MONITOR_KINDS[rng.integers(len(monitors.MONITOR_KINDS))]
-        action = monitors.ACTIONS[rng.integers(len(monitors.ACTIONS))]
+        kind = dsl.MONITOR_KINDS[rng.integers(len(dsl.MONITOR_KINDS))]
+        action = dsl.ACTIONS[rng.integers(len(dsl.ACTIONS))]
         node = doc.node(MONITOR_NODES[rng.integers(len(MONITOR_NODES))])
         if kind == "known_input_monitor":
             return monitors.Monitor(
@@ -1168,7 +1168,7 @@ def test_monitor_chain_agrees_with_the_per_row_loop(extended_doc, chain, seed):
     wanted = [
         "raised", "empty stream", "empty chain", "bilinear", "lookup_table", "latched",
         "non-finite output, latched row", "non-finite output, unreached row", "non-finite coordinate",
-        *monitors.MONITOR_KINDS, *monitors.ACTIONS, *(f"{kind} fired" for kind in monitors.MONITOR_KINDS),
+        *dsl.MONITOR_KINDS, *dsl.ACTIONS, *(f"{kind} fired" for kind in dsl.MONITOR_KINDS),
     ]
     assert all(seen.get(what, 0) >= 3 for what in wanted), seen
 

@@ -64,6 +64,18 @@ def test_leading_comment_lines_skipped(node):
     assert len(ds) == 1
 
 
+@pytest.mark.parametrize("breaker", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_comment_line_ends_only_at_a_newline(node, breaker):
+    """str.splitlines would also end a line at these; the CSV reader does not."""
+    text = f"# note{breaker}x\nMach,Alt\n0.1,5\n0.2,oops\n"
+    ds = oddkit.parse_dataset(text, node)
+    assert [(d.code, d.line) for d in ds.diagnostics] == [("E103", 4)]
+    assert list(ds.points) == [DataPoint({"Mach": 0.1, "Alt": 5.0})]
+    diagnostics, points, _ = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    assert list(ds.points) == points
+
+
 def test_locale_independent_numbers_rejected(node):
     ds = oddkit.parse_dataset("Mach,Alt\n0.1,1_000\n\"0,2\",5\n", node)
     assert [d.code for d in ds.diagnostics].count("E103") == 2
@@ -215,7 +227,8 @@ def dataset_texts(draw):
         lines.append(",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
-    prefix = draw(st.sampled_from(["", "\ufeff", "# seed=1" + newline, "\ufeff# a" + newline + "#b" + newline]))
+    comments = ["# seed=1" + newline, "\ufeff# a" + newline + "#b" + newline, "# a\x0cb\x85c\u2028d" + newline]
+    prefix = draw(st.sampled_from(["", "\ufeff", *comments]))
     return prefix + text
 
 

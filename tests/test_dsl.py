@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import oddkit
-from oddkit import dsl, geometry
+from oddkit import dsl, geometry, monitors
 from oddkit.cli import cli
 
 
@@ -357,6 +357,62 @@ monitorchain "m" {
     assert (chain.line, chain.col) == (7, 1)
     assert chain == dataclasses.replace(chain, line=1, col=1)
     assert chain.monitors[1] == dataclasses.replace(chain.monitors[1], line=1, col=1)
+
+
+_MONITOR_SPEC = """
+odd "A" level mlm_odd {{
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon {{ (0,0) (1,0) (1,1) }}
+}}
+monitorchain "m" {{
+  {stub}
+  monitor {monitor}
+}}
+"""
+_STUB = "stub bilinear 0 1 1 0"
+
+
+@pytest.mark.parametrize(
+    "stub, monitor, code",
+    [
+        (_STUB, 'bogus_kind node "A" action filter', "E001"),
+        (_STUB, 'range_monitor node "A" action explode', "E001"),
+        ("stub table 0 1 1 0", 'range_monitor node "A" action filter', "E001"),
+        (_STUB, 'range_monitor node "A" tol -1 action filter', "E012"),
+        (_STUB, 'cross_check_monitor node "A" threshold 0 action filter', "E012"),
+        (_STUB, 'known_input_monitor node "A" action filter', "E013"),
+        (_STUB, "extreme_value_monitor action filter", "E014"),
+        (_STUB, "known_input_monitor input (0.1, 0.5) action filter", "E014"),
+        ("stub bilinear 0 1 1", 'range_monitor node "A" action filter', "E015"),
+        ("stub bilinear 0 1 1 1e999", 'range_monitor node "A" action filter', "E015"),
+    ],
+)
+def test_monitorchain_rules(stub, monitor, code, tmp_path):
+    """Each rule a monitor or stub must keep is a coded error at parse time,
+    with the message building the chain raises; validate exits 1."""
+    text = _MONITOR_SPEC.format(stub=stub, monitor=monitor)
+    doc = oddkit.parse_spec(text)
+    assert _codes(doc) == [code]
+    error = doc.errors[0]
+    assert (error.line, error.col) == ((9, 3) if stub == _STUB else (7, 1))
+    decl = doc.monitor_chains[0]
+    with pytest.raises(ValueError) as raised:
+        monitors.build_stub(decl.stub, doc.node("A"))
+        monitors.build_monitors(decl.monitors, doc)
+    assert error.message == f"monitorchain 'm': {raised.value}"
+    spec = tmp_path / "monitors.odd"
+    spec.write_text(text)
+    result = CliRunner().invoke(cli, ["validate", str(spec)])
+    assert result.exit_code == 1
+    assert f"error {code} at {error.line}:{error.col}" in result.output
+
+
+def test_corpus_monitorchains_keep_every_rule(extended_doc):
+    assert extended_doc.diagnostics == []
+    for decl in extended_doc.monitor_chains:
+        monitors.build_stub(decl.stub, extended_doc.node("MLMODD"))
+        monitors.build_monitors(decl.monitors, extended_doc)
 
 
 _DIST_SPEC = """

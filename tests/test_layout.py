@@ -1,8 +1,8 @@
 """Source-layout guards: one CSV writer, one random generator, one vertex
 enumeration and one vertex source, one token cursor, one near-point
-matcher, monitors on the array engine, label objects built only at the API
-edges, no output formatting in the CLI, and no XML or URL library loaded by
-the CLI."""
+matcher, monitors on the array engine, every stage reading its own
+coordinates, label objects built only at the API edges, no output
+formatting in the CLI, and no XML or URL library loaded by the CLI."""
 
 from __future__ import annotations
 
@@ -135,6 +135,34 @@ def test_monitors_call_no_one_point_geometry():
     }
     assert "region_containment" in called and "extreme_mask" in called
     assert not called & {"point_in_region", "params_at_extreme", "project", "coords", "normalize"}
+
+
+def test_every_stage_reads_its_own_coordinates():
+    """A function that takes points reads their coordinates itself: none takes
+    a coordinate array (``X``, ``Y``, ``Z``) or a reader of one (a
+    ``Callable``) from its caller beside them. The monitor chain counts
+    category codes and keeps no per-run reader of coordinates."""
+    passed = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+            if "points" not in {a.arg for a in args}:
+                continue
+            passed += [
+                f"{path.name}:{fn.name}:{a.arg}"
+                for a in args
+                if a.arg in ("X", "Y", "Z", "coords_of") or "Callable" in ast.unparse(a.annotation or ast.Constant(None))
+            ]
+    assert passed == []
+    imported = {
+        alias.name
+        for node in ast.walk(_tree(SRC / "monitors.py"))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"Counter", "cache", "partial", "Callable"}
 
 
 def _builders(path: Path, cls: str) -> set[str | None]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,41 @@ def test_verdicts_are_built_when_first_read(chain, baseline, monkeypatch):
     verdicts = result.verdicts
     assert len(built) == 2 and result.verdicts is verdicts
     assert [v.final_disposition for v in verdicts] == ["processed_by_mlm", "mitigated"]
+
+
+def counter_metrics(result, oracle: list[str], seed: int) -> dict[str, float]:
+    """The metrics counted with Counters over the verdicts and the oracle
+    category strings, as run_monitor_chain counted them before it counted codes."""
+    rows = [(v, cat) for v, cat in zip(result.verdicts, oracle) if not v.latched]
+    total = Counter(cat for _, cat in rows)
+    detected = Counter(cat for v, cat in rows if any(d.detected for d in v.decisions))
+    metrics = {"points": float(len(oracle)), "seed": float(seed)}
+    for cat, count in sorted(total.items()):
+        metrics[f"detection_rate_{cat}"] = detected[cat] / count
+    metrics["false_alarm_rate_nominal"] = detected["Nominal"] / total["Nominal"] if total["Nominal"] else 0.0
+    metrics["failover_latched_points"] = float(sum(v.latched for v in result.verdicts))
+    return metrics
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "input_only"])
+def test_metrics_equal_a_counter_reference(extended_doc, chain, golden_dataset, scenario):
+    """The detection rates count category codes; a Counter over the category
+    strings gives the same metrics, in the same order, for the default oracle
+    and for a given one with labels outside CATEGORY_LABELS, one of which only
+    latched rows carry."""
+    decl = next(c for c in extended_doc.monitor_chains if c.name == scenario)
+    chain_monitors = monitors.build_monitors(decl.monitors, extended_doc)
+    stub = monitors.build_stub(decl.stub, chain.mlm)
+    points = golden_dataset.points
+    default = [row.category for row in oddkit.classify_points(points, chain.mlm, chain)]
+    given = [("Nominal", "zeta", "Outlier", "Alpha", default[i])[i % 5] for i in range(len(points))]
+    given[-1] = "OnlyLast"
+    for oracle in (None, given):
+        result = monitors.run_monitor_chain(points, chain, chain_monitors, stub, seed=7, oracle_categories=oracle)
+        expected = counter_metrics(result, oracle or default, 7)
+        assert list(result.metrics.items()) == list(expected.items())
+        assert all(type(v) is float for v in result.metrics.values())
+    if scenario == "input_only":  # the failover latches before the last row
+        assert result.verdicts[-1].latched and "detection_rate_OnlyLast" not in result.metrics
+    else:
+        assert result.metrics["detection_rate_OnlyLast"] in (0.0, 1.0)
