@@ -279,7 +279,7 @@ def coverage_report(
     vertex_coverage = int(covers.sum()) / len(V_hat) if len(V_hat) else 0.0
 
     # a point covers a bound slice the region reaches when it lies near both
-    near_region = geometry.region_containment(X, node, max(tol, _VERTEX_TOL)) != geometry.OUTSIDE
+    near_region = geometry.point_codes(points, node, max(tol, _VERTEX_TOL)) != geometry.OUTSIDE
     bounds_hat = geometry.normalize_array(np.array(node.box).T, node)  # rows lo, hi
     at_bound = near_region[:, None, None] & (np.abs(X_hat[:, None] - bounds_hat) <= _VERTEX_TOL)
     reached = geometry.bounds_reached(node, tol).T

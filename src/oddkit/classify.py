@@ -192,7 +192,9 @@ class Labels:
     ``CATEGORY_LABELS``) and -1 on every other row; without a system OD,
     ``sod_categories`` is -1 throughout. ``anomaly_notes`` holds the
     ``raw_mismatch`` note of each Inlier row and the ``hidden`` note of each
-    Novelty row. Iterating gives a :class:`LabelRow` per point.
+    Novelty row. The arrays are read-only, as one :class:`Labels` may be
+    shared by every stage labelling the same points. Iterating gives a
+    :class:`LabelRow` per point.
     """
 
     categories: np.ndarray
@@ -202,6 +204,11 @@ class Labels:
     mlc_categories: np.ndarray
     sod_categories: np.ndarray
     anomaly_notes: dict[int, dict[str, str]]
+
+    def __post_init__(self):
+        for a in (self.categories, self.on_boundary, self.kinds, self.mlc_categories, self.sod_categories):
+            if a is not None:
+                a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.categories)
@@ -225,9 +232,10 @@ class Labels:
             kinds, nodes = map(_KINDS.__getitem__, codes), map(self.nodes.__getitem__, codes)
         categories = map(_CATEGORY_NAMES.__getitem__, self.categories.tolist())
         n = len(self)
-        annotations = [{} for _ in range(n)]  # a dict of its own for a row without annotations
+        # a dict of its own per row: the labels, and so their notes, may be shared
+        annotations = [{} for _ in range(n)]
         for i, note in self.notes.items():
-            annotations[i] = note
+            annotations[i] = note.copy()
         columns = zip(range(n), kinds, categories, nodes, self.on_boundary.tolist(), annotations)
         return map(tuple.__new__, itertools.repeat(LabelRow), columns)
 
@@ -367,8 +375,7 @@ def classify_points(
                 "point carries raw provenance but no preprocessing transform is declared"
             )
         transforms = ()
-    codes = geometry.region_containment(geometry.coords_array(points, node), node, tol)
-    return _categorize(points, node, codes, chain_ctx, tol, transforms)
+    return _categorize(points, node, geometry.point_codes(points, node, tol), chain_ctx, tol, transforms)
 
 
 def classify_point(
@@ -506,11 +513,12 @@ def _kind_step(points: Points, chain: Chain, tol: float) -> tuple[np.ndarray, tu
     """Each point's kind code, plus the rows the MLM and the MLC decided,
     each as (rows, containment codes).
 
-    The MLM decides every point and the MLC only points outside the MLM;
-    the registry is searched only for MLM points not flagged in_sample.
+    The MLM decides every point, as the points' memo keeps it, and the MLC
+    only points outside the MLM; the registry is searched only for MLM
+    points not flagged in_sample.
     """
+    codes = geometry.point_codes(points, chain.mlm, tol)
     X = geometry.coords_array(points, chain.mlm)
-    codes = geometry.region_containment(X, chain.mlm, tol)
     inside = codes != geometry.OUTSIDE
     in_mlm, out_mlm = np.flatnonzero(inside), np.flatnonzero(~inside)
     kinds = np.full(len(points), _OUT_OF_MLCODD, dtype=np.int8)
@@ -538,9 +546,16 @@ def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFA
 
     The category reuses the containment the kind step decided: MLM points
     are categorized against the MLM, the others against the MLC. OutCOD rows
-    take the category ``Any`` and note their MLC and SOD categories.
+    take the category ``Any`` and note their MLC and SOD categories. The
+    labels are decided once per points, chain and ``tol`` and kept in the
+    points' memo, so every stage labelling the same points shares them.
     """
     points = Points.of(points)
+    return points.recall("labels", chain, tol, lambda: _label_rows(points, chain, tol))
+
+
+def _label_rows(points: Points, chain: Chain, tol: float) -> Labels:
+    """What :func:`label_rows` decides when its points' memo has no labels."""
     kinds, *decided = _kind_step(points, chain, tol)
     n = len(points)
     categories = np.empty(n, dtype=np.int8)
@@ -677,11 +692,12 @@ def verify_set_algebra(
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
         codes = _kind_codes(labels, len(points))
     audited = np.flatnonzero(codes >= 0)
-    labelled = points.take(audited)
+    # with every point audited, the MLM and MLC codes are the points' memo's
+    labelled = points if len(audited) == len(points) else points.take(audited)
     X = geometry.coords_array(labelled, chain.mlm)
-    Y = geometry.coords_array(labelled, chain.mlc)
-    in_mlm = geometry.region_containment(X, chain.mlm, tol) != geometry.OUTSIDE
-    in_mlc = geometry.region_containment(Y, chain.mlc, tol) != geometry.OUTSIDE
+    geometry.coords_array(labelled, chain.mlc)  # a missing MLC parameter raises before a bad tol
+    in_mlm = geometry.point_codes(labelled, chain.mlm, tol) != geometry.OUTSIDE
+    in_mlc = geometry.point_codes(labelled, chain.mlc, tol) != geometry.OUTSIDE
     in_sample = _in_sample(points.in_sample[audited], X, chain, tol)
     kind = codes[audited]
     broken = np.zeros((len(points), len(_RULES)), dtype=bool)

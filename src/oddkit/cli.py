@@ -260,8 +260,6 @@ def simulate(spec, data, scenario, chain_spec, transform_specs, seed, out_path, 
     decl = next((c for c in doc.monitor_chains if c.name == scenario), None)
     if decl is None:
         raise click.ClickException(f"unknown monitorchain {scenario!r}")
-    if decl.stub is None:
-        raise click.ClickException(f"monitorchain {scenario!r} declares no stub model")
     ds = _load_dataset(data, chain.mlm)
     try:
         chain_monitors = monitors.build_monitors(decl.monitors, doc)

@@ -13,7 +13,7 @@ whose conversion fails are read again cell by cell, for their diagnostic.
 
 Diagnostic codes: E101 missing required parameter column, E102 duplicate
 column, E103 unparseable row or a row with more cells than the header (row
-excluded), W101 unrecognized column.
+excluded, at the line the row starts on), W101 unrecognized column.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -85,7 +85,8 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if not body:
         diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
         return Dataset(Points.of(()), diagnostics)
-    header = [h.strip() for h in body.pop(0)]
+    head = body.pop(0)
+    header = [h.strip() for h in head]
 
     seen = set()
     for i, col in enumerate(header):
@@ -144,8 +145,12 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
         message = _row_error(table[r], roles)
         if message is not None:
             excluded.append((rownums[r], message))
-    for r, message in sorted(excluded):
-        diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", skipped + 2 + r, 1))
+    if excluded:
+        # a record spans one line, plus one per line end inside its cells
+        spans = [1 + "".join(row).count("\n") for row in [head, *body[: max(r for r, _ in excluded)]]]
+        lines = list(accumulate(spans, initial=skipped + 1))
+        for r, message in sorted(excluded):
+            diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", lines[r + 1], 1))
     return Dataset(points, diagnostics)
 
 

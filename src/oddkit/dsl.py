@@ -20,6 +20,7 @@ Diagnostic codes:
     E013 known_input_monitor without input points
     E014 monitor without the node reference its kind or its input points need
     E015 bilinear stub without exactly 4 finite coefficients
+    E016 monitorchain without a stub model
     W001 unknown attribute or construct (ignored)
     W002 E007 undecided (a base that is a union of several members)
 """
@@ -111,8 +112,11 @@ def monitor_problem(
     return None
 
 
-def stub_problem(kind: str, coefficients: tuple[float, ...]) -> tuple[str, str] | None:
-    """The code and message of the first rule a stub model breaks, or None."""
+def stub_problem(kind: str | None, coefficients: tuple[float, ...] = ()) -> tuple[str, str] | None:
+    """The code and message of the first rule a stub model breaks, or None;
+    a ``kind`` of None is a monitorchain that declares no stub."""
+    if kind is None:
+        return "E016", "no stub model declared"
     if kind != "bilinear":
         return "E001", f"unknown stub kind {kind!r}"
     if len(coefficients) != 4 or not all(math.isfinite(c) for c in coefficients):
@@ -887,7 +891,8 @@ def _validate_document(doc: SpecDocument) -> None:
 
     for chain in doc.monitor_chains:
         stub = chain.stub
-        found = [(stub and stub_problem(stub.kind, stub.coefficients), chain.line, chain.col)] + [
+        problem = stub_problem(stub.kind, stub.coefficients) if stub else stub_problem(None)
+        found = [(problem, chain.line, chain.col)] + [
             (monitor_problem(m.kind, m.action, m.tol, m.threshold, m.node is not None, len(m.inputs), True), m.line, m.col)
             for m in chain.monitors
         ]

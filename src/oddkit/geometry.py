@@ -423,6 +423,17 @@ def region_containment(
     return _by_chunk(decide, normalize_array(X, node), np.empty(len(X), dtype=np.int8))
 
 
+def point_codes(points: Points, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """:func:`region_containment` of every point's coordinates in ``node``,
+    read-only: decided once per points, node and ``tol`` and kept in the
+    points' memo, so every stage asking it of the same points reads it."""
+
+    def decide():
+        return _read_only(region_containment(coords_array(points, node), node, tol))
+
+    return points.recall("codes", node, tol, decide)
+
+
 def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(n, d) flags: row i's parameter j lies within ``tol`` times its span
     of its lo or hi bound."""

@@ -8,10 +8,10 @@ in :mod:`oddkit.geometry`. A set of data points is held column by column as
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -217,6 +217,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # DataPoint.in_sample per code of Points.in_sample: 0, 1 and -1 (unset)
 _FLAGS = (False, True, None)
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True, eq=False)
 class Points(Sequence):
@@ -229,6 +231,10 @@ class Points(Sequence):
     unrecognized columns. Indexing and iterating build :class:`DataPoint`
     objects equal to the ones the columns came from; a slice is a
     :class:`Points` of the selected rows.
+
+    ``memo`` keeps what :meth:`recall` decided about these points, such as
+    their containment codes in a node and their labels against a chain, so
+    every stage handed the same points reads it; it starts empty.
     """
 
     values: Columns
@@ -236,6 +242,7 @@ class Points(Sequence):
     hidden: Columns
     in_sample: np.ndarray
     extras: dict[int, dict[str, str]] = field(default_factory=dict)
+    memo: dict[tuple, tuple[object, object]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _read_only(self.in_sample)
@@ -257,6 +264,20 @@ class Points(Sequence):
 
     def __len__(self) -> int:
         return len(self.in_sample)
+
+    def recall(self, what: str, owner: object, tol: float, decide: Callable[[], T]) -> T:
+        """What ``decide()`` gives for these points, decided on the first call
+        per ``what``, ``owner`` (a node or a chain) and ``tol`` and kept in
+        ``memo``; what it gives must be read-only, as every caller shares it.
+        An entry is keyed by the owner's id, keeps the owner, and is returned
+        only for that very object. A ``decide`` that raises keeps nothing."""
+        key = (what, id(owner), tol)
+        entry = self.memo.get(key)
+        if entry is not None and entry[0] is owner:
+            return entry[1]
+        value = decide()
+        self.memo[key] = (owner, value)
+        return value
 
     def __getitem__(self, key):
         if isinstance(key, slice):

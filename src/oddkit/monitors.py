@@ -120,9 +120,9 @@ class Monitor:
         node = self.node or chain.mlm
         if self.kind == "cross_check_monitor":
             return self._cross_check(points, node)
-        X = geometry.coords_array(points, node)
         if self.kind == "range_monitor":
-            return geometry.region_containment(X, node, self.tol) == geometry.OUTSIDE
+            return geometry.point_codes(points, node, self.tol) == geometry.OUTSIDE
+        X = geometry.coords_array(points, node)
         if self.kind == "extreme_value_monitor":
             return geometry.extreme_mask(X, node, self.tol).any(axis=1)
         # known_input_monitor
@@ -153,8 +153,8 @@ def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Mo
     return monitors
 
 
-def build_stub(decl: StubDecl, node: OddNode) -> StubModel:
-    _check(stub_problem(decl.kind, decl.coefficients))
+def build_stub(decl: StubDecl | None, node: OddNode) -> StubModel:
+    _check(stub_problem(decl.kind, decl.coefficients) if decl else stub_problem(None))
     return make_stub_model(node, {"kind": decl.kind, "coefficients": decl.coefficients})
 
 

@@ -196,8 +196,9 @@ def parse_rows(text: str, names: tuple[str, ...]):
     """The dataset format read one row at a time: (diagnostics as
     ``(severity, code, message, line, column)``, points, extras per point).
 
-    A row with more cells than the header is excluded (E103), and a
-    ``hidden:`` column without a name is an unrecognized column (W101).
+    A row with more cells than the header is excluded (E103) at the line
+    its record starts on, as the reader counts lines, and a ``hidden:``
+    column without a name is an unrecognized column (W101).
     """
     text = io.StringIO(text.removeprefix("\ufeff"), newline=None).read()  # universal newlines
     lines = text.split("\n")  # only "\n" ends a line, as csv.reader reads one
@@ -235,10 +236,11 @@ def parse_rows(text: str, names: tuple[str, ...]):
     if any(d[0] == "error" for d in diagnostics):
         return diagnostics, [], []
 
-    for rownum, row in enumerate(reader):
+    ended = reader.line_num  # the lines of the records read so far
+    for row in reader:
+        line, ended = skipped + ended + 1, reader.line_num
         if not "".join(row).strip():
             continue
-        line = skipped + 2 + rownum
         if len(row) > len(header):
             message = f"row excluded: {len(row)} cells for the {len(header)} columns of the header"
             diagnostics.append(("warning", "E103", message, line, 1))

@@ -195,6 +195,17 @@ def test_simulate_writes_verdicts_and_metrics(runner, spec_path, points_path, tm
     assert result.exit_code == 1
 
 
+def test_a_monitorchain_without_a_stub_is_e016(runner, spec_path, points_path, tmp_path):
+    text = Path(spec_path).read_text(encoding="utf-8")
+    spec = tmp_path / "no_stub.odd"
+    spec.write_text(text.replace("  stub bilinear 0.5 1 0 0\n", ""), encoding="utf-8")
+    error = "error E016 at 84:1: monitorchain 'input_only': no stub model declared"
+    result = runner.invoke(cli, ["validate", str(spec)])
+    assert result.exit_code == 1 and error in result.output
+    result = runner.invoke(cli, ["simulate", str(spec), points_path, "--scenario", "input_only"])
+    assert result.exit_code == 1 and error in result.output
+
+
 def test_inputs_with_a_byte_order_mark_are_read(runner, spec_path, points_path, tmp_path, golden_labels_text):
     bom = b"\xef\xbb\xbf"
     spec = tmp_path / "spec.odd"

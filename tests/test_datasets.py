@@ -76,6 +76,19 @@ def test_a_comment_line_ends_only_at_a_newline(node, breaker):
     assert list(ds.points) == points
 
 
+def test_e103_names_the_line_a_record_starts_on(node):
+    """Quoted cells spanning lines, in the header and before and after each
+    excluded row, move the rows after them down by their line ends."""
+    text = '# seed\nMach,Alt,"no\nte"\n0.1,5,"a\nb\nc"\n0.2,zz,\n0.3,6,"d\r\ne"\n\n0.4,yy,\n0.5,7,"f\ng"\n'
+    ds = oddkit.parse_dataset(text, node)
+    assert [(d.code, d.line, d.col) for d in ds.diagnostics] == [("W101", 2, 3), ("E103", 7, 1), ("E103", 11, 1)]
+    assert [p.values for p in ds.points] == [{"Mach": m, "Alt": a} for m, a in ((0.1, 5.0), (0.3, 6.0), (0.5, 7.0))]
+    diagnostics, _, _ = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    example = oddkit.parse_dataset('Mach,Alt,note\n0.1,5,"a\nb\nc"\n0.2,zz,\n', node)
+    assert [(d.code, d.line) for d in example.diagnostics] == [("W101", 1), ("E103", 5)]
+
+
 def test_locale_independent_numbers_rejected(node):
     ds = oddkit.parse_dataset("Mach,Alt\n0.1,1_000\n\"0,2\",5\n", node)
     assert [d.code for d in ds.diagnostics].count("E103") == 2
@@ -188,7 +201,8 @@ _TRICKY = st.one_of(
 )
 _FLAGS = st.sampled_from(["", "1", "0", "true", "TRUE", " True ", "false", "F", "t", "yes", "NO", " "])
 _TRICKY_FLAGS = st.sampled_from(["maybe", "2", "y", "\u0130", "tru e"])
-_EXTRAS = st.one_of(st.sampled_from(["", " ", " \t", " a "]), st.text(alphabet="ab _,\"", max_size=4))
+# a quoted extra cell may span lines, so a record may too
+_EXTRAS = st.one_of(st.sampled_from(["", " ", " \t", " a ", "x\ny", "\n\n"]), st.text(alphabet="ab _,\"\n", max_size=4))
 _COLUMNS = ["Mach", "Alt", "raw:Alt", "raw:Mach", "raw:Temp", "hidden:Temp", "hidden:Mach", "hidden:",
             "in_sample", "note", " Mach", "Alt "]
 

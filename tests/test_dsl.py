@@ -386,6 +386,7 @@ _STUB = "stub bilinear 0 1 1 0"
         (_STUB, "known_input_monitor input (0.1, 0.5) action filter", "E014"),
         ("stub bilinear 0 1 1", 'range_monitor node "A" action filter', "E015"),
         ("stub bilinear 0 1 1 1e999", 'range_monitor node "A" action filter', "E015"),
+        ("", 'range_monitor node "A" action filter', "E016"),
     ],
 )
 def test_monitorchain_rules(stub, monitor, code, tmp_path):

@@ -88,15 +88,20 @@ def test_geometry_keeps_no_cache_keyed_by_node():
 
 
 def test_coverage_decides_on_no_probe_lattice():
-    """Coverage checks the data rows and the grid cells it reports on; which
-    bound slices the region reaches is decided from its vertices."""
+    """Coverage checks the data rows, through the points' memo, and the grid
+    cells it reports on; which bound slices the region reaches is decided
+    from its vertices."""
     tree = _tree(SRC / "analysis.py")
-    checked = {
-        ast.unparse(node.args[0])
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("region_containment")
-    }
-    assert checked == {"X", "centers"}
+
+    def checked(callee: str) -> set[str]:
+        return {
+            ast.unparse(node.args[0])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(callee)
+        }
+
+    assert checked("region_containment") == {"centers"}
+    assert checked("point_codes") == {"points"}
     assert _callers(SRC / "analysis.py", "np.linspace") == []
     assert _callers(SRC / "analysis.py", "geometry.bounds_reached") == ["coverage_report"]
     assert _callers(SRC / "anomaly.py", "geometry.bounds_reached") == ["sample_region"]
@@ -127,13 +132,15 @@ def test_only_the_registry_index_reads_the_sample_registry():
 
 
 def test_monitors_call_no_one_point_geometry():
-    """Every monitor decides the whole stream on the array engine."""
+    """Every monitor decides the whole stream on the array engine; the range
+    monitor reads the stream's containment codes from the points' memo."""
     called = {
         ast.unparse(node.func).rsplit(".", 1)[-1]
         for node in ast.walk(_tree(SRC / "monitors.py"))
         if isinstance(node, ast.Call)
     }
-    assert "region_containment" in called and "extreme_mask" in called
+    assert "point_codes" in called and "extreme_mask" in called
+    assert "region_containment" not in called
     assert not called & {"point_in_region", "params_at_extreme", "project", "coords", "normalize"}
 
 
@@ -184,11 +191,11 @@ def _builders(path: Path, cls: str) -> set[str | None]:
 
 def test_only_the_api_edges_build_label_objects():
     """Labelling and simulation work on code arrays: a LabelRow is built only
-    when a Labels is iterated, and every Labels by _categorize or label_rows;
+    when a Labels is iterated, and every Labels by _categorize or _label_rows;
     a MonitorVerdict and its MonitorDecisions only when ``verdicts`` is read."""
     for cls, owners in (
         ("LabelRow", {"classify.py": {"__iter__"}}),
-        ("Labels", {"classify.py": {"_categorize", "label_rows"}}),
+        ("Labels", {"classify.py": {"_categorize", "_label_rows"}}),
         ("MonitorVerdict", {"monitors.py": {"verdicts"}}),
         ("MonitorDecision", {"monitors.py": {"verdicts"}}),
     ):
