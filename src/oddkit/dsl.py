@@ -4,25 +4,33 @@ The language is line-oriented. A document is a sequence of ``odd`` node
 blocks and ``monitorchain`` scenario blocks; ``#`` starts a comment. See the
 README for the full grammar and worked examples.
 
+Each check is a predicate. One over a single subject returns the
+``(code, message)`` of the first rule it breaks, or None (``monitor_problem``,
+``stub_problem``, ``_polygon_problem``, ``_polytope_problem``); one over a
+node declaration or the whole document yields ``(code, message, (line, col))``
+per problem (``_node_problems``, ``_document_problems``). ``_diagnostic`` is
+the one place a code, message and position become a ``Diagnostic``; the
+code's letter gives the severity (E error, W warning).
+
 Diagnostic codes:
-    E001 syntax error / unknown enumeration value, monitor kind, action or stub kind
-    E002 duplicate node name
-    E003 unresolved reference
+    E001 syntax error / unknown enumeration value, monitor kind, monitor action or stub kind
+    E002 duplicate node or parameter name
+    E003 unresolved node reference
     E004 degenerate or inconsistent region
-    E005 parameter range violation (lo > hi)
-    E006 region outside the parameter box, or a polytope member with no point in it
-    E007 extends-containment violation
+    E005 parameter range lo > hi
+    E006 region vertex outside the parameter box, or a polytope member with no point within it
+    E007 extends violation (no new parameter, or projection leaves the base)
     E008 allocation cycle
     E009 more than one system_od node
     E010 monitor input point whose arity differs from its node's parameter count
-    E011 distribution that cannot be drawn within its parameter's range
+    E011 dist the sampler cannot draw within the parameter's range
     E012 monitor tol or threshold that is not positive
     E013 known_input_monitor without input points
     E014 monitor without the node reference its kind or its input points need
     E015 bilinear stub without exactly 4 finite coefficients
     E016 monitorchain without a stub model
     W001 unknown attribute or construct (ignored)
-    W002 E007 undecided (a base that is a union of several members)
+    W002 E007 undecided: the base is a union of several members and the projection fits in no single one
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ class Diagnostic:
 
     def __str__(self):
         return f"{self.severity} {self.code} at {self.line}:{self.col}: {self.message}"
+
+
+def _diagnostic(code: str, message: str, line: int, col: int) -> Diagnostic:
+    """A spec problem at its position: every E code is an error, every W code a warning."""
+    return Diagnostic("error" if code[0] == "E" else "warning", code, message, line, col)
 
 
 @dataclass(frozen=True)
@@ -139,7 +152,6 @@ class SpecDocument:
     nodes: list[OddNode] = field(default_factory=list)
     monitor_chains: list[MonitorChainDecl] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    source_map: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -196,9 +208,7 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            diagnostics.append(
-                Diagnostic("error", "E001", f"unexpected character {text[pos]!r}", line, col)
-            )
+            diagnostics.append(_diagnostic("E001", f"unexpected character {text[pos]!r}", line, col))
             pos += 1
             col += 1
             continue
@@ -242,10 +252,18 @@ class _Parser:
     def error(self, message: str, tok: Token | None = None, code: str = "E001"):
         if tok is None:
             tok = self.peek() or (self.tokens[-1] if self.tokens else Token("eof", "", 1, 1))
-        self.diagnostics.append(Diagnostic("error", code, message, tok.line, tok.col))
+        self.diagnostics.append(_diagnostic(code, message, tok.line, tok.col))
 
-    def warn(self, message: str, tok: Token, code: str = "W001"):
-        self.diagnostics.append(Diagnostic("warning", code, message, tok.line, tok.col))
+    def warn(self, message: str, tok: Token):
+        self.diagnostics.append(_diagnostic("W001", message, tok.line, tok.col))
+
+    def skip_unknown(self, tok: Token, where: str) -> bool:
+        """Warn about an unknown construct in a block body and skip its line.
+        True when ``tok`` is a brace, which the skip stops at and does not
+        consume: the body ends there."""
+        self.warn(f"unknown construct {tok.value!r} in {where}", tok)
+        self.skip_line(tok.line)
+        return self.peek() is tok
 
     def expect(self, kind: str, value: str | None = None) -> Token | None:
         tok = self.peek()
@@ -334,8 +352,8 @@ class _Parser:
             return None
         decl = {
             "name": name,
-            "level": None,
-            "variant": None,
+            "level": (Level.MLM_ODD.value, None),
+            "variant": (Variant.AS_SPECIFIED.value, None),
             "allocates": None,
             "extends": None,
             "params": [],
@@ -351,7 +369,7 @@ class _Parser:
                 self.next()
                 val = self.expect("ident")
                 if val:
-                    decl[tok.value] = (val.value, val)
+                    decl[tok.value] = (val.value, (val.line, val.col))
             elif tok.kind == "ident" and tok.value in ("allocates", "extends"):
                 self.next()
                 ref = self.string()
@@ -375,11 +393,8 @@ class _Parser:
             elif tok.kind == "ident" and tok.value == "region":
                 if not self.region_decl(decl):
                     decl["bad"] = True
-            else:
-                self.warn(f"unknown construct {tok.value!r} in node body", tok)
-                self.skip_line(tok.line)
-                if self.peek() is tok:  # line started with a brace: bail out
-                    break
+            elif self.skip_unknown(tok, "node body"):
+                break
         if self.expect("punct", "}") is None:
             decl["bad"] = True
         return decl
@@ -445,15 +460,7 @@ class _Parser:
             lo, hi = hi, lo
         if distribution is not None and (problem := _distribution_problem(distribution, lo, hi)):
             self.error(f"parameter {name.value!r}: {distribution.kind} {problem}", dist_tok, code="E011")
-        return {
-            "name": name.value,
-            "unit": unit.value,
-            "lo": lo,
-            "hi": hi,
-            "class": dim_class,
-            "dist": distribution,
-            "loc": (start.line, start.col),
-        }
+        return Parameter(name.value, unit.value, lo, hi, dim_class, distribution), (start.line, start.col)
 
     def region_decl(self, decl: dict) -> bool:
         start = self.next()  # 'region'
@@ -538,9 +545,8 @@ class _Parser:
                     self.skip_block()
                     return None
                 monitors.append(mon)
-            else:
-                self.warn(f"unknown construct {tok.value!r} in monitorchain", tok)
-                self.skip_line(tok.line)
+            elif self.skip_unknown(tok, "monitorchain"):
+                break
         if self.expect("punct", "}") is None:
             return None
         return MonitorChainDecl(name, stub, tuple(monitors), start.line, start.col)
@@ -617,71 +623,24 @@ def _distribution_problem(dist: Distribution, lo: float, hi: float) -> str | Non
 # -- semantic assembly and validation ------------------------------------------
 
 
-def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
-    loc = decl["loc"]
-    errors_before = sum(1 for d in diagnostics if d.severity == "error")
-    level = Level.MLM_ODD
-    if decl["level"] is not None:
-        value, tok = decl["level"]
-        try:
-            level = Level(value)
-        except ValueError:
-            diagnostics.append(
-                Diagnostic("error", "E001", f"unknown level {value!r}", tok.line, tok.col)
-            )
-    variant = Variant.AS_SPECIFIED
-    if decl["variant"] is not None:
-        value, tok = decl["variant"]
-        try:
-            variant = Variant(value)
-        except ValueError:
-            diagnostics.append(
-                Diagnostic("error", "E001", f"unknown variant {value!r}", tok.line, tok.col)
-            )
-
-    params = []
-    seen = set()
-    for p in decl["params"]:
-        if p["name"] in seen:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E002",
-                    f"duplicate parameter {p['name']!r} in node {decl['name']!r}",
-                    *p["loc"],
-                )
-            )
-            continue
-        seen.add(p["name"])
-        params.append(
-            Parameter(p["name"], p["unit"], p["lo"], p["hi"], p["class"], p["dist"])
-        )
-    params = tuple(params)
-
-    region = None
+def _build_node(decl: dict) -> tuple[OddNode | None, list[tuple[str, str, tuple[int, int]]]]:
+    """The problems of a node declaration, and the node it states when there
+    are none and it parsed whole (else None)."""
+    firsts: dict[str, Parameter] = {}
+    for p, _ in decl["params"]:
+        firsts.setdefault(p.name, p)
+    params = tuple(firsts.values())
+    problems = list(_node_problems(decl, params))
+    if problems or decl["bad"]:
+        return None, problems
     if decl["polygon"] is not None:
-        verts, rloc = decl["polygon"]
-        region = _check_polygon(decl["name"], verts, params, rloc, diagnostics)
-    elif decl["polytopes"]:
-        members = []
-        for halfspaces, vertices, rloc in decl["polytopes"]:
-            member = _check_polytope(decl["name"], halfspaces, vertices, params, rloc, diagnostics)
-            if member is not None:
-                members.append(member)
-        if members and len(members) == len(decl["polytopes"]):
-            region = PolytopeUnion(tuple(members))
+        region = Polygon2D(decl["polygon"][0])
     else:
-        diagnostics.append(
-            Diagnostic("error", "E004", f"node {decl['name']!r} has no region", *loc)
-        )
-
-    errors_after = sum(1 for d in diagnostics if d.severity == "error")
-    if decl["bad"] or region is None or errors_after > errors_before:
-        return None
+        region = PolytopeUnion(tuple(ConvexPolytope(h, v) for h, v, _ in decl["polytopes"]))
     node = OddNode(
         name=decl["name"],
-        level=level,
-        variant=variant,
+        level=Level(decl["level"][0]),
+        variant=Variant(decl["variant"][0]),
         parameters=params,
         region=region,
         allocates=decl["allocates"],
@@ -694,14 +653,34 @@ def _build_node(decl: dict, diagnostics: list[Diagnostic]) -> OddNode | None:
     if isinstance(region, PolytopeUnion) and not all(
         any(_in_member(v, m, params) for v in m.vertices) for m in region.members
     ):
-        pieces = geometry.region_pieces(node)
-        for piece, (_, _, rloc) in zip(pieces, decl["polytopes"]):
-            if not len(piece):
-                message = f"node {decl['name']!r}: polytope member has no point within the parameter box"
-                diagnostics.append(Diagnostic("error", "E006", message, *rloc))
-        if not all(map(len, pieces)):
-            return None
-    return node
+        message = f"node {node.name!r}: polytope member has no point within the parameter box"
+        pieces = zip(geometry.region_pieces(node), decl["polytopes"])
+        problems = [("E006", message, loc) for piece, (_, _, loc) in pieces if not len(piece)]
+    return (None if problems else node), problems
+
+
+def _node_problems(decl: dict, params: tuple[Parameter, ...]):
+    """Yield (code, message, (line, col)) for each problem of a node
+    declaration whose distinct parameters are ``params``."""
+    name = decl["name"]
+    for key, enum in (("level", Level), ("variant", Variant)):
+        value, loc = decl[key]
+        if value not in {e.value for e in enum}:
+            yield "E001", f"unknown {key} {value!r}", loc
+    seen = set()
+    for p, loc in decl["params"]:
+        if p.name in seen:
+            yield "E002", f"duplicate parameter {p.name!r} in node {name!r}", loc
+        seen.add(p.name)
+    if decl["polygon"] is not None:
+        verts, loc = decl["polygon"]
+        regions = [(_polygon_problem(verts, params), loc)]
+    else:
+        regions = [(_polytope_problem(h, v, params), loc) for h, v, loc in decl["polytopes"]]
+    for (code, message), loc in (r for r in regions if r[0]):
+        yield code, f"node {name!r}: {message}", loc
+    if not regions:
+        yield "E004", f"node {name!r} has no region", decl["loc"]
 
 
 def _in_member(v, member: ConvexPolytope, params) -> bool:
@@ -710,215 +689,111 @@ def _in_member(v, member: ConvexPolytope, params) -> bool:
     )
 
 
-def _in_box(value: float, param: Parameter) -> bool:
-    band = _REGION_CHECK_TOL * param.span
-    return param.lo - band <= value <= param.hi + band
+def _in_box(v, params) -> bool:
+    """Whether ``v`` lies in the parameter box, grown by a band of
+    _REGION_CHECK_TOL of each span."""
+    return all(
+        p.lo - _REGION_CHECK_TOL * p.span <= c <= p.hi + _REGION_CHECK_TOL * p.span for c, p in zip(v, params)
+    )
 
 
-def _check_polygon(name, verts, params, loc, diagnostics) -> Polygon2D | None:
+def _polygon_problem(verts, params) -> tuple[str, str] | None:
+    """The code and message of the first rule a polygon region breaks, or None."""
     if len(params) != 2:
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                "E004",
-                f"node {name!r}: polygon region requires exactly 2 parameters",
-                *loc,
-            )
-        )
-        return None
+        return "E004", "polygon region requires exactly 2 parameters"
     if len(verts) < 3:
-        diagnostics.append(
-            Diagnostic("error", "E004", f"node {name!r}: polygon needs >= 3 vertices", *loc)
-        )
-        return None
-    norm = [
-        tuple((c - p.lo) / p.span for c, p in zip(v, params)) for v in verts
-    ]
+        return "E004", "polygon needs >= 3 vertices"
+    norm = [tuple((c - p.lo) / p.span for c, p in zip(v, params)) for v in verts]
     if abs(geometry.polygon_area(norm)) <= _REGION_CHECK_TOL:
-        diagnostics.append(
-            Diagnostic("error", "E004", f"node {name!r}: polygon has zero area", *loc)
-        )
-        return None
+        return "E004", "polygon has zero area"
     if not geometry.polygon_is_simple(norm):
-        diagnostics.append(
-            Diagnostic("error", "E004", f"node {name!r}: polygon is self-intersecting", *loc)
-        )
-        return None
+        return "E004", "polygon is self-intersecting"
     for v in verts:
-        if not all(_in_box(c, p) for c, p in zip(v, params)):
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E006",
-                    f"node {name!r}: polygon vertex {v} outside the parameter box",
-                    *loc,
-                )
-            )
-            return None
-    return Polygon2D(tuple(verts))
+        if not _in_box(v, params):
+            return "E006", f"polygon vertex {v} outside the parameter box"
+    return None
 
 
-def _check_polytope(name, halfspaces, vertices, params, loc, diagnostics) -> ConvexPolytope | None:
+def _polytope_problem(halfspaces, vertices, params) -> tuple[str, str] | None:
+    """The code and message of the first rule a polytope member breaks, or None."""
     n = len(params)
     if not halfspaces or not vertices:
-        diagnostics.append(
-            Diagnostic(
-                "error",
-                "E004",
-                f"node {name!r}: polytope needs halfspaces and an explicit vertex list",
-                *loc,
-            )
-        )
-        return None
+        return "E004", "polytope needs halfspaces and an explicit vertex list"
     for a, _b in halfspaces:
         if len(a) != n:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E004",
-                    f"node {name!r}: halfspace has {len(a)} coefficients, expected {n}",
-                    *loc,
-                )
-            )
-            return None
+            return "E004", f"halfspace has {len(a)} coefficients, expected {n}"
     for v in vertices:
         if len(v) != n:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E004",
-                    f"node {name!r}: vertex has {len(v)} coordinates, expected {n}",
-                    *loc,
-                )
-            )
-            return None
-        if not all(_in_box(c, p) for c, p in zip(v, params)):
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E006",
-                    f"node {name!r}: polytope vertex {v} outside the parameter box",
-                    *loc,
-                )
-            )
-            return None
+            return "E004", f"vertex has {len(v)} coordinates, expected {n}"
+        if not _in_box(v, params):
+            return "E006", f"polytope vertex {v} outside the parameter box"
         for a, b in halfspaces:
             # normalized slack keeps the check unit-independent
             scale = sum(abs(ai) * p.span for ai, p in zip(a, params)) or 1.0
             if (sum(ai * ci for ai, ci in zip(a, v)) - b) / scale > _REGION_CHECK_TOL:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "E004",
-                        f"node {name!r}: vertex {v} violates halfspace {a} <= {b:g}",
-                        *loc,
-                    )
-                )
-                return None
-    return ConvexPolytope(tuple(halfspaces), tuple(vertices))
+                return "E004", f"vertex {v} violates halfspace {a} <= {b:g}"
+    return None
 
 
-def _validate_document(doc: SpecDocument) -> None:
+def _document_problems(nodes: list[OddNode], locs: list[tuple[int, int]], chains: list[MonitorChainDecl]):
+    """Yield (code, message, (line, col)) for each problem between the built
+    nodes, each placed at its own declaration ``locs[i]``, then for each
+    problem of the monitorchains."""
     by_name: dict[str, OddNode] = {}
-    for node in doc.nodes:
-        loc = doc.source_map.get(node.name, (1, 1))
+    for node, loc in zip(nodes, locs):
         if node.name in by_name:
-            doc.diagnostics.append(
-                Diagnostic("error", "E002", f"duplicate node name {node.name!r}", *loc)
-            )
+            yield "E002", f"duplicate node name {node.name!r}", loc
         by_name[node.name] = node
 
-    system_ods = [n for n in doc.nodes if n.level == Level.SYSTEM_OD]
+    system_ods = [loc for node, loc in zip(nodes, locs) if node.level == Level.SYSTEM_OD]
     if len(system_ods) > 1:
-        loc = doc.source_map.get(system_ods[1].name, (1, 1))
-        doc.diagnostics.append(
-            Diagnostic("error", "E009", "more than one system_od node", *loc)
-        )
+        yield "E009", "more than one system_od node", system_ods[1]
 
-    for node in doc.nodes:
-        loc = doc.source_map.get(node.name, (1, 1))
+    for node, loc in zip(nodes, locs):
         for ref in (node.allocates, node.extends):
             if ref is not None and ref not in by_name:
-                doc.diagnostics.append(
-                    Diagnostic(
-                        "error", "E003", f"node {node.name!r} references unknown node {ref!r}", *loc
-                    )
-                )
+                yield "E003", f"node {node.name!r} references unknown node {ref!r}", loc
 
     # allocation chain acyclicity
-    for node in doc.nodes:
-        seen = {node.name}
-        current = node
-        while current.allocates is not None and current.allocates in by_name:
-            nxt = by_name[current.allocates]
-            if nxt.name in seen:
-                loc = doc.source_map.get(node.name, (1, 1))
-                doc.diagnostics.append(
-                    Diagnostic(
-                        "error", "E008", f"allocation cycle through node {nxt.name!r}", *loc
-                    )
-                )
+    for node, loc in zip(nodes, locs):
+        seen, current = {node.name}, node
+        while current.allocates in by_name:
+            current = by_name[current.allocates]
+            if current.name in seen:
+                yield "E008", f"allocation cycle through node {current.name!r}", loc
                 break
-            seen.add(nxt.name)
-            current = nxt
+            seen.add(current.name)
 
     # extension: strict parameter superset, projection contained in the base
-    for node in doc.nodes:
-        if node.extends is None or node.extends not in by_name:
+    for node, loc in zip(nodes, locs):
+        if (base := by_name.get(node.extends)) is None:
             continue
-        base = by_name[node.extends]
-        loc = doc.source_map.get(node.name, (1, 1))
         if not set(node.parameter_names) > set(base.parameter_names):
-            doc.diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E007",
-                    f"node {node.name!r} must add at least one parameter over {base.name!r}",
-                    *loc,
-                )
-            )
-            continue
-        result = geometry.contains_node(node, base)
-        if result.contained is None:
+            yield "E007", f"node {node.name!r} must add at least one parameter over {base.name!r}", loc
+        elif (result := geometry.contains_node(node, base)).contained is None:
             message = f"E007 undecided: the projection of {node.name!r} fits in no one member of {base.name!r}"
-            doc.diagnostics.append(Diagnostic("warning", "W002", message, *loc))
+            yield "W002", message, loc
         elif not result.contained:
-            message = (
-                f"projection of {node.name!r} leaves base region {base.name!r}"
-                f" (witness {result.witness.values})"
-            )
-            doc.diagnostics.append(Diagnostic("error", "E007", message, *loc))
+            witness = result.witness.values
+            yield "E007", f"projection of {node.name!r} leaves base region {base.name!r} (witness {witness})", loc
 
-    for chain in doc.monitor_chains:
-        stub = chain.stub
-        problem = stub_problem(stub.kind, stub.coefficients) if stub else stub_problem(None)
-        found = [(problem, chain.line, chain.col)] + [
-            (monitor_problem(m.kind, m.action, m.tol, m.threshold, m.node is not None, len(m.inputs), True), m.line, m.col)
+    for chain in chains:
+        stub = (chain.stub.kind, chain.stub.coefficients) if chain.stub else (None,)
+        found = [(stub_problem(*stub), (chain.line, chain.col))] + [
+            (monitor_problem(m.kind, m.action, m.tol, m.threshold, m.node is not None, len(m.inputs), True), (m.line, m.col))
             for m in chain.monitors
         ]
-        for (code, message), line, col in (f for f in found if f[0]):
-            doc.diagnostics.append(Diagnostic("error", code, f"monitorchain {chain.name!r}: {message}", line, col))
-        for mon in chain.monitors:
-            if mon.node is None:
-                continue
+        for (code, message), loc in (f for f in found if f[0]):
+            yield code, f"monitorchain {chain.name!r}: {message}", loc
+        for mon in (m for m in chain.monitors if m.node is not None):
+            loc = (mon.line, mon.col)
             if mon.node not in by_name:
-                doc.diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "E003",
-                        f"monitorchain {chain.name!r} references unknown node {mon.node!r}",
-                        mon.line,
-                        mon.col,
-                    )
-                )
+                yield "E003", f"monitorchain {chain.name!r} references unknown node {mon.node!r}", loc
                 continue
             arity = len(by_name[mon.node].parameters)
             for pt in (pt for pt in mon.inputs if len(pt) != arity):
-                message = (
-                    f"monitorchain {chain.name!r}: {mon.kind} input {pt} has"
-                    f" {len(pt)} value(s), node {mon.node!r} has {arity} parameter(s)"
-                )
-                doc.diagnostics.append(Diagnostic("error", "E010", message, mon.line, mon.col))
+                message = f"{mon.kind} input {pt} has {len(pt)} value(s), node {mon.node!r} has {arity} parameter(s)"
+                yield "E010", f"monitorchain {chain.name!r}: {message}", loc
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -931,14 +806,16 @@ def parse_spec(text: str) -> SpecDocument:
     tokens, diagnostics = tokenize(text)
     parser = _Parser(tokens)
     node_decls, chains = parser.document()
-    doc = SpecDocument(diagnostics=diagnostics + parser.diagnostics)
+    doc = SpecDocument(monitor_chains=chains, diagnostics=diagnostics + parser.diagnostics)
+    problems, locs = [], []
     for decl in node_decls:
-        doc.source_map[decl["name"]] = decl["loc"]
-        node = _build_node(decl, doc.diagnostics)
+        node, found = _build_node(decl)
+        problems += found
         if node is not None:
             doc.nodes.append(node)
-    doc.monitor_chains = chains
-    _validate_document(doc)
+            locs.append(decl["loc"])
+    problems += _document_problems(doc.nodes, locs, chains)
+    doc.diagnostics += [_diagnostic(code, message, *loc) for code, message, loc in problems]
     return doc
 
 

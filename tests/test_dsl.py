@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -290,6 +295,25 @@ odd "GOOD" level mlm_odd {
     assert any(d.code == "E001" for d in doc.errors)
 
 
+def test_node_checks_are_reported_at_the_nodes_own_declaration():
+    text = """odd "A" extends "Nope" {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon { (0,0) (1,0) (1,1) }
+}
+
+odd "A" {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polygon { (0,0) (1,0) (1,1) }
+}
+"""
+    assert [str(d) for d in oddkit.parse_spec(text).diagnostics] == [
+        "error E002 at 7:1: duplicate node name 'A'",
+        "error E003 at 1:1: node 'A' references unknown node 'Nope'",
+    ]
+
+
 def test_diagnostics_carry_position():
     doc = oddkit.parse_spec('odd "A" level wat {\n}\n')
     err = doc.errors[0]
@@ -471,3 +495,62 @@ def test_fmt_is_9_significant_digits():
     assert dsl.fmt(0.1) == "0.1"
     assert dsl.fmt(1 / 3) == "0.333333333"
     assert dsl.fmt(15000) == "15000"
+
+
+DATA = Path(__file__).parent / "data"
+# a '{' inside a monitorchain body: the parser once warned on it forever
+_BRACE_IN_MONITORCHAIN = {
+    ("flight_envelope_extended.odd", "duplicate", 77),
+    ("flight_envelope_extended.odd", "delete", 82),
+    ("flight_envelope_extended.odd", "duplicate", 84),
+}
+
+
+def _line_mutations(keep=lambda mutation: mutation not in _BRACE_IN_MONITORCHAIN):
+    """(label, text) of each corpus spec with one line deleted and with one
+    line duplicated, for the mutations ``keep`` accepts."""
+    for name in ("flight_envelope.odd", "flight_envelope_extended.odd"):
+        lines = (DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        for i in range(len(lines)):
+            for op, mutated in (("delete", lines[:i] + lines[i + 1 :]), ("duplicate", lines[: i + 1] + lines[i:])):
+                if keep((name, op, i + 1)):
+                    yield f"{name} {op} {i + 1}", "".join(mutated)
+
+
+def test_line_mutations_of_the_corpus_keep_the_golden_diagnostics():
+    found = [f"{label}: {d}" for label, text in _line_mutations() for d in oddkit.parse_spec(text).diagnostics]
+    assert found == (DATA / "golden_diagnostics.txt").read_text(encoding="utf-8").splitlines()
+
+
+def test_a_brace_in_a_monitorchain_body_ends_the_block(tmp_path):
+    repro = 'monitorchain "a" {\n  stub bilinear 1 2 0 0\nmonitorchain "b" {\n  stub bilinear 1 2 0 0\n}\n'
+    texts = [repro] + [text for _, text in _line_mutations(keep=_BRACE_IN_MONITORCHAIN.__contains__)]
+    assert len(texts) == 4
+    specs = []
+    for i, text in enumerate(texts):
+        specs.append(tmp_path / f"brace{i}.odd")
+        specs[-1].write_text(text, encoding="utf-8")
+    # in child processes, so a parser that loops fails here instead of hanging
+    # the suite; the loop grew its diagnostics list by about 60 MB/s
+    search_path = [str(Path(oddkit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    code = (
+        "import json, sys, time\n"
+        "from oddkit.dsl import parse_spec\n"
+        "for path in sys.argv[1:]:\n"
+        "    text = open(path, encoding='utf-8').read()\n"
+        "    start = time.perf_counter()\n"
+        "    doc = parse_spec(text)\n"
+        "    print(json.dumps([time.perf_counter() - start, [d.code for d in doc.errors]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, specs)], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        seconds, errors = json.loads(line)
+        assert seconds < 1.0 and "E001" in errors
+    for spec in specs:
+        command = [sys.executable, "-m", "oddkit.cli", "validate", str(spec)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 1 and "error E001" in proc.stderr + proc.stdout

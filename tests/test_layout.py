@@ -1,14 +1,16 @@
 """Source-layout guards: one CSV writer, one random generator, one vertex
 enumeration and one vertex source, one token cursor, one near-point
 matcher, monitors on the array engine, every stage reading its own
-coordinates, label objects built only at the API edges, no output
-formatting in the CLI, and no XML or URL library loaded by the CLI."""
+coordinates, label objects built only at the API edges, spec diagnostics
+built in one place, no output formatting in the CLI, and no XML or URL
+library loaded by the CLI."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +203,25 @@ def test_only_the_api_edges_build_label_objects():
     ):
         builders = {path.name: _builders(path, cls) for path in SRC.glob("*.py")}
         assert {name: fns for name, fns in builders.items() if fns} == owners, cls
+
+
+def test_spec_diagnostics_are_built_in_one_place_and_listed_alike():
+    """Every spec check returns or yields a code and a message, and
+    ``_diagnostic`` alone turns them into Diagnostics. The codes dsl.py
+    emits, the ones its docstring lists and the README's diagnostic table
+    are the same set."""
+    assert _callers(SRC / "dsl.py", "Diagnostic") == ["_diagnostic"]
+    tree = _tree(SRC / "dsl.py")
+    emitted = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[EW]\d{3}", node.value)
+    }
+    documented = set(re.findall(r"^    ([EW]\d{3}) ", ast.get_docstring(tree), re.M))
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    tabled = set(re.findall(r"^\| `([EW]\d{3})` \|", readme, re.M))
+    assert len(emitted) == 18
+    assert emitted == documented == tabled
 
 
 def test_cli_imports_neither_csv_nor_io():
