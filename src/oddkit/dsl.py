@@ -17,7 +17,7 @@ Diagnostic codes:
     E002 duplicate node or parameter name
     E003 unresolved node reference
     E004 degenerate or inconsistent region
-    E005 parameter range lo > hi
+    E005 parameter range lo > hi, or a bound or span that is not finite
     E006 region vertex outside the parameter box, or a polytope member with no point within it
     E007 extends violation (no new parameter, or projection leaves the base)
     E008 allocation cycle
@@ -672,6 +672,10 @@ def _node_problems(decl: dict, params: tuple[Parameter, ...]):
         if p.name in seen:
             yield "E002", f"duplicate parameter {p.name!r} in node {name!r}", loc
         seen.add(p.name)
+        if not math.isfinite(p.span):  # an infinite bound, or finite ones too far apart
+            yield "E005", f"parameter {p.name!r}: range [{p.lo:g}, {p.hi:g}] has a bound or span that is not finite", loc
+    if not all(math.isfinite(p.span) for p in params):
+        return  # a region is checked in normalized coordinates, which need a finite span
     if decl["polygon"] is not None:
         verts, loc = decl["polygon"]
         regions = [(_polygon_problem(verts, params), loc)]

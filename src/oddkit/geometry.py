@@ -8,10 +8,11 @@ rescaling a parameter together with its range and region coordinates.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations
-from operator import mul, sub, truediv
+from itertools import combinations, repeat
+from operator import add, ge, mul, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -104,9 +105,15 @@ def _even_odd_inside(px: float, py: float, segments) -> bool:
 # -- polytope helpers --------------------------------------------------------
 
 
-def _member_margin(xhat, rows) -> float:
-    """Minimal signed slack over the member's faces; >= 0 means inside."""
-    return min([b - sum(map(mul, a, xhat)) for a, b in rows])
+def _slacks(xhat, rows) -> list[float]:
+    """Signed slack ``b - a.xhat`` of each face of a member's ``(columns, b)``,
+    folded left to right from 0.0 as :func:`_union_codes` adds the columns;
+    since Python 3.12, ``sum()`` adds floats with compensation."""
+    columns, b = rows
+    dots = repeat(0.0)
+    for column, x in zip(columns, xhat):
+        dots = map(add, dots, map(mul, column, repeat(x)))
+    return list(map(sub, b, dots))
 
 
 # Rows whose smallest singular value is below this (rows are unit vectors)
@@ -120,6 +127,9 @@ _VERTEX_SLACK = 1e-9
 # A face's projection is a point of the polytope when it exceeds no halfspace
 # by more than this times max(1, |xhat|), the scale of its rounding error.
 _FEASIBLE_SLACK = 1e-12
+# Up to this |xhat| no face table entry or square overflows (weights and
+# offsets are O(1)), and up to this violation v a facet decides: v * v is finite.
+_NO_OVERFLOW = 1e150
 
 
 class _FaceTable(NamedTuple):
@@ -206,8 +216,10 @@ class _NodeGeometry:
     """What one node's geometry calls read, built once per node by
     :func:`_geometry`: the bounds as tuples and as arrays, and the normalized
     polygon's edges (``segments`` for one point, ``edges`` for the engine)
-    or each member's unit rows (``rows`` as tuples, ``members`` as ``(A, b)``
-    arrays). The face tables and the region pieces come on first use."""
+    or each member's unit rows (``rows`` as ``(columns, b)`` tuples,
+    ``members`` as ``(A, b)`` arrays) and their Gram matrix ``A A^T`` with
+    a unit diagonal (``grams``, tuples). The face tables and the region
+    pieces come on first use."""
 
     def __init__(self, node: OddNode):
         params, self.region = node.parameters, node.region
@@ -224,8 +236,12 @@ class _NodeGeometry:
             edges = (ax, ay, by, dx, dy, np.where(sq == 0.0, 1.0, sq), np.where(dy == 0.0, 1.0, dy))
             self.edges = tuple(map(_read_only, edges))
         else:
-            self.rows = tuple(tuple(map(self._unit_row, m.halfspaces)) for m in self.region.members)
-            self.members = tuple((_read_only([a for a, _ in m]), _read_only([b for _, b in m])) for m in self.rows)
+            units = [list(map(self._unit_row, m.halfspaces)) for m in self.region.members]
+            self.members = tuple((_read_only([a for a, _ in m]), _read_only([b for _, b in m])) for m in units)
+            self.rows = tuple((tuple(zip(*A.tolist())), tuple(b.tolist())) for A, b in self.members)
+            # unit rows: the diagonal is 1.0 exactly, so a face's check against itself passes
+            grams = (np.where(np.eye(len(A), dtype=bool), 1.0, A @ A.T) for A, _ in self.members)
+            self.grams = tuple(tuple(map(tuple, G.tolist())) for G in grams)
 
     def _unit_row(self, halfspace) -> tuple[tuple[float, ...], float]:
         a, b = halfspace  # a.x <= b, in normalized coordinates as a unit row
@@ -265,13 +281,13 @@ def _distance_outside(xhat, table: _FaceTable) -> float:
     float range a sum can meet inf - inf, and a NaN excess counts as
     infeasible.
     """
-    d = len(xhat)
-    with np.errstate(over="ignore", invalid="ignore"):
+    d, scale = len(xhat), max(1.0, *map(abs, xhat))
+    with np.errstate(over="ignore", invalid="ignore") if scale > _NO_OVERFLOW else nullcontext():
         z = np.dot(xhat, table.weights) + table.offsets
         diff = z[: table.faces * d]
         sq = (diff * diff).reshape(table.faces, d).sum(axis=1)
         excess = np.maximum.reduceat(z[table.faces * d :], table.starts)
-    sq[table.vertices :][~(excess <= _FEASIBLE_SLACK * max(1.0, *map(abs, xhat)))] = math.inf
+    sq[table.vertices :][~(excess <= _FEASIBLE_SLACK * scale)] = math.inf
     return math.sqrt(sq.min(initial=math.inf))
 
 
@@ -297,7 +313,7 @@ def point_in_region(
 
     on_boundary = False
     for rows in g.rows:
-        margin = _member_margin(xhat, rows)
+        margin = min(_slacks(xhat, rows))
         if margin > tol:
             return Containment.INSIDE
         if margin >= -tol:
@@ -393,7 +409,7 @@ def _polygon_codes(xhat: np.ndarray, edges: tuple[np.ndarray, ...], tol: float) 
 
 
 def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
-    """Per member, slack summed column by column in _member_margin's order."""
+    """Per member, slack summed column by column in _slacks' order."""
     inside = np.zeros(len(xhat), dtype=bool)
     near = np.zeros(len(xhat), dtype=bool)
     for A, b in members:
@@ -452,8 +468,10 @@ def distance_to_boundary(
     """Minimal normalized distance from the point to the region boundary.
 
     Inside a polytope member this is the member's minimal face slack; outside
-    it, the exact distance to the member, from the member's face table (see
-    :func:`_distance_outside`). A NaN coordinate gives NaN, and an infinite
+    it, the exact distance to the member. That is the violation v of the most
+    violated face k when ``xhat - v a_k`` exceeds no face, as no point of the
+    member is nearer than v; otherwise it comes from the member's face table
+    (see :func:`_distance_outside`). A NaN coordinate gives NaN, and an infinite
     one, or one so far that its squared distance overflows, gives inf. For polytope
     unions with overlapping members this is the distance to the nearest
     member boundary, which upper-bounds the union-boundary distance.
@@ -465,9 +483,17 @@ def distance_to_boundary(
     if not all(map(math.isfinite, xhat)):
         return math.nan if any(map(math.isnan, xhat)) else math.inf
     best = math.inf
-    for i, rows in enumerate(g.rows):
-        margin = _member_margin(xhat, rows)
-        best = min(best, margin if margin >= 0 else _distance_outside(xhat, g.face_tables()[i]))
+    for i, (rows, gram) in enumerate(zip(g.rows, g.grams)):
+        slacks = _slacks(xhat, rows)
+        margin = min(slacks)
+        if not margin >= 0:  # outside, or a NaN slack where sums met inf - inf
+            # xhat - v a_k, v = -margin, exceeds face j by -slacks[j] - v (a_j . a_k)
+            k = slacks.index(margin)
+            if margin >= -_NO_OVERFLOW and all(map(ge, slacks, map(mul, gram[k], repeat(margin)))):
+                margin = -margin
+            else:
+                margin = _distance_outside(xhat, g.face_tables()[i])
+        best = min(best, margin)
     return best
 
 

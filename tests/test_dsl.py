@@ -96,6 +96,26 @@ odd "A" level mlm_odd {
     assert "E005" in _codes(doc)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("param Temp: C range [-60, 15]", "param Temp: C range [-60, 1e999]"),  # the polytope node
+     ("param Alt: ft range [0, 15000]", "param Alt: ft range [-1e999, 15000]"),  # the first polygon node
+     ("param Temp: C range [-60, 15]", "param Temp: C range [-1e308, 1e308]")],  # hi - lo overflows
+    ids=["polytope", "polygon", "span"],
+)
+def test_a_range_that_is_not_finite_is_e005_at_the_parameter(old, new, extended_spec_text, tmp_path):
+    # an infinite bound once validated ok over a polytope, and the sampler and
+    # the boundary distance then raised; over a polygon it read as a zero-area
+    # region; a span that overflows made the spec checks raise LinAlgError
+    text = extended_spec_text.replace(old, new, 1)
+    line = text[: text.index(new)].count("\n") + 1
+    doc = oddkit.parse_spec(text)
+    assert [(d.code, d.line, d.col) for d in doc.errors if d.code != "E003"] == [("E005", line, 3)]
+    spec = tmp_path / "infinite.odd"
+    spec.write_text(text, encoding="utf-8")
+    assert CliRunner().invoke(cli, ["validate", str(spec)]).exit_code == 1
+
+
 def test_region_outside_box_e006():
     text = """
 odd "A" level mlm_odd {

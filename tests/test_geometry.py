@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -300,7 +302,7 @@ def _wolfe_distance(p, node):
     xhat = geometry.normalize(geometry.coords(p, node), node)
     best = math.inf
     for rows, member in zip(geometry._geometry(node).rows, node.region.members):
-        margin = geometry._member_margin(xhat, rows)
+        margin = min(geometry._slacks(xhat, rows))
         if margin < 0:
             margin = oracles.wolfe_distance(xhat, _hull_vertices(member, node))
         best = min(best, margin)
@@ -353,6 +355,73 @@ def test_face_table_follows_the_halfspaces_under_rounded_vertices(apex):
             x = [*(start + s * (end - start) + 0.05 * normal), z]  # 0.05 off the wall
             p = DataPoint(dict(zip(node.parameter_names, x)))
             assert geometry.distance_to_boundary(p, node) == pytest.approx(0.05, rel=1e-12)
+
+
+def _table_distance(p, node):
+    """distance_to_boundary with every outside member's distance read from
+    its face table."""
+    g = geometry._geometry(node)
+    xhat = g.normalize(geometry.coords(p, node))
+    margins = [min(geometry._slacks(xhat, rows)) for rows in g.rows]
+    return min(m if m >= 0 else geometry._distance_outside(xhat, t) for m, t in zip(margins, g.face_tables()))
+
+
+def _random_box_or_simplex(data):
+    d = data.draw(st.integers(min_value=2, max_value=4), label="d")
+    lo = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=d, max_size=d), label="lo")
+    span = data.draw(st.lists(st.floats(0.01, 1000.0), min_size=d, max_size=d), label="span")
+    hi = [a + s for a, s in zip(lo, span)]
+    if data.draw(st.booleans(), label="box"):
+        return _node("box", list(zip(lo, hi)), [_box(lo, hi)])
+    # x_i >= lo_i and sum (x_i - lo_i) / s_i <= 1
+    halfspaces = [(tuple(-1.0 * (j == i) for j in range(d)), -lo[i]) for i in range(d)]
+    halfspaces.append((tuple(1 / s for s in span), 1 + sum(a / s for a, s in zip(lo, span))))
+    verts = [tuple(lo)] + [tuple(a + s * (j == i) for j, (a, s) in enumerate(zip(lo, span))) for i in range(d)]
+    return _node("simplex", list(zip(lo, hi)), [(halfspaces, verts)])
+
+
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+def test_a_facet_distance_agrees_with_the_face_table(data, seed, extended_doc):
+    # points off the vertices, edges and facets of each member, pushed in a
+    # random direction by 1e-9 to 1 of the spans: most nearest a facet, whose
+    # violation is the distance, the rest nearest an edge or a vertex
+    makers = [lambda: extended_doc.node("MLMODD_ext"), _simplex_4d, _octahedron, _box_with_slack_halfspace,
+              _two_boxes, lambda: _triangle_prism((0.333, 0.999)), lambda: _random_box_or_simplex(data)]
+    node = makers[data.draw(st.integers(min_value=0, max_value=len(makers) - 1), label="node")]()
+    rng = np.random.default_rng(seed)
+    snapped = _boundary_probes(node, rng, n_uniform=0)[::4]  # the probes not pushed
+    span = np.array([p.span for p in node.parameters])
+    X = snapped[rng.integers(len(snapped), size=12)]
+    X += rng.normal(size=X.shape) * span * 10.0 ** rng.uniform(-9.0, 0.0, size=(len(X), 1))
+    for x in X.tolist():
+        p = DataPoint(dict(zip(node.parameter_names, x)))
+        got, scale = geometry.distance_to_boundary(p, node), max(1.0, *map(abs, geometry.normalize(x, node)))
+        assert abs(got - _table_distance(p, node)) <= 1e-14 * scale, x
+        assert got >= _wolfe_distance(p, node) - 1e-12, x
+
+
+def test_a_point_beyond_a_box_corner_is_at_the_corner_distance():
+    # x is beyond two or three facets, so no facet's projection is in the box
+    node = _node("cube", [(0.0, 1.0)] * 3, [_box([0.0] * 3, [1.0] * 3)])
+    for x, want in [((1.3, 1.4, 0.5), 0.5), ((1.2, 1.2, 0.5), 0.2 * math.sqrt(2.0)),
+                    ((1.3, -0.4, 1.2), math.sqrt(0.09 + 0.16 + 0.04))]:
+        p = DataPoint(dict(zip(node.parameter_names, x)))
+        assert geometry.distance_to_boundary(p, node) == pytest.approx(want, rel=1e-12)
+
+
+def test_slacks_fold_the_products_left_to_right_from_zero():
+    # as _union_codes adds them column by column; since Python 3.12 sum()
+    # adds floats with compensation and differs in the last bit for about one
+    # 3-term dot product in five
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-3, 4, size=(2000, 3))
+    b, x = rng.normal(size=2000), tuple(rng.normal(size=3).tolist())
+    got = np.array(geometry._slacks(x, (tuple(zip(*A.tolist())), tuple(b.tolist()))))
+    folded = [bi - functools.reduce(operator.add, map(operator.mul, a, x), 0.0) for a, bi in zip(A.tolist(), b)]
+    by_column = b - (x[0] * A[:, 0] + x[1] * A[:, 1] + x[2] * A[:, 2])
+    assert np.array_equal(got.view(np.uint64), np.array(folded).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), by_column.view(np.uint64))
 
 
 @pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])

@@ -89,6 +89,13 @@ def test_geometry_keeps_no_cache_keyed_by_node():
     assert "lru_cache" not in text and "@cache" not in text
 
 
+def test_the_slack_code_calls_no_builtin_sum():
+    """Since Python 3.12 ``sum()`` adds floats with compensation, so the
+    one-point slacks would stop being the column fold of the array engine."""
+    callers = set(_callers(SRC / "geometry.py", "sum"))
+    assert not callers & {"_slacks", "point_in_region", "distance_to_boundary"}
+
+
 def test_coverage_decides_on_no_probe_lattice():
     """Coverage checks the data rows, through the points' memo, and the grid
     cells it reports on; which bound slices the region reaches is decided
