@@ -3,6 +3,13 @@
 All distances and tolerances are expressed in normalized parameter units:
 each axis is scaled by its admissible span, so results are invariant under
 rescaling a parameter together with its range and region coordinates.
+
+Polygon containment over many rows reads each row's code from a grid of
+cells kept per node and ``tol`` (see :func:`_cell_grid`): a cell that no
+edge comes within ``tol`` plus a slack of takes its centre's code, which is
+then every row's in it, and only the rows of the other cells, and rows with
+a non-finite or huge coordinate, go to the exact engine. A call of fewer
+rows than the grid has cells decides every row exactly.
 """
 
 from __future__ import annotations
@@ -218,14 +225,14 @@ class _NodeGeometry:
     polygon's edges (``segments`` for one point, ``edges`` for the engine)
     or each member's unit rows (``rows`` as ``(columns, b)`` tuples,
     ``members`` as ``(A, b)`` arrays) and their Gram matrix ``A A^T`` with
-    a unit diagonal (``grams``, tuples). The face tables and the region
-    pieces come on first use."""
+    a unit diagonal (``grams``, tuples). The face tables, the region pieces
+    and a polygon's cell grids come on first use."""
 
     def __init__(self, node: OddNode):
         params, self.region = node.parameters, node.region
         self.lo_t, self.span_t = tuple(p.lo for p in params), tuple(p.span for p in params)
         self.lo, self.hi, self.span = map(_read_only, (self.lo_t, [p.hi for p in params], self.span_t))
-        self.tables, self.pieces = None, {}
+        self.tables, self.pieces, self.cells = None, {}, {}
         if isinstance(self.region, Polygon2D):
             verts = [self.normalize(v) for v in self.region.vertices]
             (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
@@ -257,6 +264,11 @@ class _NodeGeometry:
         if self.tables is None:
             self.tables = _face_tables(self.members)
         return self.tables
+
+    def cell_grid(self, tol: float) -> _CellGrid | None:
+        if tol not in self.cells:
+            self.cells[tol] = _cell_grid(self.edges, tol)
+        return self.cells[tol]
 
 
 def _geometry(node: OddNode) -> _NodeGeometry:
@@ -408,6 +420,80 @@ def _polygon_codes(xhat: np.ndarray, edges: tuple[np.ndarray, ...], tol: float) 
     return np.where(on_boundary, ON_BOUNDARY, np.where(inside, INSIDE, OUTSIDE))
 
 
+# Cells per side of a polygon's cell grid. A call that decides at least as
+# many rows as the grid has cells builds and reads one: building it costs
+# about as much as deciding that many rows exactly.
+_GRID_SIDE = 64
+_GRID_CELLS = _GRID_SIDE * _GRID_SIDE
+# An edge within tol plus this, times the grid's scale, of a cell leaves the
+# cell undecided; far above the rounding error of a row's distance or crossing.
+_CELL_SLACK = 1e-12
+
+
+class _CellGrid(NamedTuple):
+    """A polygon's grid of normalized cells for one ``tol``: cell (i, j) spans
+    ``origin + [i, i + 1] x [j, j + 1] * width``, and ``codes[i, j]`` is the
+    code of every row in it, or -1 where it is undecided. The outer ring of
+    cells lies beyond the padding and takes every row past it."""
+
+    origin: np.ndarray
+    width: np.ndarray
+    codes: np.ndarray
+
+
+def _cell_grid(edges: tuple[np.ndarray, ...], tol: float) -> _CellGrid | None:
+    """The grid of G x G cells over the edges' bounding box padded by tol and
+    twice the slack, in a ring of one cell, or None when ``tol`` is too
+    large for a finite grid.
+
+    A cell is decided when no edge meets it grown by ``reach = tol + slack``
+    on every side. Then every row in the cell, or a rounding error away, is
+    farther than tol from every edge and joined to the centre by a segment
+    no edge crosses, so it gets the centre's code. Per axis, edge and slab
+    of grown cells, the Liang-Barsky parameter interval of the edge within
+    the slab is clipped; an edge meets cell (i, j) where the intervals of
+    column i and row j overlap within [0, 1]. A finite row past the padding
+    is farther than tol from every edge and on the near side of no crossing,
+    so outside, as the ring's cells are.
+    """
+    ax, ay, by, dx, dy, _, _ = edges
+    a, d = np.array([ax, ay]), np.array([dx, dy])  # (2, edges)
+    lo, hi = np.minimum(a, a + d).min(axis=1), np.maximum(a, a + d).max(axis=1)
+    slack = _CELL_SLACK * max(1.0, tol, *np.abs(lo), *np.abs(hi))
+    reach, pad = tol + slack, tol + 2.0 * slack
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        width = (hi - lo + 2.0 * pad) / _GRID_SIDE
+        origin = lo - pad - width
+        if not np.isfinite([width, origin]).all():
+            return None
+        lines = origin[:, None] + np.arange(_GRID_SIDE + 3) * width[:, None]
+        lower, upper = lines[:, :-1, None] - reach, lines[:, 1:, None] + reach  # (2, G + 2, 1)
+        flat, within = d[:, None] == 0.0, (lower <= a[:, None]) & (a[:, None] <= upper)
+        t0, t1 = (lower - a[:, None]) / d[:, None], (upper - a[:, None]) / d[:, None]
+        enter = np.where(flat, np.where(within, 0.0, np.inf), np.minimum(t0, t1))  # (2, G + 2, edges)
+        leave = np.where(flat, np.where(within, 1.0, -np.inf), np.maximum(t0, t1))
+        start = np.maximum(np.maximum(enter[0][:, None], enter[1][None]), 0.0)  # (G + 2, G + 2, edges)
+        stop = np.minimum(np.minimum(leave[0][:, None], leave[1][None]), 1.0)
+        centres = np.stack(np.meshgrid(*(lines[:, :-1] + width[:, None] / 2), indexing="ij"), axis=-1)
+        codes = _polygon_codes(centres.reshape(-1, 2), edges, tol).reshape(start.shape[:2])
+    codes = np.where((start <= stop).any(axis=2), -1, codes).astype(np.int8)
+    return _CellGrid(*map(_read_only, (origin, width, codes)))
+
+
+def _cell_codes(xhat: np.ndarray, grid: _CellGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The code of each row the grid decides, and the indices of the rest:
+    rows in undecided cells, and rows with a coordinate that is NaN, infinite
+    or beyond the overflow bound. Rows past the grid are clamped to its ring."""
+    side = len(grid.codes)
+    cells = np.zeros(len(xhat), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for column, origin, width in zip(xhat.T, grid.origin.tolist(), grid.width.tolist()):
+            k = np.fmin(np.fmax((column - origin) / width, 0.0), side - 1.0)  # NaN gives 0.0
+            cells = cells * side + k.astype(np.intp)
+    codes = grid.codes.ravel().take(cells)
+    return codes, np.flatnonzero((codes < 0) | ~(np.abs(xhat) <= _NO_OVERFLOW).all(axis=1))
+
+
 def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
     """Per member, slack summed column by column in _slacks' order."""
     inside = np.zeros(len(xhat), dtype=bool)
@@ -432,11 +518,17 @@ def region_containment(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    g, xhat = _geometry(node), normalize_array(X, node)
     if isinstance(node.region, Polygon2D):
-        decide = partial(_polygon_codes, edges=_geometry(node).edges, tol=tol)
+        decide = partial(_polygon_codes, edges=g.edges, tol=tol)
+        grid = g.cell_grid(tol) if len(X) >= _GRID_CELLS else None
+        if grid is not None:  # the exact engine decides only the rows the grid leaves
+            codes, rest = _cell_codes(xhat, grid)
+            codes[rest] = _by_chunk(decide, xhat[rest], np.empty(len(rest), dtype=np.int8))
+            return codes
     else:
-        decide = partial(_union_codes, members=_geometry(node).members, tol=tol)
-    return _by_chunk(decide, normalize_array(X, node), np.empty(len(X), dtype=np.int8))
+        decide = partial(_union_codes, members=g.members, tol=tol)
+    return _by_chunk(decide, xhat, np.empty(len(X), dtype=np.int8))
 
 
 def point_codes(points: Points, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Source-layout guards: one CSV writer, one random generator, one vertex
-enumeration and one vertex source, one token cursor, one near-point
-matcher, monitors on the array engine, every stage reading its own
-coordinates, label objects built only at the API edges, spec diagnostics
-built in one place, no output formatting in the CLI, and no XML or URL
-library loaded by the CLI."""
+enumeration and one vertex source, one polygon engine, one token cursor,
+one near-point matcher, monitors on the array engine, every stage reading
+its own coordinates, label objects built only at the API edges, spec
+diagnostics built in one place, no output formatting in the CLI, and no
+XML or URL library loaded by the CLI."""
 
 from __future__ import annotations
 
@@ -38,6 +38,40 @@ def _callers(path: Path, callee: str) -> list[str | None]:
 
     visit(_tree(path), None)
     return found
+
+
+def _referrers(path: Path, name: str) -> set[str | None]:
+    """The functions that name ``name``, as a variable or an attribute:
+    that call it, or pass it on, as ``partial(name, ...)`` does."""
+    found = set()
+
+    def visit(node: ast.AST, fn: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.add(fn)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(_tree(path), None)
+    return found
+
+
+def test_one_polygon_engine():
+    """Polygon rows are decided by the exact engine only where
+    region_containment sends them, and where the cell grid decides its
+    cells' centres; the grid is built and read only in geometry.py."""
+    for name, owners in (
+        ("_polygon_codes", {"region_containment", "_cell_grid"}),
+        ("_cell_grid", {"cell_grid"}),
+        ("cell_grid", {"region_containment"}),
+        ("_CellGrid", {"cell_grid", "_cell_grid", "_cell_codes"}),
+        ("_cell_codes", {"region_containment"}),
+    ):
+        referrers = {path.name: _referrers(path, name) for path in SRC.glob("*.py")}
+        assert {file: fns for file, fns in referrers.items() if fns} == {"geometry.py": owners}, name
 
 
 def test_csv_writer_is_built_only_by_write_csv():
