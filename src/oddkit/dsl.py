@@ -739,10 +739,13 @@ def _polytope_problem(halfspaces, vertices, params) -> tuple[str, str] | None:
     return None
 
 
-def _document_problems(nodes: list[OddNode], locs: list[tuple[int, int]], chains: list[MonitorChainDecl]):
+def _document_problems(
+    nodes: list[OddNode], locs: list[tuple[int, int]], chains: list[MonitorChainDecl], unbuilt: set[str]
+):
     """Yield (code, message, (line, col)) for each problem between the built
     nodes, each placed at its own declaration ``locs[i]``, then for each
-    problem of the monitorchains."""
+    problem of the monitorchains. A reference to a declared node that was
+    not built (``unbuilt``, whose own problems are reported) is not E003."""
     by_name: dict[str, OddNode] = {}
     for node, loc in zip(nodes, locs):
         if node.name in by_name:
@@ -755,7 +758,7 @@ def _document_problems(nodes: list[OddNode], locs: list[tuple[int, int]], chains
 
     for node, loc in zip(nodes, locs):
         for ref in (node.allocates, node.extends):
-            if ref is not None and ref not in by_name:
+            if ref is not None and ref not in by_name and ref not in unbuilt:
                 yield "E003", f"node {node.name!r} references unknown node {ref!r}", loc
 
     # allocation chain acyclicity
@@ -792,7 +795,8 @@ def _document_problems(nodes: list[OddNode], locs: list[tuple[int, int]], chains
         for mon in (m for m in chain.monitors if m.node is not None):
             loc = (mon.line, mon.col)
             if mon.node not in by_name:
-                yield "E003", f"monitorchain {chain.name!r} references unknown node {mon.node!r}", loc
+                if mon.node not in unbuilt:
+                    yield "E003", f"monitorchain {chain.name!r} references unknown node {mon.node!r}", loc
                 continue
             arity = len(by_name[mon.node].parameters)
             for pt in (pt for pt in mon.inputs if len(pt) != arity):
@@ -811,14 +815,16 @@ def parse_spec(text: str) -> SpecDocument:
     parser = _Parser(tokens)
     node_decls, chains = parser.document()
     doc = SpecDocument(monitor_chains=chains, diagnostics=diagnostics + parser.diagnostics)
-    problems, locs = [], []
+    problems, locs, unbuilt = [], [], set()
     for decl in node_decls:
         node, found = _build_node(decl)
         problems += found
-        if node is not None:
+        if node is None:
+            unbuilt.add(decl["name"])
+        else:
             doc.nodes.append(node)
             locs.append(decl["loc"])
-    problems += _document_problems(doc.nodes, locs, chains)
+    problems += _document_problems(doc.nodes, locs, chains, unbuilt)
     doc.diagnostics += [_diagnostic(code, message, *loc) for code, message, loc in problems]
     return doc
 

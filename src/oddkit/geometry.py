@@ -9,7 +9,9 @@ cells kept per node and ``tol`` (see :func:`_cell_grid`): a cell that no
 edge comes within ``tol`` plus a slack of takes its centre's code, which is
 then every row's in it, and only the rows of the other cells, and rows with
 a non-finite or huge coordinate, go to the exact engine. A call of fewer
-rows than the grid has cells decides every row exactly.
+rows than the grid has cells decides every row exactly, but a one-point
+:func:`point_in_region` reads the same grid, built on its first use, and
+runs the exact scalar test only where its cell leaves it undecided.
 """
 
 from __future__ import annotations
@@ -230,8 +232,9 @@ class _NodeGeometry:
 
     def __init__(self, node: OddNode):
         params, self.region = node.parameters, node.region
-        self.lo_t, self.span_t = tuple(p.lo for p in params), tuple(p.span for p in params)
-        self.lo, self.hi, self.span = map(_read_only, (self.lo_t, [p.hi for p in params], self.span_t))
+        self.lo_t, self.hi_t = tuple(p.lo for p in params), tuple(p.hi for p in params)
+        self.span_t = tuple(p.span for p in params)
+        self.lo, self.hi, self.span = map(_read_only, (self.lo_t, self.hi_t, self.span_t))
         self.tables, self.pieces, self.cells = None, {}, {}
         if isinstance(self.region, Polygon2D):
             verts = [self.normalize(v) for v in self.region.vertices]
@@ -312,13 +315,20 @@ def point_in_region(
     """Closed-region containment test with an explicit boundary band.
 
     Points within ``tol`` (normalized) of the boundary report
-    ``ON_BOUNDARY``; category logic treats those as inside.
+    ``ON_BOUNDARY``; category logic treats those as inside. A polygon point
+    takes its cell's code from the node's cell grid for ``tol``, built on
+    first use and shared with :func:`region_containment`, where the cell is
+    decided, and the exact distance and crossing test elsewhere.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _geometry(node)
     xhat = g.normalize(coords(p, node))
     if isinstance(node.region, Polygon2D):
+        grid = g.cell_grid(tol)
+        code = -1 if grid is None else _cell_code(*xhat, grid)
+        if code >= 0:
+            return CONTAINMENT[code]
         if _polygon_distance(*xhat, g.segments) <= tol:
             return Containment.ON_BOUNDARY
         return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
@@ -351,7 +361,7 @@ def params_at_extreme(
 # raw coordinates in node-parameter order, deciding every row as the scalar
 # functions do (for finite coordinates). One region_containment call costs
 # several point_in_region calls, so callers that handle one point at a time
-# keep point_in_region.
+# keep point_in_region, which reads a polygon's cell grid as the batch does.
 
 # Codes returned by region_containment; CONTAINMENT[code] is the enum value.
 INSIDE, ON_BOUNDARY, OUTSIDE = 0, 1, 2
@@ -377,9 +387,12 @@ def coords_array(points: Points | list[DataPoint], node: OddNode) -> np.ndarray:
 
 def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:
     """Rows of raw coordinates in node-parameter order, scaled as by :func:`normalize`."""
-    g = _geometry(node)
+    g, out = _geometry(node), np.empty(X.shape)
+    # column by column: broadcast over (n, d), numpy's inner loop runs d elements
     with np.errstate(over="ignore"):  # an overflow gives inf, decided as such
-        return (X - g.lo) / g.span
+        for j, (lo, span) in enumerate(zip(g.lo_t, g.span_t)):
+            np.divide(X[:, j] - lo, span, out=out[:, j])
+    return out
 
 
 def denormalize_array(U: np.ndarray, node: OddNode) -> np.ndarray:
@@ -434,10 +447,11 @@ class _CellGrid(NamedTuple):
     """A polygon's grid of normalized cells for one ``tol``: cell (i, j) spans
     ``origin + [i, i + 1] x [j, j + 1] * width``, and ``codes[i, j]`` is the
     code of every row in it, or -1 where it is undecided. The outer ring of
-    cells lies beyond the padding and takes every row past it."""
+    cells lies beyond the padding and takes every row past it. The origin
+    and width are Python floats, which a one-point lookup reads as they are."""
 
-    origin: np.ndarray
-    width: np.ndarray
+    origin: tuple[float, float]
+    width: tuple[float, float]
     codes: np.ndarray
 
 
@@ -477,7 +491,7 @@ def _cell_grid(edges: tuple[np.ndarray, ...], tol: float) -> _CellGrid | None:
         centres = np.stack(np.meshgrid(*(lines[:, :-1] + width[:, None] / 2), indexing="ij"), axis=-1)
         codes = _polygon_codes(centres.reshape(-1, 2), edges, tol).reshape(start.shape[:2])
     codes = np.where((start <= stop).any(axis=2), -1, codes).astype(np.int8)
-    return _CellGrid(*map(_read_only, (origin, width, codes)))
+    return _CellGrid(tuple(origin.tolist()), tuple(width.tolist()), _read_only(codes))
 
 
 def _cell_codes(xhat: np.ndarray, grid: _CellGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -487,11 +501,22 @@ def _cell_codes(xhat: np.ndarray, grid: _CellGrid) -> tuple[np.ndarray, np.ndarr
     side = len(grid.codes)
     cells = np.zeros(len(xhat), dtype=np.intp)
     with np.errstate(over="ignore"):
-        for column, origin, width in zip(xhat.T, grid.origin.tolist(), grid.width.tolist()):
+        for column, origin, width in zip(xhat.T, grid.origin, grid.width):
             k = np.fmin(np.fmax((column - origin) / width, 0.0), side - 1.0)  # NaN gives 0.0
             cells = cells * side + k.astype(np.intp)
     codes = grid.codes.ravel().take(cells)
     return codes, np.flatnonzero((codes < 0) | ~(np.abs(xhat) <= _NO_OVERFLOW).all(axis=1))
+
+
+def _cell_code(x: float, y: float, grid: _CellGrid) -> int:
+    """The code of one normalized point's cell, found by :func:`_cell_codes`'
+    float operations, or -1 where the cell is undecided or a coordinate is
+    NaN, infinite or beyond the overflow bound. The bound is checked first:
+    ``min`` and ``max`` pass a NaN on or not by argument order."""
+    if not (abs(x) <= _NO_OVERFLOW and abs(y) <= _NO_OVERFLOW):
+        return -1
+    (ox, oy), (wx, wy), top = grid.origin, grid.width, len(grid.codes) - 1.0
+    return grid.codes.item(int(min(max((x - ox) / wx, 0.0), top)), int(min(max((y - oy) / wy, 0.0), top)))
 
 
 def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
@@ -545,13 +570,14 @@ def point_codes(points: Points, node: OddNode, tol: float = DEFAULT_TOL) -> np.n
 def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(n, d) flags: row i's parameter j lies within ``tol`` times its span
     of its lo or hi bound."""
-    g = _geometry(node)
-    lo, hi, band = g.lo, g.hi, tol * g.span
-
-    def decide(x):
-        return np.minimum(np.abs(x - lo), np.abs(x - hi)) <= band
-
-    return _by_chunk(decide, X, np.empty(X.shape, dtype=bool))
+    g, out = _geometry(node), np.empty(X.shape, dtype=bool)
+    # column by column, as normalize_array; a huge or NaN coordinate may
+    # warn on the way, and the comparison decides it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j, (lo, hi, span) in enumerate(zip(g.lo_t, g.hi_t, g.span_t)):
+            x = X[:, j]
+            np.less_equal(np.minimum(np.abs(x - lo), np.abs(x - hi)), tol * span, out=out[:, j])
+    return out
 
 
 def distance_to_boundary(

@@ -12,6 +12,10 @@ iteration over its vertices (the package evaluates a precomputed face table),
 and near matches are found by comparing every pair of rows (the package
 looks candidates up in a grid of sorted cell keys).
 
+One reference is the package's own exact scalar test: the code of one point
+in a polygon from the edge distance and even-odd crossing helpers alone,
+with no cell grid (the package reads a grid of cells first).
+
 Row-by-row references sit beside them: the CSV dataset parser that reads
 one row at a time into a DataPoint (the package converts whole columns),
 the per-point loop of the set-algebra audit (the package decides its rules
@@ -30,8 +34,9 @@ import math
 
 import numpy as np
 
+from oddkit import geometry
 from oddkit.analysis import RangeChange, UpdateProposal
-from oddkit.model import DataPoint
+from oddkit.model import Containment, DataPoint
 
 
 def winding_number(pt: tuple[float, float], vertices) -> int:
@@ -53,6 +58,16 @@ def winding_number(pt: tuple[float, float], vertices) -> int:
 
 def polygon_contains(pt: tuple[float, float], vertices) -> bool:
     return winding_number(pt, vertices) != 0
+
+
+def exact_polygon_containment(x: tuple[float, float], node, tol: float) -> Containment:
+    """One raw point's containment in a polygon node by the exact scalar
+    helpers: on the boundary within ``tol`` of an edge, else by crossing."""
+    g = geometry._geometry(node)
+    xhat = g.normalize(x)
+    if geometry._polygon_distance(*xhat, g.segments) <= tol:
+        return Containment.ON_BOUNDARY
+    return Containment.INSIDE if geometry._even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
 
 
 def polytope_contains(x: tuple[float, ...], halfspaces) -> bool:

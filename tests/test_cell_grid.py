@@ -1,7 +1,8 @@
 """The polygon cell grid: a call deciding at least as many rows as the grid
 has cells reads each row's code from its cell, and sends only the rows of
 undecided cells, and non-finite or huge rows, to the exact engine. Every
-code must be the exact engine's, row for row."""
+code must be the exact engine's, row for row. A one-point point_in_region
+reads the same grid, and must give the exact scalar test's verdict."""
 
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddkit import geometry
-from oddkit.model import DEFAULT_TOL, Level, OddNode, Parameter, Polygon2D
+from oddkit.model import DEFAULT_TOL, DataPoint, Level, OddNode, Parameter, Polygon2D
 
+from oracles import exact_polygon_containment
 from test_batch import probe_points
 from test_geometry_bits import FIXTURE, POLYGONS
 
@@ -39,6 +41,20 @@ def assert_grid_agrees(X: np.ndarray, node: OddNode, tol: float) -> None:
     expected = exact_codes(X, node, tol)
     wrong = np.flatnonzero(codes != expected)
     assert wrong.size == 0, [(X[i].tolist(), int(codes[i]), int(expected[i])) for i in wrong[:5]]
+
+
+def assert_one_point_agrees(X: np.ndarray, node: OddNode, tol: float) -> None:
+    """point_in_region of each row, one call per row, is the exact scalar
+    test's verdict; the first call builds the node's grid for ``tol``."""
+    names = node.parameter_names
+    wrong = [
+        (x, got, expected)
+        for x in map(tuple, X.tolist())
+        if (got := geometry.point_in_region(DataPoint(dict(zip(names, x))), node, tol))
+        != (expected := exact_polygon_containment(x, node, tol))
+    ]
+    assert tol in geometry._geometry(node).cells
+    assert not wrong, wrong[:5]
 
 
 def on_unit_box(node: OddNode) -> OddNode:
@@ -92,6 +108,7 @@ def test_corpus_polygons_get_the_exact_engines_codes(corpus, name, tol):
     rng = np.random.default_rng(CORPUS.index(name))
     X = np.vstack([uniform_rows(node, rng), probe_points(node, seed=CORPUS.index(name), n=THRESHOLD)])
     assert_grid_agrees(X, node, tol)
+    assert_one_point_agrees(X, node, tol)
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -101,10 +118,11 @@ def test_rows_tol_from_the_boundary_and_on_cell_lines(corpus, name, tol):
     rng = np.random.default_rng(7)
     U = np.vstack([uniform_rows(node, rng), near_band_rows(np.array(node.region.vertices), tol, rng)])
     assert_grid_agrees(U, node, tol)
+    assert_one_point_agrees(U, node, tol)
 
     grid = geometry._geometry(node).cells[tol]
     side = len(grid.codes)
-    lines = grid.origin[:, None] + np.arange(side + 1) * grid.width[:, None]  # (2, side + 1)
+    lines = np.array(grid.origin)[:, None] + np.arange(side + 1) * np.array(grid.width)[:, None]  # (2, side + 1)
     lines = np.hstack([lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf)])
     xs, ys = (rng.uniform(lines[k].min(), lines[k].max(), size=THRESHOLD) for k in (0, 1))
     on_lines = np.vstack([
@@ -113,6 +131,7 @@ def test_rows_tol_from_the_boundary_and_on_cell_lines(corpus, name, tol):
         np.stack(np.meshgrid(lines[0], lines[1]), axis=-1).reshape(-1, 2),  # cell corners
     ])
     assert_grid_agrees(on_lines, node, tol)
+    assert_one_point_agrees(on_lines[::8], node, tol)
 
 
 def test_non_finite_and_huge_rows_go_to_the_exact_engine(corpus):
@@ -127,6 +146,7 @@ def test_non_finite_and_huge_rows_go_to_the_exact_engine(corpus):
     X[:len(specials) ** 2] = [(u, v) for u in specials for v in specials]
     for tol in TOLS:
         assert_grid_agrees(X, node, tol)
+        assert_one_point_agrees(X, node, tol)
 
 
 @st.composite
@@ -155,6 +175,7 @@ def test_random_simple_polygons_get_the_exact_engines_codes(vertices, tol, seed)
         near_band_rows(V, tol, rng, per=16),
     ])
     assert_grid_agrees(U, node, tol)
+    assert_one_point_agrees(U, node, tol)
 
 
 def test_stored_polygon_probes_tiled_past_the_threshold_give_the_stored_codes(extended_doc):
@@ -176,6 +197,25 @@ def test_the_grid_is_built_only_at_the_threshold(corpus):
     assert set(geometry._geometry(node).cells) == {1e-3}
     geometry.region_containment(X[:1], node)
     assert set(geometry._geometry(node).cells) == {1e-3}
+
+
+def test_one_point_and_batch_calls_share_one_grid(corpus, monkeypatch):
+    node = dataclasses.replace(corpus["MLCODD_oper"])
+    X = uniform_rows(node, np.random.default_rng(4))
+    read = []
+
+    def reading(lookup):
+        def wrapper(*args):
+            read.append(args[-1])  # the grid
+            return lookup(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_cell_code", reading(geometry._cell_code))
+    monkeypatch.setattr(geometry, "_cell_codes", reading(geometry._cell_codes))
+    geometry.point_in_region(DataPoint(dict(zip(node.parameter_names, X[0].tolist()))), node, 1e-3)
+    geometry.region_containment(X, node, 1e-3)
+    (grid,) = geometry._geometry(node).cells.values()
+    assert len(read) == 2 and all(r is grid for r in read)
 
 
 @pytest.mark.parametrize("name", ("MLMODD", "MLCODD_spec", "SOD"))

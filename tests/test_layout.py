@@ -62,12 +62,13 @@ def _referrers(path: Path, name: str) -> set[str | None]:
 def test_one_polygon_engine():
     """Polygon rows are decided by the exact engine only where
     region_containment sends them, and where the cell grid decides its
-    cells' centres; the grid is built and read only in geometry.py."""
+    cells' centres; the grid is built and read only in geometry.py, by
+    region_containment and by point_in_region's one-point lookup."""
     for name, owners in (
         ("_polygon_codes", {"region_containment", "_cell_grid"}),
         ("_cell_grid", {"cell_grid"}),
-        ("cell_grid", {"region_containment"}),
-        ("_CellGrid", {"cell_grid", "_cell_grid", "_cell_codes"}),
+        ("cell_grid", {"region_containment", "point_in_region"}),
+        ("_CellGrid", {"cell_grid", "_cell_grid", "_cell_codes", "_cell_code"}),
         ("_cell_codes", {"region_containment"}),
     ):
         referrers = {path.name: _referrers(path, name) for path in SRC.glob("*.py")}
