@@ -85,7 +85,17 @@ class RuleBase:
             raise KeyError(f"no rule for partition {key}") from None
 
 
-_RULE_KEYS = {"kinds", "categories", "E", "R", "L", "A"}
+def _identifiers(p: _Parser) -> tuple[str, ...] | None:
+    """A bracketed list of identifiers."""
+    if p.expect("[") is None:
+        return None
+    items = []
+    while (item := p.peek()) is not None and item.kind == "ident":
+        items.append(p.next().value)
+    return tuple(items) if p.expect("]") else None
+
+
+_RULE_FIELDS = {"reason": _Parser.string, **dict.fromkeys(("kinds", "categories", "E", "R", "L", "A"), _identifiers)}
 
 
 def _rule_block(p: _Parser, head: Token) -> dict | None:
@@ -94,27 +104,13 @@ def _rule_block(p: _Parser, head: Token) -> dict | None:
     if head.kind != "ident" or head.value not in ("rule", "not_applicable"):
         p.error(f"expected 'rule' or 'not_applicable', got {head.value!r}", head)
         return None
-    if p.expect("punct", "{") is None:
+    fields = p.options(_RULE_FIELDS) if p.expect("{") else None
+    if fields is None:
         return None
-    fields: dict = {"reason": ""}
-    while (key := p.peek()) is not None and key.value != "}":
-        p.next()
-        if key.value == "reason":
-            value = p.string()
-        elif key.value not in _RULE_KEYS:
-            p.error(f"unknown field {key.value!r}", key)
-            return None
-        elif p.expect("punct", "[") is None:
-            return None
-        else:
-            items = []
-            while (item := p.peek()) is not None and item.kind == "ident":
-                items.append(p.next().value)
-            value = tuple(items) if p.expect("punct", "]") else None
-        if value is None:
-            return None
-        fields[key.value] = value
-    return fields if p.expect("punct", "}") else None
+    if (key := p.peek()) is not None and key.value != "}":
+        p.error(f"unknown field {key.value!r}", p.next())
+        return None
+    return {"reason": "", **dict(fields)} if p.expect("}") else None
 
 
 def parse_rules(text: str) -> tuple[RuleBase, list[Diagnostic]]:

@@ -1,8 +1,8 @@
 """Parser, validator, and serializer for the textual ODD specification language.
 
 The language is line-oriented. A document is a sequence of ``odd`` node
-blocks and ``monitorchain`` scenario blocks; ``#`` starts a comment. See the
-README for the full grammar and worked examples.
+blocks and ``monitorchain`` scenario blocks; ``#`` starts a comment. The
+README states its grammar, which the keyword tables of ``_Parser`` follow.
 
 Each check is a predicate. One over a single subject returns the
 ``(code, message)`` of the first rule it breaks, or None (``monitor_problem``,
@@ -99,6 +99,7 @@ MONITOR_KINDS = (
     "range_monitor", "extreme_value_monitor", "known_input_monitor", "output_range_monitor", "cross_check_monitor"
 )
 ACTIONS = ("filter", "replace", "mask", "failover")
+_MONITOR_NUMBERS = ("lo", "hi", "threshold", "tol")  # the options a monitor states as one number
 
 
 def monitor_problem(
@@ -229,6 +230,13 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 
 
 class _Parser:
+    """A cursor over the tokens, with readers for the grammar's productions.
+
+    A reader returns what it read, or None once it has reported a missing or
+    bad token. The statement it was reading then ends: a node's ``param``
+    line is skipped to its end, a ``region`` or a ``monitorchain`` block to
+    its closing brace."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -245,104 +253,173 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_ident(self, *values: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "ident" and tok.value in values
-
     def error(self, message: str, tok: Token | None = None, code: str = "E001"):
         if tok is None:
             tok = self.peek() or (self.tokens[-1] if self.tokens else Token("eof", "", 1, 1))
         self.diagnostics.append(_diagnostic(code, message, tok.line, tok.col))
 
-    def warn(self, message: str, tok: Token):
-        self.diagnostics.append(_diagnostic("W001", message, tok.line, tok.col))
-
     def skip_unknown(self, tok: Token, where: str) -> bool:
         """Warn about an unknown construct in a block body and skip its line.
         True when ``tok`` is a brace, which the skip stops at and does not
         consume: the body ends there."""
-        self.warn(f"unknown construct {tok.value!r} in {where}", tok)
+        self.error(f"unknown construct {tok.value!r} in {where}", tok, "W001")
         self.skip_line(tok.line)
         return self.peek() is tok
 
-    def expect(self, kind: str, value: str | None = None) -> Token | None:
+    def token(self, item: str) -> Token | None:
+        """The next token if it is ``item``, a token kind (``ident``,
+        ``number``, ``string``, ``le``) or a token's text; else None, after
+        reporting it."""
         tok = self.peek()
-        if tok is None or tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
+        if tok is None or (tok.kind if item in ("ident", "number", "string", "le") else tok.value) != item:
             got = f"{tok.value!r}" if tok else "end of input"
-            self.error(f"expected {want}, got {got}")
+            self.error(f"expected {item}, got {got}")
             return None
-        return self.next()
+        self.pos += 1
+        return tok
+
+    def expect(self, *items: str) -> list[Token] | None:
+        """The next tokens if they are ``items``, each read by ``token``; else
+        None once one is not."""
+        found = []
+        for item in items:
+            if (tok := self.token(item)) is None:
+                return None
+            found.append(tok)
+        return found
+
+    def options(self, readers: dict) -> list[tuple[str, object]] | None:
+        """Read ``keyword value`` pairs while the next token is a keyword of
+        ``readers``, each value by its reader (a function of the parser):
+        the pairs in order, or None once a reader fails."""
+        pairs = []
+        while (tok := self.peek()) is not None and tok.kind == "ident" and tok.value in readers:
+            self.pos += 1
+            if (value := readers[tok.value](self)) is None:
+                return None
+            pairs.append((tok.value, value))
+        return pairs
 
     def skip_line(self, from_line: int):
-        while (tok := self.peek()) is not None and tok.line == from_line:
-            if tok.kind == "punct" and tok.value in "{}":
-                return
-            self.next()
+        """Skip the rest of a line, up to a brace."""
+        while (tok := self.peek()) is not None and tok.line == from_line and tok.value not in ("{", "}"):
+            self.pos += 1
 
     def skip_to(self, *keywords: str):
         """Skip tokens up to the next of these keywords, the point to resume at."""
-        while self.peek() is not None and not self.at_ident(*keywords):
+        while (tok := self.peek()) is not None and not (tok.kind == "ident" and tok.value in keywords):
             self.next()
 
     def skip_block(self):
         """Skip tokens until the matching close brace of an already-open block."""
         depth = 1
-        while (tok := self.next()) is not None:
-            if tok.kind == "punct" and tok.value == "{":
-                depth += 1
-            elif tok.kind == "punct" and tok.value == "}":
-                depth -= 1
-                if depth == 0:
-                    return
+        while depth and (tok := self.next()) is not None:
+            if tok.value in ("{", "}"):
+                depth += 1 if tok.value == "{" else -1
 
-    # value parsers
+    # value readers
 
     def number(self) -> float | None:
-        tok = self.expect("number")
+        tok = self.token("number")
         return float(tok.value) if tok else None
 
     def string(self) -> str | None:
-        tok = self.expect("string")
+        tok = self.token("string")
         return tok.value[1:-1] if tok else None
 
-    def point(self) -> tuple[float, ...] | None:
-        if self.expect("punct", "(") is None:
-            return None
+    def ident(self) -> str | None:
+        tok = self.token("ident")
+        return tok.value if tok else None
+
+    def numbers(self) -> tuple[float, ...]:
+        """The run of numbers up to the next token that is not one."""
         values = []
-        first = self.number()
-        if first is None:
-            return None
-        values.append(first)
-        while self.peek() is not None and self.peek().value == ",":
-            self.next()
-            v = self.number()
-            if v is None:
-                return None
-            values.append(v)
-        if self.expect("punct", ")") is None:
-            return None
+        while (tok := self.peek()) is not None and tok.kind == "number":
+            values.append(float(self.next().value))
         return tuple(values)
 
-    # grammar productions
+    def point(self) -> tuple[float, ...] | None:
+        """A parenthesized, comma-separated list of one or more numbers."""
+        if self.expect("(") is None:
+            return None
+        values = []
+        while (value := self.number()) is not None:
+            values.append(value)
+            if (tok := self.peek()) is None or tok.value != ",":
+                return tuple(values) if self.expect(")") else None
+            self.next()
+        return None
 
-    def document(self) -> tuple[list[dict], list[MonitorChainDecl]]:
-        node_decls: list[dict] = []
-        chains: list[MonitorChainDecl] = []
+    def dimension_class(self) -> DimensionClass | None:
+        tok = self.token("ident")
+        try:
+            return DimensionClass(tok.value) if tok else None
+        except ValueError:
+            self.error(f"unknown dimension class {tok.value!r}", tok)
+            return None
+
+    def distribution(self) -> tuple[Distribution, Token] | None:
+        """The distribution and its kind's token, where E011 is reported."""
+        kind = self.token("ident")
+        if kind is None or kind.value not in ("uniform", "triangular", "histogram"):
+            if kind is not None:
+                self.error(f"unknown distribution {kind.value!r}", kind)
+            return None
+        args = ()
+        if (tok := self.peek()) is not None and tok.value == "(" and (args := self.point()) is None:
+            return None
+        return Distribution(kind.value, args), kind
+
+    def halfspace(self) -> tuple[tuple[float, ...], float] | None:
+        coefficients = self.numbers()
+        bound = self.expect("le", "number")
+        return (coefficients, float(bound[1].value)) if bound else None
+
+    def vertices(self) -> list[tuple[float, ...]] | None:
+        """A polygon's points, up to the next token that is not a '('."""
+        found = []
+        while (tok := self.peek()) is not None and tok.value == "(":
+            if (pt := self.point()) is None:
+                return None
+            found.append(pt)
+        return found
+
+    def action(self) -> tuple[str, float | None] | None:
+        """A monitor action and the number that may follow it."""
+        name = self.ident()
+        if name is None:
+            return None
+        value = float(self.next().value) if (tok := self.peek()) is not None and tok.kind == "number" else None
+        return name, value
+
+    def stub(self) -> StubDecl | None:
+        kind = self.ident()
+        return StubDecl(kind, self.numbers()) if kind is not None else None
+
+    def monitor(self) -> MonitorDecl | None:
+        start = self.tokens[self.pos - 1]  # 'monitor'
+        kind = self.ident()
+        options = None if kind is None else self.options(self._MONITOR_OPTIONS)
+        if options is None:
+            return None
+        opts = {key: value for key, value in options if key != "input"}
+        opts["action"], opts["action_value"] = opts.get("action", ("filter", None))
+        inputs = tuple(value for key, value in options if key == "input")
+        return MonitorDecl(kind, inputs=inputs, line=start.line, col=start.col, **opts)
+
+    # statements
+
+    def document(self) -> list:
+        """The statements in order: a dict per node declaration, a
+        MonitorChainDecl per monitorchain, and None per one that did not parse."""
+        statements = []
         while (tok := self.peek()) is not None:
-            if tok.kind == "ident" and tok.value == "odd":
-                decl = self.node_decl()
-                if decl is not None:
-                    node_decls.append(decl)
-            elif tok.kind == "ident" and tok.value == "monitorchain":
-                chain = self.monitorchain_decl()
-                if chain is not None:
-                    chains.append(chain)
+            if tok.kind == "ident" and tok.value in self._STATEMENTS:
+                statements.append(self._STATEMENTS[tok.value](self))
             else:
                 self.error(f"expected 'odd' or 'monitorchain', got {tok.value!r}")
-                self.next()
-                self.skip_to("odd", "monitorchain")
-        return node_decls, chains
+                self.skip_to(*self._STATEMENTS)
+        return statements
 
     def node_decl(self) -> dict | None:
         start = self.next()  # 'odd'
@@ -361,237 +438,113 @@ class _Parser:
             "polytopes": [],
             "loc": (start.line, start.col),
             "bad": False,
+            "lost_param": False,  # a param that did not parse: the region is not checked
         }
-        while (tok := self.peek()) is not None and not (
-            tok.kind == "punct" and tok.value == "{"
-        ):
+        while (tok := self.peek()) is not None and tok.value != "{":
+            self.next()
             if tok.kind == "ident" and tok.value in ("level", "variant"):
-                self.next()
-                val = self.expect("ident")
-                if val:
+                if (val := self.token("ident")) is not None:
                     decl[tok.value] = (val.value, (val.line, val.col))
             elif tok.kind == "ident" and tok.value in ("allocates", "extends"):
-                self.next()
-                ref = self.string()
-                if ref is not None:
+                if (ref := self.string()) is not None:
                     decl[tok.value] = ref
             else:
-                self.warn(f"unknown node attribute {tok.value!r}", tok)
-                self.next()
-        if self.expect("punct", "{") is None:
+                self.error(f"unknown node attribute {tok.value!r}", tok, "W001")
+        if self.expect("{") is None:
             decl["bad"] = True
             return decl
-        while (tok := self.peek()) is not None and not (
-            tok.kind == "punct" and tok.value == "}"
-        ):
+        while (tok := self.peek()) is not None and tok.value != "}":
             if tok.kind == "ident" and tok.value == "param":
                 param = self.param_decl()
                 if param is not None:
                     decl["params"].append(param)
                 else:
-                    decl["bad"] = True
+                    decl["bad"] = decl["lost_param"] = True
             elif tok.kind == "ident" and tok.value == "region":
                 if not self.region_decl(decl):
                     decl["bad"] = True
             elif self.skip_unknown(tok, "node body"):
                 break
-        if self.expect("punct", "}") is None:
+        if self.expect("}") is None:
             decl["bad"] = True
         return decl
 
     def param_decl(self):
         start = self.next()  # 'param'
-        name = self.expect("ident")
-        if name is None or self.expect("punct", ":") is None:
+        head = self.expect("ident", ":", "ident", "range", "[", "number", ",", "number", "]")
+        options = head and self.options(self._PARAM_OPTIONS)
+        if options is None:
             self.skip_line(start.line)
             return None
-        unit = self.expect("ident")
-        if unit is None or self.expect("ident", "range") is None:
-            self.skip_line(start.line)
-            return None
-        if self.expect("punct", "[") is None:
-            self.skip_line(start.line)
-            return None
-        lo = self.number()
-        if lo is None or self.expect("punct", ",") is None:
-            self.skip_line(start.line)
-            return None
-        hi = self.number()
-        if hi is None or self.expect("punct", "]") is None:
-            self.skip_line(start.line)
-            return None
-        dim_class = DimensionClass.OPERATIONAL
-        distribution = None
-        while self.at_ident("class", "dist"):
-            key = self.next()
-            if key.value == "class":
-                val = self.expect("ident")
-                if val is None:
-                    return None
-                try:
-                    dim_class = DimensionClass(val.value)
-                except ValueError:
-                    self.error(f"unknown dimension class {val.value!r}", val)
-                    return None
-            else:
-                kind = self.expect("ident")
-                if kind is None:
-                    return None
-                if kind.value not in ("uniform", "triangular", "histogram"):
-                    self.error(f"unknown distribution {kind.value!r}", kind)
-                    return None
-                args: tuple[float, ...] = ()
-                if self.peek() is not None and self.peek().value == "(":
-                    self.next()
-                    lst = [self.number()]
-                    while self.peek() is not None and self.peek().value == ",":
-                        self.next()
-                        lst.append(self.number())
-                    if None in lst or self.expect("punct", ")") is None:
-                        return None
-                    args = tuple(lst)
-                distribution, dist_tok = Distribution(kind.value, args), kind
+        name, _, unit, _, _, lo, _, hi, _ = head
+        lo, hi = float(lo.value), float(hi.value)
+        opts = dict(options)
+        distribution, dist_tok = opts.get("dist", (None, None))
         if lo > hi:
-            self.error(
-                f"parameter {name.value!r}: range lo {lo:g} > hi {hi:g}",
-                name,
-                code="E005",
-            )
+            self.error(f"parameter {name.value!r}: range lo {lo:g} > hi {hi:g}", name, code="E005")
             lo, hi = hi, lo
         if distribution is not None and (problem := _distribution_problem(distribution, lo, hi)):
             self.error(f"parameter {name.value!r}: {distribution.kind} {problem}", dist_tok, code="E011")
+        dim_class = opts.get("class", DimensionClass.OPERATIONAL)
         return Parameter(name.value, unit.value, lo, hi, dim_class, distribution), (start.line, start.col)
 
     def region_decl(self, decl: dict) -> bool:
         start = self.next()  # 'region'
-        kind = self.expect("ident")
+        kind = self.token("ident")
         if kind is None or kind.value not in ("polygon", "polytope"):
             self.error("expected 'polygon' or 'polytope'", kind or start)
             self.skip_line(start.line)
             return False
-        if self.expect("punct", "{") is None:
+        if self.expect("{") is None:
             return False
-        if kind.value == "polygon":
-            points = []
-            while (tok := self.peek()) is not None and tok.value == "(":
-                pt = self.point()
-                if pt is None:
-                    self.skip_block()
-                    return False
-                points.append(pt)
-            if self.expect("punct", "}") is None:
-                return False
-            if decl["polygon"] is not None or decl["polytopes"]:
-                self.error("node mixes polygon and polytope regions", start, code="E004")
-                return False
-            decl["polygon"] = (tuple(points), (start.line, start.col))
-            return True
-        halfspaces = []
-        vertices = []
-        while self.at_ident("halfspace", "vertex"):
-            item = self.next()
-            if item.value == "halfspace":
-                coeffs = []
-                while (tok := self.peek()) is not None and tok.kind == "number":
-                    coeffs.append(float(self.next().value))
-                if self.expect("le") is None:
-                    self.skip_block()
-                    return False
-                b = self.number()
-                if b is None:
-                    self.skip_block()
-                    return False
-                halfspaces.append((tuple(coeffs), b))
-            else:
-                pt = self.point()
-                if pt is None:
-                    self.skip_block()
-                    return False
-                vertices.append(pt)
-        if self.expect("punct", "}") is None:
+        polygon = kind.value == "polygon"
+        items = self.vertices() if polygon else self.options(self._POLYTOPE_ITEMS)
+        if items is None:
+            self.skip_block()
             return False
-        if decl["polygon"] is not None:
+        if self.expect("}") is None:
+            return False
+        if decl["polygon"] is not None or (polygon and decl["polytopes"]):
             self.error("node mixes polygon and polytope regions", start, code="E004")
             return False
-        decl["polytopes"].append(
-            (tuple(halfspaces), tuple(vertices), (start.line, start.col))
-        )
+        loc = (start.line, start.col)
+        if polygon:
+            decl["polygon"] = (tuple(items), loc)
+        else:
+            halfspaces = tuple(v for k, v in items if k == "halfspace")
+            vertices = tuple(v for k, v in items if k == "vertex")
+            decl["polytopes"].append((halfspaces, vertices, loc))
         return True
 
     def monitorchain_decl(self) -> MonitorChainDecl | None:
         start = self.next()  # 'monitorchain'
-        name = self.string()
-        if name is None or self.expect("punct", "{") is None:
+        head = self.expect("string", "{")
+        if head is None:
             self.skip_line(start.line)
             return None
-        stub: StubDecl | None = None
-        monitors: list[MonitorDecl] = []
-        while (tok := self.peek()) is not None and not (
-            tok.kind == "punct" and tok.value == "}"
-        ):
-            if tok.kind == "ident" and tok.value == "stub":
-                self.next()
-                kind = self.expect("ident")
-                if kind is None:
-                    self.skip_block()
-                    return None
-                coeffs = []
-                while (t := self.peek()) is not None and t.kind == "number":
-                    coeffs.append(float(self.next().value))
-                stub = StubDecl(kind.value, tuple(coeffs))
-            elif tok.kind == "ident" and tok.value == "monitor":
-                mon = self.monitor_decl()
-                if mon is None:
-                    self.skip_block()
-                    return None
-                monitors.append(mon)
-            elif self.skip_unknown(tok, "monitorchain"):
+        items = []
+        while (tok := self.peek()) is not None and tok.value != "}":
+            found = self.options(self._CHAIN_ITEMS)
+            if found is None:
+                self.skip_block()
+                return None
+            items += found
+            if not found and self.skip_unknown(tok, "monitorchain"):
                 break
-        if self.expect("punct", "}") is None:
+        if self.expect("}") is None:
             return None
-        return MonitorChainDecl(name, stub, tuple(monitors), start.line, start.col)
+        monitors = tuple(v for k, v in items if k == "monitor")
+        return MonitorChainDecl(head[0].value[1:-1], dict(items).get("stub"), monitors, start.line, start.col)
 
-    def monitor_decl(self) -> MonitorDecl | None:
-        start = self.next()  # 'monitor'
-        kind = self.expect("ident")
-        if kind is None:
-            return None
-        opts: dict = {}
-        inputs: list[tuple[float, ...]] = []
-        while self.at_ident(
-            "node", "param", "threshold", "tol", "lo", "hi", "action", "input"
-        ):
-            key = self.next()
-            if key.value in ("node",):
-                val = self.string()
-                if val is None:
-                    return None
-                opts["node"] = val
-            elif key.value in ("param",):
-                val = self.expect("ident")
-                if val is None:
-                    return None
-                opts["param"] = val.value
-            elif key.value == "action":
-                val = self.expect("ident")
-                if val is None:
-                    return None
-                opts["action"] = val.value
-                if (t := self.peek()) is not None and t.kind == "number":
-                    opts["action_value"] = float(self.next().value)
-            elif key.value == "input":
-                pt = self.point()
-                if pt is None:
-                    return None
-                inputs.append(pt)
-            else:
-                v = self.number()
-                if v is None:
-                    return None
-                opts[key.value] = v
-        return MonitorDecl(
-            kind=kind.value, inputs=tuple(inputs), line=start.line, col=start.col, **opts
-        )
+    # the grammar: keyword -> reader tables
+
+    _STATEMENTS = {"odd": node_decl, "monitorchain": monitorchain_decl}
+    _PARAM_OPTIONS = {"class": dimension_class, "dist": distribution}
+    _POLYTOPE_ITEMS = {"halfspace": halfspace, "vertex": point}
+    _CHAIN_ITEMS = {"stub": stub, "monitor": monitor}
+    _MONITOR_OPTIONS = {
+        "node": string, "param": ident, **dict.fromkeys(_MONITOR_NUMBERS, number), "input": point, "action": action
+    }
 
 
 def _distribution_problem(dist: Distribution, lo: float, hi: float) -> str | None:
@@ -674,8 +627,8 @@ def _node_problems(decl: dict, params: tuple[Parameter, ...]):
         seen.add(p.name)
         if not math.isfinite(p.span):  # an infinite bound, or finite ones too far apart
             yield "E005", f"parameter {p.name!r}: range [{p.lo:g}, {p.hi:g}] has a bound or span that is not finite", loc
-    if not all(math.isfinite(p.span) for p in params):
-        return  # a region is checked in normalized coordinates, which need a finite span
+    if decl["lost_param"] or not all(math.isfinite(p.span) for p in params):
+        return  # a region is checked against all its node's parameters, in normalized coordinates
     if decl["polygon"] is not None:
         verts, loc = decl["polygon"]
         regions = [(_polygon_problem(verts, params), loc)]
@@ -813,10 +766,11 @@ def parse_spec(text: str) -> SpecDocument:
     """
     tokens, diagnostics = tokenize(text)
     parser = _Parser(tokens)
-    node_decls, chains = parser.document()
+    statements = parser.document()
+    chains = [s for s in statements if isinstance(s, MonitorChainDecl)]
     doc = SpecDocument(monitor_chains=chains, diagnostics=diagnostics + parser.diagnostics)
     problems, locs, unbuilt = [], [], set()
-    for decl in node_decls:
+    for decl in (s for s in statements if isinstance(s, dict)):
         node, found = _build_node(decl)
         problems += found
         if node is None:
@@ -837,41 +791,41 @@ def fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
+def _number(v: float) -> str:
+    """A number as the spec serializer writes it: ``fmt(v)`` where that reads
+    back as ``v`` (an infinity as 1e999), else every digit ``repr`` needs."""
+    text = fmt(v).replace("inf", "1e999")
+    return text if float(text) == v else repr(float(v))
+
+
+def _point(values) -> str:
+    return "(" + ", ".join(map(_number, values)) + ")"
+
+
 def _serialize_param(p: Parameter) -> str:
-    parts = [f"param {p.name}: {p.unit} range [{fmt(p.lo)}, {fmt(p.hi)}]"]
-    parts.append(f"class {p.dimension_class.value}")
-    if p.distribution is not None:
-        d = p.distribution
-        spec = d.kind
-        if d.args:
-            spec += "(" + ", ".join(fmt(a) for a in d.args) + ")"
-        parts.append(f"dist {spec}")
-    return " ".join(parts)
+    text = f"param {p.name}: {p.unit} range [{_number(p.lo)}, {_number(p.hi)}] class {p.dimension_class.value}"
+    if (d := p.distribution) is not None:
+        text += f" dist {d.kind}" + (_point(d.args) if d.args else "")
+    return text
 
 
 def _serialize_node(node: OddNode) -> list[str]:
     head = [f'odd "{node.name}"', f"level {node.level.value}", f"variant {node.variant.value}"]
-    if node.allocates is not None:
-        head.append(f'allocates "{node.allocates}"')
-    if node.extends is not None:
-        head.append(f'extends "{node.extends}"')
+    refs = (("allocates", node.allocates), ("extends", node.extends))
+    head += [f'{key} "{ref}"' for key, ref in refs if ref is not None]
     lines = [" ".join(head) + " {"]
-    for p in node.parameters:
-        lines.append("  " + _serialize_param(p))
+    lines += ["  " + _serialize_param(p) for p in node.parameters]
     region = node.region
     if isinstance(region, Polygon2D):
         lines.append("  region polygon {")
-        for v in region.vertices:
-            lines.append("    (" + ", ".join(fmt(c) for c in v) + ")")
+        lines += ["    " + _point(v) for v in region.vertices]
         lines.append("  }")
     else:
         for member in region.members:
             lines.append("  region polytope {")
             for a, b in member.halfspaces:
-                coeffs = " ".join(fmt(c) for c in a)
-                lines.append(f"    halfspace {coeffs} <= {fmt(b)}")
-            for v in member.vertices:
-                lines.append("    vertex (" + ", ".join(fmt(c) for c in v) + ")")
+                lines.append(f"    halfspace {' '.join(map(_number, a))} <= {_number(b)}")
+            lines += ["    vertex " + _point(v) for v in member.vertices]
             lines.append("  }")
     lines.append("}")
     return lines
@@ -883,34 +837,22 @@ def _serialize_monitor(mon: MonitorDecl) -> str:
         parts.append(f'node "{mon.node}"')
     if mon.param is not None:
         parts.append(f"param {mon.param}")
-    if mon.lo is not None:
-        parts.append(f"lo {fmt(mon.lo)}")
-    if mon.hi is not None:
-        parts.append(f"hi {fmt(mon.hi)}")
-    if mon.threshold is not None:
-        parts.append(f"threshold {fmt(mon.threshold)}")
-    if mon.tol is not None:
-        parts.append(f"tol {fmt(mon.tol)}")
-    for pt in mon.inputs:
-        parts.append("input (" + ", ".join(fmt(c) for c in pt) + ")")
+    parts += [f"{key} {_number(getattr(mon, key))}" for key in _MONITOR_NUMBERS if getattr(mon, key) is not None]
+    parts += ["input " + _point(pt) for pt in mon.inputs]
     parts.append(f"action {mon.action}")
     if mon.action_value is not None:
-        parts.append(fmt(mon.action_value))
+        parts.append(_number(mon.action_value))
     return " ".join(parts)
 
 
 def serialize_spec(doc: SpecDocument) -> str:
     """Render a document in canonical formatting; parse-stable for valid docs."""
-    blocks: list[str] = []
-    for node in doc.nodes:
-        blocks.append("\n".join(_serialize_node(node)))
+    blocks = ["\n".join(_serialize_node(node)) for node in doc.nodes]
     for chain in doc.monitor_chains:
         lines = [f'monitorchain "{chain.name}" {{']
         if chain.stub is not None:
-            coeffs = " ".join(fmt(c) for c in chain.stub.coefficients)
-            lines.append(f"  stub {chain.stub.kind} {coeffs}")
-        for mon in chain.monitors:
-            lines.append("  " + _serialize_monitor(mon))
+            lines.append(f"  stub {chain.stub.kind} {' '.join(map(_number, chain.stub.coefficients))}")
+        lines += ["  " + _serialize_monitor(mon) for mon in chain.monitors]
         lines.append("}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
 from oddkit import dsl, geometry, monitors
@@ -24,6 +27,122 @@ def test_corpus_round_trip(extended_spec_text):
     assert doc.structurally_equal(again)
     # canonical form is a fixed point
     assert oddkit.serialize_spec(again) == text
+
+
+def test_serialize_keeps_every_digit_a_number_needs():
+    # 9 significant digits once rounded 0.1234567891, and an unbounded
+    # monitor range was written as "-inf" and "inf", which do not parse
+    doc = oddkit.parse_spec(
+        'odd "N" {\n  param x: u range [0, 0.1234567891]\n  param y: u range [0, 1]\n'
+        "  region polygon { (0, 0) (0.1234567891, 0) (0, 1) }\n}\n"
+        'monitorchain "c" {\n  stub bilinear 1 2 0 0\n  monitor output_range_monitor lo -1e400 hi 1e400 action mask\n}\n'
+    )
+    assert doc.ok
+    text = oddkit.serialize_spec(doc)
+    assert "range [0, 0.1234567891]" in text and "(0.1234567891, 0)" in text and "lo -1e999 hi 1e999" in text
+    assert doc.structurally_equal(oddkit.parse_spec(text))
+
+
+_NUMBER = st.floats(-1e6, 1e6)
+
+
+def _at(draw, lo, hi, a, b):
+    """A full-precision point of [lo, hi], at a fraction of it drawn from [a, b]."""
+    return lo + draw(st.floats(a, b)) * (hi - lo)
+
+
+@st.composite
+def _box(draw, names):
+    """Parameters over full-precision ranges: (lo, hi, param line) per name."""
+    params = []
+    for name in names:
+        lo = draw(_NUMBER)
+        hi = lo + draw(st.floats(1e-3, 1e6))
+        dist = draw(st.sampled_from(["", "uniform", "triangular", "histogram"]))
+        if dist == "triangular":
+            dist += "(%r, %r, %r)" % tuple(_at(draw, lo, hi, a, a + 0.3) for a in (0, 0.35, 0.7))
+        elif dist == "histogram":
+            edges = [_at(draw, lo, hi, a, a + 0.2) for a in (0, 0.4, 0.8)]
+            weights = [draw(st.floats(1e-3, 1e3)), draw(st.floats(0, 1e3))]
+            dist += "(" + ", ".join(map(repr, edges + weights)) + ")"
+        unit = draw(st.sampled_from(["m", "ft", "mach", "C"]))
+        klass = draw(st.sampled_from([c.value for c in oddkit.DimensionClass]))
+        line = f"param {name}: {unit} range [{lo!r}, {hi!r}] class {klass}" + (f" dist {dist}" if dist else "")
+        params.append((lo, hi, line))
+    return params
+
+
+@st.composite
+def _polygon(draw, box):
+    # one vertex near each corner, counterclockwise: simple, and not thin
+    corners = [((0, 0.3), (0, 0.3)), ((0.7, 1), (0, 0.3)), ((0.7, 1), (0.7, 1)), ((0, 0.3), (0.7, 1))]
+    vertices = [tuple(_at(draw, lo, hi, *part) for (lo, hi, _), part in zip(box, corner)) for corner in corners]
+    return "region polygon {\n" + "".join(f"    {v!r}\n" for v in vertices) + "  }"
+
+
+@st.composite
+def _polytope(draw, box, inner):
+    """A member over a sub-box of ``box``: one scaled halfspace per face and
+    the sub-box's corners as its vertex list."""
+    bins = [(0.35, 0.45), (0.55, 0.65)] if inner else [(0, 0.4), (0.6, 1)]
+    sub = [[_at(draw, lo, hi, *part) for part in bins] for lo, hi, _ in box]
+    lines = []
+    for i, bounds in enumerate(sub):
+        for sign, bound in zip((-1, 1), bounds):
+            scale = sign * draw(st.floats(0.1, 100))
+            row = " ".join(repr(scale) if j == i else "0" for j in range(len(box)))
+            lines.append(f"halfspace {row} <= {scale * bound!r}")
+    lines += [f"vertex {corner!r}" for corner in itertools.product(*sub)]
+    return "region polytope {\n" + "".join(f"    {line}\n" for line in lines) + "  }"
+
+
+@st.composite
+def _monitor(draw, kind):
+    """A monitor of ``kind`` on node M, with every option."""
+    positive = st.floats(1e-6, 1e6)
+    numbers = [f"{key} {draw(_NUMBER)!r}" for key in ("lo", "hi")]
+    numbers += [f"{key} {draw(positive)!r}" for key in ("threshold", "tol")]
+    inputs = [f"input ({draw(_NUMBER)!r}, {draw(_NUMBER)!r})" for _ in range(draw(st.integers(1, 2)))]
+    action = draw(st.sampled_from(dsl.ACTIONS)) + draw(st.one_of(st.just(""), _NUMBER.map(lambda v: f" {v!r}")))
+    return " ".join([f'monitor {kind} node "M" param p0', *numbers, *inputs, f"action {action}"])
+
+
+@st.composite
+def _valid_spec(draw):
+    """A valid spec that uses every production: every level, variant, class
+    and distribution; polygon and one- and two-member polytope regions;
+    allocates and extends; a bilinear stub, and each monitor kind with every
+    option. Its numbers carry all the digits a float has."""
+    variants = st.sampled_from([v.value for v in oddkit.Variant])
+    system, box, ext = draw(_box(["p0", "p1"])), draw(_box(["p0", "p1"])), draw(_box(["p2"]))
+    union = "\n  ".join(draw(_polytope(box, False)) for _ in range(draw(st.integers(1, 2))))
+    nodes = [
+        ("S", "level system_od", system, draw(_polygon(system))),
+        ("C", 'level subsystem_odd allocates "S"', box, union),
+        ("M", 'level mlc_odd allocates "C"', box, draw(_polygon(box))),
+        # within M's polygon, which holds the middle of its box
+        ("X", 'level mlm_odd extends "M"', box + ext, draw(_polytope(box + ext, True))),
+    ]
+    blocks = [
+        f'odd "{name}" {head} variant {draw(variants)} {{\n' + "".join(f"  {line}\n" for _, _, line in params)
+        + f"  {region}\n}}\n"
+        for name, head, params, region in nodes
+    ]
+    stub = " ".join(repr(draw(_NUMBER)) for _ in range(4))
+    monitors = "".join(f"  {draw(_monitor(kind))}\n" for kind in dsl.MONITOR_KINDS)
+    blocks.append(f'monitorchain "c" {{\n  stub bilinear {stub}\n{monitors}}}\n')
+    return "\n".join(blocks)
+
+
+@settings(max_examples=50)
+@given(_valid_spec())
+def test_parse_serialize_parse_is_the_identity_on_generated_specs(text):
+    doc = oddkit.parse_spec(text)
+    assert doc.ok, [str(d) for d in doc.diagnostics]
+    canonical = oddkit.serialize_spec(doc)
+    again = oddkit.parse_spec(canonical)
+    assert again.ok and doc.structurally_equal(again)
+    assert oddkit.serialize_spec(again) == canonical
 
 
 def _codes(doc):
@@ -315,6 +434,38 @@ odd "GOOD" level mlm_odd {
     assert any(d.code == "E001" for d in doc.errors)
 
 
+@pytest.mark.parametrize(
+    "param",
+    [
+        "param x: u range [0, 1] class bogus dist uniform",
+        "param x: u range [0, 1] dist triangular(,,)",
+        "param x: u range [0, 1] dist triangular(0, 0.5 1) class operational",
+        "param x: u range [0, 1] dist bogus(0, 1)",
+        "param x: u range [0 1] class operational",
+    ],
+)
+def test_a_bad_param_line_is_one_e001_and_skipped_to_its_end(param):
+    # once, a bad class or dist value left the rest of its line to be warned
+    # about as unknown constructs, and each bad dist argument was one more E001
+    text = f'odd "N" {{\n  {param}\n  param y: u range [0, 1]\n  region polygon {{ (0,0) (1,0) (1,1) }}\n}}\n'
+    doc = oddkit.parse_spec(text)
+    assert [(d.code, d.line) for d in doc.diagnostics] == [("E001", 2)]
+    assert doc.nodes == []
+
+
+def test_a_param_that_did_not_parse_spares_its_region_the_checks(extended_spec_text, tmp_path):
+    # the region was checked against the parameters that did parse: a 3-D
+    # polytope with one of them lost read as "3 coefficients, expected 2"
+    temp = "param Temp: C range [-60, 15] class "
+    text = extended_spec_text.replace(temp + "environmental", temp + "bogus")
+    doc = oddkit.parse_spec(text)
+    assert [d.code for d in doc.diagnostics] == ["E001"]
+    assert "MLMODD_ext" not in [n.name for n in doc.nodes]
+    spec = tmp_path / "lost_param.odd"
+    spec.write_text(text, encoding="utf-8")
+    assert CliRunner().invoke(cli, ["validate", str(spec)]).exit_code == 1
+
+
 def test_node_checks_are_reported_at_the_nodes_own_declaration():
     text = """odd "A" extends "Nope" {
   param x: u range [0, 1]
@@ -537,9 +688,32 @@ def _line_mutations(keep=lambda mutation: mutation not in _BRACE_IN_MONITORCHAIN
                     yield f"{name} {op} {i + 1}", "".join(mutated)
 
 
+def _token_deletions():
+    """(label, diagnostics) of each corpus spec, and of the packaged rule
+    file, with one token deleted."""
+    rules = Path(oddkit.__file__).parent / "data" / "erla_rules.txt"
+    for path, diagnose in (
+        (DATA / "flight_envelope.odd", lambda text: oddkit.parse_spec(text).diagnostics),
+        (DATA / "flight_envelope_extended.odd", lambda text: oddkit.parse_spec(text).diagnostics),
+        (rules, lambda text: oddkit.parse_rules(text)[1]),
+    ):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        tokens, _ = dsl.tokenize("".join(lines))
+        for i, tok in enumerate(tokens):
+            line = lines[tok.line - 1]
+            cut = line[: tok.col - 1] + line[tok.col - 1 + len(tok.value) :]
+            text = "".join(lines[: tok.line - 1] + [cut] + lines[tok.line :])
+            yield f"{path.name} delete token {i + 1}", diagnose(text)
+
+
 def test_line_mutations_of_the_corpus_keep_the_golden_diagnostics():
-    found = [f"{label}: {d}" for label, text in _line_mutations() for d in oddkit.parse_spec(text).diagnostics]
-    assert found == (DATA / "golden_diagnostics.txt").read_text(encoding="utf-8").splitlines()
+    # and the token deletions, with the rule file's
+    for golden, mutations in (
+        ("golden_diagnostics.txt", ((label, oddkit.parse_spec(text).diagnostics) for label, text in _line_mutations())),
+        ("golden_token_diagnostics.txt", _token_deletions()),
+    ):
+        found = [f"{label}: {d}" for label, diagnostics in mutations for d in diagnostics]
+        assert found == (DATA / golden).read_text(encoding="utf-8").splitlines(), golden
 
 
 def test_a_brace_in_a_monitorchain_body_ends_the_block(tmp_path):
