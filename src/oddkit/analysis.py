@@ -95,7 +95,9 @@ def _identifiers(p: _Parser) -> tuple[str, ...] | None:
     return tuple(items) if p.expect("]") else None
 
 
-_RULE_FIELDS = {"reason": _Parser.string, **dict.fromkeys(("kinds", "categories", "E", "R", "L", "A"), _identifiers)}
+# the ErlaRule field of each rule-file key, in report order
+_ERLA_FIELDS = {"E": "effects", "R": "requirements", "L": "learning_assurance", "A": "architecture"}
+_RULE_FIELDS = {"reason": _Parser.string, **dict.fromkeys(("kinds", "categories", *_ERLA_FIELDS), _identifiers)}
 
 
 def _rule_block(p: _Parser, head: Token) -> dict | None:
@@ -130,7 +132,7 @@ def parse_rules(text: str) -> tuple[RuleBase, list[Diagnostic]]:
         if not kinds or not categories:
             p.error(f"{head.value} block needs kinds and categories", head)
         elif head.value == "rule":
-            rules.append(ErlaRule(kinds, categories, *(fields.get(key, ()) for key in "ERLA")))
+            rules.append(ErlaRule(kinds, categories, **{f: fields.get(key, ()) for key, f in _ERLA_FIELDS.items()}))
         else:
             nas.append(NotApplicable(kinds, categories, fields["reason"]))
     return RuleBase(rules, nas), diagnostics + p.diagnostics
@@ -173,31 +175,19 @@ class AnalysisReport:
             if isinstance(s.erla, NotApplicable):
                 lines.append(f"  not applicable: {s.erla.reason}")
             else:
-                lines.append("  E: " + (", ".join(s.erla.effects) or "-"))
-                lines.append("  R: " + (", ".join(s.erla.requirements) or "-"))
-                lines.append("  L: " + (", ".join(s.erla.learning_assurance) or "-"))
-                lines.append("  A: " + (", ".join(s.erla.architecture) or "-"))
+                lines += (f"  {key}: " + (", ".join(getattr(s.erla, f)) or "-") for key, f in _ERLA_FIELDS.items())
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
         def row(s: PartitionSection) -> list:
             if isinstance(s.erla, NotApplicable):
-                erla_cols = ["", "", "", "", s.erla.reason]
+                erla_cols = [""] * len(_ERLA_FIELDS) + [s.erla.reason]
             else:
-                erla_cols = [
-                    "|".join(s.erla.effects),
-                    "|".join(s.erla.requirements),
-                    "|".join(s.erla.learning_assurance),
-                    "|".join(s.erla.architecture),
-                    "",
-                ]
+                erla_cols = ["|".join(getattr(s.erla, f)) for f in _ERLA_FIELDS.values()] + [""]
             return [*s.key, s.count, "|".join(map(str, s.rows)), *erla_cols]
 
-        return write_csv(
-            ["kind_set", "category", "count", "rows", "effects", "requirements",
-             "learning_assurance", "architecture", "not_applicable_reason"],
-            map(row, self.sections),
-        )
+        header = ["kind_set", "category", "count", "rows", *_ERLA_FIELDS.values(), "not_applicable_reason"]
+        return write_csv(header, map(row, self.sections))
 
 
 def analyze_partitions(

@@ -1,60 +1,23 @@
 """Anomaly construction and region-aware sampling.
 
 Inliers are built by corrupting a point through an invertible preprocessing
-transform while keeping the original values as provenance; novelty points are
-built by projecting out hidden parameters of an extension node. Sampling is
-seeded and reproducible (counter-based Philox generator).
+transform (:class:`oddkit.model.Transform`, re-exported here) while keeping the
+original values as provenance; novelty points are built by projecting out
+hidden parameters of an extension node. Sampling is seeded and reproducible
+(counter-based Philox generator); each mode draws the points of one label
+category, as :func:`oddkit.classify.geometric_categories` decides it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry
+from .classify import CATEGORY_LABELS, Chain, geometric_categories
 from .errors import EmptyStratum, MissingExtension
-from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Parameter
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .classify import Chain
-
-
-@dataclass(frozen=True)
-class Transform:
-    """Invertible per-parameter preprocessing step.
-
-    ``scale`` multiplies by ``factor``, ``offset`` adds ``offset``, and
-    ``unit_swap`` is a scale by a unit-conversion factor (kept distinct so
-    reports can name the error mechanism).
-    """
-
-    kind: str  # "scale" | "offset" | "unit_swap"
-    parameter: str
-    factor: float = 1.0
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("scale", "offset", "unit_swap"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind in ("scale", "unit_swap") and self.factor == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        if not (math.isfinite(self.factor) and math.isfinite(self.offset)):
-            raise ValueError("factor and offset must be finite")
-
-    def __call__(self, x):
-        """The transformed value of ``x``, a number or an array of them."""
-        return x + self.offset if self.kind == "offset" else x * self.factor
-
-    def apply(self, values: dict[str, float]) -> dict[str, float]:
-        return {name: self(v) if name == self.parameter else v for name, v in values.items()}
-
-    def inverse(self) -> "Transform":
-        if self.kind == "offset":
-            return Transform("offset", self.parameter, offset=-self.offset)
-        return Transform(self.kind, self.parameter, factor=1.0 / self.factor)
+from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Parameter, Transform
 
 
 def apply_transforms(
@@ -99,7 +62,7 @@ def inject_inlier(
 
 
 def make_novelty(
-    base: DataPoint, chain: "Chain", tol: float = DEFAULT_TOL
+    base: DataPoint, chain: Chain, tol: float = DEFAULT_TOL
 ) -> DataPoint | Rejected:
     """Project a point over extended parameters down to the declared ODD.
 
@@ -124,6 +87,8 @@ def make_novelty(
 # -- sampling ------------------------------------------------------------------
 
 MODES = ("nominal_interior", "edge", "feasible_corner", "outlier_ring")
+# the label category of each mode's stratum
+_STRATA = dict(zip(MODES, map(CATEGORY_LABELS.index, ("Nominal", "EdgeCase", "FeasibleCornerCase", "Outlier"))))
 
 _OUTLIER_INFLATION = 0.2  # fraction of each parameter span added outside the box
 _NOVELTY_INFLATION = 0.5  # extension-only parameters must be able to leave the extension
@@ -163,15 +128,11 @@ def _points(X: np.ndarray, node: OddNode) -> list[DataPoint]:
 
 
 def _in_stratum(X: np.ndarray, node: OddNode, mode: str, tol: float) -> np.ndarray:
-    """Which rows of ``X`` lie in the sampling stratum ``mode`` (see sample_region)."""
+    """Which rows of ``X`` label as ``mode``'s category; a nominal_interior
+    row must also be strictly inside, not on the boundary."""
     codes = geometry.region_containment(X, node, tol)
-    extremes = geometry.extreme_mask(X, node, tol).sum(axis=1)
-    if mode == "nominal_interior":
-        return (codes == geometry.INSIDE) & (extremes == 0)
-    if mode == "outlier_ring":
-        return (codes == geometry.OUTSIDE) & (extremes < 2)
-    inside = codes != geometry.OUTSIDE
-    return inside & (extremes == 1) if mode == "edge" else inside & (extremes >= 2)
+    keep = geometric_categories(codes, X, node, tol) == _STRATA[mode]
+    return keep & (codes == geometry.INSIDE) if mode == "nominal_interior" else keep
 
 
 def _draw_and_accept(n: int, seed: int, params, accept, what: str) -> list[DataPoint]:
@@ -273,7 +234,7 @@ def sample_inliers(
 
 
 def sample_novelty(
-    chain: "Chain", n: int, seed: int, tol: float = DEFAULT_TOL
+    chain: Chain, n: int, seed: int, tol: float = DEFAULT_TOL
 ) -> list[DataPoint]:
     """Draw ``n`` novelty points of the chain's extension, deterministic given ``seed``.
 

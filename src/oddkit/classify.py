@@ -12,10 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .anomaly import Transform
 from .datasets import write_csv
 from .errors import MissingTransform
-from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Points, Variant
+from .model import DEFAULT_TOL, DataPoint, Level, OddNode, Points, Transform, Variant
 
 
 class Kind(str, Enum):
@@ -33,7 +32,7 @@ KIND_SET = {
     Kind.OUT_OF_MLCODD: "OutCOD",
 }
 
-KIND_SET_LABELS = ("InMOD&InS", "InMOD&OutS", "InCOD&OutMOD", "OutCOD")
+KIND_SET_LABELS = tuple(KIND_SET.values())
 
 CATEGORY_LABELS = (
     "Nominal",
@@ -291,6 +290,13 @@ _GEOMETRIC = np.array(
 )
 
 
+def geometric_categories(codes: np.ndarray, X: np.ndarray, node: OddNode, tol: float) -> np.ndarray:
+    """The geometric category code of each row of ``X``, coordinates in ``node``
+    with containment codes ``codes``: the one reader of ``_GEOMETRIC``."""
+    extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
+    return _GEOMETRIC[codes, extremes]
+
+
 def _outside_extension(points: Points, ext: OddNode, tol: float) -> np.ndarray:
     """Per point: do its declared and hidden values fall outside ``ext``?
 
@@ -322,9 +328,7 @@ def _categorize(
     ``counted`` restricts the values a raw value is checked against, as
     :func:`_raw_mismatch` does.
     """
-    X = geometry.coords_array(points, node)
-    extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
-    categories = _GEOMETRIC[codes, extremes]
+    categories = geometric_categories(codes, geometry.coords_array(points, node), node, tol)
     inside = codes != geometry.OUTSIDE
     names, mismatched = _raw_mismatch(points, node, transforms, tol, counted)
     inliers = inside & mismatched.any(axis=1)

@@ -284,10 +284,7 @@ def simulate(spec, data, scenario, chain_spec, transform_specs, seed, out_path, 
 def render_cmd(spec, data, node_names, chain_spec, out_path, force) -> None:
     """Render 2-parameter regions (and classified points) as SVG."""
     doc = _load_spec(spec)
-    if node_names:
-        nodes = [_node(doc, n) for n in node_names]
-    else:
-        nodes = [n for n in doc.nodes if len(n.parameters) == 2]
+    nodes = [_node(doc, n) for n in node_names] or doc.nodes  # render_svg keeps the 2-parameter ones
     labeled: list[tuple[DataPoint, str]] = []
     if data:
         chain = _build_chain(doc, chain_spec)

@@ -3,6 +3,8 @@
 The language is line-oriented. A document is a sequence of ``odd`` node
 blocks and ``monitorchain`` scenario blocks; ``#`` starts a comment. The
 README states its grammar, which the keyword tables of ``_Parser`` follow.
+A node attribute's, a ``param`` option's and a monitorchain item's value
+starts on its keyword's own line (``_Parser.value``).
 
 Each check is a predicate. One over a single subject returns the
 ``(code, message)`` of the first rule it breaks, or None (``monitor_problem``,
@@ -16,7 +18,7 @@ Diagnostic codes:
     E001 syntax error / unknown enumeration value, monitor kind, monitor action or stub kind
     E002 duplicate node or parameter name
     E003 unresolved node reference
-    E004 degenerate or inconsistent region
+    E004 degenerate or inconsistent region, or a halfspace not finite once scaled by the spans
     E005 parameter range lo > hi, or a bound or span that is not finite
     E006 region vertex outside the parameter box, or a polytope member with no point within it
     E007 extends violation (no new parameter, or projection leaves the base)
@@ -235,17 +237,19 @@ class _Parser:
     A reader returns what it read, or None once it has reported a missing or
     bad token. The statement it was reading then ends: a node's ``param``
     line is skipped to its end, a ``region`` or a ``monitorchain`` block to
-    its closing brace."""
+    its closing brace. :meth:`value` reads a keyword's value, which starts
+    on the keyword's own line."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
+        self.end = len(tokens)  # the end of input, or of a line by :meth:`value`
 
     # token stream helpers
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < self.end else None
 
     def next(self) -> Token | None:
         tok = self.peek()
@@ -255,7 +259,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None, code: str = "E001"):
         if tok is None:
-            tok = self.peek() or (self.tokens[-1] if self.tokens else Token("eof", "", 1, 1))
+            tok = self.peek() or (self.tokens[self.end - 1] if self.end else Token("eof", "", 1, 1))
         self.diagnostics.append(_diagnostic(code, message, tok.line, tok.col))
 
     def skip_unknown(self, tok: Token, where: str) -> bool:
@@ -272,7 +276,7 @@ class _Parser:
         reporting it."""
         tok = self.peek()
         if tok is None or (tok.kind if item in ("ident", "number", "string", "le") else tok.value) != item:
-            got = f"{tok.value!r}" if tok else "end of input"
+            got = f"{tok.value!r}" if tok else "end of input" if self.end == len(self.tokens) else "end of line"
             self.error(f"expected {item}, got {got}")
             return None
         self.pos += 1
@@ -288,16 +292,27 @@ class _Parser:
             found.append(tok)
         return found
 
-    def options(self, readers: dict) -> list[tuple[str, object]] | None:
+    def value(self, keyword: Token, read, *args):
+        """What ``read(self, *args)`` reads as ``keyword``'s value, which
+        starts on the keyword's line: where the line ends first, ``read``
+        finds no token and reports ``got end of line`` at the keyword."""
+        if (tok := self.peek()) is None or tok.line != keyword.line:
+            self.end = self.pos
+        found = read(self, *args)
+        self.end = len(self.tokens)
+        return found
+
+    def options(self, readers: dict, own_line: bool = False) -> list[tuple[str, object]] | None:
         """Read ``keyword value`` pairs while the next token is a keyword of
-        ``readers``, each value by its reader (a function of the parser):
-        the pairs in order, or None once a reader fails."""
+        ``readers``, each value by its reader (a function of the parser), through
+        :meth:`value` with ``own_line``: the pairs in order, or None once one fails."""
         pairs = []
         while (tok := self.peek()) is not None and tok.kind == "ident" and tok.value in readers:
             self.pos += 1
-            if (value := readers[tok.value](self)) is None:
+            read = readers[tok.value]
+            if (found := self.value(tok, read) if own_line else read(self)) is None:
                 return None
-            pairs.append((tok.value, value))
+            pairs.append((tok.value, found))
         return pairs
 
     def skip_line(self, from_line: int):
@@ -399,7 +414,7 @@ class _Parser:
     def monitor(self) -> MonitorDecl | None:
         start = self.tokens[self.pos - 1]  # 'monitor'
         kind = self.ident()
-        options = None if kind is None else self.options(self._MONITOR_OPTIONS)
+        options = None if kind is None else self.options(self._MONITOR_OPTIONS, own_line=True)
         if options is None:
             return None
         opts = {key: value for key, value in options if key != "input"}
@@ -443,10 +458,10 @@ class _Parser:
         while (tok := self.peek()) is not None and tok.value != "{":
             self.next()
             if tok.kind == "ident" and tok.value in ("level", "variant"):
-                if (val := self.token("ident")) is not None:
+                if (val := self.value(tok, _Parser.token, "ident")) is not None:
                     decl[tok.value] = (val.value, (val.line, val.col))
             elif tok.kind == "ident" and tok.value in ("allocates", "extends"):
-                if (ref := self.string()) is not None:
+                if (ref := self.value(tok, _Parser.string)) is not None:
                     decl[tok.value] = ref
             else:
                 self.error(f"unknown node attribute {tok.value!r}", tok, "W001")
@@ -472,7 +487,7 @@ class _Parser:
     def param_decl(self):
         start = self.next()  # 'param'
         head = self.expect("ident", ":", "ident", "range", "[", "number", ",", "number", "]")
-        options = head and self.options(self._PARAM_OPTIONS)
+        options = head and self.options(self._PARAM_OPTIONS, own_line=True)
         if options is None:
             self.skip_line(start.line)
             return None
@@ -524,7 +539,7 @@ class _Parser:
             return None
         items = []
         while (tok := self.peek()) is not None and tok.value != "}":
-            found = self.options(self._CHAIN_ITEMS)
+            found = self.options(self._CHAIN_ITEMS, own_line=True)
             if found is None:
                 self.skip_block()
                 return None
@@ -676,9 +691,12 @@ def _polytope_problem(halfspaces, vertices, params) -> tuple[str, str] | None:
     n = len(params)
     if not halfspaces or not vertices:
         return "E004", "polytope needs halfspaces and an explicit vertex list"
-    for a, _b in halfspaces:
+    for a, b in halfspaces:
         if len(a) != n:
             return "E004", f"halfspace has {len(a)} coefficients, expected {n}"
+        scaled = [ai * p.span for ai, p in zip(a, params)]  # the row as the geometry scales it
+        if not math.isfinite(sum(v * v for v in scaled)):  # a scaled coefficient or the norm overflows
+            return "E004", f"halfspace {a} <= {b:g} is not finite once scaled by the parameter spans"
     for v in vertices:
         if len(v) != n:
             return "E004", f"vertex has {len(v)} coordinates, expected {n}"

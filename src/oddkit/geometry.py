@@ -35,6 +35,7 @@ from .model import (
     Points,
     Polygon2D,
     PolytopeUnion,
+    _read_only,
 )
 
 
@@ -46,10 +47,6 @@ def coords(p: DataPoint, node: OddNode) -> tuple[float, ...]:
             raise MissingParameter(name)
         out.append(float(values[name]))
     return tuple(out)
-
-
-def normalize(x: tuple[float, ...], node: OddNode) -> tuple[float, ...]:
-    return _geometry(node).normalize(x)
 
 
 # -- polygon helpers ---------------------------------------------------------
@@ -213,12 +210,6 @@ def _face_tables(members) -> tuple[_FaceTable, ...]:
         starts = np.arange(len(M)) * len(b)
         tables.append(_FaceTable(*map(_read_only, (weights, offsets, starts)), len(V) + len(M), len(V)))
     return tuple(tables)
-
-
-def _read_only(a) -> np.ndarray:
-    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=float)
-    a.flags.writeable = False  # shared by every caller through the node's record
-    return a
 
 
 class _NodeGeometry:
@@ -386,7 +377,7 @@ def coords_array(points: Points | list[DataPoint], node: OddNode) -> np.ndarray:
 
 
 def normalize_array(X: np.ndarray, node: OddNode) -> np.ndarray:
-    """Rows of raw coordinates in node-parameter order, scaled as by :func:`normalize`."""
+    """Rows of raw coordinates in node-parameter order as ``(x - lo) / span``."""
     g, out = _geometry(node), np.empty(X.shape)
     # column by column: broadcast over (n, d), numpy's inner loop runs d elements
     with np.errstate(over="ignore"):  # an overflow gives inf, decided as such

@@ -1,4 +1,4 @@
-"""Domain types for parameters, regions, ODD nodes, and data points.
+"""Domain types for parameters, transforms, regions, ODD nodes, and data points.
 
 All types are immutable value objects; geometric operations over them live
 in :mod:`oddkit.geometry`. A set of data points is held column by column as
@@ -65,6 +65,41 @@ class Parameter:
     def span(self) -> float:
         # Guard against zero-span parameters so normalization stays finite.
         return (self.hi - self.lo) or 1.0
+
+
+@dataclass(frozen=True)
+class Transform:
+    """Invertible per-parameter preprocessing step.
+
+    ``scale`` multiplies by ``factor``, ``offset`` adds ``offset``, and
+    ``unit_swap`` is a scale by a unit-conversion factor (kept distinct so
+    reports can name the error mechanism).
+    """
+
+    kind: str  # "scale" | "offset" | "unit_swap"
+    parameter: str
+    factor: float = 1.0
+    offset: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("scale", "offset", "unit_swap"):
+            raise ValueError(f"unknown transform kind {self.kind!r}")
+        if self.kind in ("scale", "unit_swap") and self.factor == 0.0:
+            raise ValueError("scale factor must be nonzero")
+        if not (math.isfinite(self.factor) and math.isfinite(self.offset)):
+            raise ValueError("factor and offset must be finite")
+
+    def __call__(self, x):
+        """The transformed value of ``x``, a number or an array of them."""
+        return x + self.offset if self.kind == "offset" else x * self.factor
+
+    def apply(self, values: dict[str, float]) -> dict[str, float]:
+        return {name: self(v) if name == self.parameter else v for name, v in values.items()}
+
+    def inverse(self) -> Transform:
+        if self.kind == "offset":
+            return Transform("offset", self.parameter, offset=-self.offset)
+        return Transform(self.kind, self.parameter, factor=1.0 / self.factor)
 
 
 @dataclass(frozen=True)
@@ -209,7 +244,10 @@ def columns(names: tuple[str, ...], data: np.ndarray, present: np.ndarray | None
     return Columns(names, _read_only(data), _read_only(present))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def _read_only(a) -> np.ndarray:
+    """``a`` made read-only, as every caller may share it; a list or tuple
+    becomes a float array first."""
+    a = a if isinstance(a, np.ndarray) else np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 

@@ -84,6 +84,10 @@ def test_sampling_modes_land_in_their_stratum(mlm, mode):
             assert not inside and k < 2
             for v, param in zip(geometry.coords(p, mlm), mlm.parameters):
                 assert param.lo - 0.2 * param.span <= v <= param.hi + 0.2 * param.span
+    # each stratum is its label category, decided by the labels' own table
+    category = dict(zip(anomaly.MODES, ("Nominal", "EdgeCase", "FeasibleCornerCase", "Outlier")))[mode]
+    labels = oddkit.classify_points(points, mlm, declared_transform=())
+    assert {label.category for label in labels} == {category}
 
 
 @pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])

@@ -122,12 +122,12 @@ def ref_classify_point(p, node, chain_ctx=None, tol=DEFAULT_TOL, declared_transf
 def ref_registry_match(p, chain, tol=DEFAULT_TOL):
     """Scan the whole registry; a non-finite coordinate, in ``p`` or in an
     entry, matches nothing, and entries lacking a parameter are skipped."""
-    x = geometry.normalize(geometry.coords(p, chain.mlm), chain.mlm)
+    x = geometry._geometry(chain.mlm).normalize(geometry.coords(p, chain.mlm))
     if not all(map(math.isfinite, x)):
         return False
     for r in chain.sample_registry:
         try:
-            y = geometry.normalize(geometry.coords(r, chain.mlm), chain.mlm)
+            y = geometry._geometry(chain.mlm).normalize(geometry.coords(r, chain.mlm))
         except oddkit.MissingParameter:
             continue
         if all(map(math.isfinite, y)) and max(abs(a - b) for a, b in zip(x, y)) <= tol:
@@ -177,7 +177,7 @@ def ref_stub_evaluate(stub, p):
         c0, c1, c2, c12 = stub.coefficients
         out = c0 + c1 * x[0] + c2 * x[1] + c12 * x[0] * x[1]
     else:
-        xhat = geometry.normalize(x, stub.node)
+        xhat = geometry._geometry(stub.node).normalize(x)
         rows = len(stub.table)
         cols = len(stub.table[0])
         if math.isfinite(xhat[0] * rows) and math.isfinite(xhat[1] * cols):
@@ -205,9 +205,9 @@ def ref_detect(monitor, p, chain, stub_output):
         return bool(ref_params_at_extreme(geometry.project(p, monitor.node), monitor.node, monitor.tol))
     if monitor.kind == "known_input_monitor":
         node = monitor.node or chain.mlm
-        x = geometry.normalize(geometry.coords(p, node), node)
+        x = geometry._geometry(node).normalize(geometry.coords(p, node))
         for known in monitor.known_inputs:
-            y = geometry.normalize(geometry.coords(known, node), node)
+            y = geometry._geometry(node).normalize(geometry.coords(known, node))
             if not all(map(math.isfinite, x + y)):
                 continue
             if max(abs(a - b) for a, b in zip(x, y)) <= monitor.tol:
@@ -312,10 +312,10 @@ def ref_coverage_report(points, node, grid=(20, 20), tol=DEFAULT_TOL, vertex_tol
     for p in points:
         category = ref_classify_point(p, node, None, tol, declared_transform=())[0]
         counts[category] = counts.get(category, 0) + 1
-        normalized.append(geometry.normalize(geometry.coords(p, node), node))
+        normalized.append(geometry._geometry(node).normalize(geometry.coords(p, node)))
 
     assert isinstance(node.region, Polygon2D), "the reference reads a polygon's edges"
-    vertices = [geometry.normalize(v, node) for v in node.region.vertices]
+    vertices = [geometry._geometry(node).normalize(v) for v in node.region.vertices]
     matched = 0
     for v_hat in vertices:
         if any(max(abs(a - b) for a, b in zip(v_hat, x)) <= vertex_tol for x in normalized):

@@ -61,7 +61,7 @@ def on_unit_box(node: OddNode) -> OddNode:
     """The node's polygon in normalized coordinates, over the unit box, where
     normalizing is exact: a row built at a normalized place stays there."""
     unit = tuple(Parameter(p.name, "-", 0.0, 1.0) for p in node.parameters)
-    vertices = tuple(geometry.normalize(v, node) for v in node.region.vertices)
+    vertices = tuple(geometry._geometry(node).normalize(v) for v in node.region.vertices)
     return OddNode(node.name, node.level, unit, Polygon2D(vertices))
 
 

@@ -235,6 +235,34 @@ def test_a_range_that_is_not_finite_is_e005_at_the_parameter(old, new, extended_
     assert CliRunner().invoke(cli, ["validate", str(spec)]).exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["halfspace 1 1e400 0 <= 0.4",  # an infinite coefficient
+     "halfspace 1 1e305 0 <= 0.4",  # finite, but not once scaled by the Alt span
+     "halfspace 1e308 1e308 0 <= 0.4"],
+    ids=["infinite", "scaled", "both"],
+)
+def test_a_halfspace_not_finite_once_scaled_is_e004(row, extended_spec_text, tmp_path):
+    # the scaled row once overflowed in the region checks: parse_spec raised
+    # LinAlgError, and validate exited 3
+    text = extended_spec_text.replace("halfspace 1 0 0 <= 0.4", row, 1)
+    line = text[: text.index("region polytope")].count("\n") + 1  # the member's 'region' line
+    doc = oddkit.parse_spec(text)
+    assert [(d.code, d.line, d.col) for d in doc.errors] == [("E004", line, 3)]
+    spec = tmp_path / "halfspace.odd"
+    spec.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(cli, ["validate", str(spec)])
+    assert result.exit_code == 1
+    assert "E004" in result.output and "not finite once scaled" in result.output
+
+
+def test_an_infinite_halfspace_bound_stays_valid(extended_spec_text):
+    text = extended_spec_text.replace("halfspace 1 0 0 <= 0.4", "halfspace 1 0 0 <= 1e400", 1)
+    doc = oddkit.parse_spec(text)
+    assert doc.ok
+    assert len(oddkit.sample_region(doc.node("MLMODD_ext"), 5, "nominal_interior", seed=0)) == 5
+
+
 def test_region_outside_box_e006():
     text = """
 odd "A" level mlm_odd {
@@ -714,6 +742,48 @@ def test_line_mutations_of_the_corpus_keep_the_golden_diagnostics():
     ):
         found = [f"{label}: {d}" for label, diagnostics in mutations for d in diagnostics]
         assert found == (DATA / golden).read_text(encoding="utf-8").splitlines(), golden
+
+
+def test_a_keyword_value_comes_from_the_keyword_line():
+    # 'class' at the end of its line once took 'region' as its value: five
+    # diagnostics, and the region parsed as unknown constructs
+    text = 'odd "N" {\n  param x: u range [0, 1]\n  param y: u range [0, 1] class\n  region polygon {\n'
+    text += "    (0, 0)\n    (1, 0)\n    (0, 1)\n  }\n}\n"
+    assert [str(d) for d in oddkit.parse_spec(text).diagnostics] == ["error E001 at 3:27: expected ident, got end of line"]
+    (decl,) = dsl._Parser(dsl.tokenize(text)[0]).document()
+    assert decl["polygon"][0] == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ('level mlm_odd variant as_specified allocates "MLCODD_spec" {', 'variant as_specified allocates "MLCODD_spec" level\n{', "ident"),
+        ('level mlm_odd variant as_specified allocates "MLCODD_spec" {', 'level mlm_odd allocates "MLCODD_spec" variant\n{', "ident"),
+        ('allocates "MLCODD_spec" {', "allocates\n{", "string"),
+        ('extends "MLMODD" {', "extends\n{", "string"),
+        ("class environmental\n", "class\n", "ident"),
+        ("dist uniform\n", "dist\n", "ident"),
+        ("stub bilinear 1 2 0.001 0\n", "stub\n", "ident"),
+        ("monitor output_range_monitor lo -100 hi 100 action mask\n", "monitor\n", "ident"),
+        ('node "MLMODD" action filter\n', "action filter node\n", "string"),
+        ("param Alt threshold 0.5 action failover\n", "threshold 0.5 action failover param\n", "ident"),
+        ("lo -100 hi 100 action mask\n", "lo -100 action mask hi\n", "number"),
+        ("tol 1e-06 action replace 0\n", "action replace 0 tol\n", "number"),
+        ('node "MLMODD" action filter\n', 'node "MLMODD" action filter input\n', "("),
+        ('node "MLMODD" action filter\n', 'node "MLMODD" action\n', "ident"),
+    ],
+    ids=["level", "variant", "allocates", "extends", "class", "dist", "stub", "monitor", "node", "param", "hi",
+         "tol", "input", "action"],
+)
+def test_a_line_that_ends_before_a_keyword_value_is_one_e001_at_the_keyword(old, new, expected, extended_spec_text):
+    # the value was taken from the next line, and the diagnostics that
+    # followed depended on what that line held
+    text = extended_spec_text.replace(old, new, 1)
+    at = text.index(new) + new.index("\n")  # just past the keyword
+    keyword = text[:at].split()[-1]
+    line, col = text[:at].count("\n") + 1, at - text.rindex("\n", 0, at) - len(keyword)
+    diagnostics = [(d.code, d.line, d.col, d.message) for d in oddkit.parse_spec(text).diagnostics]
+    assert diagnostics == [("E001", line, col, f"expected {expected}, got end of line")]
 
 
 def test_a_brace_in_a_monitorchain_body_ends_the_block(tmp_path):

@@ -299,7 +299,7 @@ def _hull_vertices(member, node):
 def _wolfe_distance(p, node):
     """distance_to_boundary with Wolfe's iteration for the outside members,
     over the vertices of their halfspaces."""
-    xhat = geometry.normalize(geometry.coords(p, node), node)
+    xhat = geometry._geometry(node).normalize(geometry.coords(p, node))
     best = math.inf
     for rows, member in zip(geometry._geometry(node).rows, node.region.members):
         margin = min(geometry._slacks(xhat, rows))
@@ -396,7 +396,8 @@ def test_a_facet_distance_agrees_with_the_face_table(data, seed, extended_doc):
     X += rng.normal(size=X.shape) * span * 10.0 ** rng.uniform(-9.0, 0.0, size=(len(X), 1))
     for x in X.tolist():
         p = DataPoint(dict(zip(node.parameter_names, x)))
-        got, scale = geometry.distance_to_boundary(p, node), max(1.0, *map(abs, geometry.normalize(x, node)))
+        xhat = geometry._geometry(node).normalize(x)
+        got, scale = geometry.distance_to_boundary(p, node), max(1.0, *map(abs, xhat))
         assert abs(got - _table_distance(p, node)) <= 1e-14 * scale, x
         assert got >= _wolfe_distance(p, node) - 1e-12, x
 

@@ -2,8 +2,9 @@
 enumeration and one vertex source, one polygon engine, one token cursor,
 one near-point matcher, monitors on the array engine, every stage reading
 its own coordinates, label objects built only at the API edges, spec
-diagnostics built in one place, no output formatting in the CLI, and no
-XML or URL library loaded by the CLI."""
+diagnostics built in one place, one reader of the category table, one
+read-only helper, no output formatting in the CLI, and no XML or URL
+library loaded by the CLI."""
 
 from __future__ import annotations
 
@@ -40,18 +41,18 @@ def _callers(path: Path, callee: str) -> list[str | None]:
     return found
 
 
-def _referrers(path: Path, name: str) -> set[str | None]:
+def _referrers(path: Path, name: str, loads_only: bool = False) -> set[str | None]:
     """The functions that name ``name``, as a variable or an attribute:
-    that call it, or pass it on, as ``partial(name, ...)`` does."""
+    that call it, or pass it on, as ``partial(name, ...)`` does. With
+    ``loads_only``, a name assigned to does not count."""
     found = set()
 
     def visit(node: ast.AST, fn: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        elif isinstance(node, ast.Name) and node.id == name:
-            found.add(fn)
-        elif isinstance(node, ast.Attribute) and node.attr == name:
-            found.add(fn)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            if not loads_only or isinstance(node.ctx, ast.Load):
+                found.add(fn)
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
@@ -245,6 +246,25 @@ def test_only_the_api_edges_build_label_objects():
     ):
         builders = {path.name: _builders(path, cls) for path in SRC.glob("*.py")}
         assert {name: fns for name, fns in builders.items() if fns} == owners, cls
+
+
+def test_one_owner_per_rule():
+    """No import cycle worked round with TYPE_CHECKING (Transform is a model
+    type that anomaly re-exports); the geometric category table is read by
+    one helper alone, which labels and samplers share; and one function
+    makes arrays read-only."""
+    files = sorted(SRC.glob("*.py"))
+    assert [path.name for path in files if "TYPE_CHECKING" in path.read_text(encoding="utf-8")] == []
+    assert oddkit.Transform is oddkit.anomaly.Transform is oddkit.model.Transform
+    readers = {path.name: _referrers(path, "_GEOMETRIC", loads_only=True) for path in files}
+    assert {name: fns for name, fns in readers.items() if fns} == {"classify.py": {"geometric_categories"}}
+    definitions = [
+        path.name
+        for path in files
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "_read_only"
+    ]
+    assert definitions == ["model.py"]
 
 
 def test_spec_diagnostics_are_built_in_one_place_and_listed_alike():
