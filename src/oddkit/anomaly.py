@@ -20,15 +20,6 @@ from .errors import EmptyStratum, MissingExtension
 from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Parameter, Transform
 
 
-def apply_transforms(
-    transforms: tuple[Transform, ...], values: dict[str, float]
-) -> dict[str, float]:
-    out = dict(values)
-    for t in transforms:
-        out = t.apply(out)
-    return out
-
-
 @dataclass(frozen=True)
 class Rejected:
     reason: str

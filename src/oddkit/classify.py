@@ -77,7 +77,6 @@ class Chain:
 
     mlm: OddNode
     mlc: OddNode
-    mlc_operated: OddNode | None = None
     sample_registry: tuple[DataPoint, ...] = ()
     extended: OddNode | None = None
     system_od: OddNode | None = None
@@ -108,61 +107,46 @@ def build_chain(
     doc,
     mlm_name: str | None = None,
     mlc_name: str | None = None,
-    operated_name: str | None = None,
     sample_registry: tuple[DataPoint, ...] = (),
     declared_transform: tuple[Transform, ...] = (),
 ) -> Chain:
     """Assemble a chain from a parsed spec document.
 
-    Names default to the document's unique mlm_odd / as-specified mlc_odd /
-    as-operated mlc_odd nodes; the extension and system-OD nodes are picked up
-    automatically. Raises ValueError when the chain cannot be resolved or the
-    mlm does not allocate (transitively) to the mlc.
+    Names default to the document's unique mlm_odd / as-specified mlc_odd
+    nodes; the extension and system-OD nodes are picked up automatically.
+    Raises ValueError when the chain cannot be resolved or the mlm does not
+    allocate (transitively) to the mlc, an allocation cycle included.
     """
 
-    def unique(pred, what) -> OddNode:
+    def pick(name, pred, what) -> OddNode:
+        if name:
+            return doc.node(name)
         found = [n for n in doc.nodes if pred(n)]
         if len(found) != 1:
             raise ValueError(f"cannot infer {what}: found {len(found)} candidate nodes")
         return found[0]
 
-    mlm = doc.node(mlm_name) if mlm_name else unique(lambda n: n.level == Level.MLM_ODD and n.extends is None, "mlm node")
-    mlc = (
-        doc.node(mlc_name)
-        if mlc_name
-        else unique(
-            lambda n: n.level == Level.MLC_ODD and n.variant == Variant.AS_SPECIFIED,
-            "as-specified mlc node",
-        )
+    mlm = pick(mlm_name, lambda n: n.level == Level.MLM_ODD and n.extends is None, "mlm node")
+    mlc = pick(
+        mlc_name,
+        lambda n: n.level == Level.MLC_ODD and n.variant == Variant.AS_SPECIFIED,
+        "as-specified mlc node",
     )
-    operated = None
-    if operated_name:
-        operated = doc.node(operated_name)
-    else:
-        candidates = [
-            n for n in doc.nodes if n.level == Level.MLC_ODD and n.variant == Variant.AS_OPERATED
-        ]
-        if len(candidates) == 1:
-            operated = candidates[0]
-    extended = next((n for n in doc.nodes if n.extends == mlm.name), None)
-    system_od = next((n for n in doc.nodes if n.level == Level.SYSTEM_OD), None)
-
     by_name = {n.name: n for n in doc.nodes}
-    current = mlm
-    while current.allocates is not None and current.allocates in by_name:
-        current = by_name[current.allocates]
-        if current.name == mlc.name:
-            break
-    else:
+    current, seen = mlm, set()
+    while (current := by_name.get(current.allocates)) is not None and current.name != mlc.name:
+        if current.name in seen:
+            raise ValueError(f"allocation cycle through node {current.name!r}")
+        seen.add(current.name)
+    if current is None:
         raise ValueError(f"mlm {mlm.name!r} does not allocate (transitively) to mlc {mlc.name!r}")
 
     return Chain(
         mlm=mlm,
         mlc=mlc,
-        mlc_operated=operated,
         sample_registry=sample_registry,
-        extended=extended,
-        system_od=system_od,
+        extended=next((n for n in doc.nodes if n.extends == mlm.name), None),
+        system_od=next((n for n in doc.nodes if n.level == Level.SYSTEM_OD), None),
         declared_transform=declared_transform,
     )
 
@@ -268,7 +252,7 @@ def _raw_mismatch(
     spans = np.array([node.parameter(n).span if n in node.parameter_names else 1.0 for n in names])
     expected = raw.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in transforms:  # as apply_transforms does, a column at a time
+        for t in transforms:  # as a fold of Transform.apply, a column at a time
             if t.parameter in names:
                 j = names.index(t.parameter)
                 expected[:, j] = t(expected[:, j])

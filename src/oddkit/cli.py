@@ -70,20 +70,13 @@ def _write_output(path: str | None, content: str, force: bool) -> None:
 
 
 def _build_chain(doc, chain_spec: str | None, transforms=()) -> classify.Chain:
-    names: list[str | None] = [None, None, None]
+    names: list[str | None] = [None, None]
     if chain_spec:
-        parts = [p.strip() for p in chain_spec.split(",")]
-        if len(parts) not in (2, 3):
-            raise click.UsageError("--chain expects MLM,MLC[,OPERATED]")
-        names[: len(parts)] = parts
+        names = [p.strip() for p in chain_spec.split(",")]
+        if len(names) != 2:
+            raise click.UsageError("--chain expects MLM,MLC")
     try:
-        return classify.build_chain(
-            doc,
-            mlm_name=names[0],
-            mlc_name=names[1],
-            operated_name=names[2],
-            declared_transform=tuple(transforms),
-        )
+        return classify.build_chain(doc, *names, declared_transform=tuple(transforms))
     except (ValueError, KeyError) as exc:
         raise click.ClickException(f"cannot assemble chain: {exc}") from exc
 
@@ -121,7 +114,7 @@ def validate(spec: str) -> None:
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--node", "node_name", help="Classify categories against one node only.")
-@click.option("--chain", "chain_spec", help="MLM,MLC[,OPERATED] node names.")
+@click.option("--chain", "chain_spec", help="MLM,MLC node names.")
 @click.option("--transform", "transform_specs", multiple=True, help="Declared preprocessing (KIND:PARAM:VALUE).")
 @click.option("--out", "out_path", help="Output CSV path (default stdout).")
 @click.option("--force", is_flag=True, help="Overwrite an existing output file.")
@@ -143,7 +136,7 @@ def classify_cmd(spec, data, node_name, chain_spec, transform_specs, out_path, f
 @cli.command()
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
-@click.option("--chain", "chain_spec", help="MLM,MLC[,OPERATED] node names.")
+@click.option("--chain", "chain_spec", help="MLM,MLC node names.")
 @click.option("--out", "out_path", help="Output CSV path (default stdout).")
 @click.option("--force", is_flag=True)
 def partition(spec, data, chain_spec, out_path, force) -> None:
@@ -158,7 +151,7 @@ def partition(spec, data, chain_spec, out_path, force) -> None:
 @cli.command()
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
-@click.option("--chain", "chain_spec", help="MLM,MLC[,OPERATED] node names.")
+@click.option("--chain", "chain_spec", help="MLM,MLC node names.")
 @click.option("--rules", "rules_path", type=click.Path(exists=True, dir_okay=False),
               help="Rule base file (default: ODDKIT_RULES or the packaged rules).")
 @click.option("--format", "fmt_name", type=click.Choice(["text", "csv"]), default="text")
@@ -246,7 +239,7 @@ def generate(spec, node_name, mode, count, seed, transform_specs, out_path, forc
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--scenario", required=True, help="monitorchain block name in the spec.")
-@click.option("--chain", "chain_spec", help="MLM,MLC[,OPERATED] node names.")
+@click.option("--chain", "chain_spec", help="MLM,MLC node names.")
 @click.option("--transform", "transform_specs", multiple=True, help="Declared preprocessing.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", help="Verdicts CSV path (default stdout).")
@@ -278,7 +271,7 @@ def simulate(spec, data, scenario, chain_spec, transform_specs, seed, out_path, 
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False), required=False)
 @click.option("--node", "node_names", multiple=True, help="Restrict to these nodes.")
-@click.option("--chain", "chain_spec", help="MLM,MLC[,OPERATED] for point labeling.")
+@click.option("--chain", "chain_spec", help="MLM,MLC for point labeling.")
 @click.option("--out", "out_path", help="Output SVG path (default stdout).")
 @click.option("--force", is_flag=True)
 def render_cmd(spec, data, node_names, chain_spec, out_path, force) -> None:

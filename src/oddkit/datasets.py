@@ -45,11 +45,6 @@ class Dataset:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
-    def extras(self) -> dict[int, dict[str, str]]:
-        """The unrecognized columns' non-empty cells, for the rows that have any."""
-        return self.points.extras
-
-    @property
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
 

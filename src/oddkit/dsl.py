@@ -237,14 +237,16 @@ class _Parser:
     A reader returns what it read, or None once it has reported a missing or
     bad token. The statement it was reading then ends: a node's ``param``
     line is skipped to its end, a ``region`` or a ``monitorchain`` block to
-    its closing brace. :meth:`value` reads a keyword's value, which starts
-    on the keyword's own line."""
+    its closing brace. :meth:`value` reads a keyword's value, which lies on
+    the keyword's own line."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.end = len(tokens)  # the end of input, or of a line by :meth:`value`
+        # where a read that runs out reports: the keyword whose line :meth:`value` reads, else the last token
+        self.keyword = tokens[-1] if tokens else Token("eof", "", 1, 1)
 
     # token stream helpers
 
@@ -259,7 +261,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None, code: str = "E001"):
         if tok is None:
-            tok = self.peek() or (self.tokens[self.end - 1] if self.end else Token("eof", "", 1, 1))
+            tok = self.peek() or self.keyword
         self.diagnostics.append(_diagnostic(code, message, tok.line, tok.col))
 
     def skip_unknown(self, tok: Token, where: str) -> bool:
@@ -293,24 +295,25 @@ class _Parser:
         return found
 
     def value(self, keyword: Token, read, *args):
-        """What ``read(self, *args)`` reads as ``keyword``'s value, which
-        starts on the keyword's line: where the line ends first, ``read``
-        finds no token and reports ``got end of line`` at the keyword."""
-        if (tok := self.peek()) is None or tok.line != keyword.line:
-            self.end = self.pos
+        """What ``read(self, *args)`` reads as ``keyword``'s value, which lies
+        on the keyword's line: where the line ends first, ``read`` finds no
+        token and reports ``got end of line`` at the keyword."""
+        outer = self.end, self.keyword
+        self.end, self.keyword = self.pos, keyword
+        while self.end < outer[0] and self.tokens[self.end].line == keyword.line:
+            self.end += 1
         found = read(self, *args)
-        self.end = len(self.tokens)
+        self.end, self.keyword = outer
         return found
 
-    def options(self, readers: dict, own_line: bool = False) -> list[tuple[str, object]] | None:
+    def options(self, readers: dict) -> list[tuple[str, object]] | None:
         """Read ``keyword value`` pairs while the next token is a keyword of
-        ``readers``, each value by its reader (a function of the parser), through
-        :meth:`value` with ``own_line``: the pairs in order, or None once one fails."""
+        ``readers``, each value by its reader (a function of the parser) through
+        :meth:`value`: the pairs in order, or None once one fails."""
         pairs = []
         while (tok := self.peek()) is not None and tok.kind == "ident" and tok.value in readers:
             self.pos += 1
-            read = readers[tok.value]
-            if (found := self.value(tok, read) if own_line else read(self)) is None:
+            if (found := self.value(tok, readers[tok.value])) is None:
                 return None
             pairs.append((tok.value, found))
         return pairs
@@ -414,7 +417,7 @@ class _Parser:
     def monitor(self) -> MonitorDecl | None:
         start = self.tokens[self.pos - 1]  # 'monitor'
         kind = self.ident()
-        options = None if kind is None else self.options(self._MONITOR_OPTIONS, own_line=True)
+        options = None if kind is None else self.options(self._MONITOR_OPTIONS)
         if options is None:
             return None
         opts = {key: value for key, value in options if key != "input"}
@@ -454,6 +457,7 @@ class _Parser:
             "loc": (start.line, start.col),
             "bad": False,
             "lost_param": False,  # a param that did not parse: the region is not checked
+            "lost_region": False,  # a region that did not parse: its absence is not reported
         }
         while (tok := self.peek()) is not None and tok.value != "{":
             self.next()
@@ -477,7 +481,7 @@ class _Parser:
                     decl["bad"] = decl["lost_param"] = True
             elif tok.kind == "ident" and tok.value == "region":
                 if not self.region_decl(decl):
-                    decl["bad"] = True
+                    decl["bad"] = decl["lost_region"] = True
             elif self.skip_unknown(tok, "node body"):
                 break
         if self.expect("}") is None:
@@ -487,7 +491,7 @@ class _Parser:
     def param_decl(self):
         start = self.next()  # 'param'
         head = self.expect("ident", ":", "ident", "range", "[", "number", ",", "number", "]")
-        options = head and self.options(self._PARAM_OPTIONS, own_line=True)
+        options = head and self.options(self._PARAM_OPTIONS)
         if options is None:
             self.skip_line(start.line)
             return None
@@ -539,7 +543,7 @@ class _Parser:
             return None
         items = []
         while (tok := self.peek()) is not None and tok.value != "}":
-            found = self.options(self._CHAIN_ITEMS, own_line=True)
+            found = self.options(self._CHAIN_ITEMS)
             if found is None:
                 self.skip_block()
                 return None
@@ -651,7 +655,7 @@ def _node_problems(decl: dict, params: tuple[Parameter, ...]):
         regions = [(_polytope_problem(h, v, params), loc) for h, v, loc in decl["polytopes"]]
     for (code, message), loc in (r for r in regions if r[0]):
         yield code, f"node {name!r}: {message}", loc
-    if not regions:
+    if not regions and not decl["lost_region"]:
         yield "E004", f"node {name!r} has no region", decl["loc"]
 
 

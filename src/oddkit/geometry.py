@@ -571,9 +571,7 @@ def extreme_mask(X: np.ndarray, node: OddNode, tol: float = DEFAULT_TOL) -> np.n
     return out
 
 
-def distance_to_boundary(
-    p: DataPoint, node: OddNode, tol: float = DEFAULT_TOL
-) -> float:
+def distance_to_boundary(p: DataPoint, node: OddNode) -> float:
     """Minimal normalized distance from the point to the region boundary.
 
     Inside a polytope member this is the member's minimal face slack; outside
@@ -691,11 +689,13 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
     hull of its projected vertices, bounded by chords between them; a polygon
     is bounded by its edges. Along a chord, containment in ``outer`` changes
     only where it crosses an edge line or halfspace plane of ``outer``, so the
-    endpoints and the midpoints between crossings decide it. The witness is
-    the first failing point, vertices first. With none failing, the answer is
-    ``contained`` when ``outer`` is a simple polygon, a single member or one
-    parameter, or when each piece's projected vertices lie in one member of
-    the union; otherwise it is undecided (None).
+    endpoints and the midpoints between crossings decide it. A single member,
+    grown by ``tol``, is convex and holds the hull of the points it holds, so
+    against one the vertices alone decide. The witness is the first failing
+    point, vertices first. With none failing, the answer is ``contained``
+    when ``outer`` is a simple polygon, a single member or one parameter, or
+    when each piece's projected vertices lie in one member of the union;
+    otherwise it is undecided (None).
     """
     missing = set(outer.parameter_names) - set(inner.parameter_names)
     if missing:
@@ -705,27 +705,29 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
         )
     columns = [inner.parameter_names.index(name) for name in outer.parameter_names]
     pieces = region_pieces(inner)
-    if isinstance(inner.region, Polygon2D):  # its edges project onto the boundary
-        starts, ends = pieces[0], np.roll(pieces[0], -1, axis=0)
-    else:  # one lift per projected vertex: the others add only chords inside the hull
-        lifts = [V[np.sort(np.unique(V[:, columns], axis=0, return_index=True)[1])] for V in pieces]
-        pairs = [(V[i], V[j]) for V in lifts for i, j in combinations(range(len(V)), 2)]
-        starts, ends = np.reshape(pairs, (-1, 2, len(inner.parameters))).transpose(1, 0, 2)
-    if isinstance(outer.region, Polygon2D):
-        ax, ay, _, dx, dy, _, _ = _geometry(outer).edges
-        N, c = np.column_stack([-dy, dx]), dx * ay - dy * ax
-    else:
-        N, c = (np.concatenate(part) for part in zip(*_geometry(outer).members))
-    p0, p1 = (normalize_array(P[:, columns], outer) for P in (starts, ends))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (c - p0 @ N.T) / ((p1 - p0) @ N.T)  # crossings; 0 and 1 are the endpoints
-    t = np.sort(np.hstack([np.zeros((len(t), 1)), np.where((t > 0) & (t < 1), t, 1.0)]), axis=1)
-    chords = starts[:, None] + (t[:, :-1, None] + t[:, 1:, None]) / 2 * (ends - starts)[:, None]
-    X = np.vstack([*pieces, chords.reshape(-1, len(inner.parameters))])
+    X = np.vstack(pieces)
+    if not (single := isinstance(outer.region, PolytopeUnion) and len(outer.region.members) == 1):
+        if isinstance(inner.region, Polygon2D):  # its edges project onto the boundary
+            starts, ends = pieces[0], np.roll(pieces[0], -1, axis=0)
+        else:  # one lift per projected vertex: the others add only chords inside the hull
+            lifts = [V[np.sort(np.unique(V[:, columns], axis=0, return_index=True)[1])] for V in pieces]
+            pairs = [(V[i], V[j]) for V in lifts for i, j in combinations(range(len(V)), 2)]
+            starts, ends = np.reshape(pairs, (-1, 2, len(inner.parameters))).transpose(1, 0, 2)
+        if isinstance(outer.region, Polygon2D):
+            ax, ay, _, dx, dy, _, _ = _geometry(outer).edges
+            N, c = np.column_stack([-dy, dx]), dx * ay - dy * ax
+        else:
+            N, c = (np.concatenate(part) for part in zip(*_geometry(outer).members))
+        p0, p1 = (normalize_array(P[:, columns], outer) for P in (starts, ends))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (c - p0 @ N.T) / ((p1 - p0) @ N.T)  # crossings; 0 and 1 are the endpoints
+        t = np.sort(np.hstack([np.zeros((len(t), 1)), np.where((t > 0) & (t < 1), t, 1.0)]), axis=1)
+        chords = starts[:, None] + (t[:, :-1, None] + t[:, 1:, None]) / 2 * (ends - starts)[:, None]
+        X = np.vstack([X, chords.reshape(-1, len(inner.parameters))])
     failing = np.flatnonzero(region_containment(X[:, columns], outer, tol) == OUTSIDE)
     if len(failing):
         return ContainsResult(False, DataPoint(dict(zip(inner.parameter_names, X[failing[0]].tolist()))))
-    if isinstance(outer.region, Polygon2D) or len(outer.region.members) == 1 or len(columns) == 1:
+    if single or isinstance(outer.region, Polygon2D) or len(columns) == 1:
         return ContainsResult(True)
     members = [replace(outer, region=PolytopeUnion((m,))) for m in outer.region.members]
     fits = [any((region_containment(V[:, columns], m, tol) != OUTSIDE).all() for m in members) for V in pieces]

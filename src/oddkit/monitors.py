@@ -98,7 +98,6 @@ class Monitor:
     hi: float = math.inf
     param: str | None = None
     action: str = "filter"
-    action_value: float | None = None
     known_inputs: tuple[DataPoint, ...] = ()
 
     def __post_init__(self):
@@ -148,8 +147,7 @@ def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Mo
         node = doc.node(d.node) if d.node is not None else None
         known_inputs = tuple(DataPoint(dict(zip(node.parameter_names, pt))) for pt in d.inputs)
         declared = {key: getattr(d, key) for key in ("tol", "threshold", "lo", "hi") if getattr(d, key) is not None}
-        monitors.append(Monitor(d.kind, node, param=d.param, action=d.action, action_value=d.action_value,
-                                known_inputs=known_inputs, **declared))
+        monitors.append(Monitor(d.kind, node, param=d.param, action=d.action, known_inputs=known_inputs, **declared))
     return monitors
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -60,7 +61,7 @@ def ref_params_at_extreme(p, node, tol=DEFAULT_TOL):
 
 def ref_raw_mismatch(p, node, transforms, tol):
     """Parameters whose declared-transform-of-raw disagrees with the recorded value."""
-    expected = oddkit.apply_transforms(transforms, dict(p.provenance_raw or {}))
+    expected = functools.reduce(lambda values, t: t.apply(values), transforms, dict(p.provenance_raw or {}))
     mismatched = []
     for name, exp in expected.items():
         if name not in p.values:

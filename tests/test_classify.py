@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,29 @@ def test_build_chain_rejects_broken_allocation(extended_spec_text):
     assert doc.ok
     with pytest.raises(ValueError):
         oddkit.build_chain(doc)
+
+
+def test_build_chain_stops_on_an_allocation_cycle(extended_spec_text, tmp_path):
+    # MLMODD -> MLCODD_oper -> SOD -> MLCODD_oper, which never reaches MLCODD_spec
+    text = extended_spec_text.replace('allocates "MLCODD_spec" {', 'allocates "MLCODD_oper" {')
+    text = text.replace("level system_od variant as_specified {", 'level system_od allocates "MLCODD_oper" {')
+    spec = tmp_path / "cycle.odd"
+    spec.write_text(text, encoding="utf-8")
+    # in a child process, so a walk that loops fails here instead of hanging the suite
+    search_path = [str(Path(oddkit.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    code = (
+        "import sys, oddkit\n"
+        "doc = oddkit.parse_spec(open(sys.argv[1], encoding='utf-8').read())\n"
+        "print(sorted({d.code for d in doc.errors}))\n"
+        "try:\n"
+        "    oddkit.build_chain(doc)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(spec)], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['E008']", "allocation cycle through node 'MLCODD_oper'"]
 
 
 def test_chain_level_checks(extended_doc):

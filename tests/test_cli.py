@@ -68,6 +68,15 @@ def test_classify_single_node(runner, spec_path, points_path):
     assert lines[7].startswith("6,FeasibleCornerCase,1")
 
 
+def test_chain_takes_two_names(runner, spec_path, points_path, golden_labels_text):
+    result = runner.invoke(cli, ["classify", spec_path, points_path, "--chain", "MLMODD,MLCODD_spec"])
+    assert result.exit_code == 0
+    assert result.output == golden_labels_text
+    result = runner.invoke(cli, ["classify", spec_path, points_path, "--chain", "MLMODD,MLCODD_spec,MLCODD_oper"])
+    assert result.exit_code == 2
+    assert "--chain expects MLM,MLC" in result.output
+
+
 def test_output_overwrite_needs_force(runner, spec_path, points_path, tmp_path):
     out = tmp_path / "labels.csv"
     args = ["classify", spec_path, points_path, "--out", str(out)]

@@ -55,7 +55,7 @@ def test_unrecognized_column_w101_kept_as_extra(node):
     ds = oddkit.parse_dataset("Mach,Alt,note\n0.1,5,hello\n", node)
     assert ds.ok
     assert any(d.code == "W101" for d in ds.diagnostics)
-    assert ds.extras[0] == {"note": "hello"}
+    assert ds.points.extras[0] == {"note": "hello"}
 
 
 def test_leading_comment_lines_skipped(node):
@@ -146,7 +146,7 @@ def test_a_hidden_column_without_a_name_is_w101(node):
         ("W101", "unrecognized column 'hidden:' ignored")
     ]
     assert ds.points[0].hidden_values is None
-    assert ds.extras == {0: {"hidden:": "5"}}
+    assert ds.points.extras == {0: {"hidden:": "5"}}
 
 
 def test_points_are_read_only_columns(golden_dataset):
@@ -256,7 +256,7 @@ def test_parse_equals_the_row_by_row_reference(extended_doc, text):
     assert len(ds.points) == len(points)
     assert list(ds.points) == points
     assert [ds.points[i] for i in range(len(points))] == points
-    assert ds.extras == {i: extra for i, extra in enumerate(extras) if extra}
+    assert ds.points.extras == {i: extra for i, extra in enumerate(extras) if extra}
     assert oddkit.parse_dataset(text.encode("utf-8"), node).diagnostics == ds.diagnostics
 
 

@@ -786,6 +786,41 @@ def test_a_line_that_ends_before_a_keyword_value_is_one_e001_at_the_keyword(old,
     assert diagnostics == [("E001", line, col, f"expected {expected}, got end of line")]
 
 
+_SQUARE = """odd "N" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polytope {
+    halfspace 1 0 <= 1
+    halfspace 0 1 <= 1
+    halfspace -1 0 <= 0
+    halfspace 0 -1 <= 0
+    vertex (0, 0) vertex (1, 0) vertex (1, 1) vertex (0, 1)
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, expected, at",
+    [
+        ("halfspace 1 0 <= 1\n", "halfspace 1 0 <=\n", "number", "5:5"),
+        ("vertex (0, 1)\n", "vertex (0, 1\n", ")", "9:47"),
+    ],
+    ids=["halfspace", "vertex"],
+)
+def test_a_polytope_item_is_read_within_its_line(old, new, expected, at):
+    # the item once read on into the next line, reported what it found there,
+    # and the region block it lost gave an E004 "has no region" as well
+    diagnostics = oddkit.parse_spec(_SQUARE.replace(old, new, 1)).diagnostics
+    assert [str(d) for d in diagnostics] == [f"error E001 at {at}: expected {expected}, got end of line"]
+
+
+def test_a_rule_field_is_read_within_its_line():
+    # 'kinds [InMOD&InS' once read 'categories' as a kind and reported the next line's '['
+    text = "rule {\n  kinds [InMOD&InS\n  categories [Nominal]\n  E [x]\n}\n"
+    assert [str(d) for d in oddkit.parse_rules(text)[1]] == ["error E001 at 2:3: expected ], got end of line"]
+
+
 def test_a_brace_in_a_monitorchain_body_ends_the_block(tmp_path):
     repro = 'monitorchain "a" {\n  stub bilinear 1 2 0 0\nmonitorchain "b" {\n  stub bilinear 1 2 0 0\n}\n'
     texts = [repro] + [text for _, text in _line_mutations(keep=_BRACE_IN_MONITORCHAIN.__contains__)]

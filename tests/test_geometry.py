@@ -564,6 +564,25 @@ def test_contains_node_reads_the_halfspaces_not_the_listed_vertices():
     assert result.witness.values["x"] == pytest.approx(0.9)
 
 
+def test_contains_node_tests_only_the_vertices_against_a_single_member(monkeypatch):
+    # an 8-parameter box over a 7-parameter one: a single convex member grown
+    # by tol holds the hull of the points it holds, so the 2^8 vertices decide
+    # and no chord point is built
+    base = _node("base", [(0.0, 1.0)] * 7, [_box([0.0] * 7, [1.0] * 7)])
+    ext = _node("ext", [(0.0, 1.0)] * 8, [_box([0.0] * 8, [1.0] * 8)])
+    rows = []
+    engine = geometry.region_containment
+    monkeypatch.setattr(geometry, "region_containment", lambda X, *args: rows.append(len(X)) or engine(X, *args))
+    assert geometry.contains_node(ext, base).contained is True
+    assert rows == [2**8]
+    # a failing vertex is the witness, as when the chords followed it
+    base = _node("base", [(0.0, 1.0)] * 2, [_box([0.0] * 2, [1.0] * 2)])
+    inner = _node("inner", [(0.0, 2.0), (0.0, 1.0), (0.0, 1.0)], [_box([0.5, 0.2, 0.0], [1.5, 0.8, 1.0])])
+    result = geometry.contains_node(inner, base)
+    assert result.contained is False
+    assert result.witness.values == {"x0": 1.5, "x1": 0.8, "x2": 1.0}
+
+
 def _star_polygon(gaps, radii):
     """A simple polygon: vertices at increasing angles around (0.5, 0.5)."""
     angles = np.cumsum(gaps) / np.sum(gaps) * 2 * math.pi

@@ -3,8 +3,8 @@ enumeration and one vertex source, one polygon engine, one token cursor,
 one near-point matcher, monitors on the array engine, every stage reading
 its own coordinates, label objects built only at the API edges, spec
 diagnostics built in one place, one reader of the category table, one
-read-only helper, no output formatting in the CLI, and no XML or URL
-library loaded by the CLI."""
+read-only helper, no output formatting in the CLI, no XML or URL library
+loaded by the CLI, and no parameter that a function never reads."""
 
 from __future__ import annotations
 
@@ -306,3 +306,23 @@ def test_cli_import_loads_no_xml_or_url_library():
     assert "oddkit.cli" in loaded
     banned = ("xml.etree", "xml.sax", "urllib.request")
     assert [m for m in loaded if m.startswith(banned)] == []
+
+
+def test_every_parameter_is_read():
+    """A parameter whose function body never reads it is a setting that
+    changes no output. ``self`` and ``cls`` are exempt."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            unread += [
+                f"{path.name}:{getattr(fn, 'name', 'lambda')}:{a.arg}"
+                for a in params
+                if a is not None and a.arg not in read and a.arg not in ("self", "cls")
+            ]
+    assert unread == []
