@@ -194,13 +194,12 @@ def analyze_partitions(
     points: Points | list[DataPoint],
     chain: Chain,
     rules: RuleBase,
-    tol: float = DEFAULT_TOL,
 ) -> AnalysisReport:
     """One section per populated partition, in :func:`full_key_space` order."""
     return AnalysisReport(
         [
             PartitionSection(key=key, count=len(rows), rows=tuple(rows), erla=rules.lookup(key))
-            for key, rows in partition_dataset(points, chain, tol).items()
+            for key, rows in partition_dataset(points, chain).items()
         ]
     )
 
@@ -238,7 +237,6 @@ def coverage_report(
     points: Points | list[DataPoint],
     node: OddNode,
     grid: tuple[int, int] = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
 ) -> CoverageReport:
     """Desk-scale coverage metrics for a dataset against one node.
 
@@ -252,7 +250,7 @@ def coverage_report(
 
     points = Points.of(points)
     X = geometry.coords_array(points, node)
-    categories = classify_points(points, node, tol=tol, declared_transform=()).categories
+    categories = classify_points(points, node, declared_transform=()).categories
     # in the order the categories first occur
     present, first, number = np.unique(categories, return_index=True, return_counts=True)
     counts = {
@@ -265,10 +263,10 @@ def coverage_report(
     vertex_coverage = int(covers.sum()) / len(V_hat) if len(V_hat) else 0.0
 
     # a point covers a bound slice the region reaches when it lies near both
-    near_region = geometry.point_codes(points, node, max(tol, _VERTEX_TOL)) != geometry.OUTSIDE
+    near_region = geometry.point_codes(points, node, max(DEFAULT_TOL, _VERTEX_TOL)) != geometry.OUTSIDE
     bounds_hat = geometry.normalize_array(np.array(node.box).T, node)  # rows lo, hi
     at_bound = near_region[:, None, None] & (np.abs(X_hat[:, None] - bounds_hat) <= _VERTEX_TOL)
-    reached = geometry.bounds_reached(node, tol).T
+    reached = geometry.bounds_reached(node).T
     feasible_slices = int(reached.sum())
     covered_slices = int((at_bound.any(axis=0) & reached).sum())
     edge_coverage = covered_slices / feasible_slices if feasible_slices else 0.0
@@ -280,7 +278,7 @@ def coverage_report(
     occupied_cells[cell[:, 0], cell[:, 1]] = True
     ci, cj = np.meshgrid((np.arange(nx) + 0.5) / nx, (np.arange(ny) + 0.5) / ny, indexing="ij")
     centers = geometry.denormalize_array(np.column_stack([ci.ravel(), cj.ravel()]), node)
-    interior = (geometry.region_containment(centers, node, tol) != geometry.OUTSIDE).reshape(nx, ny)
+    interior = (geometry.region_containment(centers, node) != geometry.OUTSIDE).reshape(nx, ny)
     interior_cells = int(interior.sum())
     occupied = int((interior & occupied_cells).sum())
     interior_grid_coverage = occupied / interior_cells if interior_cells else 0.0

@@ -25,9 +25,7 @@ class Rejected:
     reason: str
 
 
-def inject_inlier(
-    p: DataPoint, t: Transform, node: OddNode, tol: float = DEFAULT_TOL
-) -> DataPoint | Rejected:
+def inject_inlier(p: DataPoint, t: Transform, node: OddNode) -> DataPoint | Rejected:
     """Corrupt a point through ``t``, keeping the original values as provenance.
 
     Accepted only if the corruption changed the point and the result lands
@@ -35,7 +33,7 @@ def inject_inlier(
     """
     corrupted = t.apply(p.values)
     changed = any(
-        abs(corrupted[param.name] - p.values[param.name]) > tol * param.span
+        abs(corrupted[param.name] - p.values[param.name]) > DEFAULT_TOL * param.span
         for param in node.parameters
         if param.name in p.values
     )
@@ -47,14 +45,12 @@ def inject_inlier(
         hidden_values=dict(p.hidden_values) if p.hidden_values else None,
         in_sample=p.in_sample,
     )
-    if geometry.point_in_region(candidate, node, tol) == Containment.OUTSIDE:
+    if geometry.point_in_region(candidate, node) == Containment.OUTSIDE:
         return Rejected("corrupted point does not land inside the region")
     return candidate
 
 
-def make_novelty(
-    base: DataPoint, chain: Chain, tol: float = DEFAULT_TOL
-) -> DataPoint | Rejected:
+def make_novelty(base: DataPoint, chain: Chain) -> DataPoint | Rejected:
     """Project a point over extended parameters down to the declared ODD.
 
     Accepted only when the full point is outside the extension node while its
@@ -65,10 +61,10 @@ def make_novelty(
         raise MissingExtension("chain has no extension node")
     ext = chain.extended
     mlm = chain.mlm
-    if geometry.point_in_region(base, ext, tol) != Containment.OUTSIDE:
+    if geometry.point_in_region(base, ext) != Containment.OUTSIDE:
         return Rejected("point is inside the extended node: not novelty")
     projected = geometry.project(base, mlm)
-    if geometry.point_in_region(projected, mlm, tol) == Containment.OUTSIDE:
+    if geometry.point_in_region(projected, mlm) == Containment.OUTSIDE:
         return Rejected("projection is outside the base node: outlier, not novelty")
     hidden_names = [n for n in ext.parameter_names if n not in mlm.parameter_names]
     hidden = {n: base.values[n] for n in hidden_names}
@@ -118,11 +114,11 @@ def _points(X: np.ndarray, node: OddNode) -> list[DataPoint]:
     return [DataPoint(dict(zip(names, row))) for row in X.tolist()]
 
 
-def _in_stratum(X: np.ndarray, node: OddNode, mode: str, tol: float) -> np.ndarray:
+def _in_stratum(X: np.ndarray, node: OddNode, mode: str) -> np.ndarray:
     """Which rows of ``X`` label as ``mode``'s category; a nominal_interior
     row must also be strictly inside, not on the boundary."""
-    codes = geometry.region_containment(X, node, tol)
-    keep = geometric_categories(codes, X, node, tol) == _STRATA[mode]
+    codes = geometry.region_containment(X, node)
+    keep = geometric_categories(codes, X, node) == _STRATA[mode]
     return keep & (codes == geometry.INSIDE) if mode == "nominal_interior" else keep
 
 
@@ -149,13 +145,7 @@ def _draw_and_accept(n: int, seed: int, params, accept, what: str) -> list[DataP
     return out[:n]
 
 
-def sample_region(
-    node: OddNode,
-    n: int,
-    mode: str,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-) -> list[DataPoint]:
+def sample_region(node: OddNode, n: int, mode: str, seed: int) -> list[DataPoint]:
     """Draw ``n`` points from the requested stratum of a node's region.
 
     Deterministic given ``seed``. Every returned point classifies into exactly
@@ -174,14 +164,14 @@ def sample_region(
     if n == 0:
         return []
     if mode == "feasible_corner":
-        V = geometry.region_vertices(node, tol)
-        corners = _points(V[_in_stratum(V, node, mode, tol)], node)
+        V = geometry.region_vertices(node)
+        corners = _points(V[_in_stratum(V, node, mode)], node)
         if not corners:
             raise EmptyStratum(
                 f"node {node.name!r} has no vertices with >= 2 parameters at extremes"
             )
         return [corners[i % len(corners)] for i in range(n)]
-    if mode == "edge" and not geometry.bounds_reached(node, tol).any():
+    if mode == "edge" and not geometry.bounds_reached(node).any():
         raise EmptyStratum(f"node {node.name!r} reaches no range bound: it has no edge points")
     params = node.parameters
     if mode == "outlier_ring":
@@ -192,14 +182,12 @@ def sample_region(
         if mode == "edge":  # row i of a block pins its parameter to bounds[i mod 2d]
             pair = np.arange(len(X)) % bounds.size
             X[np.arange(len(X)), pair // 2] = bounds[pair]
-        return _points(X[_in_stratum(X, node, mode, tol)], node)
+        return _points(X[_in_stratum(X, node, mode)], node)
 
     return _draw_and_accept(n, seed, params, accept, f"{mode} points for node {node.name!r}")
 
 
-def sample_inliers(
-    node: OddNode, n: int, transforms: tuple[Transform, ...], seed: int, tol: float = DEFAULT_TOL
-) -> list[DataPoint]:
+def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], seed: int) -> list[DataPoint]:
     """Draw ``n`` inliers of ``node``, deterministic given ``seed``.
 
     Nominal-interior candidates are corrupted through each transform in turn
@@ -211,10 +199,10 @@ def sample_inliers(
 
     def accept(X):
         out = []
-        for p in _points(X[_in_stratum(X, node, "nominal_interior", tol)], node):
+        for p in _points(X[_in_stratum(X, node, "nominal_interior")], node):
             result: DataPoint | Rejected = p
             for t in transforms:
-                result = inject_inlier(result, t, node, tol)
+                result = inject_inlier(result, t, node)
                 if isinstance(result, Rejected):
                     break
             else:
@@ -224,9 +212,7 @@ def sample_inliers(
     return _draw_and_accept(n, seed, node.parameters, accept, f"inliers for node {node.name!r}")
 
 
-def sample_novelty(
-    chain: Chain, n: int, seed: int, tol: float = DEFAULT_TOL
-) -> list[DataPoint]:
+def sample_novelty(chain: Chain, n: int, seed: int) -> list[DataPoint]:
     """Draw ``n`` novelty points of the chain's extension, deterministic given ``seed``.
 
     Candidates are uniform over the extension's box, with the parameters the
@@ -240,7 +226,7 @@ def sample_novelty(
     box = [_widened(p, 0.0 if p.name in base else _NOVELTY_INFLATION) for p in ext.parameters]
 
     def accept(X):
-        made = (make_novelty(p, chain, tol) for p in _points(X, ext))
+        made = (make_novelty(p, chain) for p in _points(X, ext))
         return [p for p in made if not isinstance(p, Rejected)]
 
     return _draw_and_accept(n, seed, box, accept, f"novelty points for extension {ext.name!r}")

@@ -82,11 +82,9 @@ class Chain:
     system_od: OddNode | None = None
     # declared preprocessing applied to raw values; empty means identity
     declared_transform: tuple[Transform, ...] = ()
-    # the sample registry's NearIndex per tol, built by registry_matches on
-    # first use; left out of equality and repr
-    registry_indexes: dict[float, NearIndex] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # the sample registry's NearIndex, built by registry_matches on first
+    # use; left out of equality and repr
+    registry_index: NearIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a tuple, so the registry the index was built from cannot change
@@ -238,7 +236,6 @@ def _raw_mismatch(
     points: Points,
     node: OddNode,
     transforms: tuple[Transform, ...],
-    tol: float,
     counted: Collection[str] | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The recorded raw names in sorted order, and per point and name: does
@@ -256,7 +253,7 @@ def _raw_mismatch(
             if t.parameter in names:
                 j = names.index(t.parameter)
                 expected[:, j] = t(expected[:, j])
-        differs = np.abs(expected - values) > tol * spans
+        differs = np.abs(expected - values) > DEFAULT_TOL * spans
     return names, recorded & declared & differs
 
 
@@ -274,14 +271,14 @@ _GEOMETRIC = np.array(
 )
 
 
-def geometric_categories(codes: np.ndarray, X: np.ndarray, node: OddNode, tol: float) -> np.ndarray:
+def geometric_categories(codes: np.ndarray, X: np.ndarray, node: OddNode) -> np.ndarray:
     """The geometric category code of each row of ``X``, coordinates in ``node``
     with containment codes ``codes``: the one reader of ``_GEOMETRIC``."""
-    extremes = np.minimum(geometry.extreme_mask(X, node, tol).sum(axis=1), 2)
+    extremes = np.minimum(geometry.extreme_mask(X, node).sum(axis=1), 2)
     return _GEOMETRIC[codes, extremes]
 
 
-def _outside_extension(points: Points, ext: OddNode, tol: float) -> np.ndarray:
+def _outside_extension(points: Points, ext: OddNode) -> np.ndarray:
     """Per point: do its declared and hidden values fall outside ``ext``?
 
     A hidden value overrides a declared one of the same name, as in
@@ -291,7 +288,7 @@ def _outside_extension(points: Points, ext: OddNode, tol: float) -> np.ndarray:
     X, declared = points.values.select(ext.parameter_names)
     H, hidden = points.hidden.select(ext.parameter_names)
     covered = (declared | hidden).all(axis=1)
-    return covered & (geometry.region_containment(np.where(hidden, H, X), ext, tol) == geometry.OUTSIDE)
+    return covered & (geometry.region_containment(np.where(hidden, H, X), ext) == geometry.OUTSIDE)
 
 
 def _categorize(
@@ -299,7 +296,6 @@ def _categorize(
     node: OddNode,
     codes: np.ndarray,
     chain_ctx: Chain | None,
-    tol: float,
     transforms: tuple[Transform, ...],
     counted: Collection[str] | None = None,
 ) -> Labels:
@@ -312,9 +308,9 @@ def _categorize(
     ``counted`` restricts the values a raw value is checked against, as
     :func:`_raw_mismatch` does.
     """
-    categories = geometric_categories(codes, geometry.coords_array(points, node), node, tol)
+    categories = geometric_categories(codes, geometry.coords_array(points, node), node)
     inside = codes != geometry.OUTSIDE
-    names, mismatched = _raw_mismatch(points, node, transforms, tol, counted)
+    names, mismatched = _raw_mismatch(points, node, transforms, counted)
     inliers = inside & mismatched.any(axis=1)
     categories[inliers] = _INLIER
     notes = {
@@ -325,7 +321,7 @@ def _categorize(
     ext = chain_ctx.extended if chain_ctx is not None else None
     if ext is not None and ext.extends == node.name:
         hidden = np.flatnonzero(points.hidden.present.any(axis=1) & inside & ~inliers)
-        novel = hidden[_outside_extension(points.take(hidden), ext, tol)]
+        novel = hidden[_outside_extension(points.take(hidden), ext)]
         categories[novel] = _NOVELTY
         for i in novel.tolist():
             notes[i] = {"hidden": "|".join(sorted(points.hidden.row(i)))}
@@ -337,7 +333,6 @@ def classify_points(
     points: Points | list[DataPoint],
     node: OddNode,
     chain_ctx: Chain | None = None,
-    tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
 ) -> Labels:
     """Assign each point its single category relative to ``node``.
@@ -363,18 +358,17 @@ def classify_points(
                 "point carries raw provenance but no preprocessing transform is declared"
             )
         transforms = ()
-    return _categorize(points, node, geometry.point_codes(points, node, tol), chain_ctx, tol, transforms)
+    return _categorize(points, node, geometry.point_codes(points, node), chain_ctx, transforms)
 
 
 def classify_point(
     p: DataPoint,
     node: OddNode,
     chain_ctx: Chain | None = None,
-    tol: float = DEFAULT_TOL,
     declared_transform: tuple[Transform, ...] | None = None,
 ) -> LabelRow:
     """One point's category relative to ``node``; see :func:`classify_points`."""
-    return next(iter(classify_points([p], node, chain_ctx, tol, declared_transform)))
+    return next(iter(classify_points([p], node, chain_ctx, declared_transform)))
 
 
 # Grid cells are 2·tol wide, so two points within tol of each other in every
@@ -461,25 +455,23 @@ class NearIndex:
         return matched
 
 
-def registry_matches(X: np.ndarray, chain: Chain, tol: float = DEFAULT_TOL) -> np.ndarray:
+def registry_matches(X: np.ndarray, chain: Chain) -> np.ndarray:
     """Per row of raw MLM coordinates ``X``: does the sample registry hold a
-    row within ``tol`` of it? The chain's :class:`NearIndex` of the registry
-    for ``tol`` is built on the first call and kept on the chain; registry
+    row within ``DEFAULT_TOL`` of it? The chain's :class:`NearIndex` of the
+    registry is built on the first call and kept on the chain; registry
     entries lacking an MLM parameter are skipped."""
-    index = chain.registry_indexes.get(tol)
-    if index is None:
+    if chain.registry_index is None:
         R, present = Points.of(chain.sample_registry).values.select(chain.mlm.parameter_names)
-        index = NearIndex(R[present.all(axis=1)], chain.mlm, tol)
-        chain.registry_indexes[tol] = index
-    return index.matches(X)
+        object.__setattr__(chain, "registry_index", NearIndex(R[present.all(axis=1)], chain.mlm))
+    return chain.registry_index.matches(X)
 
 
-def registry_match(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> bool:
+def registry_match(p: DataPoint, chain: Chain) -> bool:
     """True if the registry holds a point matching ``p``; see :func:`registry_matches`."""
-    return bool(registry_matches(geometry.coords_array([p], chain.mlm), chain, tol)[0])
+    return bool(registry_matches(geometry.coords_array([p], chain.mlm), chain)[0])
 
 
-def _in_sample(flags: np.ndarray, X: np.ndarray, chain: Chain, tol: float) -> np.ndarray:
+def _in_sample(flags: np.ndarray, X: np.ndarray, chain: Chain) -> np.ndarray:
     """Per point: flagged in_sample, or matched in the sample registry.
 
     ``flags`` holds the points' in_sample codes and ``X`` their raw MLM
@@ -487,7 +479,7 @@ def _in_sample(flags: np.ndarray, X: np.ndarray, chain: Chain, tol: float) -> np
     """
     in_sample = flags == 1
     unflagged = np.flatnonzero(~in_sample)
-    in_sample[unflagged] = registry_matches(X[unflagged], chain, tol)
+    in_sample[unflagged] = registry_matches(X[unflagged], chain)
     return in_sample
 
 
@@ -497,7 +489,7 @@ _KIND_VALUES = tuple(kind.value for kind in _KINDS)
 _IN_SAMPLE, _OUT_OF_SAMPLE, _OUT_OF_MLMODD, _OUT_OF_MLCODD = range(len(_KINDS))
 
 
-def _kind_step(points: Points, chain: Chain, tol: float) -> tuple[np.ndarray, tuple, tuple]:
+def _kind_step(points: Points, chain: Chain) -> tuple[np.ndarray, tuple, tuple]:
     """Each point's kind code, plus the rows the MLM and the MLC decided,
     each as (rows, containment codes).
 
@@ -505,21 +497,21 @@ def _kind_step(points: Points, chain: Chain, tol: float) -> tuple[np.ndarray, tu
     only points outside the MLM; the registry is searched only for MLM
     points not flagged in_sample.
     """
-    codes = geometry.point_codes(points, chain.mlm, tol)
+    codes = geometry.point_codes(points, chain.mlm)
     X = geometry.coords_array(points, chain.mlm)
     inside = codes != geometry.OUTSIDE
     in_mlm, out_mlm = np.flatnonzero(inside), np.flatnonzero(~inside)
     kinds = np.full(len(points), _OUT_OF_MLCODD, dtype=np.int8)
-    in_sample = _in_sample(points.in_sample[in_mlm], X[in_mlm], chain, tol)
+    in_sample = _in_sample(points.in_sample[in_mlm], X[in_mlm], chain)
     kinds[in_mlm] = np.where(in_sample, _IN_SAMPLE, _OUT_OF_SAMPLE)
     Y = geometry.coords_array(points.take(out_mlm), chain.mlc)
-    mlc_codes = geometry.region_containment(Y, chain.mlc, tol)
+    mlc_codes = geometry.region_containment(Y, chain.mlc)
     kinds[out_mlm[mlc_codes != geometry.OUTSIDE]] = _OUT_OF_MLMODD
     return kinds, (in_mlm, codes[in_mlm]), (out_mlm, mlc_codes)
 
 
-def classify_kind(p: DataPoint, chain: Chain, tol: float = DEFAULT_TOL) -> Kind:
-    return _KINDS[_kind_step(Points.of([p]), chain, tol)[0][0]]
+def classify_kind(p: DataPoint, chain: Chain) -> Kind:
+    return _KINDS[_kind_step(Points.of([p]), chain)[0][0]]
 
 
 def category_node(kind: Kind, chain: Chain) -> OddNode:
@@ -529,28 +521,28 @@ def category_node(kind: Kind, chain: Chain) -> OddNode:
     return chain.mlc
 
 
-def label_rows(points: Points | list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL) -> Labels:
+def label_rows(points: Points | list[DataPoint], chain: Chain) -> Labels:
     """Classify each point against the chain; rows keep dataset order.
 
     The category reuses the containment the kind step decided: MLM points
     are categorized against the MLM, the others against the MLC. OutCOD rows
     take the category ``Any`` and note their MLC and SOD categories. The
-    labels are decided once per points, chain and ``tol`` and kept in the
-    points' memo, so every stage labelling the same points shares them.
+    labels are decided once per points and chain and kept in the points'
+    memo, so every stage labelling the same points shares them.
     """
     points = Points.of(points)
-    return points.recall("labels", chain, tol, lambda: _label_rows(points, chain, tol))
+    return points.recall("labels", chain, DEFAULT_TOL, lambda: _label_rows(points, chain))
 
 
-def _label_rows(points: Points, chain: Chain, tol: float) -> Labels:
+def _label_rows(points: Points, chain: Chain) -> Labels:
     """What :func:`label_rows` decides when its points' memo has no labels."""
-    kinds, *decided = _kind_step(points, chain, tol)
+    kinds, *decided = _kind_step(points, chain)
     n = len(points)
     categories = np.empty(n, dtype=np.int8)
     on_boundary = np.empty(n, dtype=bool)
     notes: dict[int, dict[str, str]] = {}
     for node, (rows, codes) in zip((chain.mlm, chain.mlc), decided):
-        part = _categorize(points.take(rows), node, codes, chain, tol, chain.declared_transform)
+        part = _categorize(points.take(rows), node, codes, chain, chain.declared_transform)
         categories[rows] = part.categories
         on_boundary[rows] = part.on_boundary
         noted = rows[list(part.anomaly_notes)].tolist()
@@ -564,10 +556,10 @@ def _label_rows(points: Points, chain: Chain, tol: float) -> Labels:
     sod = chain.system_od
     if sod is not None:
         batch = points.take(out_cod)
-        codes = geometry.region_containment(geometry.coords_array(batch, sod), sod, tol)
+        codes = geometry.region_containment(geometry.coords_array(batch, sod), sod)
         # categorized as the point restricted to the SOD's parameters would be
         sod_categories[out_cod] = _categorize(
-            batch, sod, codes, chain, tol, chain.declared_transform, sod.parameter_names
+            batch, sod, codes, chain, chain.declared_transform, sod.parameter_names
         ).categories
     categories[out_cod] = _OUTCOD
     nodes = tuple(category_node(kind, chain).name for kind in _KINDS)
@@ -616,15 +608,13 @@ def serialize_labels(labels: Labels) -> str:
     return write_csv(header, ()) + "".join([f"{i},{line}\n" for i, line in enumerate(lines)])
 
 
-def partition_dataset(
-    points: Points | list[DataPoint], chain: Chain, tol: float = DEFAULT_TOL
-) -> dict[PartitionKey, list[int]]:
+def partition_dataset(points: Points | list[DataPoint], chain: Chain) -> dict[PartitionKey, list[int]]:
     """Group row indices by (kind-set, category); every row lands in one cell.
 
     The populated cells come in :func:`full_key_space` order, and each cell's
     rows in dataset order.
     """
-    labels = label_rows(points, chain, tol)
+    labels = label_rows(points, chain)
     keys = full_key_space()
     # cell index in full_key_space: a cell per category for each kind but
     # OutCOD, whose one cell comes last
@@ -659,7 +649,6 @@ class SetAlgebraReport:
 def verify_set_algebra(
     points: Points | list[DataPoint],
     chain: Chain,
-    tol: float = DEFAULT_TOL,
     labels: list[Kind] | None = None,
 ) -> SetAlgebraReport:
     """Cross-check kind labels against direct geometric membership.
@@ -674,7 +663,7 @@ def verify_set_algebra(
     """
     points = Points.of(points)
     if labels is None:
-        codes = _kind_step(points, chain, tol)[0]
+        codes = _kind_step(points, chain)[0]
     else:
         if len(labels) > len(points):
             raise ValueError(f"{len(labels)} labels for {len(points)} points")
@@ -683,10 +672,9 @@ def verify_set_algebra(
     # with every point audited, the MLM and MLC codes are the points' memo's
     labelled = points if len(audited) == len(points) else points.take(audited)
     X = geometry.coords_array(labelled, chain.mlm)
-    geometry.coords_array(labelled, chain.mlc)  # a missing MLC parameter raises before a bad tol
-    in_mlm = geometry.point_codes(labelled, chain.mlm, tol) != geometry.OUTSIDE
-    in_mlc = geometry.point_codes(labelled, chain.mlc, tol) != geometry.OUTSIDE
-    in_sample = _in_sample(points.in_sample[audited], X, chain, tol)
+    in_mlm = geometry.point_codes(labelled, chain.mlm) != geometry.OUTSIDE
+    in_mlc = geometry.point_codes(labelled, chain.mlc) != geometry.OUTSIDE
+    in_sample = _in_sample(points.in_sample[audited], X, chain)
     kind = codes[audited]
     broken = np.zeros((len(points), len(_RULES)), dtype=bool)
     broken[:, 0] = codes < 0

@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 input/validation errors, 2 usage errors, 3 internal
 errors. Commands never overwrite an existing output file unless ``--force``
-is given. The ``ODDKIT_RULES`` environment variable points ``analyze`` at a
-rule base; the packaged default is used otherwise.
+is given, and an output path that cannot be written is an input error. The
+``ODDKIT_RULES`` environment variable stands for ``analyze --rules``; the
+packaged default is used otherwise.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -66,7 +66,10 @@ def _write_output(path: str | None, content: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
         raise click.ClickException(f"{path} exists; pass --force to overwrite")
-    target.write_text(content, encoding="utf-8")
+    try:
+        target.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise click.ClickException(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _build_chain(doc, chain_spec: str | None, transforms=()) -> classify.Chain:
@@ -152,7 +155,7 @@ def partition(spec, data, chain_spec, out_path, force) -> None:
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--chain", "chain_spec", help="MLM,MLC node names.")
-@click.option("--rules", "rules_path", type=click.Path(exists=True, dir_okay=False),
+@click.option("--rules", "rules_path", type=click.Path(exists=True, dir_okay=False), envvar="ODDKIT_RULES",
               help="Rule base file (default: ODDKIT_RULES or the packaged rules).")
 @click.option("--format", "fmt_name", type=click.Choice(["text", "csv"]), default="text")
 @click.option("--out", "out_path", help="Output path (default stdout).")
@@ -162,8 +165,6 @@ def analyze(spec, data, chain_spec, rules_path, fmt_name, out_path, force) -> No
     doc = _load_spec(spec)
     chain = _build_chain(doc, chain_spec)
     ds = _load_dataset(data, chain.mlm)
-    if rules_path is None:
-        rules_path = os.environ.get("ODDKIT_RULES") or None
     if rules_path:
         base, diags = analysis.parse_rules(_read_text(rules_path))
         _echo_diagnostics(diags)

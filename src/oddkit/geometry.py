@@ -334,15 +334,13 @@ def point_in_region(
     return Containment.ON_BOUNDARY if on_boundary else Containment.OUTSIDE
 
 
-def params_at_extreme(
-    p: DataPoint, node: OddNode, tol: float = DEFAULT_TOL
-) -> set[str]:
+def params_at_extreme(p: DataPoint, node: OddNode) -> set[str]:
     """Parameters whose value sits at an admissible-range bound within tolerance.
 
     Values strictly outside [lo, hi] by more than the tolerance band are never
     at an extreme. The one-row case of :func:`extreme_mask`.
     """
-    flags = extreme_mask(np.array([coords(p, node)]), node, tol)[0].tolist()
+    flags = extreme_mask(np.array([coords(p, node)]), node)[0].tolist()
     return {name for name, at in zip(node.parameter_names, flags) if at}
 
 
@@ -657,32 +655,32 @@ def region_pieces(node: OddNode, grow: float = 0.0) -> tuple[np.ndarray, ...]:
     return g.pieces[grow]
 
 
-def region_vertices(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+def region_vertices(node: OddNode) -> np.ndarray:
     """The vertices of :func:`region_pieces`, clipped to the box, as one (V, d)
-    array in raw coordinates; a vertex within ``tol`` (normalized, L∞) of an
-    earlier one it keeps is dropped."""
+    array in raw coordinates; a vertex within ``DEFAULT_TOL`` (normalized, L∞)
+    of an earlier one it keeps is dropped."""
     V = np.clip(np.vstack(region_pieces(node)), *np.array(node.box).T)
     V_hat = normalize_array(V, node)
     kept: list[int] = []
     for i, v in enumerate(V_hat):
-        if not kept or np.abs(V_hat[kept] - v).max(axis=1).min() > tol:
+        if not kept or np.abs(V_hat[kept] - v).max(axis=1).min() > DEFAULT_TOL:
             kept.append(i)
     return V[kept]
 
 
-def bounds_reached(node: OddNode, tol: float = DEFAULT_TOL) -> np.ndarray:
+def bounds_reached(node: OddNode) -> np.ndarray:
     """(d, 2) flags: whether the region within its box, grown by the boundary
-    band ``tol``, reaches parameter j's lo (column 0) or hi (column 1) bound
-    within ``tol`` times its span. A coordinate is least and greatest over a
-    polygon or a convex piece at a vertex, so the vertices of
-    ``region_pieces(node, tol)`` decide it."""
+    band ``DEFAULT_TOL``, reaches parameter j's lo (column 0) or hi (column 1)
+    bound within ``DEFAULT_TOL`` times its span. A coordinate is least and
+    greatest over a polygon or a convex piece at a vertex, so the vertices of
+    ``region_pieces(node, DEFAULT_TOL)`` decide it."""
     g = _geometry(node)
-    V = np.clip(np.vstack(region_pieces(node, tol)), g.lo, g.hi)
-    band = tol * g.span
+    V = np.clip(np.vstack(region_pieces(node, DEFAULT_TOL)), g.lo, g.hi)
+    band = DEFAULT_TOL * g.span
     return np.column_stack([(V - g.lo <= band).any(axis=0), (g.hi - V <= band).any(axis=0)])
 
 
-def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> ContainsResult:
+def contains_node(inner: OddNode, outer: OddNode) -> ContainsResult:
     """Decide whether ``inner``'s region, within its box, projects into ``outer``'s.
 
     A convex piece of ``inner`` (see :func:`region_pieces`) projects onto the
@@ -690,8 +688,8 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
     is bounded by its edges. Along a chord, containment in ``outer`` changes
     only where it crosses an edge line or halfspace plane of ``outer``, so the
     endpoints and the midpoints between crossings decide it. A single member,
-    grown by ``tol``, is convex and holds the hull of the points it holds, so
-    against one the vertices alone decide. The witness is the first failing
+    grown by the boundary band, is convex and holds the hull of the points it
+    holds, so against one the vertices alone decide. The witness is the first failing
     point, vertices first. With none failing, the answer is ``contained``
     when ``outer`` is a simple polygon, a single member or one parameter, or
     when each piece's projected vertices lie in one member of the union;
@@ -724,11 +722,11 @@ def contains_node(inner: OddNode, outer: OddNode, tol: float = DEFAULT_TOL) -> C
         t = np.sort(np.hstack([np.zeros((len(t), 1)), np.where((t > 0) & (t < 1), t, 1.0)]), axis=1)
         chords = starts[:, None] + (t[:, :-1, None] + t[:, 1:, None]) / 2 * (ends - starts)[:, None]
         X = np.vstack([X, chords.reshape(-1, len(inner.parameters))])
-    failing = np.flatnonzero(region_containment(X[:, columns], outer, tol) == OUTSIDE)
+    failing = np.flatnonzero(region_containment(X[:, columns], outer) == OUTSIDE)
     if len(failing):
         return ContainsResult(False, DataPoint(dict(zip(inner.parameter_names, X[failing[0]].tolist()))))
     if single or isinstance(outer.region, Polygon2D) or len(columns) == 1:
         return ContainsResult(True)
     members = [replace(outer, region=PolytopeUnion((m,))) for m in outer.region.members]
-    fits = [any((region_containment(V[:, columns], m, tol) != OUTSIDE).all() for m in members) for V in pieces]
+    fits = [any((region_containment(V[:, columns], m) != OUTSIDE).all() for m in members) for V in pieces]
     return ContainsResult(True if all(fits) else None)

@@ -245,7 +245,6 @@ def run_monitor_chain(
     monitors: list[Monitor],
     stub: StubModel,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     oracle_categories: list[str] | None = None,
 ) -> SimulationResult:
     """Run a stream through the monitor chain; deterministic given the inputs.
@@ -258,7 +257,7 @@ def run_monitor_chain(
     n, m = len(points), len(monitors)
     # each row's oracle category, as a code into names
     if oracle_categories is None:
-        names, codes = CATEGORY_LABELS, classify_points(points, chain.mlm, chain, tol).categories
+        names, codes = CATEGORY_LABELS, classify_points(points, chain.mlm, chain).categories
     elif len(oracle_categories) != n:
         raise ValueError(f"{len(oracle_categories)} oracle categories for {n} points")
     else:

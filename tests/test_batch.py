@@ -234,9 +234,9 @@ def ref_detect(monitor, p, chain, stub_output):
     return not (monitor.lo <= stub_output <= monitor.hi)
 
 
-def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0, tol=DEFAULT_TOL):
+def ref_run_monitor_chain(points, chain, chain_monitors, stub, seed=0):
     """run_monitor_chain's per-row loop as it was: the verdicts and the metrics."""
-    oracle_categories = [label.category for label in oddkit.classify_points(points, chain.mlm, chain, tol)]
+    oracle_categories = [label.category for label in oddkit.classify_points(points, chain.mlm, chain)]
     verdicts = []
     failover_latched = False
     for i, p in enumerate(points):
@@ -381,7 +381,7 @@ def ref_categorize(points, node, X, codes, chain_ctx, tol, transforms):
         hidden = [
             i for i, p in enumerate(points) if p.hidden_values and inside[i] and i not in decided
         ]
-        novel = classify._outside_extension(Points.of([points[i] for i in hidden]), ext, tol)
+        novel = classify._outside_extension(Points.of([points[i] for i in hidden]), ext)
         for i, outside in zip(hidden, novel):
             if outside:
                 decided[i] = ("Novelty", {"hidden": "|".join(sorted(points[i].hidden_values))})

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import oddkit
-from oddkit.cli import cli
+from oddkit.cli import cli, main
 
 
 @pytest.fixture()
@@ -103,6 +103,52 @@ def test_analyze_rules_env_var(runner, spec_path, points_path, tmp_path, monkeyp
     result = runner.invoke(cli, ["analyze", spec_path, points_path])
     assert result.exit_code == 1
     assert "uncovered cell" in result.output
+
+
+def run_main(monkeypatch, capsys, *args):
+    """Run the console entry point, whose exit codes CliRunner does not
+    give (it reports an uncaught exception as exit 1): (exit code, stdout,
+    stderr)."""
+    monkeypatch.setattr(sys, "argv", ["oddkit", *args])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    out, err = capsys.readouterr()
+    return exited.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "where, args",
+    [
+        ("missing/labels.csv", ["classify", "--out"]),
+        (".", ["classify", "--force", "--out"]),
+        ("missing/metrics.txt", ["simulate", "--scenario", "baseline", "--metrics"]),
+    ],
+)
+def test_an_unwritable_output_path_is_an_input_error(
+    monkeypatch, capsys, spec_path, points_path, tmp_path, where, args
+):
+    target = str(tmp_path / where)
+    code, _, err = run_main(monkeypatch, capsys, args[0], spec_path, points_path, *args[1:], target)
+    assert code == 1
+    assert f"{target}: cannot write" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("where", ["missing.txt", "."])
+def test_a_rules_path_that_is_no_file_is_a_usage_error(monkeypatch, capsys, spec_path, points_path, tmp_path, where):
+    path = str(tmp_path / where)
+    code, _, err = run_main(monkeypatch, capsys, "analyze", spec_path, points_path, "--rules", path)
+    assert code == 2 and "--rules" in err
+    monkeypatch.setenv("ODDKIT_RULES", path)
+    code, _, err = run_main(monkeypatch, capsys, "analyze", spec_path, points_path)
+    assert code == 2 and "--rules" in err and "internal error" not in err
+
+
+def test_an_empty_rules_variable_means_the_packaged_rules(monkeypatch, capsys, spec_path, points_path, data_dir):
+    monkeypatch.setenv("ODDKIT_RULES", "")
+    code, out, _ = run_main(monkeypatch, capsys, "analyze", spec_path, points_path, "--format", "csv")
+    assert code == 0
+    assert out == (data_dir / "golden_analysis.csv").read_text(encoding="utf-8")
 
 
 def test_coverage_command(runner, spec_path, points_path):

@@ -4,7 +4,8 @@ one near-point matcher, monitors on the array engine, every stage reading
 its own coordinates, label objects built only at the API edges, spec
 diagnostics built in one place, one reader of the category table, one
 read-only helper, no output formatting in the CLI, no XML or URL library
-loaded by the CLI, and no parameter that a function never reads."""
+loaded by the CLI, no parameter that a function never reads, and a
+boundary band set only where some caller varies it."""
 
 from __future__ import annotations
 
@@ -326,3 +327,37 @@ def test_every_parameter_is_read():
                 if a is not None and a.arg not in read and a.arg not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_tol_only_where_a_caller_sets_it():
+    """Every other function decides with the one band DEFAULT_TOL: a ``tol``
+    that no caller sets to another value is a setting that changes no
+    output. These are the functions a monitor's declared band, coverage's
+    widened band or a test's sweep of bands reaches."""
+    with_tol = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                if "tol" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                    with_tol.append(prefix + child.name)
+            visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(_tree(path), f"{path.stem}.")
+    assert sorted(with_tol) == [
+        "analysis.propose_odd_update",
+        "classify.NearIndex.__init__",
+        "classify._grid_cells",
+        "dsl.monitor_problem",
+        "geometry._NodeGeometry.cell_grid",
+        "geometry._cell_grid",
+        "geometry._polygon_codes",
+        "geometry._union_codes",
+        "geometry.extreme_mask",
+        "geometry.point_codes",
+        "geometry.point_in_region",
+        "geometry.region_containment",
+        "model.Points.recall",
+    ]
