@@ -227,8 +227,9 @@ def generate(spec, node_name, mode, count, seed, transform_specs, out_path, forc
                 raise click.UsageError("--mode inlier needs at least one --transform")
             transforms = tuple(_parse_transform(t) for t in transform_specs)
             points = anomaly.sample_inliers(node, count, transforms, seed)
-        elif mode == "novelty":
-            points = anomaly.sample_novelty(_build_chain(doc, None), count, seed)
+        elif mode == "novelty":  # drawn from the chain's extension, written as its MLM rows
+            chain = _build_chain(doc, None)
+            points, node = anomaly.sample_novelty(chain, count, seed), chain.mlm
         else:
             points = anomaly.sample_region(node, count, mode, seed)
     except OddkitError as exc:

@@ -11,9 +11,9 @@ The text is read with ``csv.reader`` once, and each column is converted as
 a whole into the columns of a :class:`~oddkit.model.Points`; only the rows
 whose conversion fails are read again cell by cell, for their diagnostic.
 
-Diagnostic codes: E101 missing required parameter column, E102 duplicate
-column, E103 unparseable row or a row with more cells than the header (row
-excluded, at the line the row starts on), W101 unrecognized column.
+Diagnostic codes: E101 missing parameter column or unreadable header, E102
+duplicate column, E103 row excluded (unparseable, longer than the header or
+with a cell over csv's field limit; at its first line), W101 unrecognized column.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -59,11 +59,11 @@ class Dataset:
 def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     """Parse a CSV dataset against a node's parameter list.
 
-    Row order is preserved. Rows with unparseable numerics, and rows with
-    more cells than the header, are excluded and reported individually;
-    header problems are fatal (no points returned). A leading byte-order
-    mark is skipped, and lines may end in ``\\n``, ``\\r\\n`` or ``\\r``, in
-    ``str`` and ``bytes`` alike.
+    Row order is preserved. Rows with unparseable numerics, rows with more
+    cells than the header and records with a cell over ``csv``'s field
+    limit are excluded and reported individually; header problems are fatal
+    (no points returned). A leading byte-order mark is skipped, and lines
+    may end in ``\\n``, ``\\r\\n`` or ``\\r``, in ``str`` and ``bytes`` alike.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -76,11 +76,24 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     while text.readline().startswith("#"):
         skipped, start = skipped + 1, text.tell()
     text.seek(start)
-    body = list(csv.reader(text))
+    reader, body, starts, excluded, line = csv.reader(text), [], [], [], skipped + 1
+    while True:
+        try:
+            for row in reader:
+                body.append(row)
+                starts.append(line)
+                line = skipped + reader.line_num + 1
+            break
+        except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
+            excluded.append((line, str(exc)))
+            line = skipped + reader.line_num + 1
+    if excluded and excluded[0][0] == skipped + 1:
+        diagnostics.append(Diagnostic("error", "E101", f"unreadable header row: {excluded[0][1]}", skipped + 1, 1))
+        return Dataset(Points.of(()), diagnostics)
     if not body:
         diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
         return Dataset(Points.of(()), diagnostics)
-    head = body.pop(0)
+    head, starts = body.pop(0), starts[1:]
     header = [h.strip() for h in head]
 
     seen = set()
@@ -120,7 +133,7 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
 
     # rows of another width: a blank one is skipped, a longer one excluded,
     # and a shorter one padded with empty cells
-    width, dropped, excluded = len(header), set(), []
+    width, dropped = len(header), set()
     lengths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
     for r in np.flatnonzero(lengths != width).tolist():
         row = body[r]
@@ -128,7 +141,7 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
             dropped.add(r)
         elif len(row) > width:
             dropped.add(r)
-            excluded.append((r, f"{len(row)} cells for the {width} columns of the header"))
+            excluded.append((starts[r], f"{len(row)} cells for the {width} columns of the header"))
         else:
             row += [""] * (width - len(row))
     rownums = [r for r in range(len(body)) if r not in dropped] if dropped else range(len(body))
@@ -139,13 +152,9 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     for r in bad.tolist():
         message = _row_error(table[r], roles)
         if message is not None:
-            excluded.append((rownums[r], message))
-    if excluded:
-        # a record spans one line, plus one per line end inside its cells
-        spans = [1 + "".join(row).count("\n") for row in [head, *body[: max(r for r, _ in excluded)]]]
-        lines = list(accumulate(spans, initial=skipped + 1))
-        for r, message in sorted(excluded):
-            diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", lines[r + 1], 1))
+            excluded.append((starts[rownums[r]], message))
+    for line, message in sorted(excluded):
+        diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", line, 1))
     return Dataset(points, diagnostics)
 
 

@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, repeat
-from operator import add, ge, mul, sub, truediv
+from operator import ge, mul, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -111,15 +111,20 @@ def _even_odd_inside(px: float, py: float, segments) -> bool:
 # -- polytope helpers --------------------------------------------------------
 
 
-def _slacks(xhat, rows) -> list[float]:
-    """Signed slack ``b - a.xhat`` of each face of a member's ``(columns, b)``,
-    folded left to right from 0.0 as :func:`_union_codes` adds the columns;
-    since Python 3.12, ``sum()`` adds floats with compensation."""
-    columns, b = rows
-    dots = repeat(0.0)
-    for column, x in zip(columns, xhat):
-        dots = map(add, dots, map(mul, column, repeat(x)))
-    return list(map(sub, b, dots))
+_SLACKS = """def slacks(xhat, faces=faces):
+    {x}, = xhat
+    return [b - (0.0 + {dot}) for {a}, b in faces]"""
+
+
+def _slack_function(A: np.ndarray, b: np.ndarray):
+    """The member's ``xhat -> [b - a.xhat per face]`` for unit rows ``(A, b)``, compiled
+    once from :data:`_SLACKS` as ``dataclasses`` writes ``__init__``: names made from d,
+    the faces as a default argument. Python adds left to right, so each dot product folds
+    from 0.0 in :func:`_union_codes`' column order; since 3.12, ``sum()`` compensates."""
+    d, scope = range(A.shape[1]), {"faces": tuple(map(tuple, np.column_stack([A, b]).tolist()))}
+    exec(_SLACKS.format(x=", ".join(f"x{j}" for j in d), a=", ".join(f"a{j}" for j in d),
+                        dot=" + ".join(f"a{j} * x{j}" for j in d)), scope)
+    return scope["slacks"]
 
 
 # Rows whose smallest singular value is below this (rows are unit vectors)
@@ -216,10 +221,10 @@ class _NodeGeometry:
     """What one node's geometry calls read, built once per node by
     :func:`_geometry`: the bounds as tuples and as arrays, and the normalized
     polygon's edges (``segments`` for one point, ``edges`` for the engine)
-    or each member's unit rows (``rows`` as ``(columns, b)`` tuples,
-    ``members`` as ``(A, b)`` arrays) and their Gram matrix ``A A^T`` with
-    a unit diagonal (``grams``, tuples). The face tables, the region pieces
-    and a polygon's cell grids come on first use."""
+    or each member's unit rows (``members``, ``(A, b)`` arrays), slack function
+    (``slacks``) and Gram matrix ``A A^T`` with a unit diagonal (``grams``,
+    tuples). The face tables, the region pieces and a polygon's cell grids
+    come on first use."""
 
     def __init__(self, node: OddNode):
         params, self.region = node.parameters, node.region
@@ -239,7 +244,7 @@ class _NodeGeometry:
         else:
             units = [list(map(self._unit_row, m.halfspaces)) for m in self.region.members]
             self.members = tuple((_read_only([a for a, _ in m]), _read_only([b for _, b in m])) for m in units)
-            self.rows = tuple((tuple(zip(*A.tolist())), tuple(b.tolist())) for A, b in self.members)
+            self.slacks = tuple(_slack_function(A, b) for A, b in self.members)
             # unit rows: the diagonal is 1.0 exactly, so a face's check against itself passes
             grams = (np.where(np.eye(len(A), dtype=bool), 1.0, A @ A.T) for A, _ in self.members)
             self.grams = tuple(tuple(map(tuple, G.tolist())) for G in grams)
@@ -325,8 +330,8 @@ def point_in_region(
         return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
 
     on_boundary = False
-    for rows in g.rows:
-        margin = min(_slacks(xhat, rows))
+    for slacks in g.slacks:
+        margin = min(slacks(xhat))
         if margin > tol:
             return Containment.INSIDE
         if margin >= -tol:
@@ -509,7 +514,7 @@ def _cell_code(x: float, y: float, grid: _CellGrid) -> int:
 
 
 def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
-    """Per member, slack summed column by column in _slacks' order."""
+    """Per member, slack summed column by column in _SLACKS' order."""
     inside = np.zeros(len(xhat), dtype=bool)
     near = np.zeros(len(xhat), dtype=bool)
     for A, b in members:
@@ -588,8 +593,8 @@ def distance_to_boundary(p: DataPoint, node: OddNode) -> float:
     if not all(map(math.isfinite, xhat)):
         return math.nan if any(map(math.isnan, xhat)) else math.inf
     best = math.inf
-    for i, (rows, gram) in enumerate(zip(g.rows, g.grams)):
-        slacks = _slacks(xhat, rows)
+    for i, (member_slacks, gram) in enumerate(zip(g.slacks, g.grams)):
+        slacks = member_slacks(xhat)
         margin = min(slacks)
         if not margin >= 0:  # outside, or a NaN slack where sums met inf - inf
             # xhat - v a_k, v = -margin, exceeds face j by -slacks[j] - v (a_j . a_k)

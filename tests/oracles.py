@@ -29,8 +29,10 @@ from the value columns).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import operator
 
 import numpy as np
 
@@ -68,6 +70,16 @@ def exact_polygon_containment(x: tuple[float, float], node, tol: float) -> Conta
     if geometry._polygon_distance(*xhat, g.segments) <= tol:
         return Containment.ON_BOUNDARY
     return Containment.INSIDE if geometry._even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
+
+
+def slacks(xhat, A, b) -> list[float]:
+    """Signed slack ``b - a.xhat`` of each row of a member's unit rows
+    ``(A, b)``, each dot product folded left to right from 0.0, the order in
+    which the array engine adds the columns."""
+    return [
+        bi - functools.reduce(operator.add, map(operator.mul, a, xhat), 0.0)
+        for a, bi in zip(A.tolist(), b.tolist())
+    ]
 
 
 def polytope_contains(x: tuple[float, ...], halfspaces) -> bool:
@@ -211,9 +223,11 @@ def parse_rows(text: str, names: tuple[str, ...]):
     """The dataset format read one row at a time: (diagnostics as
     ``(severity, code, message, line, column)``, points, extras per point).
 
-    A row with more cells than the header is excluded (E103) at the line
-    its record starts on, as the reader counts lines, and a ``hidden:``
-    column without a name is an unrecognized column (W101).
+    A row with more cells than the header, or a record the reader raises
+    on (a cell over its field limit), is excluded (E103) at the line its
+    record starts on, as the reader counts lines; a header the reader raises
+    on is an error (E101). A ``hidden:`` column without a name is an
+    unrecognized column (W101).
     """
     text = io.StringIO(text.removeprefix("\ufeff"), newline=None).read()  # universal newlines
     lines = text.split("\n")  # only "\n" ends a line, as csv.reader reads one
@@ -226,6 +240,8 @@ def parse_rows(text: str, names: tuple[str, ...]):
         header = next(reader)
     except StopIteration:
         return [("error", "E101", "empty dataset: no header row", 1, 1)], [], []
+    except csv.Error as exc:
+        return [("error", "E101", f"unreadable header row: {exc}", skipped + 1, 1)], [], []
     header = [h.strip() for h in header]
     seen = set()
     for i, col in enumerate(header):
@@ -252,8 +268,17 @@ def parse_rows(text: str, names: tuple[str, ...]):
         return diagnostics, [], []
 
     ended = reader.line_num  # the lines of the records read so far
-    for row in reader:
-        line, ended = skipped + ended + 1, reader.line_num
+    while True:
+        line = skipped + ended + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # the reader goes on from the next line
+            diagnostics.append(("warning", "E103", f"row excluded: {exc}", line, 1))
+            ended = reader.line_num
+            continue
+        ended = reader.line_num
         if not "".join(row).strip():
             continue
         if len(row) > len(header):

@@ -228,6 +228,18 @@ def test_generate_novelty_needs_an_extension(runner, data_dir):
     assert "extension" in result.output
 
 
+def test_generate_novelty_writes_the_rows_of_the_chains_mlm_node(runner, spec_path):
+    # novelty points carry the MLM parameters and the extension's extra one as
+    # a hidden value, whichever node --node names
+    def generate(node):
+        return runner.invoke(cli, ["generate", spec_path, "--node", node, "--mode", "novelty", "-n", "5"])
+
+    via_ext, via_mlm = generate("MLMODD_ext"), generate("MLMODD")
+    assert via_ext.exit_code == 0, via_ext.output
+    assert via_ext.output == via_mlm.output
+    assert via_ext.output.splitlines()[1] == "Mach,Alt,hidden:Temp"
+
+
 def test_generate_inlier_requires_transform(runner, spec_path):
     result = runner.invoke(
         cli, ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "-n", "2"]
@@ -286,6 +298,21 @@ def test_non_utf8_input_is_an_input_error(runner, spec_path, points_path, tmp_pa
         result = runner.invoke(cli, args)
         assert result.exit_code == 1, result.output
         assert f"{broken}: not UTF-8 text" in result.output
+
+
+def test_a_cell_over_the_csv_field_limit_is_a_row_or_header_diagnostic(runner, spec_path, tmp_path):
+    # csv.reader raises on a cell longer than its field limit (131,072 characters)
+    long_cell = "y" * 200_000
+    rows, header = tmp_path / "rows.csv", tmp_path / "header.csv"
+    rows.write_text(f"Mach,Alt,note\n0.1,5000,{long_cell}\n0.2,6000,x\n", encoding="utf-8")
+    header.write_text(f"Mach,Alt,{long_cell}\n0.2,6000,x\n", encoding="utf-8")
+    result = runner.invoke(cli, ["classify", spec_path, str(rows), "--node", "MLMODD"])
+    assert result.exit_code == 0, result.output
+    assert "E103" in result.output and "field larger than field limit" in result.output
+    assert result.output.endswith("row,category,on_boundary,annotations\n0,Nominal,0,\n")  # the second row
+    result = runner.invoke(cli, ["classify", spec_path, str(header), "--node", "MLMODD"])
+    assert result.exit_code == 1, result.output
+    assert "E101" in result.output and "dataset has errors" in result.output
 
 
 def test_render_command(runner, spec_path, points_path, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 
@@ -87,6 +88,36 @@ def test_e103_names_the_line_a_record_starts_on(node):
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
     example = oddkit.parse_dataset('Mach,Alt,note\n0.1,5,"a\nb\nc"\n0.2,zz,\n', node)
     assert [(d.code, d.line) for d in example.diagnostics] == [("W101", 1), ("E103", 5)]
+
+
+# a cell one character over csv's field limit, on which csv.reader raises
+_OVER_LIMIT = "y" * (csv.field_size_limit() + 1)
+
+
+def test_a_record_with_a_cell_over_the_field_limit_is_e103(node):
+    # the reader drops the rest of the line it raised on, here the end of a
+    # quoted cell that spans lines, and goes on from the next line
+    text = f'Mach,Alt,note\n0.1,5,{_OVER_LIMIT}\n0.2,6,x\n0.3,7,"a\nb{_OVER_LIMIT}"\n0.4,8\n'
+    ds = oddkit.parse_dataset(text, node)
+    message = f"row excluded: field larger than field limit ({csv.field_size_limit()})"
+    assert ds.ok
+    assert [(d.code, d.line, d.message) for d in ds.diagnostics if d.code == "E103"] == [
+        ("E103", 2, message), ("E103", 4, message),
+    ]
+    assert [p.values["Mach"] for p in ds.points] == [0.2, 0.4]
+    diagnostics, points, _ = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    assert list(ds.points) == points
+
+
+def test_a_header_with_a_cell_over_the_field_limit_is_e101(node):
+    text = f"# seed=1\nMach,Alt,{_OVER_LIMIT}\n0.1,5,x\n"
+    ds = oddkit.parse_dataset(text, node)
+    assert not ds.ok and len(ds) == 0
+    assert [(d.code, d.line) for d in ds.diagnostics] == [("E101", 2)]
+    assert "unreadable header row" in ds.diagnostics[0].message
+    diagnostics, _, _ = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
 
 
 def test_locale_independent_numbers_rejected(node):
@@ -201,8 +232,12 @@ _TRICKY = st.one_of(
 )
 _FLAGS = st.sampled_from(["", "1", "0", "true", "TRUE", " True ", "false", "F", "t", "yes", "NO", " "])
 _TRICKY_FLAGS = st.sampled_from(["maybe", "2", "y", "\u0130", "tru e"])
-# a quoted extra cell may span lines, so a record may too
-_EXTRAS = st.one_of(st.sampled_from(["", " ", " \t", " a ", "x\ny", "\n\n"]), st.text(alphabet="ab _,\"\n", max_size=4))
+# a quoted extra cell may span lines, so a record may too, and a cell over
+# the field limit makes the reader raise on its record
+_EXTRAS = st.one_of(
+    st.sampled_from(["", " ", " \t", " a ", "x\ny", "\n\n", _OVER_LIMIT, "x\n" + _OVER_LIMIT]),
+    st.text(alphabet="ab _,\"\n", max_size=4),
+)
 _COLUMNS = ["Mach", "Alt", "raw:Alt", "raw:Mach", "raw:Temp", "hidden:Temp", "hidden:Mach", "hidden:",
             "in_sample", "note", " Mach", "Alt "]
 

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -301,8 +299,8 @@ def _wolfe_distance(p, node):
     over the vertices of their halfspaces."""
     xhat = geometry._geometry(node).normalize(geometry.coords(p, node))
     best = math.inf
-    for rows, member in zip(geometry._geometry(node).rows, node.region.members):
-        margin = min(geometry._slacks(xhat, rows))
+    for (A, b), member in zip(geometry._geometry(node).members, node.region.members):
+        margin = min(oracles.slacks(xhat, A, b))
         if margin < 0:
             margin = oracles.wolfe_distance(xhat, _hull_vertices(member, node))
         best = min(best, margin)
@@ -362,7 +360,7 @@ def _table_distance(p, node):
     its face table."""
     g = geometry._geometry(node)
     xhat = g.normalize(geometry.coords(p, node))
-    margins = [min(geometry._slacks(xhat, rows)) for rows in g.rows]
+    margins = [min(oracles.slacks(xhat, A, b)) for A, b in g.members]
     return min(m if m >= 0 else geometry._distance_outside(xhat, t) for m, t in zip(margins, g.face_tables()))
 
 
@@ -411,18 +409,23 @@ def test_a_point_beyond_a_box_corner_is_at_the_corner_distance():
         assert geometry.distance_to_boundary(p, node) == pytest.approx(want, rel=1e-12)
 
 
-def test_slacks_fold_the_products_left_to_right_from_zero():
+@pytest.mark.parametrize("d", range(1, 7))
+def test_compiled_slacks_fold_the_products_left_to_right_from_zero(d):
     # as _union_codes adds them column by column; since Python 3.12 sum()
     # adds floats with compensation and differs in the last bit for about one
     # 3-term dot product in five
-    rng = np.random.default_rng(7)
-    A = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-3, 4, size=(2000, 3))
-    b, x = rng.normal(size=2000), tuple(rng.normal(size=3).tolist())
-    got = np.array(geometry._slacks(x, (tuple(zip(*A.tolist())), tuple(b.tolist()))))
-    folded = [bi - functools.reduce(operator.add, map(operator.mul, a, x), 0.0) for a, bi in zip(A.tolist(), b)]
-    by_column = b - (x[0] * A[:, 0] + x[1] * A[:, 1] + x[2] * A[:, 2])
-    assert np.array_equal(got.view(np.uint64), np.array(folded).view(np.uint64))
-    assert np.array_equal(got.view(np.uint64), by_column.view(np.uint64))
+    rng = np.random.default_rng(7 + d)
+    A = rng.normal(size=(500, d)) * 10.0 ** rng.uniform(-3, 3, size=(500, d))
+    A[rng.random(A.shape) < 0.1] = 0.0
+    b = rng.normal(size=500)
+    slacks = geometry._slack_function(A, b)
+    for x in rng.normal(size=(20, d)) * 10.0 ** rng.uniform(-3, 3, size=(20, d)):
+        got = np.array(slacks(tuple(x.tolist())))
+        s = x[0] * A[:, 0]
+        for j in range(1, d):
+            s = s + x[j] * A[:, j]
+        assert np.array_equal(got.view(np.uint64), (b - s).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.array(oracles.slacks(x.tolist(), A, b)).view(np.uint64))
 
 
 @pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])
