@@ -20,8 +20,8 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations, repeat
-from operator import ge, mul, sub, truediv
+from itertools import combinations
+from operator import sub, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -111,20 +111,59 @@ def _even_odd_inside(px: float, py: float, segments) -> bool:
 # -- polytope helpers --------------------------------------------------------
 
 
-_SLACKS = """def slacks(xhat, faces=faces):
-    {x}, = xhat
-    return [b - (0.0 + {dot}) for {a}, b in faces]"""
+def _point_functions(names, lo, span, members, tables):
+    """A polytope's one-point ``contains(values, tol)`` and ``distance(values)``,
+    written once as ``dataclasses`` writes ``__init__``: the source holds only names
+    made from indices, and a factory takes the names, bounds, unit rows ``(A, b)``
+    and Gram rows as arguments and returns both functions. Each reads the values
+    as :func:`coords` does, normalizes them and folds each face's slack ``b - (0.0 +
+    a0 * x0 + …)`` left to right, in :func:`_union_codes`' column order (since 3.12,
+    ``sum()`` compensates), then decides as :func:`point_in_region` or
+    :func:`distance_to_boundary` does, reading member i's face table, ``tables()[i]``,
+    only where no facet decides. The code grows as faces times parameters. ``distance``
+    sees finite coordinates only, so it drops zero terms: a zero product is ±0.0,
+    which leaves a sum from 0.0 as it is.
+    """
+    d, x = range(len(names)), ", ".join(f"x{j}" for j in range(len(names)))
+    args = {"MissingParameter": MissingParameter, "IN": Containment.INSIDE, "ON": Containment.ON_BOUNDARY,
+            "OUT": Containment.OUTSIDE, "inf": math.inf, "nan": math.nan, "nbig": -_NO_OVERFLOW,
+            "outside": _distance_outside, "tables": tables}
 
+    def least(terms):
+        return f"min({', '.join(terms)})" if len(terms) > 1 else terms[0]
 
-def _slack_function(A: np.ndarray, b: np.ndarray):
-    """The member's ``xhat -> [b - a.xhat per face]`` for unit rows ``(A, b)``, compiled
-    once from :data:`_SLACKS` as ``dataclasses`` writes ``__init__``: names made from d,
-    the faces as a default argument. Python adds left to right, so each dot product folds
-    from 0.0 in :func:`_union_codes`' column order; since 3.12, ``sum()`` compensates."""
-    d, scope = range(A.shape[1]), {"faces": tuple(map(tuple, np.column_stack([A, b]).tolist()))}
-    exec(_SLACKS.format(x=", ".join(f"x{j}" for j in d), a=", ".join(f"a{j}" for j in d),
-                        dot=" + ".join(f"a{j} * x{j}" for j in d)), scope)
-    return scope["slacks"]
+    def slack(i, f, terms):
+        return f"b{i}_{f} - (0.0{''.join(f' + a{i}_{f}_{j} * x{j}' for j in terms)})"
+
+    read = []
+    for j in d:
+        args[f"n{j}"], args[f"lo{j}"], args[f"sp{j}"] = names[j], lo[j], span[j]
+        read += [f"if n{j} not in values:", f"    raise MissingParameter(n{j})",
+                 f"x{j} = (float(values[n{j}]) - lo{j}) / sp{j}"]
+    contains = ["def contains(values, tol):", *read, "near = False"]
+    distance = ["def distance(values):", *read, f"if not ({' and '.join(f'-inf < x{j} < inf' for j in d)}):",
+                f"    return nan if {' or '.join(f'x{j} != x{j}' for j in d)} else inf"]
+    for i, (A, b) in enumerate(members):
+        rows, faces, m = A.tolist(), range(len(A)), f"m{i}"
+        # unit rows: the diagonal is 1.0 exactly, so a face's check against itself passes
+        args[f"G{i}"] = tuple(map(tuple, np.where(np.eye(len(A), dtype=bool), 1.0, A @ A.T).tolist()))
+        for f, (a_f, b_f) in enumerate(zip(rows, b.tolist())):
+            args[f"b{i}_{f}"] = b_f
+            args.update({f"a{i}_{f}_{j}": a for j, a in enumerate(a_f)})
+        contains += [f"{m} = {least([slack(i, f, d) for f in faces])}", f"if {m} > tol:", "    return IN",
+                     f"near = near or {m} >= -tol"]
+        distance += [f"s{f} = {slack(i, f, [j for j in d if rows[f][j] != 0.0])}" for f in faces]
+        # xhat - v a_k, v = -m, exceeds face j by -s_j - v (a_j . a_k), k the first least face;
+        # a NaN m, where sums met inf - inf, fails the checks
+        slacks = [f"s{f}" for f in faces]
+        facet = " and ".join(f"s{f} >= g[{f}] * {m}" for f in faces)
+        distance += [f"{m} = {least(slacks)}", f"if not {m} >= 0:", f"    g = G{i}[({', '.join(slacks)},).index({m})]",
+                     f"    {m} = -{m} if {m} >= nbig and {facet} else outside(({x},), tables()[{i}])"]
+    contains.append("return ON if near else OUT")
+    distance.append(f"return min(inf, {', '.join(f'm{i}' for i in range(len(members)))})")
+    body = "\n".join(f"    {line}" for fn in (contains, distance) for line in (fn[0], *(f"    {s}" for s in fn[1:])))
+    exec(f"def __create_fn__({', '.join(args)}):\n{body}\n    return contains, distance", scope := {})
+    return scope["__create_fn__"](**args)
 
 
 # Rows whose smallest singular value is below this (rows are unit vectors)
@@ -221,17 +260,16 @@ class _NodeGeometry:
     """What one node's geometry calls read, built once per node by
     :func:`_geometry`: the bounds as tuples and as arrays, and the normalized
     polygon's edges (``segments`` for one point, ``edges`` for the engine)
-    or each member's unit rows (``members``, ``(A, b)`` arrays), slack function
-    (``slacks``) and Gram matrix ``A A^T`` with a unit diagonal (``grams``,
-    tuples). The face tables, the region pieces and a polygon's cell grids
-    come on first use."""
+    or each member's unit rows (``members``, ``(A, b)`` arrays). The face
+    tables, the region pieces, a polygon's cell grids and a polytope's
+    one-point functions come on first use."""
 
     def __init__(self, node: OddNode):
-        params, self.region = node.parameters, node.region
+        params, self.region, self.names = node.parameters, node.region, node.parameter_names
         self.lo_t, self.hi_t = tuple(p.lo for p in params), tuple(p.hi for p in params)
         self.span_t = tuple(p.span for p in params)
         self.lo, self.hi, self.span = map(_read_only, (self.lo_t, self.hi_t, self.span_t))
-        self.tables, self.pieces, self.cells = None, {}, {}
+        self.tables, self.one_point, self.pieces, self.cells = None, None, {}, {}
         if isinstance(self.region, Polygon2D):
             verts = [self.normalize(v) for v in self.region.vertices]
             (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
@@ -244,10 +282,6 @@ class _NodeGeometry:
         else:
             units = [list(map(self._unit_row, m.halfspaces)) for m in self.region.members]
             self.members = tuple((_read_only([a for a, _ in m]), _read_only([b for _, b in m])) for m in units)
-            self.slacks = tuple(_slack_function(A, b) for A, b in self.members)
-            # unit rows: the diagonal is 1.0 exactly, so a face's check against itself passes
-            grams = (np.where(np.eye(len(A), dtype=bool), 1.0, A @ A.T) for A, _ in self.members)
-            self.grams = tuple(tuple(map(tuple, G.tolist())) for G in grams)
 
     def _unit_row(self, halfspace) -> tuple[tuple[float, ...], float]:
         a, b = halfspace  # a.x <= b, in normalized coordinates as a unit row
@@ -263,6 +297,12 @@ class _NodeGeometry:
         if self.tables is None:
             self.tables = _face_tables(self.members)
         return self.tables
+
+    def point_functions(self):
+        """The polytope's generated ``(contains, distance)`` pair: see :func:`_point_functions`."""
+        if self.one_point is None:
+            self.one_point = _point_functions(self.names, self.lo_t, self.span_t, self.members, self.face_tables)
+        return self.one_point
 
     def cell_grid(self, tol: float) -> _CellGrid | None:
         if tol not in self.cells:
@@ -314,29 +354,22 @@ def point_in_region(
     ``ON_BOUNDARY``; category logic treats those as inside. A polygon point
     takes its cell's code from the node's cell grid for ``tol``, built on
     first use and shared with :func:`region_containment`, where the cell is
-    decided, and the exact distance and crossing test elsewhere.
+    decided, and the exact distance and crossing test elsewhere. A polytope
+    point takes the node's generated ``contains`` (:func:`_point_functions`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _geometry(node)
+    if not isinstance(node.region, Polygon2D):
+        return g.point_functions()[0](p.values, tol)
     xhat = g.normalize(coords(p, node))
-    if isinstance(node.region, Polygon2D):
-        grid = g.cell_grid(tol)
-        code = -1 if grid is None else _cell_code(*xhat, grid)
-        if code >= 0:
-            return CONTAINMENT[code]
-        if _polygon_distance(*xhat, g.segments) <= tol:
-            return Containment.ON_BOUNDARY
-        return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
-
-    on_boundary = False
-    for slacks in g.slacks:
-        margin = min(slacks(xhat))
-        if margin > tol:
-            return Containment.INSIDE
-        if margin >= -tol:
-            on_boundary = True
-    return Containment.ON_BOUNDARY if on_boundary else Containment.OUTSIDE
+    grid = g.cell_grid(tol)
+    code = -1 if grid is None else _cell_code(*xhat, grid)
+    if code >= 0:
+        return CONTAINMENT[code]
+    if _polygon_distance(*xhat, g.segments) <= tol:
+        return Containment.ON_BOUNDARY
+    return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
 
 
 def params_at_extreme(p: DataPoint, node: OddNode) -> set[str]:
@@ -514,7 +547,7 @@ def _cell_code(x: float, y: float, grid: _CellGrid) -> int:
 
 
 def _union_codes(xhat: np.ndarray, members, tol: float) -> np.ndarray:
-    """Per member, slack summed column by column in _SLACKS' order."""
+    """Per member, slack summed column by column in :func:`_point_functions`' order."""
     inside = np.zeros(len(xhat), dtype=bool)
     near = np.zeros(len(xhat), dtype=bool)
     for A, b in members:
@@ -582,29 +615,19 @@ def distance_to_boundary(p: DataPoint, node: OddNode) -> float:
     violated face k when ``xhat - v a_k`` exceeds no face, as no point of the
     member is nearer than v; otherwise it comes from the member's face table
     (see :func:`_distance_outside`). A NaN coordinate gives NaN, and an infinite
-    one, or one so far that its squared distance overflows, gives inf. For polytope
-    unions with overlapping members this is the distance to the nearest
-    member boundary, which upper-bounds the union-boundary distance.
+    one, or one so far that its squared distance overflows, gives inf. The node's
+    generated ``distance`` (:func:`_point_functions`) decides all but the face table.
+
+    On a union of several members the result is the least of these member-wise
+    distances. Outside every member that is the distance to the union; inside it, it
+    is a lower bound of the distance to the union's boundary, not that distance: on
+    the boxes [0, 1]² ∪ [1, 2] x [0, 1], the point (1, 0.5) gets 0.0, while the
+    union's boundary is 0.5 away (ROADMAP item 16).
     """
     g = _geometry(node)
-    xhat = g.normalize(coords(p, node))
     if isinstance(node.region, Polygon2D):
-        return _polygon_distance(*xhat, g.segments)
-    if not all(map(math.isfinite, xhat)):
-        return math.nan if any(map(math.isnan, xhat)) else math.inf
-    best = math.inf
-    for i, (member_slacks, gram) in enumerate(zip(g.slacks, g.grams)):
-        slacks = member_slacks(xhat)
-        margin = min(slacks)
-        if not margin >= 0:  # outside, or a NaN slack where sums met inf - inf
-            # xhat - v a_k, v = -margin, exceeds face j by -slacks[j] - v (a_j . a_k)
-            k = slacks.index(margin)
-            if margin >= -_NO_OVERFLOW and all(map(ge, slacks, map(mul, gram[k], repeat(margin)))):
-                margin = -margin
-            else:
-                margin = _distance_outside(xhat, g.face_tables()[i])
-        best = min(best, margin)
-    return best
+        return _polygon_distance(*g.normalize(coords(p, node)), g.segments)
+    return g.point_functions()[1](p.values)
 
 
 @dataclass(frozen=True)

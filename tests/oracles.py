@@ -14,7 +14,9 @@ looks candidates up in a grid of sorted cell keys).
 
 One reference is the package's own exact scalar test: the code of one point
 in a polygon from the edge distance and even-odd crossing helpers alone,
-with no cell grid (the package reads a grid of cells first).
+with no cell grid (the package reads a grid of cells first). Another is the
+package's one-point polytope distance as a loop over members and faces (the
+package generates one unrolled function per node).
 
 Row-by-row references sit beside them: the CSV dataset parser that reads
 one row at a time into a DataPoint (the package converts whole columns),
@@ -80,6 +82,31 @@ def slacks(xhat, A, b) -> list[float]:
         bi - functools.reduce(operator.add, map(operator.mul, a, xhat), 0.0)
         for a, bi in zip(A.tolist(), b.tolist())
     ]
+
+
+def polytope_distance(x, node) -> float:
+    """``distance_to_boundary`` of a raw point in a polytope node, as a loop
+    over the members: each member's slacks by the left fold (:func:`slacks`);
+    outside, the violation of its first most violated face k where moving
+    back along face k's normal by it leaves every face satisfied, read from
+    the Gram matrix ``A A^T``, and else the member's face table."""
+    g = geometry._geometry(node)
+    xhat = g.normalize(x)
+    if not all(map(math.isfinite, xhat)):
+        return math.nan if any(map(math.isnan, xhat)) else math.inf
+    best = math.inf
+    for (A, b), table in zip(g.members, g.face_tables()):
+        s = slacks(xhat, A, b)
+        margin = min(s)
+        if not margin >= 0:
+            k = s.index(margin)
+            gram = np.where(np.eye(len(A), dtype=bool), 1.0, A @ A.T)[k].tolist()
+            if margin >= -geometry._NO_OVERFLOW and all(sj >= gj * margin for sj, gj in zip(s, gram)):
+                margin = -margin
+            else:
+                margin = geometry._distance_outside(xhat, table)
+        best = min(best, margin)
+    return best
 
 
 def polytope_contains(x: tuple[float, ...], halfspaces) -> bool:

@@ -411,21 +411,100 @@ def test_a_point_beyond_a_box_corner_is_at_the_corner_distance():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_compiled_slacks_fold_the_products_left_to_right_from_zero(d):
-    # as _union_codes adds them column by column; since Python 3.12 sum()
-    # adds floats with compensation and differs in the last bit for about one
-    # 3-term dot product in five
+    # as _union_codes adds them column by column; since Python 3.12 sum() adds
+    # floats with compensation and differs in the last bit for about one 3-term
+    # dot product in five. A one-face member's distance is its slack's
+    # magnitude, which the facet decides, so each face gets its own functions.
     rng = np.random.default_rng(7 + d)
-    A = rng.normal(size=(500, d)) * 10.0 ** rng.uniform(-3, 3, size=(500, d))
+    A = rng.normal(size=(60, d)) * 10.0 ** rng.uniform(-3, 3, size=(60, d))
     A[rng.random(A.shape) < 0.1] = 0.0
-    b = rng.normal(size=500)
-    slacks = geometry._slack_function(A, b)
-    for x in rng.normal(size=(20, d)) * 10.0 ** rng.uniform(-3, 3, size=(20, d)):
-        got = np.array(slacks(tuple(x.tolist())))
-        s = x[0] * A[:, 0]
-        for j in range(1, d):
-            s = s + x[j] * A[:, j]
-        assert np.array_equal(got.view(np.uint64), (b - s).view(np.uint64))
-        assert np.array_equal(got.view(np.uint64), np.array(oracles.slacks(x.tolist(), A, b)).view(np.uint64))
+    b = rng.normal(size=60)
+    X = rng.normal(size=(20, d)) * 10.0 ** rng.uniform(-3, 3, size=(20, d))
+    s = X[:, :1] * A[:, 0]
+    for j in range(1, d):
+        s = s + X[:, j : j + 1] * A[:, j]
+    want = np.abs(b - s)
+    names, got = [f"x{j}" for j in range(d)], np.empty(want.shape)
+    for f in range(len(b)):
+        _, distance = geometry._point_functions(names, (0.0,) * d, (1.0,) * d, [(A[f : f + 1], b[f : f + 1])], None)
+        got[:, f] = [distance(dict(zip(names, x))) for x in X.tolist()]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    folded = np.abs([oracles.slacks(x, A, b) for x in X.tolist()])
+    assert np.array_equal(got.view(np.uint64), folded.view(np.uint64))
+
+
+def _shifted_union(node, shifts):
+    """The node's member and a copy of it moved by each (axis, distance) in raw units."""
+    (member,) = node.region.members
+    members = [member]
+    for axis, t in shifts:
+        halfspaces = tuple((a, b + a[axis] * t) for a, b in member.halfspaces)
+        vertices = tuple(tuple(c + t * (j == axis) for j, c in enumerate(v)) for v in member.vertices)
+        members.append(oddkit.ConvexPolytope(halfspaces, vertices))
+    return dataclasses.replace(node, region=oddkit.PolytopeUnion(tuple(members)))
+
+
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_the_generated_one_point_functions_agree_with_the_engine_and_the_member_loop(data, seed):
+    # a box or simplex alone, or with one or two copies moved along an axis by
+    # its span (touching) or half of it (overlapping); probes snapped to
+    # vertices, edges and facets and pushed off by 0 to 1e-3, then some with a
+    # coordinate NaN, infinite or 1e300
+    node = _random_box_or_simplex(data)
+    d = len(node.parameters)
+    moves = st.tuples(st.integers(0, d - 1), st.sampled_from([1.0, 0.5, -0.5, -1.0]))
+    shifts = data.draw(st.lists(moves, max_size=2), label="shifts")
+    node = _shifted_union(node, [(axis, f * node.parameters[axis].span) for axis, f in shifts])
+    rng = np.random.default_rng(seed)
+    X = _boundary_probes(node, rng, n_uniform=40)
+    X = X[rng.choice(len(X), size=min(len(X), 200), replace=False)]
+    odd = rng.choice(len(X), size=len(X) // 5, replace=False)
+    extremes = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+    X[odd, rng.integers(d, size=len(odd))] = rng.choice(extremes, size=len(odd))
+    contains, distance = geometry._geometry(node).point_functions()
+    for tol in (oddkit.DEFAULT_TOL, 1e-3):
+        want = [geometry.CONTAINMENT[c] for c in geometry.region_containment(X, node, tol).tolist()]
+        assert [contains(dict(zip(node.parameter_names, x)), tol) for x in X.tolist()] == want
+    got = np.array([distance(dict(zip(node.parameter_names, x))) for x in X.tolist()])
+    ref = np.array([oracles.polytope_distance(x, node) for x in X.tolist()])
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "call", [geometry.point_in_region, geometry.distance_to_boundary], ids=["contains", "distance"]
+)
+def test_the_generated_functions_read_values_as_coords_does(call, extended_doc):
+    node = extended_doc.node("MLMODD_ext")
+    with pytest.raises(oddkit.MissingParameter) as exc:
+        call(DataPoint({"Mach": 0.1}), node)
+    assert exc.value.parameter == "Alt"
+    for bad in ("fast", None, [1.0]):
+        values = {"Mach": 0.1, "Alt": bad, "Temp": 0.0}
+        with pytest.raises(Exception) as want:
+            geometry.coords(DataPoint(values), node)
+        with pytest.raises(want.type) as got:
+            call(DataPoint(values), node)
+        assert str(got.value) == str(want.value)
+    # a string value and an extra key are read as today
+    text = DataPoint({"Mach": "0.2", "Alt": 7000.0, "Temp": 0.0, "note": "x"})
+    assert call(text, node) == call(DataPoint({"Mach": 0.2, "Alt": 7000.0, "Temp": 0.0}), node)
+
+
+def test_parameter_names_never_enter_the_generated_source():
+    names = ['a"b', "c'}{d", "e\nf", "g)\n    raise SystemExit"]
+    node = _node("quoted", [(0.0, 1.0)] * 4, [_box([0.0] * 4, [1.0] * 4)])
+    params = tuple(dataclasses.replace(p, name=n) for p, n in zip(node.parameters, names))
+    node = dataclasses.replace(node, parameters=params)
+    assert node.parameter_names == tuple(names)
+    inside, outside = DataPoint(dict(zip(names, [0.5] * 4))), DataPoint(dict(zip(names, [0.5, 0.5, 0.5, 1.5])))
+    assert geometry.point_in_region(inside, node) == Containment.INSIDE
+    assert geometry.point_in_region(outside, node) == Containment.OUTSIDE
+    assert geometry.distance_to_boundary(inside, node) == 0.5
+    assert geometry.distance_to_boundary(outside, node) == 0.5
+    with pytest.raises(oddkit.MissingParameter) as exc:
+        geometry.distance_to_boundary(DataPoint({names[0]: 0.5}), node)
+    assert exc.value.parameter == names[1]
 
 
 @pytest.mark.parametrize("node_name", ["MLMODD", "MLMODD_ext"])

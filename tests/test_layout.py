@@ -133,16 +133,16 @@ def test_geometry_keeps_no_cache_keyed_by_node():
 def test_the_slack_code_calls_no_builtin_sum():
     """Since Python 3.12 ``sum()`` adds floats with compensation, so the
     one-point slacks would stop being the column fold of the array engine.
-    They are compiled from a template, which writes no coefficient into the
-    source: the only float constant of the compiled code is the fold's 0.0."""
+    A polytope's one-point functions are generated, and their source holds
+    no data: the only float constant of the generated code is the fold's 0.0."""
     callers = set(_callers(SRC / "geometry.py", "sum"))
-    assert not callers & {"_slack_function", "point_in_region", "distance_to_boundary"}
-    assert "sum" not in geometry._SLACKS
+    assert not callers & {"_point_functions", "point_in_region", "distance_to_boundary"}
     for d in range(1, 7):
-        code = geometry._slack_function(np.full((2, d), 0.3), np.full(2, 0.7)).__code__
-        codes = [code, *(c for c in code.co_consts if isinstance(c, types.CodeType))]
-        assert not any("sum" in c.co_names for c in codes)
-        assert {k for c in codes for k in c.co_consts if isinstance(k, float)} == {0.0}
+        members = [(np.full((faces, d), 0.3), np.full(faces, 0.7)) for faces in (1, 3)]
+        for fn in geometry._point_functions([f"p{j}" for j in range(d)], (0.5,) * d, (2.0,) * d, members, None):
+            codes = [fn.__code__, *(c for c in fn.__code__.co_consts if isinstance(c, types.CodeType))]
+            assert not any("sum" in c.co_names for c in codes)
+            assert {k for c in codes for k in c.co_consts if isinstance(k, float)} == {0.0}
 
 
 def test_coverage_decides_on_no_probe_lattice():
