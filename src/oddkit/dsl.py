@@ -31,6 +31,7 @@ Diagnostic codes:
     E014 monitor without the node reference its kind or its input points need
     E015 bilinear stub without exactly 4 finite coefficients
     E016 monitorchain without a stub model
+    E017 allocation to a node with a parameter the allocating node lacks
     W001 unknown attribute or construct (ignored)
     W002 E007 undecided: the base is a union of several members and the projection fits in no single one
 """
@@ -736,8 +737,11 @@ def _document_problems(
             if ref is not None and ref not in by_name and ref not in unbuilt:
                 yield "E003", f"node {node.name!r} references unknown node {ref!r}", loc
 
-    # allocation chain acyclicity
+    # allocation: the parent's parameters are the node's too, and the chain is acyclic
     for node, loc in zip(nodes, locs):
+        parent = by_name.get(node.allocates)
+        if parent is not None and (missing := [n for n in parent.parameter_names if n not in node.parameter_names]):
+            yield "E017", f"node {node.name!r} allocates to {parent.name!r} but lacks its parameter(s) {missing}", loc
         seen, current = {node.name}, node
         while current.allocates in by_name:
             current = by_name[current.allocates]

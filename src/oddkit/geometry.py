@@ -11,7 +11,7 @@ then every row's in it, and only the rows of the other cells, and rows with
 a non-finite or huge coordinate, go to the exact engine. A call of fewer
 rows than the grid has cells decides every row exactly, but a one-point
 :func:`point_in_region` reads the same grid, built on its first use, and
-runs the exact scalar test only where its cell leaves it undecided.
+sends a point its cell leaves undecided to the exact engine as one row.
 """
 
 from __future__ import annotations
@@ -89,23 +89,6 @@ def polygon_is_simple(verts) -> bool:
             if _segments_intersect(*edges[i], *edges[j]):
                 return False
     return True
-
-
-def _polygon_distance(px: float, py: float, segments) -> float:
-    """Distance from (px, py) to the nearest of the polygon's edge segments."""
-    dists = []
-    for ax, ay, _, dx, dy, denom in segments:
-        t = 0.0 if denom == 0.0 else max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-        dists.append(math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
-    return min(dists)
-
-
-def _even_odd_inside(px: float, py: float, segments) -> bool:
-    inside = False
-    for ax, ay, by, dx, dy, _ in segments:
-        if (ay > py) != (by > py) and px < ax + (py - ay) * dx / dy:
-            inside = not inside
-    return inside
 
 
 # -- polytope helpers --------------------------------------------------------
@@ -259,10 +242,9 @@ def _face_tables(members) -> tuple[_FaceTable, ...]:
 class _NodeGeometry:
     """What one node's geometry calls read, built once per node by
     :func:`_geometry`: the bounds as tuples and as arrays, and the normalized
-    polygon's edges (``segments`` for one point, ``edges`` for the engine)
-    or each member's unit rows (``members``, ``(A, b)`` arrays). The face
-    tables, the region pieces, a polygon's cell grids and a polytope's
-    one-point functions come on first use."""
+    polygon's edge arrays (``edges``) or each member's unit rows (``members``,
+    ``(A, b)`` arrays). The face tables, the region pieces, a polygon's cell
+    grids and a polytope's one-point functions come on first use."""
 
     def __init__(self, node: OddNode):
         params, self.region, self.names = node.parameters, node.region, node.parameter_names
@@ -275,7 +257,6 @@ class _NodeGeometry:
             (ax, ay), (bx, by) = np.array(verts).T, np.array(verts[1:] + verts[:1]).T
             dx, dy = bx - ax, by - ay
             sq = dx * dx + dy * dy
-            self.segments = tuple(zip(*(v.tolist() for v in (ax, ay, by, dx, dy, sq))))
             # the squared lengths and rises with zeros replaced by 1: see _polygon_codes
             edges = (ax, ay, by, dx, dy, np.where(sq == 0.0, 1.0, sq), np.where(dy == 0.0, 1.0, dy))
             self.edges = tuple(map(_read_only, edges))
@@ -354,8 +335,8 @@ def point_in_region(
     ``ON_BOUNDARY``; category logic treats those as inside. A polygon point
     takes its cell's code from the node's cell grid for ``tol``, built on
     first use and shared with :func:`region_containment`, where the cell is
-    decided, and the exact distance and crossing test elsewhere. A polytope
-    point takes the node's generated ``contains`` (:func:`_point_functions`).
+    decided, and the exact engine's code of it as a one-row array elsewhere.
+    A polytope point takes the node's generated ``contains`` (:func:`_point_functions`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -365,11 +346,9 @@ def point_in_region(
     xhat = g.normalize(coords(p, node))
     grid = g.cell_grid(tol)
     code = -1 if grid is None else _cell_code(*xhat, grid)
-    if code >= 0:
-        return CONTAINMENT[code]
-    if _polygon_distance(*xhat, g.segments) <= tol:
-        return Containment.ON_BOUNDARY
-    return Containment.INSIDE if _even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
+    if code < 0:
+        code = _by_chunk(partial(_polygon_codes, edges=g.edges, tol=tol), np.array([xhat]), np.empty(1, np.int8))[0]
+    return CONTAINMENT[code]
 
 
 def params_at_extreme(p: DataPoint, node: OddNode) -> set[str]:
@@ -385,10 +364,10 @@ def params_at_extreme(p: DataPoint, node: OddNode) -> set[str]:
 # -- array engine ------------------------------------------------------------
 #
 # Batch forms of point_in_region and params_at_extreme over an (n, d) array of
-# raw coordinates in node-parameter order, deciding every row as the scalar
-# functions do (for finite coordinates). One region_containment call costs
-# several point_in_region calls, so callers that handle one point at a time
-# keep point_in_region, which reads a polygon's cell grid as the batch does.
+# raw coordinates in node-parameter order, deciding every row as the one-point
+# functions do. One region_containment call costs several point_in_region
+# calls, so callers that handle one point at a time keep point_in_region, which
+# reads a polygon's cell grid as the batch does and decides the rest here.
 
 # Codes returned by region_containment; CONTAINMENT[code] is the enum value.
 INSIDE, ON_BOUNDARY, OUTSIDE = 0, 1, 2
@@ -438,25 +417,32 @@ def _by_chunk(decide, X: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edge_offsets(xhat: np.ndarray, edges: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row and edge, ``(ex, ey)``: the row minus the edge's nearest point, broadcast
+    over rows x edges. With the zero squared lengths replaced by 1, a degenerate edge gets t = 0."""
+    ax, ay, _, dx, dy, sq, _ = edges
+    px, py = xhat[:, :1], xhat[:, 1:]
+    t = np.minimum(np.maximum(((px - ax) * dx + (py - ay) * dy) / sq, 0.0), 1.0)
+    return px - (ax + t * dx), py - (ay + t * dy)
+
+
 def _polygon_codes(xhat: np.ndarray, edges: tuple[np.ndarray, ...], tol: float) -> np.ndarray:
     """Segment distance and even-odd crossing, broadcast over rows x edges.
 
-    With the zero divisors replaced by 1, a degenerate edge gets t = 0 as in
-    the scalar path, and a horizontal edge, which no row straddles, gets an
-    unused crossing.
+    With the zero rises replaced by 1, a horizontal edge, which no row
+    straddles, gets an unused crossing.
     """
-    ax, ay, by, dx, dy, sq, rise = edges
-    px, py = xhat[:, :1], xhat[:, 1:]
-    ry = py - ay
-    t = np.minimum(np.maximum(((px - ax) * dx + ry * dy) / sq, 0.0), 1.0)
-    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    ax, ay, by, dx, _, _, rise = edges
+    ex, ey = _edge_offsets(xhat, edges)
     dist = np.hypot(ex, ey)
-    # np.hypot and math.hypot can differ in the last bit: near tol, use the scalar's
+    # np.hypot and math.hypot can differ in the last bit: near tol, use math.hypot,
+    # as distance_to_boundary and the scalar reference in tests/oracles.py do
     for r, e in zip(*np.nonzero(np.abs(dist - tol) <= 4 * math.ulp(tol))):
         dist[r, e] = math.hypot(ex[r, e], ey[r, e])
     on_boundary = (dist <= tol).any(axis=1)
+    px, py = xhat[:, :1], xhat[:, 1:]
     straddles = (ay > py) != (by > py)
-    inside = (straddles & (px < ax + ry * dx / rise)).sum(axis=1) % 2 == 1
+    inside = (straddles & (px < ax + (py - ay) * dx / rise)).sum(axis=1) % 2 == 1
     return np.where(on_boundary, ON_BOUNDARY, np.where(inside, INSIDE, OUTSIDE))
 
 
@@ -617,6 +603,8 @@ def distance_to_boundary(p: DataPoint, node: OddNode) -> float:
     (see :func:`_distance_outside`). A NaN coordinate gives NaN, and an infinite
     one, or one so far that its squared distance overflows, gives inf. The node's
     generated ``distance`` (:func:`_point_functions`) decides all but the face table.
+    A polygon point gets NaN or inf as above where it is not finite, and else the least
+    ``math.hypot`` of its offsets from the edges, which the exact engine reads too.
 
     On a union of several members the result is the least of these member-wise
     distances. Outside every member that is the distance to the union; inside it, it
@@ -625,9 +613,14 @@ def distance_to_boundary(p: DataPoint, node: OddNode) -> float:
     union's boundary is 0.5 away (ROADMAP item 16).
     """
     g = _geometry(node)
-    if isinstance(node.region, Polygon2D):
-        return _polygon_distance(*g.normalize(coords(p, node)), g.segments)
-    return g.point_functions()[1](p.values)
+    if not isinstance(node.region, Polygon2D):
+        return g.point_functions()[1](p.values)
+    x, y = g.normalize(coords(p, node))
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+        return math.nan if x != x or y != y else math.inf
+    with np.errstate(invalid="ignore", over="ignore"):  # as in _by_chunk: a huge row's t may overflow
+        ex, ey = _edge_offsets(np.array([[x, y]]), g.edges)
+    return min(map(math.hypot, ex[0].tolist(), ey[0].tolist()))
 
 
 @dataclass(frozen=True)

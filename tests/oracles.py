@@ -12,11 +12,12 @@ iteration over its vertices (the package evaluates a precomputed face table),
 and near matches are found by comparing every pair of rows (the package
 looks candidates up in a grid of sorted cell keys).
 
-One reference is the package's own exact scalar test: the code of one point
-in a polygon from the edge distance and even-odd crossing helpers alone,
-with no cell grid (the package reads a grid of cells first). Another is the
-package's one-point polytope distance as a loop over members and faces (the
-package generates one unrolled function per node).
+One reference is a scalar polygon test: the distance to each edge segment
+and the even-odd crossing, edge by edge in Python floats from the node's
+vertices, with no cell grid (the package reads a grid of cells first, and
+broadcasts the rest over rows x edges in numpy). Another is the package's
+one-point polytope distance as a loop over members and faces (the package
+generates one unrolled function per node).
 
 Row-by-row references sit beside them: the CSV dataset parser that reads
 one row at a time into a DataPoint (the package converts whole columns),
@@ -64,14 +65,53 @@ def polygon_contains(pt: tuple[float, float], vertices) -> bool:
     return winding_number(pt, vertices) != 0
 
 
+def _normalized(x, node) -> tuple[float, ...]:
+    return tuple((v - p.lo) / p.span for v, p in zip(x, node.parameters))
+
+
+def _edges(node):
+    """The normalized polygon's edges as ``(ax, ay, by, dx, dy, dx² + dy²)``."""
+    verts = [_normalized(v, node) for v in node.region.vertices]
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        dx, dy = bx - ax, by - ay
+        yield ax, ay, by, dx, dy, dx * dx + dy * dy
+
+
+def _edge_distances(xhat, node) -> list[float]:
+    """Per edge, the ``math.hypot`` of the offset of ``xhat`` from its nearest
+    point of the segment: t clamped as ``min(max(t, 0.0), 1.0)``, which keeps a
+    NaN t NaN, as the array engine's ``np.minimum(np.maximum(t, 0.0), 1.0)``
+    does (``max(0.0, min(1.0, t))`` would make it 1.0); a degenerate edge
+    divides by 1, so t is 0 where the point is finite."""
+    px, py = xhat
+    out = []
+    for ax, ay, _, dx, dy, sq in _edges(node):
+        t = min(max(((px - ax) * dx + (py - ay) * dy) / (sq or 1.0), 0.0), 1.0)
+        out.append(math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    return out
+
+
+def polygon_distance(x, node) -> float:
+    """``distance_to_boundary`` of a raw point in a polygon node: NaN for a
+    NaN coordinate and inf for an infinite one, else the least of the edge
+    distances (:func:`_edge_distances`), none of which is then NaN."""
+    xhat = _normalized(x, node)
+    if not all(map(math.isfinite, xhat)):
+        return math.nan if any(map(math.isnan, xhat)) else math.inf
+    return min(_edge_distances(xhat, node))
+
+
 def exact_polygon_containment(x: tuple[float, float], node, tol: float) -> Containment:
-    """One raw point's containment in a polygon node by the exact scalar
-    helpers: on the boundary within ``tol`` of an edge, else by crossing."""
-    g = geometry._geometry(node)
-    xhat = g.normalize(x)
-    if geometry._polygon_distance(*xhat, g.segments) <= tol:
+    """One raw point's containment in a polygon node, edge by edge: on the
+    boundary within ``tol`` of some edge, else inside by an odd count of
+    edges that straddle the point's height right of it (even-odd crossing)."""
+    px, py = xhat = _normalized(x, node)
+    if any(d <= tol for d in _edge_distances(xhat, node)):
         return Containment.ON_BOUNDARY
-    return Containment.INSIDE if geometry._even_odd_inside(*xhat, g.segments) else Containment.OUTSIDE
+    crossings = sum(
+        (ay > py) != (by > py) and px < ax + (py - ay) * dx / dy for ax, ay, by, dx, dy, _ in _edges(node)
+    )
+    return Containment.INSIDE if crossings % 2 else Containment.OUTSIDE
 
 
 def slacks(xhat, A, b) -> list[float]:

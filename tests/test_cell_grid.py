@@ -2,7 +2,9 @@
 has cells reads each row's code from its cell, and sends only the rows of
 undecided cells, and non-finite or huge rows, to the exact engine. Every
 code must be the exact engine's, row for row. A one-point point_in_region
-reads the same grid, and must give the exact scalar test's verdict."""
+reads the same grid and sends the rest to the same engine, and must give
+the scalar reference's verdict, as distance_to_boundary must give its
+distance to the last bit."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from oddkit import geometry
 from oddkit.model import DEFAULT_TOL, DataPoint, Level, OddNode, Parameter, Polygon2D
 
-from oracles import exact_polygon_containment
+from oracles import exact_polygon_containment, polygon_distance
 from test_batch import probe_points
 from test_geometry_bits import FIXTURE, POLYGONS
 
@@ -44,8 +46,8 @@ def assert_grid_agrees(X: np.ndarray, node: OddNode, tol: float) -> None:
 
 
 def assert_one_point_agrees(X: np.ndarray, node: OddNode, tol: float) -> None:
-    """point_in_region of each row, one call per row, is the exact scalar
-    test's verdict; the first call builds the node's grid for ``tol``."""
+    """point_in_region of each row, one call per row, is the scalar
+    reference's verdict; the first call builds the node's grid for ``tol``."""
     names = node.parameter_names
     wrong = [
         (x, got, expected)
@@ -235,3 +237,45 @@ def test_the_grid_decides_most_rows(corpus, name, monkeypatch):
     monkeypatch.setattr(geometry, "_polygon_codes", counting)
     assert np.array_equal(geometry.region_containment(X, node), expected)
     assert 0 < sum(decided) <= 0.15 * len(X)
+
+
+def snapped_probes(vertices: np.ndarray, grid: geometry._CellGrid, tol: float, rng: np.random.Generator) -> np.ndarray:
+    """The vertices, seeded points on each edge and on the grid's cell lines,
+    each pushed off in a seeded direction by 0, tol, 1e-6 and 1e-3; then a
+    fifth of the rows get a NaN, infinite or +-1e300 coordinate, or two."""
+    t = rng.uniform(size=(len(vertices), 3, 1))
+    on_edges = (vertices[:, None] + t * (np.roll(vertices, -1, axis=0) - vertices)[:, None]).reshape(-1, 2)
+    side = len(grid.codes)
+    k = rng.integers(side + 1, size=(16, 2))
+    lines = np.array(grid.origin) + k * np.array(grid.width)
+    free = np.array(grid.origin) + rng.uniform(0, side, size=(16, 2)) * np.array(grid.width)
+    on_lines = np.vstack([np.column_stack([lines[:, 0], free[:, 1]]), np.column_stack([free[:, 0], lines[:, 1]])])
+    snapped = np.repeat(np.vstack([vertices, on_edges, on_lines]), 4, axis=0)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(snapped))
+    push = np.tile([0.0, tol, 1e-6, 1e-3], len(snapped) // 4)
+    X = snapped + push[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    special = rng.choice([math.nan, math.inf, -math.inf, 1e300, -1e300], size=X.shape)
+    rows = rng.random(len(X)) < 0.2
+    columns = rng.integers(3, size=len(X))  # x, y or both
+    X[rows & (columns != 1), 0] = special[rows & (columns != 1), 0]
+    X[rows & (columns != 0), 1] = special[rows & (columns != 0), 1]
+    return X
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@settings(max_examples=20)  # derandomized by the conftest profile
+@given(vertices=polygons(), seed=st.integers(0, 2**16))
+def test_one_point_polygon_calls_match_the_scalar_reference(vertices, seed, tol):
+    """Per probe, distance_to_boundary is the reference's segment distance bit
+    for bit (NaN for NaN), and point_in_region is both region_containment's
+    code of the row and the reference's verdict."""
+    unit = (Parameter("x", "-", 0.0, 1.0), Parameter("y", "-", 0.0, 1.0))
+    node = OddNode("P", Level.MLM_ODD, unit, Polygon2D(vertices))
+    X = snapped_probes(np.array(vertices), geometry._geometry(node).cell_grid(tol), tol, np.random.default_rng(seed))
+    for row in X:
+        x = tuple(row.tolist())
+        p = DataPoint(dict(zip(node.parameter_names, x)))
+        assert geometry.distance_to_boundary(p, node).hex() == polygon_distance(x, node).hex(), x
+        verdict = geometry.point_in_region(p, node, tol)
+        assert verdict == geometry.CONTAINMENT[geometry.region_containment(row[None], node, tol)[0]], x
+        assert verdict == exact_polygon_containment(x, node, tol), x

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 import oddkit
 from oddkit.cli import cli, main
 
+from test_dsl import renamed_alt
+
 
 @pytest.fixture()
 def runner():
@@ -271,6 +273,17 @@ def test_a_monitorchain_without_a_stub_is_e016(runner, spec_path, points_path, t
     assert result.exit_code == 1 and error in result.output
     result = runner.invoke(cli, ["simulate", str(spec), points_path, "--scenario", "input_only"])
     assert result.exit_code == 1 and error in result.output
+
+
+def test_an_allocation_to_a_parameter_the_node_lacks_is_e017_not_an_internal_error(runner, base_spec_text, tmp_path):
+    # classify once read the parent's Alt from rows outside MLMODD and exited 3
+    spec, data = tmp_path / "renamed.odd", tmp_path / "rows.csv"
+    spec.write_text(renamed_alt(base_spec_text), encoding="utf-8")
+    data.write_text("Mach,Altitude,in_sample\n0.1,5000,1\n0.5,9000,0\n", encoding="utf-8")
+    error = "error E017 at 39:1: node 'MLMODD' allocates to 'MLCODD_spec' but lacks its parameter(s) ['Alt']"
+    for args in (["validate", str(spec)], ["classify", str(spec), str(data)]):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1 and error in result.output, result.output
 
 
 def test_inputs_with_a_byte_order_mark_are_read(runner, spec_path, points_path, tmp_path, golden_labels_text):

@@ -415,6 +415,20 @@ odd "B" level mlc_odd allocates "A" {
     assert "E008" in _codes(doc)
 
 
+def renamed_alt(base_spec_text: str) -> str:
+    """The base corpus with MLMODD's Alt renamed Altitude: MLCODD_spec, which
+    MLMODD allocates to, still reads Alt."""
+    old = "  param Alt: ft range [0, 15000]"
+    assert base_spec_text.count(old) == 1
+    return base_spec_text.replace(old, "  param Altitude: ft range [0, 15000]")
+
+
+def test_allocation_to_a_parent_with_a_parameter_the_node_lacks_e017(base_spec_text):
+    doc = oddkit.parse_spec(renamed_alt(base_spec_text))
+    message = "node 'MLMODD' allocates to 'MLCODD_spec' but lacks its parameter(s) ['Alt']"
+    assert [(d.code, d.line, d.message) for d in doc.diagnostics] == [("E017", 39, message)]
+
+
 def test_multiple_system_od_e009():
     node = """
 odd "%s" level system_od {

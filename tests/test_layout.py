@@ -67,11 +67,14 @@ def _referrers(path: Path, name: str, loads_only: bool = False) -> set[str | Non
 
 def test_one_polygon_engine():
     """Polygon rows are decided by the exact engine only where
-    region_containment sends them, and where the cell grid decides its
-    cells' centres; the grid is built and read only in geometry.py, by
-    region_containment and by point_in_region's one-point lookup."""
+    region_containment sends them, where the cell grid decides its cells'
+    centres, and where point_in_region's cell leaves its point undecided; the
+    grid is built and read only in geometry.py, by region_containment and by
+    point_in_region's one-point lookup. The engine's edge offsets are also
+    the polygon distance's, and no scalar twin of either is left."""
     for name, owners in (
-        ("_polygon_codes", {"region_containment", "_cell_grid"}),
+        ("_polygon_codes", {"region_containment", "_cell_grid", "point_in_region"}),
+        ("_edge_offsets", {"_polygon_codes", "distance_to_boundary"}),
         ("_cell_grid", {"cell_grid"}),
         ("cell_grid", {"region_containment", "point_in_region"}),
         ("_CellGrid", {"cell_grid", "_cell_grid", "_cell_codes", "_cell_code"}),
@@ -79,6 +82,9 @@ def test_one_polygon_engine():
     ):
         referrers = {path.name: _referrers(path, name) for path in SRC.glob("*.py")}
         assert {file: fns for file, fns in referrers.items() if fns} == {"geometry.py": owners}, name
+    defined = {fn.name for path in SRC.glob("*.py") for fn in ast.walk(_tree(path)) if isinstance(fn, ast.FunctionDef)}
+    assert not defined & {"_polygon_distance", "_even_odd_inside"}
+    assert not any(_referrers(path, "segments") for path in SRC.glob("*.py"))  # nor _NodeGeometry.segments
 
 
 def test_csv_writer_is_built_only_by_write_csv():
@@ -295,7 +301,7 @@ def test_spec_diagnostics_are_built_in_one_place_and_listed_alike():
     documented = set(re.findall(r"^    ([EW]\d{3}) ", ast.get_docstring(tree), re.M))
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     tabled = set(re.findall(r"^\| `([EW]\d{3})` \|", readme, re.M))
-    assert len(emitted) == 18
+    assert len(emitted) == 19
     assert emitted == documented == tabled
 
 
