@@ -192,10 +192,20 @@ def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], see
 
     Nominal-interior candidates are corrupted through each transform in turn
     by :func:`inject_inlier`; a candidate is kept when every step accepts it,
-    with its uncorrupted values as provenance.
+    with its uncorrupted values as provenance. A transform that can corrupt
+    no point, of a parameter the node lacks or an identity, raises
+    EmptyStratum before any draw.
     """
     if not transforms:
         raise ValueError("an inlier needs at least one transform")
+    for t in transforms:
+        if t.parameter not in node.parameter_names:
+            reason = f"node {node.name!r} has no parameter {t.parameter!r}"
+        elif t(0.0) == 0.0 and t(1.0) == 1.0:  # an affine map that fixes two points
+            reason = "it is the identity"
+        else:
+            continue
+        raise EmptyStratum(f"transform {t.kind} of {t.parameter!r} corrupts no point: {reason}")
 
     def accept(X):
         out = []

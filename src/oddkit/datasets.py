@@ -3,8 +3,10 @@
 Datasets are RFC-4180 CSV with a required header row. Columns map to
 parameters by exact name; recognized special columns are ``raw:<param>``
 (pre-processing value), ``hidden:<name>`` (hidden-parameter value), and
-``in_sample`` (0/1/true/false). Other columns are kept as opaque per-row
-extras and reported with a warning. Lines starting with ``#`` before the
+``in_sample`` (0/1/true/false). Other columns are reported with a warning
+and ignored: their cells are never read, and each record is cut to its
+recognized cells as it is read. A row whose recognized cells are all blank
+is skipped, as a blank line is. Lines starting with ``#`` before the
 header are skipped (generators record their seed there).
 
 The text is read with ``csv.reader`` once, and each column is converted as
@@ -21,9 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,7 +39,7 @@ _FALSE = {"0", "false", "f", "no"}
 # any other cell is read by _boolean
 _FLAG_CELLS = {"": -1, **dict.fromkeys(_TRUE, 1), **dict.fromkeys(_FALSE, 0)}
 # roles of dataset columns
-_PARAM, _RAW, _HIDDEN, _IN_SAMPLE, _EXTRA = "param", "raw", "hidden", "in_sample", "extra"
+_PARAM, _RAW, _HIDDEN, _IN_SAMPLE = "param", "raw", "hidden", "in_sample"
 
 
 @dataclass
@@ -76,25 +79,14 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     while text.readline().startswith("#"):
         skipped, start = skipped + 1, text.tell()
     text.seek(start)
-    reader, body, starts, excluded, line = csv.reader(text), [], [], [], skipped + 1
-    while True:
-        try:
-            for row in reader:
-                body.append(row)
-                starts.append(line)
-                line = skipped + reader.line_num + 1
-            break
-        except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
-            excluded.append((line, str(exc)))
-            line = skipped + reader.line_num + 1
-    if excluded and excluded[0][0] == skipped + 1:
-        diagnostics.append(Diagnostic("error", "E101", f"unreadable header row: {excluded[0][1]}", skipped + 1, 1))
-        return Dataset(Points.of(()), diagnostics)
-    if not body:
-        diagnostics.append(Diagnostic("error", "E101", "empty dataset: no header row", 1, 1))
-        return Dataset(Points.of(()), diagnostics)
-    head, starts = body.pop(0), starts[1:]
-    header = [h.strip() for h in head]
+    reader = csv.reader(text)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        return Dataset(Points.of(()), [Diagnostic("error", "E101", "empty dataset: no header row", 1, 1)])
+    except csv.Error as exc:  # a cell over the field limit
+        message = f"unreadable header row: {exc}"
+        return Dataset(Points.of(()), [Diagnostic("error", "E101", message, skipped + 1, 1)])
 
     seen = set()
     for i, col in enumerate(header):
@@ -104,25 +96,26 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
             )
         seen.add(col)
 
-    # each column's role, decided once: (cell index, role, key of its value)
-    names = node.parameter_names
-    roles = []
+    # each column's role and the key of its value, decided once; None for an
+    # unrecognized column, whose cells are never read
+    names, column_roles = node.parameter_names, []
     for i, col in enumerate(header):
         if col in names:
-            roles.append((i, _PARAM, col))
+            role = _PARAM, col
         elif col == "in_sample":
-            roles.append((i, _IN_SAMPLE, col))
+            role = _IN_SAMPLE, col
         elif col.startswith("raw:") and col[4:] in names:
-            roles.append((i, _RAW, col[4:]))
+            role = _RAW, col[4:]
         elif col.startswith("hidden:") and col[7:]:
-            roles.append((i, _HIDDEN, col[7:]))
+            role = _HIDDEN, col[7:]
         else:
-            roles.append((i, _EXTRA, col))
+            role = None
             diagnostics.append(
                 Diagnostic(
                     "warning", "W101", f"unrecognized column {col!r} ignored", skipped + 1, i + 1
                 )
             )
+        column_roles.append(role)
     for name in names:
         if name not in header:
             diagnostics.append(
@@ -131,45 +124,51 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if any(d.severity == "error" for d in diagnostics):
         return Dataset(Points.of(()), diagnostics)
 
-    # rows of another width: a blank one is skipped, a longer one excluded,
-    # and a shorter one padded with empty cells
-    width, dropped = len(header), set()
-    lengths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-    for r in np.flatnonzero(lengths != width).tolist():
-        row = body[r]
-        if not "".join(row).strip():
-            dropped.add(r)
-        elif len(row) > width:
-            dropped.add(r)
-            excluded.append((starts[r], f"{len(row)} cells for the {width} columns of the header"))
-        else:
-            row += [""] * (width - len(row))
-    rownums = [r for r in range(len(body)) if r not in dropped] if dropped else range(len(body))
-    table = [body[r] for r in rownums] if dropped else body
+    # each record cut to the recognized cells as it is read: a longer one is
+    # excluded (or skipped if blank), and a shorter one padded with empty cells
+    roles = [role for role in column_roles if role]
+    width, cut = len(header), None if all(column_roles) else column_roles
+    table, starts, excluded, line = [], [], [], skipped + reader.line_num + 1
+    while True:
+        try:
+            for row in reader:
+                if len(row) > width:
+                    if "".join(row).strip():
+                        excluded.append((line, f"{len(row)} cells for the {width} columns of the header"))
+                else:
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    table.append(row if cut is None else tuple(compress(row, cut)))
+                    starts.append(line)
+                line = skipped + reader.line_num + 1
+            break
+        except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
+            excluded.append((line, str(exc)))
+            line = skipped + reader.line_num + 1
 
-    points, bad = _read_columns(table, roles, width)
-    # a row that failed, read cell by cell: its first failing cell names the problem
+    points, bad = _read_columns(table, roles)
+    # a row that failed, read cell by cell: its first failing cell names the
+    # problem; a row with every recognized cell blank is skipped
     for r in bad.tolist():
         message = _row_error(table[r], roles)
         if message is not None:
-            excluded.append((starts[rownums[r]], message))
+            excluded.append((starts[r], message))
     for line, message in sorted(excluded):
         diagnostics.append(Diagnostic("warning", "E103", f"row excluded: {message}", line, 1))
     return Dataset(points, diagnostics)
 
 
-def _read_columns(table: list[list[str]], roles, width: int) -> tuple[Points, np.ndarray]:
+def _read_columns(table: list[Sequence[str]], roles) -> tuple[Points, np.ndarray]:
     """The points of the rows of ``table`` that every column reads, and the
-    rows some column cannot read. Each column is read as a whole; a cell
-    that is empty, or only whitespace, is an absent value (NaN)."""
-    cells = list(zip(*table)) or [()] * width
+    rows some column cannot read; column j has the role ``roles[j]``. Each
+    column is read as a whole; a cell that is empty, or only whitespace, is
+    an absent value (NaN)."""
     n = len(table)
     failed = np.zeros(n, dtype=bool)
     read: dict[str, dict[str, np.ndarray]] = {_PARAM: {}, _RAW: {}, _HIDDEN: {}}
     flags = np.full(n, -1, dtype=np.int8)
-    extras: dict[int, dict[str, str]] = {}
-    for i, role, key in roles:
-        column = cells[i]
+    for j, (role, key) in enumerate(roles):
+        column = list(map(itemgetter(j), table))
         if role == _PARAM:
             read[role][key], failing = _numbers(column)
             failed |= failing
@@ -178,7 +177,7 @@ def _read_columns(table: list[list[str]], roles, width: int) -> tuple[Points, np
             read[role][key] = np.full(n, np.nan)
             read[role][key][filled], failing = _numbers([column[r] for r in filled])
             failed[filled] |= failing
-        elif role == _IN_SAMPLE:
+        else:  # _IN_SAMPLE
             flags = np.fromiter(map(_FLAG_CELLS.get, column, repeat(2)), dtype=np.int8, count=n)
             for r in np.flatnonzero(flags == 2).tolist():
                 cell = column[r].strip()
@@ -186,21 +185,14 @@ def _read_columns(table: list[list[str]], roles, width: int) -> tuple[Points, np
                     flags[r] = -1 if not cell else _boolean(cell)
                 except ValueError:
                     failed[r] = True
-        else:
-            for r in compress(range(n), column):
-                if not column[r].isspace():
-                    extras.setdefault(r, {})[key] = column[r].strip()
 
     good = np.flatnonzero(~failed)
-    if extras:
-        kept = dict(zip(good.tolist(), range(len(good))))
-        extras = {kept[r]: row for r, row in extras.items() if r in kept}
 
     def stacked(by_name: dict[str, np.ndarray]):
         data = [values[good] for values in by_name.values()]
         return columns(tuple(by_name), np.column_stack(data) if data else np.empty((len(good), 0)))
 
-    points = Points(*map(stacked, read.values()), flags[good], extras)
+    points = Points(*map(stacked, read.values()), flags[good])
     return points, np.flatnonzero(failed)
 
 
@@ -224,17 +216,17 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def _row_error(row: list[str], roles) -> str | None:
+def _row_error(row: Sequence[str], roles) -> str | None:
     """Why a row is excluded, from its first failing cell as :func:`_number`
     and :func:`_boolean` read it; None for a blank row."""
     if not "".join(row).strip():
         return None
     try:
-        for i, role, key in roles:
-            cell = row[i].strip()
+        for cell, (role, key) in zip(row, roles):
+            cell = cell.strip()
             if role == _PARAM and not cell:
                 raise ValueError(f"empty value for parameter {key!r}")
-            if not cell or role == _EXTRA:
+            if not cell:
                 continue
             if role == _IN_SAMPLE:
                 _boolean(cell)

@@ -32,8 +32,9 @@ Diagnostic codes:
     E015 bilinear stub without exactly 4 finite coefficients
     E016 monitorchain without a stub model
     E017 allocation to a node with a parameter the allocating node lacks
+    E018 allocation violation (projection leaves the region of the node allocated to)
     W001 unknown attribute or construct (ignored)
-    W002 E007 undecided: the base is a union of several members and the projection fits in no single one
+    W002 E007 or E018 undecided: the base or parent is a union of several members and the projection fits in no single one
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _diagnostic(code: str, message: str, line: int, col: int) -> Diagnostic:
 
 @dataclass(frozen=True)
 class StubDecl:
-    kind: str  # "bilinear" | "table"
+    kind: str  # "bilinear"; any other kind is E001
     coefficients: tuple[float, ...]
 
 
@@ -715,6 +716,19 @@ def _polytope_problem(halfspaces, vertices, params) -> tuple[str, str] | None:
     return None
 
 
+def _leaves(node: OddNode, outer: OddNode, code: str, role: str) -> tuple[str, str] | None:
+    """``code`` and its message when ``node``'s projection leaves the region
+    of ``outer``, its ``role`` ("base" or "parent"); W002 when
+    :func:`geometry.contains_node` cannot decide; None when it lies within."""
+    result = geometry.contains_node(node, outer)
+    if result.contained is None:
+        return "W002", f"{code} undecided: the projection of {node.name!r} fits in no one member of {outer.name!r}"
+    if not result.contained:
+        witness = result.witness.values
+        return code, f"projection of {node.name!r} leaves {role} region {outer.name!r} (witness {witness})"
+    return None
+
+
 def _document_problems(
     nodes: list[OddNode], locs: list[tuple[int, int]], chains: list[MonitorChainDecl], unbuilt: set[str]
 ):
@@ -737,11 +751,14 @@ def _document_problems(
             if ref is not None and ref not in by_name and ref not in unbuilt:
                 yield "E003", f"node {node.name!r} references unknown node {ref!r}", loc
 
-    # allocation: the parent's parameters are the node's too, and the chain is acyclic
+    # allocation: the parent's parameters are the node's too, its projection
+    # lies in the parent's region, and the chain is acyclic
     for node, loc in zip(nodes, locs):
         parent = by_name.get(node.allocates)
         if parent is not None and (missing := [n for n in parent.parameter_names if n not in node.parameter_names]):
             yield "E017", f"node {node.name!r} allocates to {parent.name!r} but lacks its parameter(s) {missing}", loc
+        elif parent is not None and (problem := _leaves(node, parent, "E018", "parent")):
+            yield *problem, loc
         seen, current = {node.name}, node
         while current.allocates in by_name:
             current = by_name[current.allocates]
@@ -756,12 +773,8 @@ def _document_problems(
             continue
         if not set(node.parameter_names) > set(base.parameter_names):
             yield "E007", f"node {node.name!r} must add at least one parameter over {base.name!r}", loc
-        elif (result := geometry.contains_node(node, base)).contained is None:
-            message = f"E007 undecided: the projection of {node.name!r} fits in no one member of {base.name!r}"
-            yield "W002", message, loc
-        elif not result.contained:
-            witness = result.witness.values
-            yield "E007", f"projection of {node.name!r} leaves base region {base.name!r} (witness {witness})", loc
+        elif problem := _leaves(node, base, "E007", "base"):
+            yield *problem, loc
 
     for chain in chains:
         stub = (chain.stub.kind, chain.stub.coefficients) if chain.stub else (None,)

@@ -37,9 +37,5 @@ class UnvalidatedRuleBase(OddkitError):
     """Rule lookup was attempted before the rule base passed validation."""
 
 
-class IncompleteTable(OddkitError):
-    """A lookup-table stub model does not cover the node's parameter box."""
-
-
 class StubEvaluationError(OddkitError):
     """The stub model failed to produce a finite output."""

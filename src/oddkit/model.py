@@ -264,11 +264,9 @@ class Points(Sequence):
 
     ``values``, ``raw`` and ``hidden`` hold what :class:`DataPoint` keeps in
     ``values``, ``provenance_raw`` and ``hidden_values``; ``in_sample`` holds
-    an int8 code per row: 1, 0, or -1 where the flag is unset. ``extras``
-    keeps, for the rows of a parsed dataset that have any, the cells of its
-    unrecognized columns. Indexing and iterating build :class:`DataPoint`
-    objects equal to the ones the columns came from; a slice is a
-    :class:`Points` of the selected rows.
+    an int8 code per row: 1, 0, or -1 where the flag is unset. Indexing and
+    iterating build :class:`DataPoint` objects equal to the ones the columns
+    came from; a slice is a :class:`Points` of the selected rows.
 
     ``memo`` keeps what :meth:`recall` decided about these points, such as
     their containment codes in a node and their labels against a chain, so
@@ -279,7 +277,6 @@ class Points(Sequence):
     raw: Columns
     hidden: Columns
     in_sample: np.ndarray
-    extras: dict[int, dict[str, str]] = field(default_factory=dict)
     memo: dict[tuple, tuple[object, object]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -335,16 +332,7 @@ class Points(Sequence):
     def take(self, rows) -> Points:
         """The points of ``rows``, an index array, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        extras = {}
-        if self.extras:
-            extras = {new: self.extras[old] for new, old in enumerate(rows.tolist()) if old in self.extras}
-        return Points(
-            self.values.take(rows),
-            self.raw.take(rows),
-            self.hidden.take(rows),
-            self.in_sample[rows],
-            extras,
-        )
+        return Points(self.values.take(rows), self.raw.take(rows), self.hidden.take(rows), self.in_sample[rows])
 
 
 def _gather(dicts: list[dict[str, float]]) -> Columns:

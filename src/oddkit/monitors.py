@@ -19,7 +19,7 @@ from . import geometry
 from .classify import CATEGORY_LABELS, Chain, NearIndex, classify_points
 from .datasets import write_csv
 from .dsl import MonitorDecl, SpecDocument, StubDecl, monitor_problem, stub_problem
-from .errors import IncompleteTable, StubEvaluationError
+from .errors import StubEvaluationError
 from .model import DEFAULT_TOL, DataPoint, OddNode, Points
 
 
@@ -31,27 +31,20 @@ def _check(problem: tuple[str, str] | None) -> None:
 
 @dataclass(frozen=True)
 class StubModel:
+    """The bilinear surrogate ``c0 + c1*x + c2*y + c12*x*y`` of a spec's
+    monitorchain, over raw values of ``node``'s two parameters."""
+
     node: OddNode
-    kind: str  # "bilinear" | "lookup_table"
-    coefficients: tuple[float, ...] = ()
-    table: tuple[tuple[float, ...], ...] = ()
+    coefficients: tuple[float, float, float, float]
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
         """The stub's output on each row of ``X``, raw coordinates in the
-        node's parameter order. A lookup table gives NaN where a normalised
-        coordinate is not finite."""
+        node's parameter order."""
+        c0, c1, c2, c12 = self.coefficients
+        x, y = X[:, 0], X[:, 1]
         # non-finite outputs are reported by the caller, not as warnings
         with np.errstate(invalid="ignore", over="ignore"):
-            if self.kind == "bilinear":
-                c0, c1, c2, c12 = self.coefficients
-                x, y = X[:, 0], X[:, 1]
-                return c0 + c1 * x + c2 * y + c12 * x * y
-            table = np.array(self.table)
-            scaled = geometry.normalize_array(X, self.node) * table.shape
-        finite = np.isfinite(scaled).all(axis=1)
-        cells = np.clip(np.where(finite[:, None], scaled, 0.0), 0, np.array(table.shape) - 1)
-        i, j = cells.astype(int).T
-        return np.where(finite, table[i, j], np.nan)
+            return c0 + c1 * x + c2 * y + c12 * x * y
 
     def evaluate(self, p: DataPoint) -> float:
         """The stub's output at one point, the one-row case of :meth:`outputs`;
@@ -63,28 +56,17 @@ class StubModel:
 
 
 def make_stub_model(node: OddNode, spec: dict) -> StubModel:
-    """Build a surrogate model over a 2-parameter node.
+    """Build the bilinear surrogate model over a 2-parameter node.
 
     ``spec`` is ``{"kind": "bilinear", "coefficients": (c0, c1, c2, c12)}``
-    (output = c0 + c1*x + c2*y + c12*x*y over raw parameter values) or
-    ``{"kind": "lookup_table", "table": rows}`` with a full grid over the
-    normalized parameter box.
+    (output = c0 + c1*x + c2*y + c12*x*y over raw parameter values); any
+    other kind is a ValueError.
     """
     if len(node.parameters) != 2:
         raise ValueError("stub models are defined over 2-parameter nodes")
-    kind = spec["kind"]
-    if kind == "bilinear":
-        coefficients = tuple(float(c) for c in spec["coefficients"])
-        _check(stub_problem(kind, coefficients))
-        return StubModel(node, "bilinear", coefficients=coefficients)
-    if kind == "lookup_table":
-        table = tuple(tuple(float(v) for v in row) for row in spec["table"])
-        if not table or any(len(row) != len(table[0]) for row in table):
-            raise IncompleteTable("lookup table rows have inconsistent lengths")
-        if any(not math.isfinite(v) for row in table for v in row):
-            raise IncompleteTable("lookup table has missing (non-finite) cells")
-        return StubModel(node, "lookup_table", table=table)
-    raise ValueError(f"unknown stub kind {kind!r}")
+    coefficients = tuple(float(c) for c in spec.get("coefficients", ()))
+    _check(stub_problem(spec["kind"], coefficients))
+    return StubModel(node, coefficients)
 
 
 @dataclass(frozen=True)

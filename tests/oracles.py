@@ -288,13 +288,15 @@ def _boolean(cell: str) -> bool:
 
 def parse_rows(text: str, names: tuple[str, ...]):
     """The dataset format read one row at a time: (diagnostics as
-    ``(severity, code, message, line, column)``, points, extras per point).
+    ``(severity, code, message, line, column)``, points).
 
-    A row with more cells than the header, or a record the reader raises
-    on (a cell over its field limit), is excluded (E103) at the line its
-    record starts on, as the reader counts lines; a header the reader raises
-    on is an error (E101). A ``hidden:`` column without a name is an
-    unrecognized column (W101).
+    A row with more cells than the header, unless blank, or a record the
+    reader raises on (a cell over its field limit), is excluded (E103) at
+    the line its record starts on, as the reader counts lines; a header the
+    reader raises on is an error (E101). A row no longer than the header
+    whose recognized cells are all blank is skipped. A ``hidden:`` column
+    without a name is an unrecognized column (W101); the cells of such a
+    column are never read.
     """
     text = io.StringIO(text.removeprefix("\ufeff"), newline=None).read()  # universal newlines
     lines = text.split("\n")  # only "\n" ends a line, as csv.reader reads one
@@ -302,13 +304,13 @@ def parse_rows(text: str, names: tuple[str, ...]):
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
     reader = csv.reader(io.StringIO("\n".join(lines[skipped:])))
-    diagnostics, points, extras = [], [], []
+    diagnostics, points = [], []
     try:
         header = next(reader)
     except StopIteration:
-        return [("error", "E101", "empty dataset: no header row", 1, 1)], [], []
+        return [("error", "E101", "empty dataset: no header row", 1, 1)], []
     except csv.Error as exc:
-        return [("error", "E101", f"unreadable header row: {exc}", skipped + 1, 1)], [], []
+        return [("error", "E101", f"unreadable header row: {exc}", skipped + 1, 1)], []
     header = [h.strip() for h in header]
     seen = set()
     for i, col in enumerate(header):
@@ -326,13 +328,12 @@ def parse_rows(text: str, names: tuple[str, ...]):
         elif col.startswith("hidden:") and col[7:]:
             roles.append((i, "hidden", col[7:]))
         else:
-            roles.append((i, "extra", col))
             diagnostics.append(("warning", "W101", f"unrecognized column {col!r} ignored", skipped + 1, i + 1))
     for name in names:
         if name not in header:
             diagnostics.append(("error", "E101", f"missing required parameter column {name!r}", skipped + 1, 1))
     if any(d[0] == "error" for d in diagnostics):
-        return diagnostics, [], []
+        return diagnostics, []
 
     ended = reader.line_num  # the lines of the records read so far
     while True:
@@ -346,14 +347,15 @@ def parse_rows(text: str, names: tuple[str, ...]):
             ended = reader.line_num
             continue
         ended = reader.line_num
-        if not "".join(row).strip():
-            continue
         if len(row) > len(header):
-            message = f"row excluded: {len(row)} cells for the {len(header)} columns of the header"
-            diagnostics.append(("warning", "E103", message, line, 1))
+            if "".join(row).strip():
+                message = f"row excluded: {len(row)} cells for the {len(header)} columns of the header"
+                diagnostics.append(("warning", "E103", message, line, 1))
             continue
         row += [""] * (len(header) - len(row))
-        values, raw, hidden, in_sample, extra = {}, {}, {}, None, {}
+        if not "".join(row[i] for i, _, _ in roles).strip():  # no recognized cell holds anything
+            continue
+        values, raw, hidden, in_sample = {}, {}, {}, None
         try:
             for i, role, key in roles:
                 cell = row[i].strip()
@@ -367,16 +369,13 @@ def parse_rows(text: str, names: tuple[str, ...]):
                     raw[key] = _number(cell)
                 elif role == "hidden":
                     hidden[key] = _number(cell)
-                elif role == "in_sample":
-                    in_sample = _boolean(cell)
                 else:
-                    extra[key] = cell
+                    in_sample = _boolean(cell)
         except ValueError as exc:
             diagnostics.append(("warning", "E103", f"row excluded: {exc}", line, 1))
             continue
         points.append(DataPoint(values, raw or None, hidden or None, in_sample))
-        extras.append(extra)
-    return diagnostics, points, extras
+    return diagnostics, points
 
 
 # -- the per-point set-algebra audit -----------------------------------------------

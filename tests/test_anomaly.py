@@ -172,6 +172,26 @@ def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):
         anomaly.sample_inliers(mlm, 1, (identity,), seed=0)
 
 
+@pytest.mark.parametrize(
+    "transform, reason",
+    [
+        (anomaly.Transform("scale", "Temp", factor=2.0), "node 'MLMODD' has no parameter 'Temp'"),
+        (anomaly.Transform("scale", "Alt", factor=1.0), "it is the identity"),
+        (anomaly.Transform("unit_swap", "Mach", factor=1.0), "it is the identity"),
+        (anomaly.Transform("offset", "Alt", offset=0.0), "it is the identity"),
+    ],
+)
+def test_sample_inliers_refuses_a_transform_that_corrupts_no_point_before_drawing(mlm, monkeypatch, transform, reason):
+    def no_draw(*args):
+        raise AssertionError("drew candidates")
+
+    monkeypatch.setattr(anomaly, "_draw_column", no_draw)
+    valid = anomaly.Transform("scale", "Alt", factor=2.0)
+    for transforms in ((transform,), (valid, transform)):
+        with pytest.raises(oddkit.EmptyStratum, match=reason):
+            anomaly.sample_inliers(mlm, 200, transforms, seed=0)
+
+
 def test_histogram_zero_weight_bin_is_never_drawn():
     doc = oddkit.parse_spec(
         """

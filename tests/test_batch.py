@@ -170,23 +170,10 @@ def ref_label_rows(points, chain, tol=DEFAULT_TOL):
 
 
 def ref_stub_evaluate(stub, p):
-    """StubModel.evaluate as it was, except that a lookup table gives NaN at a
-    non-finite normalised coordinate (int() raised ValueError or OverflowError
-    there)."""
+    """StubModel.evaluate as it was."""
     x = geometry.coords(p, stub.node)
-    if stub.kind == "bilinear":
-        c0, c1, c2, c12 = stub.coefficients
-        out = c0 + c1 * x[0] + c2 * x[1] + c12 * x[0] * x[1]
-    else:
-        xhat = geometry._geometry(stub.node).normalize(x)
-        rows = len(stub.table)
-        cols = len(stub.table[0])
-        if math.isfinite(xhat[0] * rows) and math.isfinite(xhat[1] * cols):
-            i = min(max(int(xhat[0] * rows), 0), rows - 1)
-            j = min(max(int(xhat[1] * cols), 0), cols - 1)
-            out = stub.table[i][j]
-        else:
-            out = math.nan
+    c0, c1, c2, c12 = stub.coefficients
+    out = c0 + c1 * x[0] + c2 * x[1] + c12 * x[0] * x[1]
     if not math.isfinite(out):
         raise oddkit.StubEvaluationError(f"stub produced non-finite output at {p.values}")
     return float(out)
@@ -1040,10 +1027,9 @@ def monitor_case(doc, chain, rng):
     Rows: uniform over the 20%-inflated SOD box, on MLMODD's vertices and
     range bounds, on a known input moved by a multiple of 1e-6 of each MLM
     span, or with one coordinate NaN or ±inf; a fifth carry a raw Alt or Mach
-    value. Stubs: bilinear, some overflowing on part of the box, or a lookup
-    table. Zero to four monitors of any kind and action, range and extreme
-    monitors on polygon and polytope nodes, output bounds sometimes equal to
-    a table value.
+    value. Stubs: bilinear, some overflowing on part of the box. Zero to four
+    monitors of any kind and action, range and extreme monitors on polygon
+    and polytope nodes.
     """
     sod, mlm = doc.node("SOD"), chain.mlm
     lo = np.array([p.lo for p in sod.parameters] + [-60.0])
@@ -1058,15 +1044,10 @@ def monitor_case(doc, chain, rng):
     if rng.uniform() < 0.2:
         known.append([math.nan, known[0][1]])
 
-    if rng.uniform() < 0.6:
-        c0 = float(rng.choice([0.0, 1.6e308, 1.75e308], p=[0.6, 0.2, 0.2]))
-        c1 = float(rng.choice([1.0, 1e308]))
-        coefficients = (c0, c1, 1e-4, float(rng.normal()))
-        stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": coefficients})
-    else:
-        shape = tuple(rng.integers(1, 5, size=2))
-        table = rng.uniform(-1.0, 3.0, size=shape).tolist()
-        stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": table})
+    c0 = float(rng.choice([0.0, 1.6e308, 1.75e308], p=[0.6, 0.2, 0.2]))
+    c1 = float(rng.choice([1.0, 1e308]))
+    coefficients = (c0, c1, 1e-4, float(rng.normal()))
+    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": coefficients})
 
     def point():
         x = (lo + rng.uniform(-0.2, 1.2, size=3) * span).tolist()
@@ -1101,8 +1082,6 @@ def monitor_case(doc, chain, rng):
             )
         if kind == "output_range_monitor":
             lo, hi = sorted(rng.uniform(-2, 4, size=2).tolist())
-            if stub.table and rng.uniform() < 0.5:  # a bound equal to a table value
-                lo, hi = sorted([lo, float(rng.choice(np.ravel(stub.table)))])
             return monitors.Monitor(kind, lo=lo, hi=hi, action=action)
         if kind == "cross_check_monitor":
             return monitors.Monitor(
@@ -1150,7 +1129,6 @@ def test_monitor_chain_agrees_with_the_per_row_loop(extended_doc, chain, seed):
         count("raised", want[0] is oddkit.StubEvaluationError)
         count("empty stream", not stream)
         count("empty chain", not chain_monitors)
-        count(stub.kind)
         for monitor in chain_monitors:
             count(monitor.kind)
             count(monitor.action)
@@ -1167,7 +1145,7 @@ def test_monitor_chain_agrees_with_the_per_row_loop(extended_doc, chain, seed):
         count("non-finite coordinate", any(not math.isfinite(v) for p in stream for v in p.values.values()))
 
     wanted = [
-        "raised", "empty stream", "empty chain", "bilinear", "lookup_table", "latched",
+        "raised", "empty stream", "empty chain", "latched",
         "non-finite output, latched row", "non-finite output, unreached row", "non-finite coordinate",
         *dsl.MONITOR_KINDS, *dsl.ACTIONS, *(f"{kind} fired" for kind in dsl.MONITOR_KINDS),
     ]

@@ -187,7 +187,8 @@ def test_build_chain_stops_on_an_allocation_cycle(extended_spec_text, tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code, str(spec)], capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['E008']", "allocation cycle through node 'MLCODD_oper'"]
+    # E018: SOD does not lie in MLCODD_oper, to which the cycle allocates it
+    assert proc.stdout.splitlines() == ["['E008', 'E018']", "allocation cycle through node 'MLCODD_oper'"]
 
 
 def test_chain_level_checks(extended_doc):

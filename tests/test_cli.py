@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import oddkit
 from oddkit.cli import cli, main
 
-from test_dsl import renamed_alt
+from test_dsl import ALLOCATION_VIOLATIONS, renamed_alt
 
 
 @pytest.fixture()
@@ -284,6 +284,25 @@ def test_an_allocation_to_a_parameter_the_node_lacks_is_e017_not_an_internal_err
     for args in (["validate", str(spec)], ["classify", str(spec), str(data)]):
         result = runner.invoke(cli, args)
         assert result.exit_code == 1 and error in result.output, result.output
+
+
+@pytest.mark.parametrize("mutate, line, message", ALLOCATION_VIOLATIONS)
+def test_a_node_that_leaves_its_parent_is_e018_not_an_internal_error(
+    runner, base_spec_text, points_path, tmp_path, mutate, line, message
+):
+    spec = tmp_path / "leaving.odd"
+    spec.write_text(mutate(base_spec_text), encoding="utf-8")
+    error = f"error E018 at {line}:1: {message}"
+    for args in (["validate", str(spec)], ["classify", str(spec), points_path]):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1 and error in result.output, result.output
+
+
+def test_generate_refuses_a_transform_that_corrupts_no_point(runner, spec_path):
+    args = ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "-n", "100000", "--transform", "scale:Temp:2"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert "node 'MLMODD' has no parameter 'Temp'" in result.output
 
 
 def test_inputs_with_a_byte_order_mark_are_read(runner, spec_path, points_path, tmp_path, golden_labels_text):

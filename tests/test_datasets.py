@@ -3,13 +3,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import oddkit
+from oddkit.cli import cli
 from oddkit.model import DataPoint, Points
 
 import oracles
@@ -52,11 +55,11 @@ def test_bad_row_excluded_e103_others_kept(node):
     assert [p.values["Mach"] for p in ds.points] == [0.1, 0.3]
 
 
-def test_unrecognized_column_w101_kept_as_extra(node):
+def test_unrecognized_column_w101_ignored(node):
     ds = oddkit.parse_dataset("Mach,Alt,note\n0.1,5,hello\n", node)
     assert ds.ok
     assert any(d.code == "W101" for d in ds.diagnostics)
-    assert ds.points.extras[0] == {"note": "hello"}
+    assert list(ds.points) == [DataPoint({"Mach": 0.1, "Alt": 5.0})]
 
 
 def test_leading_comment_lines_skipped(node):
@@ -72,7 +75,7 @@ def test_a_comment_line_ends_only_at_a_newline(node, breaker):
     ds = oddkit.parse_dataset(text, node)
     assert [(d.code, d.line) for d in ds.diagnostics] == [("E103", 4)]
     assert list(ds.points) == [DataPoint({"Mach": 0.1, "Alt": 5.0})]
-    diagnostics, points, _ = oracles.parse_rows(text, node.parameter_names)
+    diagnostics, points = oracles.parse_rows(text, node.parameter_names)
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
     assert list(ds.points) == points
 
@@ -84,7 +87,7 @@ def test_e103_names_the_line_a_record_starts_on(node):
     ds = oddkit.parse_dataset(text, node)
     assert [(d.code, d.line, d.col) for d in ds.diagnostics] == [("W101", 2, 3), ("E103", 7, 1), ("E103", 11, 1)]
     assert [p.values for p in ds.points] == [{"Mach": m, "Alt": a} for m, a in ((0.1, 5.0), (0.3, 6.0), (0.5, 7.0))]
-    diagnostics, _, _ = oracles.parse_rows(text, node.parameter_names)
+    diagnostics, _ = oracles.parse_rows(text, node.parameter_names)
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
     example = oddkit.parse_dataset('Mach,Alt,note\n0.1,5,"a\nb\nc"\n0.2,zz,\n', node)
     assert [(d.code, d.line) for d in example.diagnostics] == [("W101", 1), ("E103", 5)]
@@ -105,7 +108,7 @@ def test_a_record_with_a_cell_over_the_field_limit_is_e103(node):
         ("E103", 2, message), ("E103", 4, message),
     ]
     assert [p.values["Mach"] for p in ds.points] == [0.2, 0.4]
-    diagnostics, points, _ = oracles.parse_rows(text, node.parameter_names)
+    diagnostics, points = oracles.parse_rows(text, node.parameter_names)
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
     assert list(ds.points) == points
 
@@ -116,7 +119,7 @@ def test_a_header_with_a_cell_over_the_field_limit_is_e101(node):
     assert not ds.ok and len(ds) == 0
     assert [(d.code, d.line) for d in ds.diagnostics] == [("E101", 2)]
     assert "unreadable header row" in ds.diagnostics[0].message
-    diagnostics, _, _ = oracles.parse_rows(text, node.parameter_names)
+    diagnostics, _ = oracles.parse_rows(text, node.parameter_names)
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
 
 
@@ -177,7 +180,7 @@ def test_a_hidden_column_without_a_name_is_w101(node):
         ("W101", "unrecognized column 'hidden:' ignored")
     ]
     assert ds.points[0].hidden_values is None
-    assert ds.points.extras == {0: {"hidden:": "5"}}
+    assert ds.points.hidden.names == ()
 
 
 def test_points_are_read_only_columns(golden_dataset):
@@ -189,7 +192,7 @@ def test_points_are_read_only_columns(golden_dataset):
         with pytest.raises(ValueError):
             a[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        points.extras = {}
+        points.values = points.raw
     every = list(points)
     assert [points[i] for i in range(-12, 0)] == every
     assert list(points[::5]) == every[::5] and isinstance(points[::5], Points)
@@ -232,9 +235,9 @@ _TRICKY = st.one_of(
 )
 _FLAGS = st.sampled_from(["", "1", "0", "true", "TRUE", " True ", "false", "F", "t", "yes", "NO", " "])
 _TRICKY_FLAGS = st.sampled_from(["maybe", "2", "y", "\u0130", "tru e"])
-# a quoted extra cell may span lines, so a record may too, and a cell over
-# the field limit makes the reader raise on its record
-_EXTRAS = st.one_of(
+# a quoted cell of an unrecognized column may span lines, so a record may
+# too, and a cell over the field limit makes the reader raise on its record
+_UNRECOGNIZED = st.one_of(
     st.sampled_from(["", " ", " \t", " a ", "x\ny", "\n\n", _OVER_LIMIT, "x\n" + _OVER_LIMIT]),
     st.text(alphabet="ab _,\"\n", max_size=4),
 )
@@ -259,7 +262,7 @@ def dataset_texts(draw):
             lines.append(draw(st.sampled_from(["", " ", ",,"])))
             continue
         if kind == "comment":
-            lines.append("# " + draw(_EXTRAS))
+            lines.append("# " + draw(_UNRECOGNIZED))
             continue
         width = max(len(header) + draw(st.sampled_from([0, 0, 0, -1, -2, 1, 2])), 0)
         tricky = draw(st.integers(-1, width - 1))
@@ -267,7 +270,7 @@ def dataset_texts(draw):
         for j in range(width):
             col = header[j].strip() if j < len(header) else "note"
             if col in ("note", "hidden:"):
-                strategy = _EXTRAS
+                strategy = _UNRECOGNIZED
             elif col == "in_sample":
                 strategy = _TRICKY_FLAGS if j == tricky else _FLAGS
             else:
@@ -286,12 +289,11 @@ def dataset_texts(draw):
 def test_parse_equals_the_row_by_row_reference(extended_doc, text):
     node = extended_doc.node("MLMODD")
     ds = oddkit.parse_dataset(text, node)
-    diagnostics, points, extras = oracles.parse_rows(text, node.parameter_names)
+    diagnostics, points = oracles.parse_rows(text, node.parameter_names)
     assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
     assert len(ds.points) == len(points)
     assert list(ds.points) == points
     assert [ds.points[i] for i in range(len(points))] == points
-    assert ds.points.extras == {i: extra for i, extra in enumerate(extras) if extra}
     assert oddkit.parse_dataset(text.encode("utf-8"), node).diagnostics == ds.diagnostics
 
 
@@ -302,3 +304,114 @@ def test_parse_reads_every_in_sample_spelling(node):
     assert not ds.diagnostics
     assert [p.in_sample for p in ds.points] == [True] * 5 + [False] * 5 + [None]
     assert ds.points.in_sample.tolist() == [1] * 5 + [0] * 5 + [-1]
+
+
+# -- unrecognized columns are never read ------------------------------------------
+
+# cells a column reads and cells it cannot; a row whose parameter and
+# optional cells are all blank is skipped, with or without inserted columns
+_PARAM_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["7", " 2.5\t", "abc", "nan", "1_0", "0,2", "1e400", "+2", "", " "]),
+)
+_OPTIONAL_CELLS = {"raw:Alt": _PARAM_CELLS, "hidden:Temp": _PARAM_CELLS, "in_sample": st.one_of(_FLAGS, _TRICKY_FLAGS)}
+# names no other column has, nor one of their own
+_INSERTED_NAMES = ["id", "note", "raw:Temp", "hidden:", "a,b", 'say "x"']
+_INSERTED_CELLS = st.one_of(st.just(""), st.text(alphabet='ab 1,"\n', max_size=6))
+
+
+@st.composite
+def texts_with_inserted_columns(draw):
+    """A well-formed dataset text, and the same rows with 1-3 unrecognized
+    columns inserted anywhere: (text, text with them, the line each record
+    of the latter starts on, the inserted columns' header positions)."""
+    header = ["Mach", "Alt", *draw(st.lists(st.sampled_from(list(_OPTIONAL_CELLS)), unique=True))]
+    header = draw(st.permutations(header))
+
+    def cell(strategy):
+        text = draw(strategy)
+        return _quoted(text, draw(st.booleans()) or "," in text or "\n" in text)
+
+    strategies = [_OPTIONAL_CELLS.get(col, _PARAM_CELLS) for col in header]
+    rows = [[cell(c) for c in strategies] for _ in range(draw(st.integers(0, 8)))]
+    names = draw(st.lists(st.sampled_from(_INSERTED_NAMES), min_size=1, max_size=3, unique=True))
+    width = len(header) + len(names)
+    inserted = sorted(draw(st.lists(st.integers(0, width - 1), min_size=len(names), max_size=len(names), unique=True)))
+    wide_header, wide_rows = list(header), [list(row) for row in rows]
+    for at, name in zip(inserted, names):
+        wide_header.insert(at, _quoted(name, "," in name))
+        for row in wide_rows:
+            row.insert(at, cell(_INSERTED_CELLS))
+    records = [",".join(header)] + [",".join(row) for row in rows]
+    wide = [",".join(wide_header)] + [",".join(row) for row in wide_rows]
+    starts = [1 + sum(r.count("\n") + 1 for r in wide[:i]) for i in range(len(wide))]
+    return "\n".join(records) + "\n", "\n".join(wide) + "\n", starts, inserted
+
+
+def _columns_bits(points):
+    return [(c.names, c.data.tobytes(), c.present.tobytes()) for c in (points.values, points.raw, points.hidden)]
+
+
+@settings(max_examples=300)
+@given(case=texts_with_inserted_columns())
+def test_unrecognized_columns_change_nothing_but_their_w101(extended_doc, case):
+    text, wide, starts, inserted = case
+    node = extended_doc.node("MLMODD")
+    plain, ds = oddkit.parse_dataset(text, node), oddkit.parse_dataset(wide, node)
+    assert _columns_bits(ds.points) == _columns_bits(plain.points)
+    assert ds.points.in_sample.tobytes() == plain.points.in_sample.tobytes()
+    w101 = [d for d in ds.diagnostics if d.code == "W101"]
+    assert [(d.line, d.col) for d in w101] == [(1, at + 1) for at in inserted]
+    # a record's line moves by the line ends of the quoted cells before it
+    moved = [dataclasses.replace(d, line=starts[d.line - 1]) for d in plain.diagnostics]
+    assert [d for d in ds.diagnostics if d.code != "W101"] == moved
+
+
+def _mixed_rows(n: int, seed: int) -> list[str]:
+    """Seeded rows over the 20%-inflated SOD box, a few with raw and hidden
+    values or cells that exclude them."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        mach, alt = rng.uniform(-0.14, 0.84), rng.uniform(-5600, 19600)
+        raw = repr(alt * 1.5) if i % 7 == 0 else ""
+        hidden = repr(rng.uniform(-60, 15)) if i % 5 == 0 else ""
+        rows.append(f"{mach!r},{'oops' if i % 97 == 0 else repr(alt)},{raw},{hidden},{i % 3 == 0:d}")
+    return rows
+
+
+def test_classify_and_partition_ignore_unrecognized_columns(data_dir, tmp_path, golden_text):
+    """The CLI's outputs on a file with unrecognized columns equal, byte for
+    byte, those on the file without them."""
+    header = "Mach,Alt,raw:Alt,hidden:Temp,in_sample"
+    files = {"golden": golden_text, "mixed": "\n".join([header, *_mixed_rows(500, 3)]) + "\n"}
+    runner, spec_path = CliRunner(), str(data_dir / "flight_envelope_extended.odd")
+    for name, text in files.items():
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cells = ["id,note"] + [f'{i},"a, ""b""\nc"' for i in range(len(lines) - first - 1)]
+        wide = lines[:first] + [f"{cell},{line}" for cell, line in zip(cells, lines[first:])]
+        plain_path, wide_path = tmp_path / f"{name}.csv", tmp_path / f"{name}_wide.csv"
+        plain_path.write_text(text, encoding="utf-8")
+        wide_path.write_text("\n".join(wide) + "\n", encoding="utf-8")
+        for command in ("classify", "partition"):
+            plain = runner.invoke(cli, [command, spec_path, str(plain_path)])
+            got = runner.invoke(cli, [command, spec_path, str(wide_path)])
+            assert plain.exit_code == got.exit_code == 0, got.output
+            assert got.stdout == plain.stdout and plain.stdout
+
+
+def test_a_parsed_dataset_keeps_no_memory_for_an_unrecognized_column(node):
+    header, rows = "Mach,Alt,raw:Alt,hidden:Temp,in_sample", _mixed_rows(20_000, 4)
+    texts = [header + "\n" + "\n".join(rows) + "\n"]
+    texts.append(f"id,{header}\n" + "\n".join(f"{i},{row}" for i, row in enumerate(rows)) + "\n")
+    kept, lengths = [], []
+    for text in texts:
+        oddkit.parse_dataset(text, node)  # fills the interpreter's free lists, which tracemalloc would count
+        tracemalloc.start()
+        ds = oddkit.parse_dataset(text, node)
+        kept.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+        lengths.append(len(ds))
+    assert lengths[0] == lengths[1] > 19_000
+    assert kept[1] <= 1.25 * kept[0], kept

@@ -52,12 +52,18 @@ def _at(draw, lo, hi, a, b):
 
 
 @st.composite
-def _box(draw, names):
-    """Parameters over full-precision ranges: (lo, hi, param line) per name."""
+def _box(draw, names, around=()):
+    """Parameters over full-precision ranges: (lo, hi, param line) per name.
+    With ``around``, a box of the same names, each range is that one widened
+    by its span on each side."""
     params = []
-    for name in names:
-        lo = draw(_NUMBER)
-        hi = lo + draw(st.floats(1e-3, 1e6))
+    for j, name in enumerate(names):
+        if around:
+            lo, hi, _ = around[j]
+            lo, hi = lo - (hi - lo), hi + (hi - lo)
+        else:
+            lo = draw(_NUMBER)
+            hi = lo + draw(st.floats(1e-3, 1e6))
         dist = draw(st.sampled_from(["", "uniform", "triangular", "histogram"]))
         if dist == "triangular":
             dist += "(%r, %r, %r)" % tuple(_at(draw, lo, hi, a, a + 0.3) for a in (0, 0.35, 0.7))
@@ -73,9 +79,11 @@ def _box(draw, names):
 
 
 @st.composite
-def _polygon(draw, box):
-    # one vertex near each corner, counterclockwise: simple, and not thin
-    corners = [((0, 0.3), (0, 0.3)), ((0.7, 1), (0, 0.3)), ((0.7, 1), (0.7, 1)), ((0, 0.3), (0.7, 1))]
+def _polygon(draw, box, margin=0.0):
+    """One vertex near each corner, ``margin`` to 0.3 of the box's spans in,
+    counterclockwise: simple, not thin, and holding the box's middle."""
+    a, b = (margin, 0.3), (0.7, 1 - margin)
+    corners = [(a, a), (b, a), (b, b), (a, b)]
     vertices = [tuple(_at(draw, lo, hi, *part) for (lo, hi, _), part in zip(box, corner)) for corner in corners]
     return "region polygon {\n" + "".join(f"    {v!r}\n" for v in vertices) + "  }"
 
@@ -84,7 +92,7 @@ def _polygon(draw, box):
 def _polytope(draw, box, inner):
     """A member over a sub-box of ``box``: one scaled halfspace per face and
     the sub-box's corners as its vertex list."""
-    bins = [(0.35, 0.45), (0.55, 0.65)] if inner else [(0, 0.4), (0.6, 1)]
+    bins = [(0.35, 0.45), (0.55, 0.65)] if inner else [(0, 0.1), (0.9, 1)]
     sub = [[_at(draw, lo, hi, *part) for part in bins] for lo, hi, _ in box]
     lines = []
     for i, bounds in enumerate(sub):
@@ -112,14 +120,17 @@ def _valid_spec(draw):
     """A valid spec that uses every production: every level, variant, class
     and distribution; polygon and one- and two-member polytope regions;
     allocates and extends; a bilinear stub, and each monitor kind with every
-    option. Its numbers carry all the digits a float has."""
+    option. Its numbers carry all the digits a float has. Each node lies in
+    the one it allocates to: S's polygon holds S's box's middle third, the
+    box of C and M; C's first member holds M's polygon's vertices."""
     variants = st.sampled_from([v.value for v in oddkit.Variant])
-    system, box, ext = draw(_box(["p0", "p1"])), draw(_box(["p0", "p1"])), draw(_box(["p2"]))
+    box, ext = draw(_box(["p0", "p1"])), draw(_box(["p2"]))
+    system = draw(_box(["p0", "p1"], box))
     union = "\n  ".join(draw(_polytope(box, False)) for _ in range(draw(st.integers(1, 2))))
     nodes = [
         ("S", "level system_od", system, draw(_polygon(system))),
         ("C", 'level subsystem_odd allocates "S"', box, union),
-        ("M", 'level mlc_odd allocates "C"', box, draw(_polygon(box))),
+        ("M", 'level mlc_odd allocates "C"', box, draw(_polygon(box, 0.1))),
         # within M's polygon, which holds the middle of its box
         ("X", 'level mlm_odd extends "M"', box + ext, draw(_polytope(box + ext, True))),
     ]
@@ -427,6 +438,90 @@ def test_allocation_to_a_parent_with_a_parameter_the_node_lacks_e017(base_spec_t
     doc = oddkit.parse_spec(renamed_alt(base_spec_text))
     message = "node 'MLMODD' allocates to 'MLCODD_spec' but lacks its parameter(s) ['Alt']"
     assert [(d.code, d.line, d.message) for d in doc.diagnostics] == [("E017", 39, message)]
+
+
+def widened_mlm(base_spec_text: str) -> str:
+    """The base corpus with MLMODD's Mach range, and its polygon's 0.4
+    vertices, widened to 0.6: MLCODD_spec, which MLMODD allocates to, stops
+    at 0.4."""
+    head, mlm = base_spec_text.split('odd "MLMODD"')
+    mlm = mlm.replace("range [0, 0.4]", "range [0, 0.6]").replace("(0.4, ", "(0.6, ")
+    return head + 'odd "MLMODD"' + mlm
+
+
+def lowered_mlc(base_spec_text: str) -> str:
+    """The base corpus with MLCODD_oper reaching down to Alt -3000, below
+    the -2000 of SOD, which it allocates to."""
+    head, rest = base_spec_text.split('odd "MLCODD_oper"')
+    oper, tail = rest.split('odd "MLCODD_spec"')
+    return head + 'odd "MLCODD_oper"' + oper.replace("-1300", "-3000") + 'odd "MLCODD_spec"' + tail
+
+
+ALLOCATION_VIOLATIONS = [
+    (widened_mlm, 39, "projection of 'MLMODD' leaves parent region 'MLCODD_spec' (witness {'Mach': 0.6, 'Alt': 0.0})"),
+    (lowered_mlc, 15, "projection of 'MLCODD_oper' leaves parent region 'SOD' (witness {'Mach': 0.0, 'Alt': -3000.0})"),
+]
+
+
+@pytest.mark.parametrize("mutate, line, message", ALLOCATION_VIOLATIONS)
+def test_a_node_that_leaves_the_node_it_allocates_to_e018(base_spec_text, mutate, line, message):
+    doc = oddkit.parse_spec(mutate(base_spec_text))
+    assert [(d.code, d.line, d.message) for d in doc.diagnostics] == [("E018", line, message)]
+    assert not doc.ok
+
+
+_UNION_PARENT_SPEC = _UNION_BASE_SPEC.split('odd "EXT"')[0] + """
+odd "KID" level mlm_odd allocates "BASE" {
+  param x: u range [0, 2]
+  param y: u range [0, 1]
+  region polygon { (0.1, 0.1) (HI, 0.1) (HI, 0.9) (0.1, 0.9) }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "hi,codes",
+    [
+        ("0.5", []),  # the child fits in the first member
+        ("0.9", ["W002"]),  # it lies in the union, across both members
+        ("1.2", ["E018"]),  # an edge leaves the union
+    ],
+)
+def test_allocation_to_a_union_parent_decided_or_w002(hi, codes):
+    doc = oddkit.parse_spec(_UNION_PARENT_SPEC.replace("HI", hi))
+    assert [d.code for d in doc.diagnostics] == codes
+    if codes == ["W002"]:
+        assert doc.diagnostics[0].message == "E018 undecided: the projection of 'KID' fits in no one member of 'BASE'"
+
+
+def _lattice_box(draw):
+    """A box of [0, 1]^2 with corners on the 1/8 lattice: (x0, x1, y0, y1)."""
+    x0, x1 = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)))
+    return x0 / 8, x1 / 8, y0 / 8, y1 / 8
+
+
+def _box_region(box, polygon: bool) -> str:
+    x0, x1, y0, y1 = box
+    if polygon:
+        return f"region polygon {{ ({x0}, {y0}) ({x1}, {y0}) ({x1}, {y1}) ({x0}, {y1}) }}"
+    faces = f"halfspace 1 0 <= {x1} halfspace -1 0 <= {-x0} halfspace 0 1 <= {y1} halfspace 0 -1 <= {-y0}"
+    return f"region polytope {{ {faces} vertex ({x0}, {y0}) vertex ({x1}, {y0}) vertex ({x1}, {y1}) vertex ({x0}, {y1}) }}"
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_e018_exactly_when_a_child_corner_leaves_the_parent_box(data):
+    child, parent = _lattice_box(data.draw), _lattice_box(data.draw)
+    regions = [_box_region(box, data.draw(st.booleans())) for box in (parent, child)]
+    text = "".join(
+        f'odd "{name}" level {level} {{\n  param x: u range [0, 1]\n  param y: u range [0, 1]\n  {region}\n}}\n'
+        for name, level, region in zip(("P", "C"), ("mlc_odd", 'mlm_odd allocates "P"'), regions)
+    )
+    x0, x1, y0, y1 = parent
+    corners = itertools.product(child[:2], child[2:])
+    outside = any(not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in corners)
+    assert [d.code for d in oddkit.parse_spec(text).diagnostics] == (["E018"] if outside else [])
 
 
 def test_multiple_system_od_e009():

@@ -28,17 +28,9 @@ def test_bilinear_stub(mlm):
     assert stub.evaluate(DataPoint({"Mach": 0.2, "Alt": 1000.0})) == pytest.approx(1 + 0.4 + 1.0)
 
 
-def test_lookup_stub_and_incomplete_table(mlm):
-    table = [[1.0, 2.0], [3.0, 4.0]]
-    stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": table})
-    assert stub.evaluate(DataPoint({"Mach": 0.05, "Alt": 1000.0})) == 1.0
-    assert stub.evaluate(DataPoint({"Mach": 0.35, "Alt": 14000.0})) == 4.0
-    with pytest.raises(oddkit.IncompleteTable):
-        monitors.make_stub_model(
-            mlm, {"kind": "lookup_table", "table": [[1.0, float("nan")], [3.0, 4.0]]}
-        )
-    with pytest.raises(oddkit.IncompleteTable):
-        monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0, 2.0], [3.0]]})
+def test_a_stub_of_another_kind_is_refused(mlm):
+    with pytest.raises(ValueError, match="unknown stub kind 'lookup_table'"):
+        monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0, 2.0], [3.0, 4.0]]})
 
 
 def test_monitor_validation(mlm):
@@ -163,7 +155,7 @@ def test_verdict_csv_and_metrics_render(chain, baseline, golden_dataset):
 
 
 def test_known_inputs_with_non_finite_coordinates_match_nothing(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0]]})
+    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 0, 0, 0)})
     known = DataPoint({"Mach": 0.225, "Alt": 14000.0})
     nan, inf = float("nan"), float("inf")
     stream = [
@@ -184,10 +176,10 @@ def test_known_inputs_with_non_finite_coordinates_match_nothing(chain, mlm):
         assert not mon.detect(stream, chain, np.zeros(len(stream))).any()
 
 
-def test_lookup_stub_at_a_non_finite_coordinate(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0, 2.0], [3.0, 4.0]]})
+def test_bilinear_stub_at_a_non_finite_coordinate(chain, mlm):
+    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 2, 0.001, 0.5)})
     X = np.array([[0.05, 1000.0], [float("nan"), 1000.0], [0.05, float("inf")], [-float("inf"), 0.0], [1e308, 0.0]])
-    assert np.array_equal(stub.outputs(X), [1.0, np.nan, np.nan, np.nan, np.nan], equal_nan=True)
+    assert np.array_equal(stub.outputs(X), [1 + 0.1 + 1.0 + 25.0, np.nan, np.inf, np.nan, np.inf], equal_nan=True)
     for x in X[1:].tolist():
         p = DataPoint(dict(zip(mlm.parameter_names, x)))
         with pytest.raises(oddkit.StubEvaluationError, match="non-finite output"):
