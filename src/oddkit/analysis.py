@@ -233,6 +233,13 @@ class CoverageReport:
 _REQUIRED_PARTITIONS = ("Nominal", "EdgeCase", "FeasibleCornerCase")
 
 
+def _vertices_covered(X_hat: np.ndarray, V_hat: np.ndarray) -> np.ndarray:
+    """Per vertex of ``V_hat`` (V, 2), whether a row of ``X_hat`` (n, 2) lies
+    within ``_VERTEX_TOL`` of it in both coordinates, from a (V, n) mask each."""
+    near = [np.abs(X_hat[:, k] - V_hat[:, k, None]) <= _VERTEX_TOL for k in range(2)]
+    return (near[0] & near[1]).any(axis=1)
+
+
 def coverage_report(
     points: Points | list[DataPoint],
     node: OddNode,
@@ -259,7 +266,7 @@ def coverage_report(
     X_hat = geometry.normalize_array(X, node)
 
     V_hat = geometry.normalize_array(geometry.region_vertices(node), node)
-    covers = (np.abs(X_hat[:, None] - V_hat).max(axis=2) <= _VERTEX_TOL).any(axis=0)
+    covers = _vertices_covered(X_hat, V_hat)
     vertex_coverage = int(covers.sum()) / len(V_hat) if len(V_hat) else 0.0
 
     # a point covers a bound slice the region reaches when it lies near both

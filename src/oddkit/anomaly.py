@@ -10,6 +10,7 @@ category, as :func:`oddkit.classify.geometric_categories` decides it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,16 +194,20 @@ def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], see
     Nominal-interior candidates are corrupted through each transform in turn
     by :func:`inject_inlier`; a candidate is kept when every step accepts it,
     with its uncorrupted values as provenance. A transform that can corrupt
-    no point, of a parameter the node lacks or an identity, raises
+    no point, of a parameter the node lacks, an identity or one that moves
+    no value of the parameter's range past the boundary band, raises
     EmptyStratum before any draw.
     """
     if not transforms:
         raise ValueError("an inlier needs at least one transform")
+    params = {p.name: p for p in node.parameters}
     for t in transforms:
-        if t.parameter not in node.parameter_names:
+        if t.parameter not in params:
             reason = f"node {node.name!r} has no parameter {t.parameter!r}"
         elif t(0.0) == 0.0 and t(1.0) == 1.0:  # an affine map that fixes two points
             reason = "it is the identity"
+        elif _within_band(t, params[t.parameter]):
+            reason = "it moves no value of the parameter's range past the boundary band"
         else:
             continue
         raise EmptyStratum(f"transform {t.kind} of {t.parameter!r} corrupts no point: {reason}")
@@ -220,6 +225,13 @@ def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], see
         return out
 
     return _draw_and_accept(n, seed, node.parameters, accept, f"inliers for node {node.name!r}")
+
+
+def _within_band(t: Transform, p: Parameter) -> bool:
+    """Whether :func:`inject_inlier` finds no value of ``p``'s range moved by ``t``, however
+    it rounds: ``|t(v) - v|`` is convex in v, so largest at ``lo`` or ``hi``, give or take ulps."""
+    slack = 4 * math.ulp(max(abs(x) for v in (p.lo, p.hi) for x in (v, t(v))))
+    return max(abs(t(v) - v) for v in (p.lo, p.hi)) + slack <= DEFAULT_TOL * p.span
 
 
 def sample_novelty(chain: Chain, n: int, seed: int) -> list[DataPoint]:

@@ -4,14 +4,19 @@ Datasets are RFC-4180 CSV with a required header row. Columns map to
 parameters by exact name; recognized special columns are ``raw:<param>``
 (pre-processing value), ``hidden:<name>`` (hidden-parameter value), and
 ``in_sample`` (0/1/true/false). Other columns are reported with a warning
-and ignored: their cells are never read, and each record is cut to its
-recognized cells as it is read. A row whose recognized cells are all blank
-is skipped, as a blank line is. Lines starting with ``#`` before the
-header are skipped (generators record their seed there).
+and ignored: their cells are never read. A row whose recognized cells are
+all blank is skipped, as a blank line is. Lines starting with ``#`` before
+the header are skipped (generators record their seed there).
 
-The text is read with ``csv.reader`` once, and each column is converted as
-a whole into the columns of a :class:`~oddkit.model.Points`; only the rows
-whose conversion fails are read again cell by cell, for their diagnostic.
+In a text with no ``"`` and no NUL each line is a record: when every line
+has the header's width and none is over ``csv``'s field limit, one split of
+the joined lines gives every cell and each column is a slice of them, and
+otherwise ``csv.reader`` reads the lines. Any other text ``csv.reader``
+reads as a whole, since a quoted cell may span lines. Either reading cuts
+each record to its recognized cells as it reads it. Each column is then
+converted as a whole into the columns of a :class:`~oddkit.model.Points`;
+only the rows whose conversion fails are read again cell by cell, for
+their diagnostic.
 
 Diagnostic codes: E101 missing parameter column or unreadable header, E102
 duplicate column, E103 row excluded (unparseable, longer than the header or
@@ -74,12 +79,20 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if "\r" in data:  # universal newlines, as the CLI reads a file
         data = data.replace("\r\n", "\n").replace("\r", "\n")
     diagnostics: list[Diagnostic] = []
-    # skip the "#" lines before the header; only "\n" ends a line, as for csv.reader
-    text, skipped, start = io.StringIO(data), 0, 0
-    while text.readline().startswith("#"):
-        skipped, start = skipped + 1, text.tell()
-    text.seek(start)
-    reader = csv.reader(text)
+    if '"' in data or "\0" in data:  # a record may span lines: csv.reader finds where it ends
+        # skip the "#" lines before the header; only "\n" ends a line, as for csv.reader
+        text, skipped, start = io.StringIO(data), 0, 0
+        while text.readline().startswith("#"):
+            skipped, start = skipped + 1, text.tell()
+        text.seek(start)
+        reader, records = csv.reader(text), None
+    else:  # each line is a record; not splitlines, which also ends a line at "\x0c", "\x85", ...
+        records = data.split("\n")
+        if not records[-1]:
+            records.pop()  # what follows the last line end
+        skipped = next((i for i, line in enumerate(records) if not line.startswith("#")), len(records))
+        del records[:skipped]
+        reader = csv.reader(records)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -124,33 +137,43 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     if any(d.severity == "error" for d in diagnostics):
         return Dataset(Points.of(()), diagnostics)
 
-    # each record cut to the recognized cells as it is read: a longer one is
-    # excluded (or skipped if blank), and a shorter one padded with empty cells
     roles = [role for role in column_roles if role]
     width, cut = len(header), None if all(column_roles) else column_roles
-    table, starts, excluded, line = [], [], [], skipped + reader.line_num + 1
-    while True:
-        try:
-            for row in reader:
-                if len(row) > width:
-                    if "".join(row).strip():
-                        excluded.append((line, f"{len(row)} cells for the {width} columns of the header"))
-                else:
-                    if len(row) < width:
-                        row += [""] * (width - len(row))
-                    table.append(row if cut is None else tuple(compress(row, cut)))
-                    starts.append(line)
+    if records is not None and (
+        set(map(str.count, records, repeat(","))) <= {width - 1} and max(map(len, records)) <= csv.field_size_limit()
+    ):  # every line has width cells: column j is every width-th cell after the header's
+        n, body = len(records) - 1, ",".join(records)
+        records.clear()  # body holds their text: free the lines before the split
+        cells = body.split(",")
+        cols = [cells[width + j :: width] for j, role in enumerate(column_roles) if role]
+        starts, excluded = range(skipped + 2, skipped + 2 + n), []
+    else:
+        # each record cut to the recognized cells as it is read: a longer one is
+        # excluded (or skipped if blank), and a shorter one padded with empty cells
+        table, starts, excluded, line = [], [], [], skipped + reader.line_num + 1
+        while True:
+            try:
+                for row in reader:
+                    if len(row) > width:
+                        if "".join(row).strip():
+                            excluded.append((line, f"{len(row)} cells for the {width} columns of the header"))
+                    else:
+                        if len(row) < width:
+                            row += [""] * (width - len(row))
+                        table.append(row if cut is None else tuple(compress(row, cut)))
+                        starts.append(line)
+                    line = skipped + reader.line_num + 1
+                break
+            except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
+                excluded.append((line, str(exc)))
                 line = skipped + reader.line_num + 1
-            break
-        except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
-            excluded.append((line, str(exc)))
-            line = skipped + reader.line_num + 1
+        cols, n = [list(map(itemgetter(j), table)) for j in range(len(roles))], len(table)
 
-    points, bad = _read_columns(table, roles)
+    points, bad = _read_columns(cols, roles, n)
     # a row that failed, read cell by cell: its first failing cell names the
     # problem; a row with every recognized cell blank is skipped
     for r in bad.tolist():
-        message = _row_error(table[r], roles)
+        message = _row_error([column[r] for column in cols], roles)
         if message is not None:
             excluded.append((starts[r], message))
     for line, message in sorted(excluded):
@@ -158,17 +181,15 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
     return Dataset(points, diagnostics)
 
 
-def _read_columns(table: list[Sequence[str]], roles) -> tuple[Points, np.ndarray]:
-    """The points of the rows of ``table`` that every column reads, and the
-    rows some column cannot read; column j has the role ``roles[j]``. Each
-    column is read as a whole; a cell that is empty, or only whitespace, is
-    an absent value (NaN)."""
-    n = len(table)
+def _read_columns(cols: list[list[str]], roles, n: int) -> tuple[Points, np.ndarray]:
+    """The points of the ``n`` rows that every column reads, and the rows
+    some column cannot read; ``cols[j]`` holds the cells of the column with
+    the role ``roles[j]``. Each column is read as a whole; a cell that is
+    empty, or only whitespace, is an absent value (NaN)."""
     failed = np.zeros(n, dtype=bool)
     read: dict[str, dict[str, np.ndarray]] = {_PARAM: {}, _RAW: {}, _HIDDEN: {}}
     flags = np.full(n, -1, dtype=np.int8)
-    for j, (role, key) in enumerate(roles):
-        column = list(map(itemgetter(j), table))
+    for column, (role, key) in zip(cols, roles):
         if role == _PARAM:
             read[role][key], failing = _numbers(column)
             failed |= failing

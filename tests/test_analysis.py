@@ -4,6 +4,7 @@ from importlib import resources
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,25 @@ def test_coverage_flags_empty_required_partitions(extended_doc):
     points = [DataPoint({"Mach": 0.2, "Alt": 7000.0})]
     report = analysis.coverage_report(points, node)
     assert report.empty_required_partitions == ["EdgeCase", "FeasibleCornerCase"]
+
+
+@pytest.mark.parametrize("vertices", [0, 1, 7])
+def test_vertex_cover_equals_the_reduce_over_rows_by_vertices_by_coordinates(vertices):
+    rng = np.random.default_rng(vertices)
+    V = rng.random((vertices, 2))
+    X = rng.uniform(-0.2, 1.2, (400, 2))
+    # rows on the first half of the vertices; one off each of the others in
+    # x, by half a tolerance and by one and a half in turn; one at each of
+    # those with a NaN or infinite y; and NaN and infinite rows
+    half, rest = vertices // 2, vertices - vertices // 2
+    X[: 5 * half] = np.repeat(V[:half], 5, axis=0)
+    X[100 : 100 + rest] = V[half:] + np.outer(np.resize([0.5, 1.5], rest), [analysis._VERTEX_TOL, 0])
+    X[200 : 200 + rest] = np.column_stack([V[half:, 0], rng.choice([np.nan, np.inf, -np.inf], rest)])
+    X[np.arange(300, 360, 2), rng.integers(2, size=30)] = rng.choice([np.nan, np.inf, -np.inf], 30)
+    X[361:370] = [np.nan, np.inf]
+    expected = (np.abs(X[:, None] - V).max(axis=2) <= analysis._VERTEX_TOL).any(axis=0)
+    assert analysis._vertices_covered(X, V).tolist() == expected.tolist()
+    assert expected[: half + 1].all() and not expected[half + 1 : half + 2].any()
 
 
 def test_coverage_requires_2d_node(extended_doc, golden_dataset):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -179,6 +180,8 @@ def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):
         (anomaly.Transform("scale", "Alt", factor=1.0), "it is the identity"),
         (anomaly.Transform("unit_swap", "Mach", factor=1.0), "it is the identity"),
         (anomaly.Transform("offset", "Alt", offset=0.0), "it is the identity"),
+        (anomaly.Transform("offset", "Alt", offset=1e-9), "moves no value .* past the boundary band"),
+        (anomaly.Transform("scale", "Mach", factor=1 + 1e-12), "moves no value .* past the boundary band"),
     ],
 )
 def test_sample_inliers_refuses_a_transform_that_corrupts_no_point_before_drawing(mlm, monkeypatch, transform, reason):
@@ -190,6 +193,15 @@ def test_sample_inliers_refuses_a_transform_that_corrupts_no_point_before_drawin
     for transforms in ((transform,), (valid, transform)):
         with pytest.raises(oddkit.EmptyStratum, match=reason):
             anomaly.sample_inliers(mlm, 200, transforms, seed=0)
+
+
+def test_sample_inliers_draws_for_a_transform_just_past_the_boundary_band(mlm):
+    """Each value moves by a few ulps of Alt more than the band, so the draw decides."""
+    alt = next(p for p in mlm.parameters if p.name == "Alt")
+    offset = oddkit.DEFAULT_TOL * alt.span + 8 * math.ulp(alt.hi)
+    points = anomaly.sample_inliers(mlm, 50, (anomaly.Transform("offset", "Alt", offset=offset),), seed=0)
+    assert len(points) == 50
+    assert all(p.values["Alt"] - p.provenance_raw["Alt"] > oddkit.DEFAULT_TOL * alt.span for p in points)
 
 
 def test_histogram_zero_weight_bin_is_never_drawn():

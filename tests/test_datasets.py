@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 import oddkit
+from oddkit import datasets
 from oddkit.cli import cli
 from oddkit.model import DataPoint, Points
 
@@ -295,6 +297,101 @@ def test_parse_equals_the_row_by_row_reference(extended_doc, text):
     assert list(ds.points) == points
     assert [ds.points[i] for i in range(len(points))] == points
     assert oddkit.parse_dataset(text.encode("utf-8"), node).diagnostics == ds.diagnostics
+
+
+# cells of unrecognized columns without a quote; a cell over the field
+# limit makes a line too long for the slice path
+_QUOTE_FREE_UNRECOGNIZED = st.sampled_from(["", " ", " \t", " a ", "a_b", "#", ",", _OVER_LIMIT])
+
+
+@st.composite
+def quote_free_texts(draw):
+    """Dataset texts without a quote: half of them rectangular (every line
+    of the body has the header's width, blank ones too), which the slice
+    path reads unless a line is over the field limit, the others ragged.
+    Most headers are valid: they name Mach and Alt once each."""
+    header = draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=6, unique_by=str.strip))
+    if draw(st.integers(0, 3)):
+        header = ["Mach", "Alt"] + [c for c in header if c.strip() not in ("Mach", "Alt")]
+        header = draw(st.permutations(header))
+    rectangular = draw(st.booleans())
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:  # a blank line
+            lines.append("," * (len(header) - 1) if rectangular else draw(st.sampled_from(["", " ", ",,", "#"])))
+            continue
+        width = len(header) if rectangular else max(len(header) + draw(st.sampled_from([0, 0, -1, -2, 1, 2])), 0)
+        tricky = draw(st.integers(-1, width - 1))
+        cells = []
+        for j in range(width):
+            col = header[j].strip() if j < len(header) else "note"
+            if col in ("note", "hidden:", "raw:Temp"):
+                strategy = _QUOTE_FREE_UNRECOGNIZED
+            elif col == "in_sample":
+                strategy = _TRICKY_FLAGS if j == tricky else _FLAGS
+            else:
+                strategy = _TRICKY if j == tricky else _READABLE
+            cells.append(draw(strategy.filter(lambda cell: not rectangular or "," not in cell)))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    comments = ["# seed=1" + newline, "\ufeff# a" + newline + "#b" + newline, "# a\x0cb\x85c\u2028d" + newline]
+    nul = "# \0" + newline  # a NUL sends the whole text to csv.reader
+    return draw(st.sampled_from(["", "\ufeff", *comments, nul])) + text
+
+
+@settings(max_examples=400)
+@given(text=quote_free_texts())
+def test_quote_free_parse_equals_the_row_by_row_reference(extended_doc, text):
+    node = extended_doc.node("MLMODD")
+    ds = oddkit.parse_dataset(text, node)
+    diagnostics, points = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    assert list(ds.points) == points
+    assert oddkit.parse_dataset(text.encode("utf-8"), node).diagnostics == ds.diagnostics
+
+
+def test_each_text_takes_its_reader_path(node, monkeypatch):
+    """csv.reader yields only the header of a rectangular quote-free text,
+    whose columns are slices of one split; every record of a ragged one, or
+    of one with a line over the field limit, a line each; and every record
+    of a quoted one, reading the text after the "#" lines."""
+    rectangular = "# seed=1\nMach,Alt,in_sample,note\n0.1,5,1,a\n0.2,oops,,\n,,,\n0.3,6,0,b"
+    ragged = "Mach,Alt,note\n0.1,5\n\n0.2,6,x,y\n0.3,7,z\n"
+    long = f"Mach,Alt,note\n0.1,5,{_OVER_LIMIT}\n0.2,6,x\n"
+    quoted = '# a\nMach,Alt,note\n0.1,5,"a\nb"\n0.2,oops,\n'
+    texts = (rectangular, ragged, long, quoted)
+    expected = [oracles.parse_rows(text, node.parameter_names) for text in texts]
+    read, reader = [], csv.reader
+
+    class Recording:
+        def __init__(self, lines):
+            self.reader, self.rows = reader(lines), []
+            read.append((type(lines), self.rows))
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.reader)
+            self.rows.append(list(row))  # the parser pads a short row in place
+            return row
+
+        line_num = property(lambda self: self.reader.line_num)
+
+    monkeypatch.setattr(datasets.csv, "reader", Recording)
+    got = []
+    for text in texts:
+        ds = oddkit.parse_dataset(text, node)
+        got.append(([(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics], list(ds.points)))
+    assert got == expected
+    header = ["Mach", "Alt", "note"]
+    assert read == [
+        (list, [["Mach", "Alt", "in_sample", "note"]]),
+        (list, [header, ["0.1", "5"], [], ["0.2", "6", "x", "y"], ["0.3", "7", "z"]]),
+        (list, [header, ["0.2", "6", "x"]]),  # the reader raised on the line before
+        (io.StringIO, [header, ["0.1", "5", "a\nb"], ["0.2", "oops", ""]]),
+    ]
 
 
 def test_parse_reads_every_in_sample_spelling(node):
