@@ -29,19 +29,15 @@ class Rejected:
 def inject_inlier(p: DataPoint, t: Transform, node: OddNode) -> DataPoint | Rejected:
     """Corrupt a point through ``t``, keeping the original values as provenance.
 
-    Accepted only if the corruption changed the point and the result lands
-    inside the node's region (an inlier is, by definition, inside).
+    Accepted only if ``t`` moves the point's value of ``t.parameter``, a
+    parameter of the node, by more than the boundary band, and the result
+    lands inside the node's region (an inlier is, by definition, inside).
     """
-    corrupted = t.apply(p.values)
-    changed = any(
-        abs(corrupted[param.name] - p.values[param.name]) > DEFAULT_TOL * param.span
-        for param in node.parameters
-        if param.name in p.values
-    )
-    if not changed:
+    name, v = t.parameter, p.values.get(t.parameter)
+    if name not in node.parameter_names or v is None or not abs(t(v) - v) > DEFAULT_TOL * node.parameter(name).span:
         return Rejected("transform did not corrupt the point")
     candidate = DataPoint(
-        corrupted,
+        t.apply(p.values),
         provenance_raw=dict(p.values),
         hidden_values=dict(p.hidden_values) if p.hidden_values else None,
         in_sample=p.in_sample,

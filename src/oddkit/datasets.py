@@ -21,6 +21,10 @@ their diagnostic.
 Diagnostic codes: E101 missing parameter column or unreadable header, E102
 duplicate column, E103 row excluded (unparseable, longer than the header or
 with a cell over csv's field limit; at its first line), W101 unrecognized column.
+
+After a record it raises on, ``csv.reader`` reads on at the next line; while
+that record's lines hold an odd number of ``"``, a quoted cell is open and its
+lines are skipped (a ``"`` inside an unquoted cell, ``ab"c``, defeats the count).
 """
 
 from __future__ import annotations
@@ -151,6 +155,7 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
         # each record cut to the recognized cells as it is read: a longer one is
         # excluded (or skipped if blank), and a shorter one padded with empty cells
         table, starts, excluded, line = [], [], [], skipped + reader.line_num + 1
+        lines, extra = None, 0  # the text's lines, split at the first csv.Error; the lines skipped after one
         while True:
             try:
                 for row in reader:
@@ -162,11 +167,15 @@ def parse_dataset(data: str | bytes, node: OddNode) -> Dataset:
                             row += [""] * (width - len(row))
                         table.append(row if cut is None else tuple(compress(row, cut)))
                         starts.append(line)
-                    line = skipped + reader.line_num + 1
+                    line = skipped + extra + reader.line_num + 1
                 break
             except csv.Error as exc:  # a cell over the field limit; the reader reads on at the next line
                 excluded.append((line, str(exc)))
-                line = skipped + reader.line_num + 1
+                lines = lines or data.split("\n")
+                quotes = sum(map(str.count, lines[line - 1 : skipped + extra + reader.line_num], repeat('"')))
+                while quotes % 2 and (rest := text.readline()):  # a quoted cell is open: skip its lines
+                    quotes, extra = quotes + rest.count('"'), extra + 1
+                line = skipped + extra + reader.line_num + 1
         cols, n = [list(map(itemgetter(j), table)) for j in range(len(roles))], len(table)
 
     points, bad = _read_columns(cols, roles, n)

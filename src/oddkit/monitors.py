@@ -32,10 +32,17 @@ def _check(problem: tuple[str, str] | None) -> None:
 @dataclass(frozen=True)
 class StubModel:
     """The bilinear surrogate ``c0 + c1*x + c2*y + c12*x*y`` of a spec's
-    monitorchain, over raw values of ``node``'s two parameters."""
+    monitorchain, over raw values of ``node``'s two parameters; a ValueError
+    for another node or coefficients that ``dsl.stub_problem`` refuses."""
 
     node: OddNode
     coefficients: tuple[float, float, float, float]
+
+    def __post_init__(self):
+        if len(self.node.parameters) != 2:
+            raise ValueError("stub models are defined over 2-parameter nodes")
+        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
+        _check(stub_problem("bilinear", self.coefficients))
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
         """The stub's output on each row of ``X``, raw coordinates in the
@@ -45,28 +52,6 @@ class StubModel:
         # non-finite outputs are reported by the caller, not as warnings
         with np.errstate(invalid="ignore", over="ignore"):
             return c0 + c1 * x + c2 * y + c12 * x * y
-
-    def evaluate(self, p: DataPoint) -> float:
-        """The stub's output at one point, the one-row case of :meth:`outputs`;
-        raises StubEvaluationError if it is not finite."""
-        out = float(self.outputs(geometry.coords_array([p], self.node))[0])
-        if not math.isfinite(out):
-            raise StubEvaluationError(f"stub produced non-finite output at {p.values}")
-        return out
-
-
-def make_stub_model(node: OddNode, spec: dict) -> StubModel:
-    """Build the bilinear surrogate model over a 2-parameter node.
-
-    ``spec`` is ``{"kind": "bilinear", "coefficients": (c0, c1, c2, c12)}``
-    (output = c0 + c1*x + c2*y + c12*x*y over raw parameter values); any
-    other kind is a ValueError.
-    """
-    if len(node.parameters) != 2:
-        raise ValueError("stub models are defined over 2-parameter nodes")
-    coefficients = tuple(float(c) for c in spec.get("coefficients", ()))
-    _check(stub_problem(spec["kind"], coefficients))
-    return StubModel(node, coefficients)
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ def build_monitors(decls: tuple[MonitorDecl, ...], doc: SpecDocument) -> list[Mo
 
 def build_stub(decl: StubDecl | None, node: OddNode) -> StubModel:
     _check(stub_problem(decl.kind, decl.coefficients) if decl else stub_problem(None))
-    return make_stub_model(node, {"kind": decl.kind, "coefficients": decl.coefficients})
+    return StubModel(node, decl.coefficients)
 
 
 @dataclass(frozen=True)

@@ -292,8 +292,10 @@ def parse_rows(text: str, names: tuple[str, ...]):
 
     A row with more cells than the header, unless blank, or a record the
     reader raises on (a cell over its field limit), is excluded (E103) at
-    the line its record starts on, as the reader counts lines; a header the
-    reader raises on is an error (E101). A row no longer than the header
+    the line its record starts on, as the reader counts lines; when that
+    record's lines hold an odd number of quotes, the lines up to the one
+    that closes its open quoted cell are skipped. A header the reader raises
+    on is an error (E101). A row no longer than the header
     whose recognized cells are all blank is skipped. A ``hidden:`` column
     without a name is an unrecognized column (W101); the cells of such a
     column are never read.
@@ -303,7 +305,8 @@ def parse_rows(text: str, names: tuple[str, ...]):
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
-    reader = csv.reader(io.StringIO("\n".join(lines[skipped:])))
+    stream = io.StringIO("\n".join(lines[skipped:]))
+    reader = csv.reader(stream)
     diagnostics, points = [], []
     try:
         header = next(reader)
@@ -336,8 +339,9 @@ def parse_rows(text: str, names: tuple[str, ...]):
         return diagnostics, []
 
     ended = reader.line_num  # the lines of the records read so far
+    extra = 0  # the lines skipped inside quoted cells that a failed record left open
     while True:
-        line = skipped + ended + 1
+        line = skipped + extra + ended + 1
         try:
             row = next(reader)
         except StopIteration:
@@ -345,6 +349,12 @@ def parse_rows(text: str, names: tuple[str, ...]):
         except csv.Error as exc:  # the reader goes on from the next line
             diagnostics.append(("warning", "E103", f"row excluded: {exc}", line, 1))
             ended = reader.line_num
+            # an odd number of quotes in the record's lines leaves a quoted cell
+            # open: its lines up to the one that closes it are no records
+            quotes = "".join(lines[line - 1 : skipped + extra + ended]).count('"')
+            while quotes % 2 and (rest := stream.readline()):
+                quotes += rest.count('"')
+                extra += 1
             continue
         ended = reader.line_num
         if len(row) > len(header):

@@ -137,7 +137,7 @@ def test_acceptance_5_monitor_claims(extended_doc, chain, capsys):
     with criterion(5, "monitor detection claims (OutCOD 100%, Novelty 0%, Inlier 100%)", capsys):
         mlm = extended_doc.node("MLMODD")
         mlc = extended_doc.node("MLCODD_spec")
-        stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 2, 0.001, 0)})
+        stub = monitors.StubModel(mlm, (1, 2, 0.001, 0))
 
         # range monitor on the MLC ODD detects every OutCOD point
         out_cod = anomaly.sample_region(mlc, 200, "outlier_ring", seed=9)

@@ -1047,7 +1047,7 @@ def monitor_case(doc, chain, rng):
     c0 = float(rng.choice([0.0, 1.6e308, 1.75e308], p=[0.6, 0.2, 0.2]))
     c1 = float(rng.choice([1.0, 1e308]))
     coefficients = (c0, c1, 1e-4, float(rng.normal()))
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": coefficients})
+    stub = monitors.StubModel(mlm, coefficients)
 
     def point():
         x = (lo + rng.uniform(-0.2, 1.2, size=3) * span).tolist()

@@ -115,6 +115,26 @@ def test_a_record_with_a_cell_over_the_field_limit_is_e103(node):
     assert list(ds.points) == points
 
 
+@pytest.mark.parametrize(
+    "text, e103_lines",
+    [
+        # the reader raises on line 2 inside a quoted cell that closes on line 4
+        (f'Mach,Alt,note\n0.1,5,"<{_OVER_LIMIT}>\n0.2,6000\nend"\n0.3,7000,z\n', [2]),
+        # line 4 closes that cell and opens one that closes on line 6; the
+        # later E103 counts the skipped lines
+        (f'Mach,Alt,a,b\n0.1,5,"<{_OVER_LIMIT}>\n0.2,6000\nend","c\n0.25,6500\nd"\n0.3,7000,z,w\n0.4,x\n', [2, 8]),
+    ],
+    ids=["closed_later", "closing_line_opens_another"],
+)
+def test_a_quoted_cell_left_open_by_a_failed_record_is_skipped_to_its_end(node, text, e103_lines):
+    ds = oddkit.parse_dataset(text, node)
+    assert [d.line for d in ds.diagnostics if d.code == "E103"] == e103_lines
+    assert [(p.values["Mach"], p.values["Alt"]) for p in ds.points] == [(0.3, 7000.0)]
+    diagnostics, points = oracles.parse_rows(text, node.parameter_names)
+    assert [(d.severity, d.code, d.message, d.line, d.col) for d in ds.diagnostics] == diagnostics
+    assert list(ds.points) == points
+
+
 def test_a_header_with_a_cell_over_the_field_limit_is_e101(node):
     text = f"# seed=1\nMach,Alt,{_OVER_LIMIT}\n0.1,5,x\n"
     ds = oddkit.parse_dataset(text, node)

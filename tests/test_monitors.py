@@ -7,6 +7,7 @@ import pytest
 
 import oddkit
 from oddkit import monitors
+from oddkit.dsl import StubDecl
 from oddkit.model import DataPoint
 
 
@@ -24,13 +25,24 @@ def baseline(extended_doc):
 
 
 def test_bilinear_stub(mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 2, 0.001, 0)})
-    assert stub.evaluate(DataPoint({"Mach": 0.2, "Alt": 1000.0})) == pytest.approx(1 + 0.4 + 1.0)
+    stub = monitors.StubModel(mlm, (1, 2, 0.001, 0))
+    assert stub.outputs(np.array([[0.2, 1000.0]])).tolist() == pytest.approx([1 + 0.4 + 1.0])
 
 
 def test_a_stub_of_another_kind_is_refused(mlm):
     with pytest.raises(ValueError, match="unknown stub kind 'lookup_table'"):
-        monitors.make_stub_model(mlm, {"kind": "lookup_table", "table": [[1.0, 2.0], [3.0, 4.0]]})
+        monitors.build_stub(StubDecl("lookup_table", ()), mlm)
+
+
+def test_a_stub_checks_its_node_and_coefficients(extended_doc, mlm):
+    with pytest.raises(ValueError, match="stub models are defined over 2-parameter nodes"):
+        monitors.StubModel(extended_doc.node("MLMODD_ext"), (1, 2, 0.001, 0))
+    for coefficients in ((1, 2, 0.001), (1, 2, float("inf"), 0)):
+        with pytest.raises(ValueError, match="bilinear stub needs 4 finite coefficients"):
+            monitors.StubModel(mlm, coefficients)
+    stub = monitors.StubModel(mlm, (1, 2, 0.001, 0))
+    assert stub.coefficients == (1.0, 2.0, 0.001, 0.0) and all(type(c) is float for c in stub.coefficients)
+    assert stub == monitors.build_stub(StubDecl("bilinear", (1.0, 2.0, 0.001, 0.0)), mlm)
 
 
 def test_monitor_validation(mlm):
@@ -88,7 +100,7 @@ def test_extreme_value_monitor_detects_edges(chain, baseline):
 
 
 def test_output_range_monitor(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (0, 1000, 0, 0)})
+    stub = monitors.StubModel(mlm, (0, 1000, 0, 0))
     mon = monitors.Monitor("output_range_monitor", lo=-10.0, hi=10.0, action="mask")
     result = monitors.run_monitor_chain(
         [DataPoint({"Mach": 0.2, "Alt": 7000.0}), DataPoint({"Mach": 0.005, "Alt": 7000.0})],
@@ -101,7 +113,7 @@ def test_output_range_monitor(chain, mlm):
 
 
 def test_known_input_monitor(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (0, 0, 0, 0)})
+    stub = monitors.StubModel(mlm, (0, 0, 0, 0))
     mon = monitors.Monitor(
         "known_input_monitor",
         node=mlm,
@@ -135,7 +147,7 @@ def test_failover_latches(extended_doc, chain):
 
 
 def test_stub_evaluation_error(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1e308, 1e308, 1e308, 1e308)})
+    stub = monitors.StubModel(mlm, (1e308, 1e308, 1e308, 1e308))
     with pytest.raises(oddkit.StubEvaluationError):
         monitors.run_monitor_chain(
             [DataPoint({"Mach": 0.4, "Alt": 14000.0})], chain, [], stub
@@ -155,7 +167,7 @@ def test_verdict_csv_and_metrics_render(chain, baseline, golden_dataset):
 
 
 def test_known_inputs_with_non_finite_coordinates_match_nothing(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 0, 0, 0)})
+    stub = monitors.StubModel(mlm, (1, 0, 0, 0))
     known = DataPoint({"Mach": 0.225, "Alt": 14000.0})
     nan, inf = float("nan"), float("inf")
     stream = [
@@ -177,13 +189,11 @@ def test_known_inputs_with_non_finite_coordinates_match_nothing(chain, mlm):
 
 
 def test_bilinear_stub_at_a_non_finite_coordinate(chain, mlm):
-    stub = monitors.make_stub_model(mlm, {"kind": "bilinear", "coefficients": (1, 2, 0.001, 0.5)})
+    stub = monitors.StubModel(mlm, (1, 2, 0.001, 0.5))
     X = np.array([[0.05, 1000.0], [float("nan"), 1000.0], [0.05, float("inf")], [-float("inf"), 0.0], [1e308, 0.0]])
     assert np.array_equal(stub.outputs(X), [1 + 0.1 + 1.0 + 25.0, np.nan, np.inf, np.nan, np.inf], equal_nan=True)
     for x in X[1:].tolist():
         p = DataPoint(dict(zip(mlm.parameter_names, x)))
-        with pytest.raises(oddkit.StubEvaluationError, match="non-finite output"):
-            stub.evaluate(p)
         with pytest.raises(oddkit.StubEvaluationError, match="non-finite output"):
             monitors.run_monitor_chain([p], chain, [], stub)
     # a row the range monitor filters never reaches the stub
