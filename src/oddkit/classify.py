@@ -112,8 +112,9 @@ def build_chain(
 
     Names default to the document's unique mlm_odd / as-specified mlc_odd
     nodes; the extension and system-OD nodes are picked up automatically.
-    Raises ValueError when the chain cannot be resolved or the mlm does not
-    allocate (transitively) to the mlc, an allocation cycle included.
+    Raises ValueError when the chain cannot be resolved (two nodes extending
+    the mlm included) or the mlm does not allocate (transitively) to the mlc,
+    an allocation cycle included.
     """
 
     def pick(name, pred, what) -> OddNode:
@@ -138,12 +139,15 @@ def build_chain(
         seen.add(current.name)
     if current is None:
         raise ValueError(f"mlm {mlm.name!r} does not allocate (transitively) to mlc {mlc.name!r}")
+    extensions = [n for n in doc.nodes if n.extends == mlm.name]
+    if len(extensions) > 1:
+        raise ValueError(f"cannot infer extension node: found {len(extensions)} candidate nodes")
 
     return Chain(
         mlm=mlm,
         mlc=mlc,
         sample_registry=sample_registry,
-        extended=next((n for n in doc.nodes if n.extends == mlm.name), None),
+        extended=extensions[0] if extensions else None,
         system_od=next((n for n in doc.nodes if n.level == Level.SYSTEM_OD), None),
         declared_transform=declared_transform,
     )
@@ -361,16 +365,6 @@ def classify_points(
     return _categorize(points, node, geometry.point_codes(points, node), chain_ctx, transforms)
 
 
-def classify_point(
-    p: DataPoint,
-    node: OddNode,
-    chain_ctx: Chain | None = None,
-    declared_transform: tuple[Transform, ...] | None = None,
-) -> LabelRow:
-    """One point's category relative to ``node``; see :func:`classify_points`."""
-    return next(iter(classify_points([p], node, chain_ctx, declared_transform)))
-
-
 # Grid cells are 2·tol wide, so two points within tol of each other in every
 # normalised coordinate lie in the same or adjacent cells. Scaled coordinates
 # are clipped to ±_CELL_LIMIT, where float rounding moves them by at most 1/8
@@ -508,10 +502,6 @@ def _kind_step(points: Points, chain: Chain) -> tuple[np.ndarray, tuple, tuple]:
     mlc_codes = geometry.region_containment(Y, chain.mlc)
     kinds[out_mlm[mlc_codes != geometry.OUTSIDE]] = _OUT_OF_MLMODD
     return kinds, (in_mlm, codes[in_mlm]), (out_mlm, mlc_codes)
-
-
-def classify_kind(p: DataPoint, chain: Chain) -> Kind:
-    return _KINDS[_kind_step(Points.of([p]), chain)[0][0]]
 
 
 def category_node(kind: Kind, chain: Chain) -> OddNode:

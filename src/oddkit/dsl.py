@@ -172,12 +172,6 @@ class SpecDocument:
                 return n
         raise KeyError(name)
 
-    def structurally_equal(self, other: "SpecDocument") -> bool:
-        return (
-            self.nodes == other.nodes
-            and self.monitor_chains == other.monitor_chains
-        )
-
 
 # -- tokenizer ----------------------------------------------------------------
 

@@ -44,6 +44,38 @@ def chain(extended_doc) -> oddkit.Chain:
 
 
 @pytest.fixture(scope="session")
+def two_extensions_text(extended_spec_text) -> str:
+    """The extended corpus plus a second node extending MLMODD, with
+    Pressure in Temp's place: no single extension node can be inferred."""
+    return extended_spec_text + """
+odd "MLMODD_ext2" level mlm_odd variant as_specified extends "MLMODD" {
+  param Mach: mach range [0, 0.4] class operational
+  param Alt: ft range [0, 15000] class environmental
+  param Pressure: hPa range [100, 1100] class environmental
+  region polytope {
+    halfspace -1 0 0 <= 0
+    halfspace 1 0 0 <= 0.4
+    halfspace 0 -1 0 <= 0
+    halfspace 5000 1 0 <= 16000
+    halfspace -10000 1 0 <= 13000
+    halfspace 0 0 1 <= 1100
+    halfspace 0 0 -1 <= -100
+    vertex (0, 0, 100)
+    vertex (0.4, 0, 100)
+    vertex (0.4, 14000, 100)
+    vertex (0.2, 15000, 100)
+    vertex (0, 13000, 100)
+    vertex (0, 0, 1100)
+    vertex (0.4, 0, 1100)
+    vertex (0.4, 14000, 1100)
+    vertex (0.2, 15000, 1100)
+    vertex (0, 13000, 1100)
+  }
+}
+"""
+
+
+@pytest.fixture(scope="session")
 def rounded_square_text() -> str:
     """The unit square as halfspaces, its vertices listed rounded inward."""
     return """

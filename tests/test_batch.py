@@ -1285,7 +1285,8 @@ def test_parameters_only_mlc_or_sod_declare(extended_doc):
     assert [(r.kind, r.category) for r in rows] == [
         (Kind.OUT_OF_SAMPLE, "Nominal"), (Kind.OUT_OF_SAMPLE, "FeasibleCornerCase")
     ]
-    assert oddkit.classify_kind(inside_mlm[0], chain) == Kind.OUT_OF_SAMPLE
+    (first,) = oddkit.label_rows(inside_mlm[:1], chain)
+    assert first.kind == Kind.OUT_OF_SAMPLE
 
     reaching = [
         DataPoint({"Mach": 0.3, "Alt": 14900, "Wind": 10.0}),  # outside MLM, inside MLC

@@ -15,15 +15,26 @@ from oddkit.classify import (
     KIND_SET,
     Kind,
     category_node,
-    classify_kind,
     registry_match,
     registry_matches,
 )
 from oddkit.model import DataPoint
 
 
+def label(p, node, chain=None, **kw):
+    """``p``'s label against ``node``, as the one row of a batch."""
+    (row,) = oddkit.classify_points([p], node, chain, **kw)
+    return row
+
+
 def cat(p, node, chain=None, **kw):
-    return oddkit.classify_point(p, node, chain, **kw).category
+    return label(p, node, chain, **kw).category
+
+
+def kind(p, chain):
+    """``p``'s kind in the chain, as the one row of a batch."""
+    (row,) = oddkit.label_rows([p], chain)
+    return row.kind
 
 
 def test_geometric_categories(extended_doc):
@@ -37,16 +48,16 @@ def test_geometric_categories(extended_doc):
 
 def test_boundary_counts_as_inside(extended_doc):
     mlm = extended_doc.node("MLMODD")
-    label = oddkit.classify_point(DataPoint({"Mach": 0.1, "Alt": 0}), mlm)
-    assert label.on_boundary
-    assert label.category == "EdgeCase"
+    row = label(DataPoint({"Mach": 0.1, "Alt": 0}), mlm)
+    assert row.on_boundary
+    assert row.category == "EdgeCase"
 
 
 def test_inlier_requires_declared_transform(extended_doc, chain):
     mlm = extended_doc.node("MLMODD")
     p = DataPoint({"Mach": 0.35, "Alt": 2000}, provenance_raw={"Alt": 20000})
     with pytest.raises(oddkit.MissingTransform):
-        oddkit.classify_point(p, mlm)  # no chain, no transform declared
+        label(p, mlm)  # no chain, no transform declared
     # identity declaration: recorded 2000 vs raw 20000 mismatch -> Inlier
     assert cat(p, mlm, chain) == "Inlier"
     # a declared /10 scaling explains the recorded value -> geometric category
@@ -65,23 +76,32 @@ def test_novelty_requires_extension_context(extended_doc, chain):
     assert cat(q, mlm, chain) == "Nominal"
 
 
+def test_two_extension_nodes_are_ambiguous(two_extensions_text):
+    """With two nodes extending the MLM, neither is the extension: taking the
+    first would leave the other's hidden parameter never Novelty."""
+    doc = oddkit.parse_spec(two_extensions_text)
+    assert doc.ok, [str(d) for d in doc.diagnostics]
+    with pytest.raises(ValueError, match="cannot infer extension node: found 2 candidate nodes"):
+        oddkit.build_chain(doc)
+
+
 def test_anomaly_labels_are_categories():
     assert {"Outlier", "Novelty"} <= oddkit.ANOMALY_LABELS < set(oddkit.CATEGORY_LABELS)
     assert "Nominal" not in oddkit.ANOMALY_LABELS
 
 
 def test_classify_kind(chain):
-    assert classify_kind(DataPoint({"Mach": 0.225, "Alt": 14000}, in_sample=True), chain) == Kind.IN_SAMPLE
-    assert classify_kind(DataPoint({"Mach": 0.225, "Alt": 14000}), chain) == Kind.OUT_OF_SAMPLE
-    assert classify_kind(DataPoint({"Mach": 0.1, "Alt": -650}), chain) == Kind.OUT_OF_MLMODD
-    assert classify_kind(DataPoint({"Mach": 0.6, "Alt": 5000}), chain) == Kind.OUT_OF_MLCODD
+    assert kind(DataPoint({"Mach": 0.225, "Alt": 14000}, in_sample=True), chain) == Kind.IN_SAMPLE
+    assert kind(DataPoint({"Mach": 0.225, "Alt": 14000}), chain) == Kind.OUT_OF_SAMPLE
+    assert kind(DataPoint({"Mach": 0.1, "Alt": -650}), chain) == Kind.OUT_OF_MLMODD
+    assert kind(DataPoint({"Mach": 0.6, "Alt": 5000}), chain) == Kind.OUT_OF_MLCODD
 
 
 def test_sample_registry(extended_doc):
     registry = (DataPoint({"Mach": 0.225, "Alt": 14000}),)
     chain = oddkit.build_chain(extended_doc, sample_registry=registry)
-    assert classify_kind(DataPoint({"Mach": 0.225, "Alt": 14000}), chain) == Kind.IN_SAMPLE
-    assert classify_kind(DataPoint({"Mach": 0.226, "Alt": 14000}), chain) == Kind.OUT_OF_SAMPLE
+    assert kind(DataPoint({"Mach": 0.225, "Alt": 14000}), chain) == Kind.IN_SAMPLE
+    assert kind(DataPoint({"Mach": 0.226, "Alt": 14000}), chain) == Kind.OUT_OF_SAMPLE
 
 
 @pytest.mark.filterwarnings("error")
@@ -143,7 +163,7 @@ def test_set_algebra_on_golden(golden_dataset, chain):
 
 
 def test_set_algebra_flags_corrupted_labels(golden_dataset, chain):
-    labels = [classify_kind(p, chain) for p in golden_dataset.points]
+    labels = [row.kind for row in oddkit.label_rows(golden_dataset.points, chain)]
     labels[0] = Kind.OUT_OF_MLCODD  # lie about an in-MLMODD point
     report = oddkit.verify_set_algebra(golden_dataset.points, chain, labels=labels)
     assert not report.holds

@@ -298,6 +298,14 @@ def test_a_node_that_leaves_its_parent_is_e018_not_an_internal_error(
         assert result.exit_code == 1 and error in result.output, result.output
 
 
+def test_classify_refuses_two_extension_nodes(runner, two_extensions_text, points_path, tmp_path):
+    spec = tmp_path / "two_ext.odd"
+    spec.write_text(two_extensions_text, encoding="utf-8")
+    result = runner.invoke(cli, ["classify", str(spec), points_path])
+    assert result.exit_code == 1
+    assert "cannot assemble chain: cannot infer extension node: found 2 candidate nodes" in result.output
+
+
 def test_generate_refuses_a_transform_that_corrupts_no_point(runner, spec_path):
     args = ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "-n", "100000", "--transform", "scale:Temp:2"]
     result = runner.invoke(cli, args)

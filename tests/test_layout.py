@@ -4,8 +4,10 @@ one near-point matcher, monitors on the array engine, every stage reading
 its own coordinates, label objects built only at the API edges, spec
 diagnostics built in one place, one reader of the category table, one
 read-only helper, no output formatting in the CLI, no XML or URL library
-loaded by the CLI, no parameter that a function never reads, and a
-boundary band set only where some caller varies it."""
+loaded by the CLI, no parameter that a function never reads, a
+boundary band set only where some caller varies it, each one-point function
+kept by a named caller, and a package ``__all__`` that lists what it
+imports."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import oddkit
 from oddkit import geometry
 
 SRC = Path(oddkit.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 
 def _tree(path: Path) -> ast.Module:
@@ -379,3 +382,90 @@ def test_tol_only_where_a_caller_sets_it():
         "geometry.region_containment",
         "model.Points.recall",
     ]
+
+
+def _namers(path: Path, name: str) -> set[str]:
+    """The scopes whose code names ``name`` as a variable, an attribute or a
+    string: ``Class.method``, ``function`` or ``<module>``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        elif name in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+            isinstance(node, ast.Constant) and node.value == name
+        ):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_tree(path), "<module>")
+    return found
+
+
+# Each one-point function (a module-level function with a parameter annotated
+# DataPoint), why it stays, and the scopes that keep it: every other
+# one-point decision is the one row of a batch call.
+_ONE_POINT = {
+    "geometry.coords": ("the one-point coordinate read", ["src/oddkit/geometry.py:point_in_region"]),
+    "geometry.point_in_region": (
+        "registry_polytope calls it per point",
+        ["bench/workloads.py:RegistryPolytope.run_pass"],
+    ),
+    "geometry.distance_to_boundary": (
+        "registry_polytope calls it per point",
+        ["bench/workloads.py:RegistryPolytope.run_pass"],
+    ),
+    "anomaly.inject_inlier": (
+        "stream_generate calls it per point",
+        ["bench/workloads.py:StreamGenerate.run_pass", "src/oddkit/anomaly.py:sample_inliers.accept"],
+    ),
+    "anomaly.make_novelty": (
+        "stream_generate calls it per point",
+        ["bench/workloads.py:StreamGenerate.run_pass", "src/oddkit/anomaly.py:sample_novelty.accept"],
+    ),
+    "geometry.project": (
+        "make_novelty calls it, and the benchmark's tracer wraps it",
+        ["src/oddkit/anomaly.py:make_novelty", "bench/spans.py:<module>"],
+    ),
+    "geometry.params_at_extreme": (
+        "the benchmark's tracer wraps it; it goes once the tracer stops",
+        ["bench/spans.py:<module>"],
+    ),
+    "classify.registry_match": (
+        "the benchmark's tracer wraps it; it goes once the tracer stops",
+        ["bench/spans.py:instrument"],
+    ),
+}
+
+
+def test_each_one_point_function_has_a_caller():
+    """A function deciding one point is kept only for a caller that needs
+    one point at a time; a test labels one point as a one-row batch."""
+    one_point = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in _tree(path).body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+            if any(a.annotation is not None and ast.unparse(a.annotation) == "DataPoint" for a in args):
+                one_point.add(f"{path.stem}.{fn.name}")
+    assert one_point == set(_ONE_POINT)
+    for qualified, (_, keepers) in _ONE_POINT.items():
+        name = qualified.split(".")[1]
+        for keeper in keepers:
+            path, scope = keeper.split(":")
+            assert scope in _namers(ROOT / path, name), (qualified, keeper)
+
+
+def test_all_lists_the_package_imports():
+    """``oddkit.__all__`` names each public name the package binds, modules
+    aside, once; ``from oddkit import *`` finds every one of them."""
+    assert len(oddkit.__all__) == len(set(oddkit.__all__))
+    public = {
+        name for name, value in vars(oddkit).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(oddkit.__all__) == public
+    namespace: dict[str, object] = {}
+    exec("from oddkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
