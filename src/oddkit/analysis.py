@@ -25,7 +25,7 @@ from .classify import (
 )
 from .datasets import write_csv
 from .dsl import Diagnostic, Token, _Parser, tokenize
-from .errors import EmptyInput, UnvalidatedRuleBase
+from .errors import EmptyInput
 from .model import DEFAULT_TOL, DataPoint, OddNode, Points
 
 @dataclass(frozen=True)
@@ -46,39 +46,29 @@ class NotApplicable:
 
 
 class RuleBase:
+    """ERLA rules that claim every cell exactly once; raises ValueError otherwise."""
+
     def __init__(self, rules: list[ErlaRule], not_applicable: list[NotApplicable]):
         self.rules = rules
         self.not_applicable = not_applicable
-        self._index: dict[PartitionKey, ErlaRule | NotApplicable] = {}
-        self._validated = False
-
-    def validate(self) -> None:
-        """Check the rule base claims every cell exactly once; raises ValueError."""
         problems: list[str] = []
         space = set(full_key_space())
-        index: dict[PartitionKey, ErlaRule | NotApplicable] = {}
-        for entry in [*self.rules, *self.not_applicable]:
+        self._index: dict[PartitionKey, ErlaRule | NotApplicable] = {}
+        for entry in [*rules, *not_applicable]:
             for kind_set in entry.kinds:
                 for category in entry.categories:
                     key = (kind_set, category)
                     if key not in space:
                         problems.append(f"unknown cell {key}")
-                        continue
-                    if key in index:
+                    elif key in self._index:
                         problems.append(f"overlapping cell {key}")
-                        continue
-                    index[key] = entry
-        for key in sorted(space):
-            if key not in index:
-                problems.append(f"uncovered cell {key}")
+                    else:
+                        self._index[key] = entry
+        problems += (f"uncovered cell {key}" for key in sorted(space) if key not in self._index)
         if problems:
             raise ValueError("invalid rule base: " + "; ".join(problems))
-        self._index = index
-        self._validated = True
 
     def lookup(self, key: PartitionKey) -> ErlaRule | NotApplicable:
-        if not self._validated:
-            raise UnvalidatedRuleBase("rule base must be validated before lookup")
         try:
             return self._index[key]
         except KeyError:
@@ -115,9 +105,10 @@ def _rule_block(p: _Parser, head: Token) -> dict | None:
     return {"reason": "", **dict(fields)} if p.expect("}") else None
 
 
-def parse_rules(text: str) -> tuple[RuleBase, list[Diagnostic]]:
-    """Parse the rule-base format (see the packaged default); after an error,
-    parsing resumes at the next ``rule`` or ``not_applicable`` keyword."""
+def parse_rules(text: str) -> tuple[list[ErlaRule], list[NotApplicable], list[Diagnostic]]:
+    """Parse the rule-base format (see the packaged default) into the blocks
+    a :class:`RuleBase` is built from; after an error, parsing resumes at the
+    next ``rule`` or ``not_applicable`` keyword."""
     tokens, diagnostics = tokenize(text)
     p = _Parser(tokens)
     rules: list[ErlaRule] = []
@@ -135,17 +126,16 @@ def parse_rules(text: str) -> tuple[RuleBase, list[Diagnostic]]:
             rules.append(ErlaRule(kinds, categories, **{f: fields.get(key, ()) for key, f in _ERLA_FIELDS.items()}))
         else:
             nas.append(NotApplicable(kinds, categories, fields["reason"]))
-    return RuleBase(rules, nas), diagnostics + p.diagnostics
+    return rules, nas, diagnostics + p.diagnostics
 
 
 def load_default_rules() -> RuleBase:
     text = resources.files("oddkit").joinpath("data/erla_rules.txt").read_text("utf-8")
-    base, diagnostics = parse_rules(text)
+    rules, nas, diagnostics = parse_rules(text)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:  # pragma: no cover - packaged file is tested
         raise ValueError(f"default rule base failed to parse: {errors[0]}")
-    base.validate()
-    return base
+    return RuleBase(rules, nas)
 
 
 # -- partition analysis --------------------------------------------------------
@@ -207,6 +197,7 @@ def analyze_partitions(
 # -- coverage -------------------------------------------------------------------
 
 DEFAULT_GRID = (20, 20)
+MAX_GRID_CELLS = 1_000_000  # the interior grid's masks and cell centers stay near 100 MB
 _VERTEX_TOL = 1e-3  # normalized distance within which a point covers a vertex or range bound
 
 
@@ -250,8 +241,8 @@ def coverage_report(
     Interior grid coverage requires a 2D node (the grid is laid over the
     normalized parameter box and clipped to the region by cell center).
     """
-    if grid[0] < 1 or grid[1] < 1:
-        raise ValueError("grid dims must be >= 1")
+    if min(grid) < 1 or grid[0] * grid[1] > MAX_GRID_CELLS:
+        raise ValueError(f"grid dims must be >= 1, with at most {MAX_GRID_CELLS:,} cells")
     if len(node.parameters) != 2:
         raise ValueError("coverage metrics require a 2-parameter node")
 

@@ -105,9 +105,9 @@ def cli() -> None:
     """Hierarchical ODD specification, classification, and analysis toolkit."""
 
 
-@cli.command()
+@cli.command("validate")
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
-def validate(spec: str) -> None:
+def check_spec(spec: str) -> None:
     """Parse and validate a specification; report all diagnostics."""
     doc = _load_spec(spec)
     click.echo(f"{spec}: ok ({len(doc.nodes)} node(s), {len(doc.monitor_chains)} monitorchain(s))")
@@ -166,12 +166,12 @@ def analyze(spec, data, chain_spec, rules_path, fmt_name, out_path, force) -> No
     chain = _build_chain(doc, chain_spec)
     ds = _load_dataset(data, chain.mlm)
     if rules_path:
-        base, diags = analysis.parse_rules(_read_text(rules_path))
+        rules, nas, diags = analysis.parse_rules(_read_text(rules_path))
         _echo_diagnostics(diags)
         if any(d.severity == "error" for d in diags):
             raise click.ClickException(f"{rules_path}: rule base has errors")
         try:
-            base.validate()
+            base = analysis.RuleBase(rules, nas)
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
     else:
@@ -196,8 +196,10 @@ def coverage(spec, data, node_name, grid, out_path, force) -> None:
         nx, ny = (int(part) for part in grid.lower().split("x"))
     except ValueError:
         nx = ny = 0
-    if nx < 1 or ny < 1:
-        raise click.UsageError(f"bad --grid {grid!r}; expected NxM with N, M >= 1")
+    if min(nx, ny) < 1 or nx * ny > analysis.MAX_GRID_CELLS:
+        raise click.UsageError(
+            f"bad --grid {grid!r}; expected NxM with N, M >= 1 and at most {analysis.MAX_GRID_CELLS:,} cells"
+        )
     ds = _load_dataset(data, node)
     try:
         report = analysis.coverage_report(ds.points, node, grid=(nx, ny))
@@ -212,7 +214,7 @@ def coverage(spec, data, node_name, grid, out_path, force) -> None:
 @click.option("--mode", required=True,
               type=click.Choice([*anomaly.MODES, "inlier", "novelty"]))
 @click.option("-n", "count", type=click.IntRange(min=0), default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--transform", "transform_specs", multiple=True,
               help="Corruption for --mode inlier (KIND:PARAM:VALUE).")
 @click.option("--out", "out_path", help="Output CSV path (default stdout).")

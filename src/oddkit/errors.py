@@ -33,9 +33,5 @@ class EmptyInput(OddkitError):
     """An operation that requires data was given none."""
 
 
-class UnvalidatedRuleBase(OddkitError):
-    """Rule lookup was attempted before the rule base passed validation."""
-
-
 class StubEvaluationError(OddkitError):
     """The stub model failed to produce a finite output."""

@@ -147,8 +147,8 @@ class SimulationResult:
     ``kinds`` and ``actions`` are the chain's monitors' kinds and actions.
     ``cases`` holds each row's case: the index of the first monitor that
     fired, ``len(kinds)`` if none did, or ``len(kinds) + 1`` once a failover
-    has latched (``latched``). ``stub_outputs`` holds the stub's output where
-    it was evaluated and NaN where it was not. ``verdicts`` builds one
+    has latched. ``stub_outputs`` holds the stub's output where it was
+    evaluated and NaN where it was not. ``verdicts`` builds one
     :class:`MonitorVerdict` per row when it is first read.
     """
 
@@ -156,7 +156,6 @@ class SimulationResult:
     actions: tuple[str, ...]
     cases: np.ndarray
     stub_outputs: np.ndarray
-    latched: np.ndarray
     metrics: dict[str, float]
 
     def _case_cells(self) -> list[tuple[str, str | None, tuple[str, ...], bool]]:
@@ -169,7 +168,7 @@ class SimulationResult:
         misses = [MonitorDecision(kind, False) for kind in self.kinds]
         hits = [MonitorDecision(kind, True, action) for kind, action in zip(self.kinds, self.actions)]
         decisions = [misses[:j] + hits[j : j + 1] for j in range(len(self.kinds) + 1)] + [[]]
-        dispositions, actions, _, _ = zip(*self._case_cells())
+        dispositions, actions, _, latched = zip(*self._case_cells())
         case = self.cases.tolist()
         stub_outputs = self.stub_outputs.astype(object)
         stub_outputs[np.isnan(self.stub_outputs)] = None
@@ -181,7 +180,7 @@ class SimulationResult:
                 map(dispositions.__getitem__, case),
                 map(actions.__getitem__, case),
                 stub_outputs.tolist(),
-                self.latched.tolist(),
+                map(latched.__getitem__, case),
             )
         )
 
@@ -262,4 +261,4 @@ def run_monitor_chain(
     metrics["false_alarm_rate_nominal"] = detected["Nominal"] / nominal if nominal else 0.0
     metrics["failover_latched_points"] = float(latched.sum())
     kinds = tuple(monitor.kind for monitor in monitors)
-    return SimulationResult(kinds, tuple(actions[:m]), cases, stub_outputs, latched, metrics)
+    return SimulationResult(kinds, tuple(actions[:m]), cases, stub_outputs, metrics)

@@ -238,10 +238,9 @@ def test_acceptance_8_rule_base_totality(capsys):
             entry = rules.lookup(key)
             assert entry is not None
         assert isinstance(rules.lookup(("InMOD&OutS", "Outlier")), NotApplicable)
-        # exactly-once: overlapping claims would have failed validation
-        duplicate = analysis.RuleBase(rules.rules + rules.rules[:1], rules.not_applicable)
+        # exactly-once: a rule base with overlapping claims is not built
         with pytest.raises(ValueError):
-            duplicate.validate()
+            analysis.RuleBase(rules.rules + rules.rules[:1], rules.not_applicable)
 
 
 def test_acceptance_9_rendering(data_dir, golden_labels_text, capsys, tmp_path):

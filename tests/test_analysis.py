@@ -45,21 +45,20 @@ def test_default_rule_base_pins_known_cells():
 
 
 def test_unvalidated_rule_base_refuses_lookup():
-    base, diags = analysis.parse_rules(
+    rules, nas, diags = analysis.parse_rules(
         "rule { kinds [OutCOD] categories [Any] E [x] R [x] L [x] A [x] }"
     )
     assert not any(d.severity == "error" for d in diags)
-    with pytest.raises(oddkit.UnvalidatedRuleBase):
-        base.lookup(("OutCOD", "Any"))
+    # an incomplete rule base is refused when built, so no lookup can reach it
     with pytest.raises(ValueError, match="uncovered cell"):
-        base.validate()
+        analysis.RuleBase(rules, nas)
 
 
 def test_packaged_rules_parse_cleanly():
     text = resources.files("oddkit").joinpath("data/erla_rules.txt").read_text("utf-8")
-    base, diags = analysis.parse_rules(text)
+    rules, nas, diags = analysis.parse_rules(text)
     assert diags == []
-    assert (len(base.rules), len(base.not_applicable)) == (9, 3)
+    assert (len(rules), len(nas)) == (9, 3)
 
 
 @pytest.mark.parametrize(
@@ -71,9 +70,9 @@ def test_packaged_rules_parse_cleanly():
     ],
 )
 def test_rule_file_errors_report_once_and_resume(text, where, parsed):
-    base, diags = analysis.parse_rules(text)
+    rules, _, diags = analysis.parse_rules(text)
     assert [(d.code, d.line, d.col) for d in diags] == [("E001", *where)]
-    assert len(base.rules) == parsed
+    assert len(rules) == parsed
 
 
 def test_overlapping_rules_rejected():
@@ -81,17 +80,17 @@ def test_overlapping_rules_rejected():
 rule { kinds [OutCOD] categories [Any] E [x] R [x] L [x] A [x] }
 rule { kinds [OutCOD] categories [Any] E [y] R [y] L [y] A [y] }
 """
-    base, _ = analysis.parse_rules(text)
+    rules, nas, _ = analysis.parse_rules(text)
     with pytest.raises(ValueError, match="overlapping cell"):
-        base.validate()
+        analysis.RuleBase(rules, nas)
 
 
 def test_unknown_cell_rejected():
-    base, _ = analysis.parse_rules(
+    rules, nas, _ = analysis.parse_rules(
         "rule { kinds [OutCOD] categories [Nominal] E [x] R [x] L [x] A [x] }"
     )
     with pytest.raises(ValueError, match="unknown cell"):
-        base.validate()
+        analysis.RuleBase(rules, nas)
 
 
 def test_analyze_partitions_golden(golden_dataset, chain):

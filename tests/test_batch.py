@@ -1438,7 +1438,7 @@ def coded_simulations(draw):
     latched = cases == m + 1
     evaluated = np.array(draw(st.lists(st.booleans(), min_size=len(cases), max_size=len(cases))), dtype=bool)
     stub_outputs = np.where(evaluated & ~latched, np.array(outputs, dtype=float), np.nan)
-    return monitors.SimulationResult(kinds, actions, cases, stub_outputs, latched, {})
+    return monitors.SimulationResult(kinds, actions, cases, stub_outputs, {})
 
 
 @settings(max_examples=300)

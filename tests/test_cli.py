@@ -168,6 +168,28 @@ def test_coverage_grid_without_cells_is_a_usage_error(runner, spec_path, points_
     assert "--grid" in result.output
 
 
+@pytest.mark.parametrize("grid", ["100000x100000", "1000001x1"])
+def test_coverage_grid_over_the_cell_bound_is_a_usage_error(
+    monkeypatch, capsys, spec_path, points_path, extended_doc, grid
+):
+    # refused before any array is allocated: 10^10 cells once ran out of memory
+    args = ["coverage", spec_path, points_path, "--node", "MLMODD", "--grid", grid]
+    code, out, err = run_main(monkeypatch, capsys, *args)
+    assert (code, out) == (2, "")
+    assert "--grid" in err and "1,000,000 cells" in err and "internal error" not in err
+    nx, ny = map(int, grid.split("x"))
+    with pytest.raises(ValueError, match="at most 1,000,000 cells"):
+        oddkit.coverage_report([], extended_doc.node("MLMODD"), grid=(nx, ny))
+
+
+def test_generate_negative_seed_is_a_usage_error(monkeypatch, capsys, spec_path):
+    # the counter-based generator refuses a negative seed: once an internal error
+    args = ["generate", spec_path, "--node", "MLMODD", "--mode", "nominal_interior", "--seed", "-1"]
+    code, out, err = run_main(monkeypatch, capsys, *args)
+    assert (code, out) == (2, "")
+    assert "--seed" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("transform", ["scale:Alt:nan", "scale:Alt:inf", "offset:Alt:-inf", "unit_swap:Alt:nan"])
 def test_classify_non_finite_transform_is_a_usage_error(runner, spec_path, points_path, transform):
     result = runner.invoke(cli, ["classify", spec_path, points_path, "--transform", transform])

@@ -43,6 +43,12 @@ def test_missing_parameter_column_e101(node):
     assert len(ds) == 0
 
 
+def test_an_empty_text_is_e101(node):
+    ds = oddkit.parse_dataset("", node)
+    assert not ds.ok and len(ds) == 0
+    assert [str(d) for d in ds.diagnostics] == ["error E101 at 1:1: empty dataset: no header row"]
+
+
 def test_duplicate_column_e102(node):
     ds = oddkit.parse_dataset("Mach,Alt,Mach\n0.1,5,0.1\n", node)
     assert not ds.ok

@@ -209,11 +209,12 @@ def test_self_intersecting_polygon_e004():
 odd "A" level mlm_odd {
   param x: u range [0, 1]
   param y: u range [0, 1]
-  region polygon { (0,0) (1,1) (1,0) (0,1) }
+  region polygon { (0,0) (1,1) (1,0) (0,0.5) }
 }
 """
+    # a bowtie with nonzero signed area (-0.25), so the simplicity test decides it
     doc = oddkit.parse_spec(text)
-    assert "E004" in _codes(doc)
+    assert [str(d) for d in doc.diagnostics] == ["error E004 at 5:3: node 'A': polygon is self-intersecting"]
 
 
 def test_range_violation_e005():
@@ -834,7 +835,7 @@ def _token_deletions():
     for path, diagnose in (
         (DATA / "flight_envelope.odd", lambda text: oddkit.parse_spec(text).diagnostics),
         (DATA / "flight_envelope_extended.odd", lambda text: oddkit.parse_spec(text).diagnostics),
-        (rules, lambda text: oddkit.parse_rules(text)[1]),
+        (rules, lambda text: oddkit.parse_rules(text)[2]),
     ):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         tokens, _ = dsl.tokenize("".join(lines))
@@ -926,10 +927,31 @@ def test_a_polytope_item_is_read_within_its_line(old, new, expected, at):
     assert [str(d) for d in diagnostics] == [f"error E001 at {at}: expected {expected}, got end of line"]
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("    vertex (0, 0) vertex (1, 0) vertex (1, 1) vertex (0, 1)\n", "",
+         "error E004 at 4:3: node 'N': polytope needs halfspaces and an explicit vertex list"),
+        ("vertex (0, 0)", "vertex (0, 0, 0)", "error E004 at 4:3: node 'N': vertex has 3 coordinates, expected 2"),
+        ("vertex (1, 1)", "vertex (2, 1)",
+         "error E006 at 4:3: node 'N': polytope vertex (2.0, 1.0) outside the parameter box"),
+        ("halfspace 1 0 <= 1", "halfspace 1 0 <= 0.5",
+         "error E004 at 4:3: node 'N': vertex (1.0, 0.0) violates halfspace (1.0, 0.0) <= 0.5"),
+        ("  }\n}", "  }\n  region polygon { (0, 0) (1, 0) (1, 1) }\n}",
+         "error E004 at 11:3: node mixes polygon and polytope regions"),
+        ("param y: u", "param y: u $", "error E001 at 3:14: unexpected character '$'"),
+    ],
+    ids=["no-vertices", "vertex-arity", "vertex-outside-box", "vertex-violates-halfspace", "mixed-regions", "stray-char"],
+)
+def test_each_region_and_token_diagnostic_is_reported(old, new, expected):
+    assert old in _SQUARE
+    assert [str(d) for d in oddkit.parse_spec(_SQUARE.replace(old, new, 1)).diagnostics] == [expected]
+
+
 def test_a_rule_field_is_read_within_its_line():
     # 'kinds [InMOD&InS' once read 'categories' as a kind and reported the next line's '['
     text = "rule {\n  kinds [InMOD&InS\n  categories [Nominal]\n  E [x]\n}\n"
-    assert [str(d) for d in oddkit.parse_rules(text)[1]] == ["error E001 at 2:3: expected ], got end of line"]
+    assert [str(d) for d in oddkit.parse_rules(text)[2]] == ["error E001 at 2:3: expected ], got end of line"]
 
 
 def test_a_brace_in_a_monitorchain_body_ends_the_block(tmp_path):

@@ -6,8 +6,8 @@ diagnostics built in one place, one reader of the category table, one
 read-only helper, no output formatting in the CLI, no XML or URL library
 loaded by the CLI, no parameter that a function never reads, a
 boundary band set only where some caller varies it, each one-point function
-kept by a named caller, and a package ``__all__`` that lists what it
-imports."""
+kept by a named caller, a package ``__all__`` that lists what it
+imports, and no exception type that nothing raises."""
 
 from __future__ import annotations
 
@@ -469,3 +469,18 @@ def test_all_lists_the_package_imports():
     namespace: dict[str, object] = {}
     exec("from oddkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == public
+
+
+def test_every_error_type_is_raised():
+    """Each ``OddkitError`` subclass in ``errors.py`` is raised somewhere in ``src/``."""
+    defined = {
+        name for name, value in vars(oddkit.errors).items()
+        if isinstance(value, type) and issubclass(value, oddkit.OddkitError) and value is not oddkit.OddkitError
+    }
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rsplit(".", 1)[-1])
+    assert defined - raised == set()
