@@ -6,6 +6,10 @@ original values as provenance; novelty points are built by projecting out
 hidden parameters of an extension node. Sampling is seeded and reproducible
 (counter-based Philox generator); each mode draws the points of one label
 category, as :func:`oddkit.classify.geometric_categories` decides it.
+
+Each sampler decides a block of candidates at a time with
+:func:`geometry.region_containment` and keeps the accepted rows in draw
+order; :func:`inject_inlier` and :func:`make_novelty` are the one-point cases.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import geometry
 from .classify import CATEGORY_LABELS, Chain, geometric_categories
 from .errors import EmptyStratum, MissingExtension
-from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Parameter, Transform
+from .model import DEFAULT_TOL, Containment, DataPoint, OddNode, Parameter, Polygon2D, Transform
 
 
 @dataclass(frozen=True)
@@ -52,20 +56,21 @@ def make_novelty(base: DataPoint, chain: Chain) -> DataPoint | Rejected:
 
     Accepted only when the full point is outside the extension node while its
     projection is inside the base node: the projected point then carries the
-    extra coordinates as hidden values and classifies as Novelty.
+    extra coordinates as hidden values and classifies as Novelty. The base
+    node reads only its own parameters, so it decides the point as it is.
     """
     if chain.extended is None:
         raise MissingExtension("chain has no extension node")
-    ext = chain.extended
-    mlm = chain.mlm
+    ext, mlm, values = chain.extended, chain.mlm, base.values
     if geometry.point_in_region(base, ext) != Containment.OUTSIDE:
         return Rejected("point is inside the extended node: not novelty")
-    projected = geometry.project(base, mlm)
-    if geometry.point_in_region(projected, mlm) == Containment.OUTSIDE:
+    if geometry.point_in_region(base, mlm) == Containment.OUTSIDE:
         return Rejected("projection is outside the base node: outlier, not novelty")
-    hidden_names = [n for n in ext.parameter_names if n not in mlm.parameter_names]
-    hidden = {n: base.values[n] for n in hidden_names}
-    return DataPoint(dict(projected.values), hidden_values=hidden, in_sample=base.in_sample)
+    return DataPoint(
+        {n: values[n] for n in mlm.parameter_names},
+        hidden_values={n: values[n] for n in ext.parameter_names if n not in mlm.parameter_names},
+        in_sample=base.in_sample,
+    )
 
 
 # -- sampling ------------------------------------------------------------------
@@ -187,12 +192,16 @@ def sample_region(node: OddNode, n: int, mode: str, seed: int) -> list[DataPoint
 def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], seed: int) -> list[DataPoint]:
     """Draw ``n`` inliers of ``node``, deterministic given ``seed``.
 
-    Nominal-interior candidates are corrupted through each transform in turn
-    by :func:`inject_inlier`; a candidate is kept when every step accepts it,
-    with its uncorrupted values as provenance. A transform that can corrupt
-    no point, of a parameter the node lacks, an identity or one that moves
-    no value of the parameter's range past the boundary band, raises
-    EmptyStratum before any draw.
+    Nominal-interior candidates are corrupted through each transform in turn,
+    as :func:`inject_inlier` corrupts one point, a block at a time: each
+    transform moves its parameter's column, and a row is kept while the move
+    exceeds the boundary band and the row stays in the region. A kept row
+    has its uncorrupted values as provenance. A transform that can corrupt
+    no point raises EmptyStratum before any draw: one of a parameter the
+    node lacks, an identity, one that moves no value of the parameter's
+    range past the boundary band, or, on a polygon, one that moves every
+    such value out of the box grown by that band (a polygon lies in its box;
+    a polytope's halfspaces may reach past it).
     """
     if not transforms:
         raise ValueError("an inlier needs at least one transform")
@@ -204,21 +213,29 @@ def sample_inliers(node: OddNode, n: int, transforms: tuple[Transform, ...], see
             reason = "it is the identity"
         elif _within_band(t, params[t.parameter]):
             reason = "it moves no value of the parameter's range past the boundary band"
+        elif isinstance(node.region, Polygon2D) and _past_band(t, params[t.parameter]):
+            reason = "it moves every value of the parameter's range out of the box's boundary band"
         else:
             continue
         raise EmptyStratum(f"transform {t.kind} of {t.parameter!r} corrupts no point: {reason}")
+    names = node.parameter_names
+    steps = [(t, names.index(t.parameter), DEFAULT_TOL * params[t.parameter].span) for t in transforms]
 
     def accept(X):
-        out = []
-        for p in _points(X[_in_stratum(X, node, "nominal_interior")], node):
-            result: DataPoint | Rejected = p
-            for t in transforms:
-                result = inject_inlier(result, t, node)
-                if isinstance(result, Rejected):
-                    break
-            else:
-                out.append(DataPoint(result.values, provenance_raw=dict(p.values)))
-        return out
+        X = X[_in_stratum(X, node, "nominal_interior")]
+        Y, keep = X.copy(), np.ones(len(X), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN moves are decided as such
+            for t, j, band in steps:
+                rows = np.flatnonzero(keep)
+                before = Y[rows, j]
+                Y[rows, j] = after = t(before)
+                rows = rows[np.abs(after - before) > band]
+                keep[:] = False
+                keep[rows] = geometry.region_containment(Y[rows], node) != geometry.OUTSIDE
+        return [
+            DataPoint(dict(zip(names, y)), provenance_raw=dict(zip(names, x)))
+            for x, y in zip(X[keep].tolist(), Y[keep].tolist())
+        ]
 
     return _draw_and_accept(n, seed, node.parameters, accept, f"inliers for node {node.name!r}")
 
@@ -230,21 +247,41 @@ def _within_band(t: Transform, p: Parameter) -> bool:
     return max(abs(t(v) - v) for v in (p.lo, p.hi)) + slack <= DEFAULT_TOL * p.span
 
 
+def _past_band(t: Transform, p: Parameter) -> bool:
+    """Whether ``t`` moves every value of ``p``'s range, grown by the boundary
+    band, out of that grown range, however it rounds. Before each transform a
+    kept row's value lies in the grown range: it was drawn in the range, and
+    a row past the band is outside a region that lies in the box. ``t`` is
+    affine, so it maps the grown range onto the interval between the images
+    of its ends."""
+    band = DEFAULT_TOL * p.span
+    lo, hi = p.lo - band, p.hi + band
+    least, most = sorted((t(lo), t(hi)))
+    slack = 4 * math.ulp(max(abs(lo), abs(hi), abs(least), abs(most)))
+    return least - slack > hi or most + slack < lo
+
+
 def sample_novelty(chain: Chain, n: int, seed: int) -> list[DataPoint]:
     """Draw ``n`` novelty points of the chain's extension, deterministic given ``seed``.
 
     Candidates are uniform over the extension's box, with the parameters the
-    base node lacks widened by half their span on each side; each is kept
-    when :func:`make_novelty` accepts it.
+    base node lacks widened by half their span on each side. A block of them
+    is decided as :func:`make_novelty` decides one point: a row is kept when
+    it is outside the extension and its base parameters are inside the base
+    node, and it is written as the base node's values with the others hidden.
     """
     ext = chain.extended
     if ext is None:
         raise MissingExtension("chain has no extension node")
-    base = set(chain.mlm.parameter_names)
+    names, base = ext.parameter_names, chain.mlm.parameter_names
     box = [_widened(p, 0.0 if p.name in base else _NOVELTY_INFLATION) for p in ext.parameters]
+    hidden = [name for name in names if name not in base]
+    order = [names.index(name) for name in (*base, *hidden)]  # the base's columns, then the hidden ones
 
     def accept(X):
-        made = (make_novelty(p, chain) for p in _points(X, ext))
-        return [p for p in made if not isinstance(p, Rejected)]
+        outside = geometry.region_containment(X, ext) == geometry.OUTSIDE
+        keep = outside & (geometry.region_containment(X[:, order[: len(base)]], chain.mlm) != geometry.OUTSIDE)
+        rows = X[keep][:, order].tolist()
+        return [DataPoint(dict(zip(base, row)), hidden_values=dict(zip(hidden, row[len(base) :]))) for row in rows]
 
     return _draw_and_accept(n, seed, box, accept, f"novelty points for extension {ext.name!r}")

@@ -302,29 +302,33 @@ def write_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
 
 
 def serialize_dataset(
-    points: list[DataPoint], node: OddNode, seed: int | None = None
+    points: Iterable[DataPoint], node: OddNode, seed: int | None = None
 ) -> str:
-    """Write points in the dataset CSV format, including provenance columns."""
+    """Write points in the dataset CSV format, including provenance columns.
+
+    The points are listed once, and each column is written as a whole: one
+    ``fmt`` cell per point, or an empty cell where the point has no value.
+    Only the header goes through :func:`write_csv`. Every cell is a number or
+    empty, which CSV leaves unquoted unless it is a row's only cell, so a row
+    is its cells joined by ``,``.
+    """
+    points = list(points)
     raw_cols = sorted({name for p in points if p.provenance_raw for name in p.provenance_raw})
     hidden_cols = sorted({name for p in points if p.hidden_values for name in p.hidden_values})
-    has_in_sample = any(p.in_sample is not None for p in points)
 
-    header = list(node.parameter_names)
-    header += [f"raw:{c}" for c in raw_cols]
-    header += [f"hidden:{c}" for c in hidden_cols]
-    if has_in_sample:
+    def column(dicts: list[dict[str, float] | None], name: str) -> list[str]:
+        return ["" if v is None else fmt(v) for v in (None if d is None else d.get(name) for d in dicts)]
+
+    values = [p.values for p in points]
+    cols = [[fmt(v[name]) for v in values] for name in node.parameter_names]
+    raw, hidden = [p.provenance_raw for p in points], [p.hidden_values for p in points]
+    cols += [column(raw, c) for c in raw_cols] + [column(hidden, c) for c in hidden_cols]
+    header = [*node.parameter_names, *(f"raw:{c}" for c in raw_cols), *(f"hidden:{c}" for c in hidden_cols)]
+    flags = [p.in_sample for p in points]
+    if any(flag is not None for flag in flags):
         header.append("in_sample")
-
-    def row(p: DataPoint) -> list[str]:
-        cells = [fmt(p.values[name]) for name in node.parameter_names]
-        for c in raw_cols:
-            v = (p.provenance_raw or {}).get(c)
-            cells.append("" if v is None else fmt(v))
-        for c in hidden_cols:
-            v = (p.hidden_values or {}).get(c)
-            cells.append("" if v is None else fmt(v))
-        if has_in_sample:
-            cells.append("" if p.in_sample is None else ("1" if p.in_sample else "0"))
-        return cells
-
-    return ("" if seed is None else f"# seed={seed}\n") + write_csv(header, map(row, points))
+        cols.append(["" if flag is None else ("1" if flag else "0") for flag in flags])
+    if len(cols) == 1:  # csv writes a row's only cell, when empty, as ""
+        cols[0] = [cell or '""' for cell in cols[0]]
+    body = "\n".join(map(",".join, zip(*cols)) if cols else [""] * len(points))
+    return ("" if seed is None else f"# seed={seed}\n") + write_csv(header, ()) + (body + "\n" if points else "")

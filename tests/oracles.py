@@ -24,9 +24,12 @@ one row at a time into a DataPoint (the package converts whole columns),
 the per-point loop of the set-algebra audit (the package decides its rules
 as boolean columns), the label and verdict CSV writers that write one
 row at a time from the LabelRows and MonitorVerdicts (the package writes
-each combination of codes once), and the ODD-update proposal that gathers
+each combination of codes once), the ODD-update proposal that gathers
 its evidence point by point from the value dicts (the package selects it
-from the value columns).
+from the value columns), the dataset CSV writer that writes one row at a
+time (the package writes each column whole), and the inlier and novelty
+samplers that decide each candidate with inject_inlier and make_novelty
+(the package decides each block of candidates with region_containment).
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import operator
 
 import numpy as np
 
-from oddkit import geometry
+from oddkit import anomaly, geometry
 from oddkit.analysis import RangeChange, UpdateProposal
+from oddkit.dsl import fmt
 from oddkit.model import Containment, DataPoint
 
 
@@ -422,7 +426,7 @@ def set_algebra_violations(labels, verdicts) -> list[tuple[int, str]]:
     return violations
 
 
-# -- the row-by-row label and verdict writers --------------------------------------
+# -- the row-by-row label, verdict and dataset writers ------------------------------
 
 
 def _csv(header, rows) -> str:
@@ -469,6 +473,65 @@ def verdicts_csv(verdicts) -> str:
             for v in verdicts
         ),
     )
+
+
+def dataset_csv(points, node, seed=None) -> str:
+    """The dataset CSV written row by row from each point's dicts."""
+    raw_cols = sorted({name for p in points if p.provenance_raw for name in p.provenance_raw})
+    hidden_cols = sorted({name for p in points if p.hidden_values for name in p.hidden_values})
+    has_in_sample = any(p.in_sample is not None for p in points)
+    header = [*node.parameter_names, *(f"raw:{c}" for c in raw_cols), *(f"hidden:{c}" for c in hidden_cols)]
+    if has_in_sample:
+        header.append("in_sample")
+
+    def row(p: DataPoint) -> list[str]:
+        cells = [fmt(p.values[name]) for name in node.parameter_names]
+        for c in raw_cols:
+            v = (p.provenance_raw or {}).get(c)
+            cells.append("" if v is None else fmt(v))
+        for c in hidden_cols:
+            v = (p.hidden_values or {}).get(c)
+            cells.append("" if v is None else fmt(v))
+        if has_in_sample:
+            cells.append("" if p.in_sample is None else ("1" if p.in_sample else "0"))
+        return cells
+
+    return ("" if seed is None else f"# seed={seed}\n") + _csv(header, map(row, points))
+
+
+# -- the candidate-by-candidate inlier and novelty samplers --------------------------
+
+
+def sample_inliers(node, n: int, transforms, seed: int) -> list[DataPoint]:
+    """The package's draw loop, each nominal-interior candidate corrupted by
+    inject_inlier through each transform in turn; no transform is refused
+    before the draw."""
+
+    def accept(X):
+        out = []
+        for p in anomaly._points(X[anomaly._in_stratum(X, node, "nominal_interior")], node):
+            result = p
+            for t in transforms:
+                result = anomaly.inject_inlier(result, t, node)
+                if isinstance(result, anomaly.Rejected):
+                    break
+            else:
+                out.append(DataPoint(result.values, provenance_raw=dict(p.values)))
+        return out
+
+    return anomaly._draw_and_accept(n, seed, node.parameters, accept, f"inliers for node {node.name!r}")
+
+
+def sample_novelty(chain, n: int, seed: int) -> list[DataPoint]:
+    """The package's draw loop, each candidate kept when make_novelty accepts it."""
+    ext, base = chain.extended, set(chain.mlm.parameter_names)
+    box = [anomaly._widened(p, 0.0 if p.name in base else anomaly._NOVELTY_INFLATION) for p in ext.parameters]
+
+    def accept(X):
+        made = (anomaly.make_novelty(p, chain) for p in anomaly._points(X, ext))
+        return [p for p in made if not isinstance(p, anomaly.Rejected)]
+
+    return anomaly._draw_and_accept(n, seed, box, accept, f"novelty points for extension {ext.name!r}")
 
 
 # -- the point-by-point ODD-update proposal ----------------------------------------

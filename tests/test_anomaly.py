@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import math
 import time
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
 from oddkit import anomaly, geometry
 from oddkit.cli import cli
 from oddkit.model import Containment, DataPoint
+
+import oracles
 
 
 @pytest.fixture()
@@ -182,6 +187,8 @@ def test_sample_inliers_raises_when_no_point_is_corrupted(mlm):
         (anomaly.Transform("offset", "Alt", offset=0.0), "it is the identity"),
         (anomaly.Transform("offset", "Alt", offset=1e-9), "moves no value .* past the boundary band"),
         (anomaly.Transform("scale", "Mach", factor=1 + 1e-12), "moves no value .* past the boundary band"),
+        (anomaly.Transform("offset", "Alt", offset=1e9), "moves every value .* out of the box's boundary band"),
+        (anomaly.Transform("offset", "Alt", offset=15001.0), "moves every value .* out of the box's boundary band"),
     ],
 )
 def test_sample_inliers_refuses_a_transform_that_corrupts_no_point_before_drawing(mlm, monkeypatch, transform, reason):
@@ -193,6 +200,96 @@ def test_sample_inliers_refuses_a_transform_that_corrupts_no_point_before_drawin
     for transforms in ((transform,), (valid, transform)):
         with pytest.raises(oddkit.EmptyStratum, match=reason):
             anomaly.sample_inliers(mlm, 200, transforms, seed=0)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        anomaly.Transform("offset", "Alt", offset=14000.0),
+        anomaly.Transform("offset", "Alt", offset=-14000.0),
+        anomaly.Transform("scale", "Alt", factor=3.0),
+    ],
+)
+def test_sample_inliers_draws_for_a_transform_that_keeps_some_values_in_the_box(mlm, transform):
+    points = anomaly.sample_inliers(mlm, 20, (transform,), seed=0)
+    assert len(points) == 20
+    assert all(p.values["Alt"] == transform(p.provenance_raw["Alt"]) for p in points)
+
+
+def test_sample_inliers_draws_for_a_transform_onto_the_box_bound(mlm):
+    """Alt + 15000 reaches the box's top only from Alt = 0, which no
+    nominal-interior candidate holds: the draw decides, and finds none."""
+    with pytest.raises(oddkit.EmptyStratum, match="could not draw 1 inliers .* after 10000 candidates"):
+        anomaly.sample_inliers(mlm, 1, (anomaly.Transform("offset", "Alt", offset=15000.0),), seed=0)
+
+
+def test_sample_inliers_draws_far_for_a_polytope_past_its_box():
+    """A polytope's halfspaces may hold points past its box, so a transform
+    that moves every value out of the box is not refused there."""
+    doc = oddkit.parse_spec(
+        """
+odd "P" level mlm_odd {
+  param x: u range [0, 1]
+  param y: u range [0, 1]
+  region polytope {
+    halfspace -1 0 <= 0
+    halfspace 0 -1 <= 0
+    halfspace 0 1 <= 1
+    vertex (0, 0)
+    vertex (0, 1)
+  }
+}
+"""
+    )
+    points = anomaly.sample_inliers(doc.node("P"), 5, (anomaly.Transform("offset", "x", offset=1e9),), seed=0)
+    assert len(points) == 5 and all(p.values["x"] > 1e9 for p in points)
+
+
+def _transforms(node):
+    """One or two scale or offset transforms of the node's parameters. A
+    factor of 1e-9 lands rows in the boundary band at a zero bound; 1e308
+    overflows to inf; offsets of a span or more leave the box."""
+    span = {p.name: p.span for p in node.parameters}
+    names = st.sampled_from(node.parameter_names)
+    factors = st.sampled_from([1e-9, 0.5, 1.25, 3.0, -1.0, 1e308, 1.0]) | st.floats(0.05, 20.0)
+    fractions = st.sampled_from([-1.0, -0.5, 0.1, 0.3, 1.0, 1.5, 0.0]) | st.floats(-1.5, 1.5)
+    scale = st.builds(lambda name, f: anomaly.Transform("scale", name, factor=f), names, factors)
+    offset = st.builds(lambda name, f: anomaly.Transform("offset", name, offset=f * span[name]), names, fractions)
+    return st.lists(scale | offset, min_size=1, max_size=2).map(tuple)
+
+
+def _drawn(sample, *args):
+    try:
+        return sample(*args)
+    except oddkit.EmptyStratum as exc:
+        return str(exc)
+
+
+@settings(max_examples=120)
+@given(data=st.data(), node_name=st.sampled_from(["MLMODD", "MLMODD_ext"]), n=st.integers(1, 25), seed=st.integers(0, 2**32))
+def test_block_inliers_equal_the_candidate_by_candidate_sampler(extended_doc, data, node_name, n, seed):
+    """With the rejection cap cut to 40 candidates per point, so that a
+    stratum no row reaches fails fast, the two samplers draw the same
+    candidates and keep the same points, or fail alike. A transform refused
+    before the draw finds no inlier in the reference's 10,000 candidates."""
+    node = extended_doc.node(node_name)
+    transforms = data.draw(_transforms(node))
+    try:
+        anomaly.sample_inliers(node, 0, transforms, seed)
+    except oddkit.EmptyStratum as exc:
+        assert "corrupts no point" in str(exc)
+        assert _drawn(oracles.sample_inliers, node, 1, transforms, seed).startswith("could not draw 1 inliers")
+        return
+    with mock.patch.object(anomaly, "_MAX_REJECTION_FACTOR", 40):
+        assert _drawn(anomaly.sample_inliers, node, n, transforms, seed) == _drawn(
+            oracles.sample_inliers, node, n, transforms, seed
+        )
+
+
+@settings(max_examples=40)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_block_novelty_equals_the_candidate_by_candidate_sampler(chain, n, seed):
+    assert anomaly.sample_novelty(chain, n, seed) == oracles.sample_novelty(chain, n, seed)
 
 
 def test_sample_inliers_draws_for_a_transform_just_past_the_boundary_band(mlm):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,40 @@ def test_generate_novelty_writes_the_rows_of_the_chains_mlm_node(runner, spec_pa
     assert via_ext.exit_code == 0, via_ext.output
     assert via_ext.output == via_mlm.output
     assert via_ext.output.splitlines()[1] == "Mach,Alt,hidden:Temp"
+
+
+# each oddkit generate case pinned by tests/data/golden_generate_<case>_seed<seed>.csv,
+# made with -n 25 on the extended flight envelope
+GENERATE_GOLDENS = {
+    "nominal_interior": ["--node", "MLMODD", "--mode", "nominal_interior"],
+    "edge": ["--node", "MLMODD", "--mode", "edge"],
+    "feasible_corner": ["--node", "MLMODD", "--mode", "feasible_corner"],
+    "outlier_ring": ["--node", "MLMODD", "--mode", "outlier_ring"],
+    "inlier_scale": ["--node", "MLMODD", "--mode", "inlier", "--transform", "scale:Alt:1.25"],
+    "inlier_offset_scale": [
+        "--node", "MLMODD", "--mode", "inlier", "--transform", "offset:Alt:-2000", "--transform", "scale:Mach:1.5",
+    ],
+    "novelty": ["--node", "MLMODD", "--mode", "novelty"],
+    "outlier_ring_ext": ["--node", "MLMODD_ext", "--mode", "outlier_ring"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", GENERATE_GOLDENS)
+def test_generate_matches_the_golden_files(runner, spec_path, data_dir, case, seed):
+    args = ["generate", spec_path, "-n", "25", "--seed", str(seed), *GENERATE_GOLDENS[case]]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (data_dir / f"golden_generate_{case}_seed{seed}.csv").read_bytes()
+
+
+def test_generate_refuses_an_inlier_transform_past_the_box_before_drawing(runner, spec_path):
+    args = ["generate", spec_path, "--node", "MLMODD", "--mode", "inlier", "--transform", "offset:Alt:1e9", "-n", "100"]
+    start = time.perf_counter()
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert "corrupts no point" in result.output
+    assert time.perf_counter() - start < 2.0
 
 
 def test_generate_inlier_requires_transform(runner, spec_path):

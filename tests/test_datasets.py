@@ -157,6 +157,54 @@ def test_locale_independent_numbers_rejected(node):
     assert len(ds) == 0
 
 
+# values the writer formats: ints, a negative zero, the least subnormal,
+# huge magnitudes and ordinary floats
+_WRITTEN = st.sampled_from([0, 3, -7, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 14000.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def written_points(draw, names):
+    """Points with every parameter of ``names``, and raw values, hidden values
+    (under names CSV must quote) and in_sample flags each present or absent."""
+
+    def values(keys):
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+        return {key: draw(_WRITTEN) for key in chosen}
+
+    hidden = ["Temp", "a,b", 'q"x', "line\nend", " pad "]
+    return [
+        DataPoint(
+            {name: draw(_WRITTEN) for name in names},
+            provenance_raw=draw(st.none() | st.just(values(list(names)))),
+            hidden_values=draw(st.none() | st.just(values(hidden))),
+            in_sample=draw(st.sampled_from([None, True, False])),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@settings(max_examples=150)
+@given(data=st.data(), seed=st.none() | st.integers(0, 2**31))
+def test_serialize_dataset_equals_the_row_by_row_writer(extended_doc, data, seed):
+    for node in (extended_doc.node("MLMODD"), extended_doc.node("MLMODD_ext")):
+        points = data.draw(written_points(node.parameter_names))
+        expected = oracles.dataset_csv(points, node, seed)
+        assert oddkit.serialize_dataset(points, node, seed) == expected
+        assert oddkit.serialize_dataset(iter(points), node, seed) == expected
+        assert oddkit.serialize_dataset(Points.of(points), node, seed) == expected
+
+
+def test_serialize_dataset_quotes_a_rows_only_empty_cell():
+    """As csv writes it, a row whose one cell is empty is ``""``, so it reads
+    back as a row rather than a blank line."""
+    node = oddkit.OddNode("empty", oddkit.Level.MLM_ODD, (), oddkit.Polygon2D(((0.0, 0.0),)))
+    points = [DataPoint({}, hidden_values={"h": 1.0}), DataPoint({})]
+    assert oddkit.serialize_dataset(points, node) == oracles.dataset_csv(points, node) == 'hidden:h\n1\n""\n'
+    assert oddkit.serialize_dataset([DataPoint({})] * 2, node) == oracles.dataset_csv([DataPoint({})] * 2, node) == "\n\n\n"
+
+
 def test_serialize_round_trip(golden_dataset, node):
     text = oddkit.serialize_dataset(golden_dataset.points, node, seed=0)
     assert text.startswith("# seed=0\n")

@@ -416,17 +416,11 @@ _ONE_POINT = {
         "registry_polytope calls it per point",
         ["bench/workloads.py:RegistryPolytope.run_pass"],
     ),
-    "anomaly.inject_inlier": (
-        "stream_generate calls it per point",
-        ["bench/workloads.py:StreamGenerate.run_pass", "src/oddkit/anomaly.py:sample_inliers.accept"],
-    ),
-    "anomaly.make_novelty": (
-        "stream_generate calls it per point",
-        ["bench/workloads.py:StreamGenerate.run_pass", "src/oddkit/anomaly.py:sample_novelty.accept"],
-    ),
+    "anomaly.inject_inlier": ("stream_generate calls it per point", ["bench/workloads.py:StreamGenerate.run_pass"]),
+    "anomaly.make_novelty": ("stream_generate calls it per point", ["bench/workloads.py:StreamGenerate.run_pass"]),
     "geometry.project": (
-        "make_novelty calls it, and the benchmark's tracer wraps it",
-        ["src/oddkit/anomaly.py:make_novelty", "bench/spans.py:<module>"],
+        "the benchmark's tracer wraps it; it goes once the tracer stops",
+        ["bench/spans.py:<module>"],
     ),
     "geometry.params_at_extreme": (
         "the benchmark's tracer wraps it; it goes once the tracer stops",
